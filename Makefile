@@ -13,10 +13,17 @@ test:
 	$(GO) test ./...
 
 # check is the correctness gate: static checks, the full test suite,
-# the race matrix over the schedule-sensitive packages, a smoke run of
-# every fuzz target, the multi-process cluster smoke, and a run-vs-self
-# pass of the perf gate. This is what CI should run.
-check: vet build test race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke perfgate-smoke
+# the benchmark's own tests, the race matrix over the schedule-sensitive
+# packages, a smoke run of every fuzz target, the multi-process cluster
+# smoke, and a run-vs-self pass of the perf gate. This is what CI should
+# run.
+check: vet build test ccperf-test race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke perfgate-smoke
+
+# cmd/ccperf is its own Go module (it replaces afforest with ../..), so
+# the root `go test ./...` never reaches its tests: workload smokes,
+# label/witness corruption checks, and the BENCHMARK.json metric lists.
+ccperf-test:
+	cd cmd/ccperf && $(GO) test ./...
 
 # The race detector only sees interleavings that happen, so the
 # schedule-sensitive packages run under three thread budgets: 1 (pure
@@ -102,4 +109,4 @@ perfgate-smoke:
 		rm -f $$tmp || exit 1; \
 	done
 
-.PHONY: all build vet test check race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke bench perfgate perfgate-smoke
+.PHONY: all build vet test ccperf-test check race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke bench perfgate perfgate-smoke

@@ -1,0 +1,290 @@
+package cluster
+
+import (
+	mathrand "math/rand/v2"
+	"net"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"afforest/internal/dist"
+	"afforest/internal/graph"
+)
+
+// refModel is the reference for a shard's ref set: a plain map of remote
+// ids plus a sort on every outbox, next to a min-root union-find standing
+// in for π (every π link hooks the larger root under the smaller, so a
+// shard's find(v) is the minimum id of v's local component).
+type refModel struct {
+	n, lo, hi int
+	refs      map[graph.V]struct{}
+	parent    []graph.V
+}
+
+func newRefModel(n, lo, hi int) *refModel {
+	m := &refModel{n: n, lo: lo, hi: hi}
+	m.reset()
+	return m
+}
+
+func (m *refModel) reset() {
+	m.refs = map[graph.V]struct{}{}
+	m.parent = make([]graph.V, m.n)
+	for v := range m.parent {
+		m.parent[v] = graph.V(v)
+	}
+}
+
+func (m *refModel) owned(v graph.V) bool { return int(v) >= m.lo && int(v) < m.hi }
+
+func (m *refModel) note(v graph.V) {
+	if !m.owned(v) {
+		m.refs[v] = struct{}{}
+	}
+}
+
+func (m *refModel) find(v graph.V) graph.V {
+	for m.parent[v] != v {
+		m.parent[v] = m.parent[m.parent[v]]
+		v = m.parent[v]
+	}
+	return v
+}
+
+func (m *refModel) union(u, v graph.V) {
+	ru, rv := m.find(u), m.find(v)
+	if ru > rv {
+		ru, rv = rv, ru
+	}
+	m.parent[rv] = ru
+}
+
+// outbox is the pre-bitset algorithm: every ref with its label, sorted
+// by vertex id, and the labels noted as refs only after the walk.
+func (m *refModel) outbox() []pair {
+	out := make([]pair, 0, len(m.refs))
+	for r := range m.refs {
+		out = append(out, pair{V: r, Label: m.find(r)})
+	}
+	for _, p := range out {
+		m.note(p.Label)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].V < out[j].V })
+	return out
+}
+
+// TestShardRefsMatchModel drives a Shard directly through seeded random
+// sequences of applyEdges / ingest / absorb / outbox / restore beside
+// refModel and requires every outbox to carry the model's pairs in the
+// model's order, never an owned id, and labels first seen during one
+// outbox only from the next outbox on.
+//
+// Every protocol op notes the ids it puts into π, so a ref's label is
+// normally a ref already. The sixth op links two ids straight into π
+// without noting them — the case outbox's post-walk noting exists for —
+// so the "next outbox on" rule is exercised, not vacuous.
+func TestShardRefsMatchModel(t *testing.T) {
+	sizes := []int{1, 2, 63, 64, 65, 130, 257}
+	freshSeen := 0
+	for seed := uint64(1); seed <= 60; seed++ {
+		rng := mathrand.New(mathrand.NewPCG(seed, 0))
+		n := sizes[rng.IntN(len(sizes))]
+		numShards := 1 + rng.IntN(min(n, 4))
+		id := rng.IntN(numShards)
+		sh := NewShard(1)
+		if err := sh.initialize(n, numShards, id); err != nil {
+			t.Fatalf("seed %d: initialize(%d, %d, %d): %v", seed, n, numShards, id, err)
+		}
+		m := newRefModel(n, sh.lo, sh.hi)
+		randV := func() graph.V { return graph.V(rng.IntN(n)) }
+		randPairs := func(v func() graph.V) []pair {
+			ps := make([]pair, rng.IntN(12))
+			for i := range ps {
+				ps[i] = pair{V: v(), Label: randV()}
+			}
+			return ps
+		}
+		var fresh []graph.V // remote labels first seen by the last outbox
+		for step := 0; step < 200; step++ {
+			switch op := rng.IntN(6); op {
+			case 0:
+				ps := randPairs(randV)
+				if _, err := sh.applyEdges(ps, nil); err != nil {
+					t.Fatalf("seed %d step %d: applyEdges: %v", seed, step, err)
+				}
+				for _, p := range ps {
+					m.note(p.V)
+					m.note(p.Label)
+					m.union(p.V, p.Label)
+				}
+			case 1:
+				if sh.hi == sh.lo {
+					continue
+				}
+				ps := randPairs(func() graph.V { return graph.V(sh.lo + rng.IntN(sh.hi-sh.lo)) })
+				_, replies, err := sh.ingest(ps)
+				if err != nil {
+					t.Fatalf("seed %d step %d: ingest: %v", seed, step, err)
+				}
+				for i, p := range ps {
+					m.note(p.Label)
+					m.union(p.V, p.Label)
+					if want := (pair{V: p.V, Label: m.find(p.V)}); replies[i] != want {
+						t.Fatalf("seed %d step %d: ingest reply %d = %v, want %v", seed, step, i, replies[i], want)
+					}
+				}
+			case 2:
+				ps := randPairs(randV)
+				if _, err := sh.absorb(ps); err != nil {
+					t.Fatalf("seed %d step %d: absorb: %v", seed, step, err)
+				}
+				for _, p := range ps {
+					m.note(p.V)
+					m.note(p.Label)
+					m.union(p.V, p.Label)
+				}
+			case 3:
+				before := make(map[graph.V]struct{}, len(m.refs))
+				for r := range m.refs {
+					before[r] = struct{}{}
+				}
+				want := m.outbox()
+				got, err := sh.outbox()
+				if err != nil {
+					t.Fatalf("seed %d step %d: outbox: %v", seed, step, err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: outbox\n got %v\nwant %v", seed, step, got, want)
+				}
+				reported := make(map[graph.V]bool, len(got))
+				for _, p := range got {
+					if m.owned(p.V) {
+						t.Fatalf("seed %d step %d: outbox reports owned id %d", seed, step, p.V)
+					}
+					reported[p.V] = true
+				}
+				for _, r := range fresh {
+					if !reported[r] {
+						t.Fatalf("seed %d step %d: label %d first seen by the previous outbox is missing", seed, step, r)
+					}
+				}
+				fresh = fresh[:0]
+				for _, p := range got {
+					if _, ok := before[p.Label]; !ok && !m.owned(p.Label) {
+						if reported[p.Label] {
+							t.Fatalf("seed %d step %d: label %d reported by the outbox that first saw it", seed, step, p.Label)
+						}
+						fresh = append(fresh, p.Label)
+					}
+				}
+				freshSeen += len(fresh)
+			case 4:
+				labels := make([]graph.V, sh.hi-sh.lo)
+				for i := range labels {
+					labels[i] = graph.V(rng.IntN(sh.lo + i + 1))
+				}
+				if err := sh.restore(sh.lo, sh.hi, 0, labels); err != nil {
+					t.Fatalf("seed %d step %d: restore: %v", seed, step, err)
+				}
+				m.reset()
+				for i, l := range labels {
+					m.note(l)
+					m.union(graph.V(sh.lo+i), l)
+				}
+				fresh = fresh[:0]
+			case 5:
+				u, v := randV(), randV()
+				sh.inc.AddEdge(u, v)
+				m.union(u, v)
+			}
+		}
+	}
+	if freshSeen == 0 {
+		t.Fatal("no outbox ever saw a new label; the next-outbox rule went unchecked")
+	}
+}
+
+// TestShardRejectsHostileIDs sends, over a real connection, frames whose
+// ids lie past the vertex space (and an ingest for a vertex the shard
+// does not own). Each must be answered with opError rather than reach
+// the ref bitset, and the shard must keep serving afterwards.
+func TestShardRejectsHostileIDs(t *testing.T) {
+	const n, numShards, id = 200, 3, 1
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	sh := NewShard(1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sh.Serve(ln)
+	}()
+	defer func() {
+		ln.Close()
+		<-done
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+
+	call := func(op byte, payload []byte) (byte, []byte) {
+		t.Helper()
+		if err := writeFrame(conn, op, payload); err != nil {
+			t.Fatalf("%s: write: %v", opName(op), err)
+		}
+		rop, _, resp, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("%s: read: %v", opName(op), err)
+		}
+		return rop, resp
+	}
+	init := putU32(putU32(putU64(nil, n), numShards), id)
+	if rop, resp := call(opInit, init); rop != opInit {
+		t.Fatalf("opInit answered %s: %s", opName(rop), resp)
+	}
+	lo, hi := dist.NewPartitioning(n, numShards).Range(id)
+	owned, remote := graph.V(lo), graph.V(hi)
+
+	restoreLabels := make([]graph.V, hi-lo)
+	for i := range restoreLabels {
+		restoreLabels[i] = graph.V(lo + i)
+	}
+	restoreLabels[0] = n
+	restore := encodeLabels(putU64(putU32(putU32(nil, uint32(lo)), uint32(hi)), 0), restoreLabels)
+	cases := []struct {
+		name    string
+		op      byte
+		payload []byte
+	}{
+		{"edges u>=n", opEdges, encodePairs(nil, []pair{{V: n, Label: owned}})},
+		{"edges v>=n", opEdges, encodePairs(nil, []pair{{V: owned, Label: 1 << 31}})},
+		{"ingest v>=n", opIngest, encodePairs(nil, []pair{{V: n + 5, Label: 0}})},
+		{"ingest label>=n", opIngest, encodePairs(nil, []pair{{V: owned, Label: n}})},
+		{"ingest not owned", opIngest, encodePairs(nil, []pair{{V: remote, Label: 0}})},
+		{"absorb v>=n", opAbsorb, encodePairs(nil, []pair{{V: ^graph.V(0), Label: 0}})},
+		{"absorb label>=n", opAbsorb, encodePairs(nil, []pair{{V: remote, Label: n}})},
+		{"restore label>=n", opRestore, restore},
+	}
+	for _, tc := range cases {
+		rop, resp := call(tc.op, tc.payload)
+		if rop != opError {
+			t.Fatalf("%s: answered %s, want opError", tc.name, opName(rop))
+		}
+		if !strings.Contains(string(resp), opName(tc.op)) {
+			t.Fatalf("%s: error %q does not name %s", tc.name, resp, opName(tc.op))
+		}
+	}
+	if rop, resp := call(opPing, nil); rop != opPing {
+		t.Fatalf("opPing after hostile frames answered %s: %s", opName(rop), resp)
+	}
+	// Nothing hostile leaked into the ref set.
+	if rop, resp := call(opOutbox, nil); rop != opOutbox {
+		t.Fatalf("opOutbox answered %s: %s", opName(rop), resp)
+	} else if c := (&cursor{b: resp}); len(c.pairs()) != 0 || c.done() != nil {
+		t.Fatalf("opOutbox after rejected frames = %x, want empty", resp)
+	}
+}

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net"
-	"sort"
 	"sync"
 
 	"afforest/internal/core"
@@ -21,8 +21,9 @@ import (
 // single-node serve layer uses). Non-owned vertices that the shard has
 // an opinion about — ghost endpoints of cut edges, plus every remote
 // label that ever entered its π through the exchange — are tracked in
-// refs; each BSP exchange round pushes (ref, local label) opinions to
-// the ref's owner and absorbs the owner's canonical label back.
+// refs, a dense bitset over [0, n); each BSP exchange round pushes (ref,
+// local label) opinions to the ref's owner and absorbs the owner's
+// canonical label back.
 //
 // Invariant: every remote vertex id appearing anywhere in the shard's π
 // is in refs. Remote ids enter π only through applyEdges endpoints,
@@ -39,8 +40,9 @@ type Shard struct {
 	lo, hi      int
 	part        dist.Partitioning
 	inc         *core.Incremental
-	refs        map[graph.V]struct{}
-	edges       int64 // arcs applied here (includes ghost copies)
+	refs        []uint64 // bitset over [0, n); owned ids are never set
+	numRefs     int      // population count of refs
+	edges       int64    // arcs applied here (includes ghost copies)
 	parallelism int
 
 	// Observability. wire records server-side spans for requests that
@@ -426,7 +428,7 @@ func (sh *Shard) initialize(n, numShards, id int) error {
 	sh.part = part
 	sh.lo, sh.hi = part.Range(id)
 	sh.inc = core.NewIncremental(n)
-	sh.refs = make(map[graph.V]struct{})
+	sh.resetRefs()
 	sh.edges = 0
 	if sh.provenance {
 		sh.prov = provenance.NewForest(n)
@@ -448,10 +450,25 @@ func (sh *Shard) requireInit() error {
 
 func (sh *Shard) owned(v graph.V) bool { return int(v) >= sh.lo && int(v) < sh.hi }
 
-// noteRemote records a remote vertex id as a ref. Caller holds mu.
+// resetRefs empties the ref set, sized for the current n. Caller holds
+// mu.
+func (sh *Shard) resetRefs() {
+	sh.refs = make([]uint64, (sh.n+63)/64)
+	sh.numRefs = 0
+}
+
+// noteRemote records a remote vertex id as a ref. v must be < n: an id
+// past the bitset panics, and serveConn does not recover, so it would
+// take the whole shard process down. Every caller range-checks wire
+// input first. Caller holds mu.
 func (sh *Shard) noteRemote(v graph.V) {
-	if !sh.owned(v) {
-		sh.refs[v] = struct{}{}
+	if sh.owned(v) {
+		return
+	}
+	w, bit := v/64, uint64(1)<<(v%64)
+	if sh.refs[w]&bit == 0 {
+		sh.refs[w] |= bit
+		sh.numRefs++
 	}
 }
 
@@ -511,25 +528,28 @@ func (sh *Shard) flightDump() ([]byte, error) {
 }
 
 // outbox returns the shard's current opinion (ref, find(ref)) for every
-// tracked remote vertex, sorted by vertex id so the wire traffic is
-// deterministic for a given state. Labels that are themselves new
-// remote vertices join refs, which is how label chains across three or
-// more shards get resolved in later rounds.
+// tracked remote vertex. Walking the bitset word by word yields the
+// pairs sorted by vertex id, so the wire traffic is deterministic for a
+// given state. Labels that are themselves new remote vertices join refs
+// only after the walk — they go out from the next round on — which is
+// how label chains across three or more shards get resolved.
 func (sh *Shard) outbox() ([]pair, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := sh.requireInit(); err != nil {
 		return nil, err
 	}
-	out := make([]pair, 0, len(sh.refs))
-	for r := range sh.refs {
-		l := sh.inc.Find(r)
-		out = append(out, pair{V: r, Label: l})
+	out := make([]pair, 0, sh.numRefs)
+	for w, word := range sh.refs {
+		for word != 0 {
+			r := graph.V(w*64 + bits.TrailingZeros64(word))
+			word &= word - 1
+			out = append(out, pair{V: r, Label: sh.inc.Find(r)})
+		}
 	}
 	for _, p := range out {
 		sh.noteRemote(p.Label)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].V < out[j].V })
 	return out, nil
 }
 
@@ -694,7 +714,7 @@ func (sh *Shard) restore(lo, hi int, edges int64, labels []graph.V) error {
 		// gone. Explain reports them as the documented bootstrap gap.
 		sh.inc.SetMergeObserver(sh.prov)
 	}
-	sh.refs = make(map[graph.V]struct{})
+	sh.resetRefs()
 	for _, l := range labels {
 		sh.noteRemote(l)
 	}
