@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table2 | table3 | fig6a | fig6b | fig6c | fig7 | fig8a | fig8b | fig8c | ablation-rounds | ablation-sample | ablation-relabel | ablation-compress | ext-dist | ext-gpu | bench | layout | dist | all")
+		exp      = flag.String("exp", "all", "experiment: table2 | table3 | fig6a | fig6b | fig6c | fig7 | fig8a | fig8b | fig8c | ablation-rounds | ablation-sample | ablation-relabel | ablation-compress | ext-dist | ext-gpu | bench | dist | all")
 		benchOut = flag.String("benchout", "BENCH_afforest.json", "perf-trajectory history file appended to by -exp bench")
 		gate     = flag.Bool("gate", false, "measure the trajectory grid and gate it against the baseline history: print the per-cell delta table, exit 1 on regression (read-only; does not append)")
 		baseline = flag.String("baseline", "", "history file the gate compares against (default: the -benchout path)")
@@ -132,28 +132,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "[trajectory appended to %s (%d runs on record)]\n", *benchOut, len(hist.History))
 	}
 
-	// `layout` is the memory-layout ablation of the hot-path campaign:
-	// it measures the Options variants (gather/shortcut/relabel/blocked)
-	// against the default on urand/kron and appends the per-variant
-	// ns/edge cells to the same history file, namespaced "afforest+…" so
-	// they gate only against earlier layout runs. Like `bench` it is
-	// excluded from `all`.
-	runLayout := func() {
-		rep := bench.LayoutTrajectory(cfg)
-		emit(rep.Table())
-		hist, err := bench.LoadHistory(*benchOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ccbench: reading %s: %v\n", *benchOut, err)
-			os.Exit(1)
-		}
-		hist.Append(rep)
-		if err := hist.WriteJSON(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "ccbench: writing %s: %v\n", *benchOut, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "[layout cells appended to %s (%d runs on record)]\n", *benchOut, len(hist.History))
-	}
-
 	// `dist` is the sharded-deployment companion to `bench`: it boots a
 	// real 3-shard local cluster per run, measures ns/edge and wire
 	// bytes/edge for a full graph load, and appends the cells
@@ -184,13 +162,6 @@ func main() {
 			start := time.Now()
 			runBench()
 			fmt.Fprintf(os.Stderr, "[bench done in %v]\n", time.Since(start).Round(time.Millisecond))
-			ran++
-			continue
-		}
-		if want == "layout" {
-			start := time.Now()
-			runLayout()
-			fmt.Fprintf(os.Stderr, "[layout done in %v]\n", time.Since(start).Round(time.Millisecond))
 			ran++
 			continue
 		}

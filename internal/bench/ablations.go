@@ -173,18 +173,16 @@ func maxI64(a, b int64) int64 {
 	return b
 }
 
-// AblationCompress compares the three tree-compaction strategies
-// between link phases: the paper's full compress (walk to root, depth-1
-// result; Fig 2b), single path-halving rounds, and the FastSV-style
-// great-grandparent shortcut. Full compression makes each interleaved
-// pass costlier but keeps subsequent links at depth one; halving is
-// cheaper per pass but lets link climbs lengthen; shortcutting removes
-// two levels per pass for one extra usually-cached load.
+// AblationCompress compares the two tree-compaction strategies between
+// link phases: the paper's full compress (walk to root, depth-1 result;
+// Fig 2b) and single path-halving rounds. Full compression makes each
+// interleaved pass costlier but keeps subsequent links at depth one;
+// halving is cheaper per pass but lets link climbs lengthen.
 func AblationCompress(cfg Config) *stats.Table {
 	cfg = cfg.withDefaults()
 	t := stats.NewTable(
 		fmt.Sprintf("Ablation: compress variant (scale=%d, median of %d)", cfg.Scale, cfg.Runs),
-		"graph", "full_compress_ms", "path_halving_ms", "shortcut_ms")
+		"graph", "full_compress_ms", "path_halving_ms")
 	for _, name := range []string{"road", "web", "kron", "urand"} {
 		sg, err := gen.ByName(name)
 		if err != nil {
@@ -192,11 +190,10 @@ func AblationCompress(cfg Config) *stats.Table {
 		}
 		g := sg.Build(cfg.Scale, cfg.Seed)
 		times := make(map[string]float64)
-		for _, variant := range []string{"full", "halving", "shortcut"} {
+		for _, variant := range []string{"full", "halving"} {
 			opt := core.DefaultOptions()
 			opt.Parallelism = cfg.Parallelism
 			opt.HalvingCompress = variant == "halving"
-			opt.ShortcutCompress = variant == "shortcut"
 			var labels core.Parent
 			tm := stats.MeasureFunc(cfg.Runs, func() { labels = core.Run(g, opt) })
 			checkLabeling(cfg, g, "compress-"+variant, labels.Labels())
@@ -204,8 +201,7 @@ func AblationCompress(cfg Config) *stats.Table {
 		}
 		t.AddRow(name,
 			fmt.Sprintf("%.2f", times["full"]),
-			fmt.Sprintf("%.2f", times["halving"]),
-			fmt.Sprintf("%.2f", times["shortcut"]))
+			fmt.Sprintf("%.2f", times["halving"]))
 	}
 	return t
 }

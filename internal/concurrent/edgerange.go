@@ -67,99 +67,6 @@ func (pl *Pool) ForEdgeRange(offsets []int64, p, grain int, body func(vlo, vhi i
 	})
 }
 
-// DefaultBlockVertices is the default vertex-block width of
-// ForEdgeBlocks: 64Ki vertices is 256 KiB of π — the working set of one
-// block's source-side accesses fits a typical per-core L2 with room for
-// the adjacency stream.
-const DefaultBlockVertices = 1 << 16
-
-// ForEdgeBlocks is the package-level, default-pool form of
-// Pool.ForEdgeBlocks.
-func ForEdgeBlocks(offsets []int64, p, grain, blockVerts int, body func(vlo, vhi int, alo, ahi int64, worker int)) {
-	DefaultPool().ForEdgeBlocks(offsets, p, grain, blockVerts, body)
-}
-
-// ForEdgeBlocks is ForEdgeRange tiled by vertex blocks: the vertex
-// domain is cut into blocks of blockVerts consecutive vertices, and
-// each block's arc range is split into ~grain-arc chunks exactly as
-// ForEdgeRange would split the whole graph. Bodies receive the same
-// clipped (vlo, vhi, alo, ahi) contract as ForEdgeRange — every arc is
-// visited exactly once — but a chunk never crosses a block boundary, so
-// the source-side π region a worker touches per chunk is bounded by
-// blockVerts entries regardless of grain.
-//
-// All chunks across all blocks are numbered globally and claimed from
-// one ticket counter (grain-1 ForRange over chunk ids, the same shape
-// ForEdgeRange uses), so dynamic edge balancing, deterministic-schedule
-// replay (DetConfig seeds permute the same ordinal space), and flight
-// recording behave identically to the unblocked traversal.
-//
-// grain <= 0 means DefaultEdgeGrain; blockVerts <= 0 means
-// DefaultBlockVertices; p <= 0 means GOMAXPROCS.
-func (pl *Pool) ForEdgeBlocks(offsets []int64, p, grain, blockVerts int, body func(vlo, vhi int, alo, ahi int64, worker int)) {
-	n := len(offsets) - 1
-	if n < 0 {
-		return
-	}
-	if m := offsets[n]; m <= 0 {
-		return
-	}
-	if grain <= 0 {
-		grain = DefaultEdgeGrain
-	}
-	if blockVerts <= 0 {
-		blockVerts = DefaultBlockVertices
-	}
-	g := int64(grain)
-	nb := (n + blockVerts - 1) / blockVerts
-	// start[b] is the first global chunk id of block b; a block's arcs
-	// tile into ceil(arcs/grain) chunks, and arcless blocks contribute
-	// none.
-	start := make([]int, nb+1)
-	for b := 0; b < nb; b++ {
-		vend := (b + 1) * blockVerts
-		if vend > n {
-			vend = n
-		}
-		arcs := offsets[vend] - offsets[b*blockVerts]
-		start[b+1] = start[b] + int((arcs+g-1)/g)
-	}
-	pl.ForRange(start[nb], p, 1, func(clo, chi, worker int) {
-		for c := clo; c < chi; c++ {
-			b := blockOwner(start, c)
-			vbase := b * blockVerts
-			vend := vbase + blockVerts
-			if vend > n {
-				vend = n
-			}
-			alo := offsets[vbase] + int64(c-start[b])*g
-			ahi := alo + g
-			if end := offsets[vend]; ahi > end {
-				ahi = end
-			}
-			vlo := arcOwner(offsets, alo)
-			vhi := arcOwner(offsets, ahi-1) + 1
-			body(vlo, vhi, alo, ahi, worker)
-		}
-	})
-}
-
-// blockOwner returns the block owning global chunk c: the unique b with
-// start[b] <= c < start[b+1] (arcless blocks own no chunks and are
-// skipped by the search).
-func blockOwner(start []int, c int) int {
-	lo, hi := 0, len(start)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if start[mid+1] <= c {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // forEdgeRangeSpawn is the spawn-based reference implementation used by
 // the equivalence tests: identical chunk geometry, fresh goroutines.
 func forEdgeRangeSpawn(offsets []int64, p, grain int, body func(vlo, vhi int, alo, ahi int64, worker int)) {

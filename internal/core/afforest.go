@@ -45,44 +45,6 @@ type Options struct {
 	// always the full one, so results are identical.
 	HalvingCompress bool
 
-	// GatherLinks runs the link phases through the gather-batched
-	// kernels (hotpath.go): π entries for a batch of upcoming arcs are
-	// loaded together before any Link resolves, so the cache misses
-	// overlap instead of serializing. Pays on uniform-random topologies
-	// where nearly every π[target] read misses; costs a few percent on
-	// hub-heavy graphs whose hot π entries are cache-resident anyway —
-	// the layout ablation measures the trade per graph. Off by default.
-	GatherLinks bool
-
-	// ShortcutCompress replaces the inter-round compress with FastSV-
-	// style great-grandparent shortcutting (see CompressShortcut): one
-	// more level removed per pass than halving, still one store per
-	// vertex. Mutually exclusive with HalvingCompress, which wins if
-	// both are set. The final compress is always the full one, so
-	// results are identical.
-	ShortcutCompress bool
-
-	// RelabelFinal replaces the skip-aware final pass with its
-	// cache-layout form: after sampling, a packing permutation moves the
-	// not-yet-sampled vertices to the front of a fresh π, the remaining
-	// active arcs are copied into a compact CSR, and the final pass runs
-	// filter-free over that dense view before the exact min-id labels
-	// are written back (see relabel.go). Labels are identical to the
-	// default path. Ignored when SkipLargest is false — without a
-	// sampled component there is nothing to pack away.
-	RelabelFinal bool
-
-	// BlockedFinal tiles the final pass's edge traversal by vertex
-	// blocks (concurrent.ForEdgeBlocks) so each claimed chunk's
-	// source-side π working set is bounded by BlockVertices entries.
-	// Applies to the compact pass as well when combined with
-	// RelabelFinal.
-	BlockedFinal bool
-
-	// BlockVertices is the vertex-block width for BlockedFinal; 0 means
-	// concurrent.DefaultBlockVertices.
-	BlockVertices int
-
 	// Observer, when non-nil, receives the run's phase tree (spans per
 	// neighbor round, compress pass, sample, and final pass) with
 	// per-phase work counters. nil keeps the uninstrumented hot path:
@@ -134,23 +96,16 @@ func Run(g *graph.CSR, opt Options) Parent {
 	// Phase 1: neighbor-sampling rounds (Fig 5 lines 2–9). Round r
 	// links each vertex to its r-th neighbor — read straight off the
 	// raw CSR slices as targets[offsets[u]+r] — followed by a compress
-	// pass so the next round's links walk shallow trees. GatherLinks
-	// swaps the plain loop for the batch-gathered kernel (hotpath.go).
+	// pass so the next round's links walk shallow trees.
 	for r := 0; r < rounds; r++ {
 		rr := int64(r)
-		if opt.GatherLinks {
-			concurrent.ForRange(n, opt.Parallelism, 512, func(lo, hi, _ int) {
-				linkRoundGathered(p, offsets, targets, rr, lo, hi)
-			})
-		} else {
-			concurrent.ForRange(n, opt.Parallelism, 512, func(lo, hi, _ int) {
-				for u := lo; u < hi; u++ {
-					if k := offsets[u] + rr; k < offsets[u+1] {
-						Link(p, graph.V(u), targets[k])
-					}
+		concurrent.ForRange(n, opt.Parallelism, 512, func(lo, hi, _ int) {
+			for u := lo; u < hi; u++ {
+				if k := offsets[u] + rr; k < offsets[u+1] {
+					Link(p, graph.V(u), targets[k])
 				}
-			})
-		}
+			}
+		})
 		compressVariant(p, opt)
 	}
 
@@ -162,56 +117,34 @@ func Run(g *graph.CSR, opt Options) Parent {
 		c = SampleFrequentElement(p, opt.sampleSize(), opt.Seed)
 	}
 
-	// Phases 3–4, relabeled form: pack the not-yet-sampled vertices to
-	// the front of a fresh π, run the final pass filter-free over a
-	// compact CSR, write exact labels back (relabel.go).
-	if skip && opt.RelabelFinal {
-		runRelabeledFinal(g, opt, p, c)
-		return p
-	}
-
 	// Phase 3: process the remaining edges — neighbors beyond the
 	// sampled rounds — skipping vertices already inside c (Fig 5 lines
 	// 11–15; Theorem 3 guarantees the cross edges are seen from their
 	// other endpoint). Chunks are balanced by arc count, so hub
 	// vertices split across chunks; each vertex's arc range is clipped
 	// to the chunk and offset past the already-sampled rounds.
-	// GatherLinks swaps the loop for the batch-gathered chunk body,
-	// which also hoists the skip filter into a batched π load.
 	skipArcs := int64(rounds)
-	var finalBody func(vlo, vhi int, alo, ahi int64, w int)
-	if opt.GatherLinks {
-		finalBody = func(vlo, vhi int, alo, ahi int64, _ int) {
-			finalRangeGathered(p, offsets, targets, skipArcs, c, skip, vlo, vhi, alo, ahi)
-		}
-	} else {
-		finalBody = func(vlo, vhi int, alo, ahi int64, _ int) {
-			for u := vlo; u < vhi; u++ {
-				lo, hi := offsets[u]+skipArcs, offsets[u+1]
-				if lo < alo {
-					lo = alo
-				}
-				if hi > ahi {
-					hi = ahi
-				}
-				if lo >= hi {
-					continue
-				}
-				uu := graph.V(u)
-				if skip && p.Get(uu) == c {
-					continue
-				}
-				for _, v := range targets[lo:hi] {
-					Link(p, uu, v)
-				}
+	concurrent.ForEdgeRange(offsets, opt.Parallelism, opt.EdgeGrain, func(vlo, vhi int, alo, ahi int64, _ int) {
+		for u := vlo; u < vhi; u++ {
+			lo, hi := offsets[u]+skipArcs, offsets[u+1]
+			if lo < alo {
+				lo = alo
+			}
+			if hi > ahi {
+				hi = ahi
+			}
+			if lo >= hi {
+				continue
+			}
+			uu := graph.V(u)
+			if skip && p.Get(uu) == c {
+				continue
+			}
+			for _, v := range targets[lo:hi] {
+				Link(p, uu, v)
 			}
 		}
-	}
-	if opt.BlockedFinal {
-		concurrent.ForEdgeBlocks(offsets, opt.Parallelism, opt.EdgeGrain, opt.BlockVertices, finalBody)
-	} else {
-		concurrent.ForEdgeRange(offsets, opt.Parallelism, opt.EdgeGrain, finalBody)
-	}
+	})
 
 	// Phase 4: final compress (Fig 5 lines 16–18) flattens every tree
 	// to depth one; π is now the component labeling.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"afforest/internal/gen"
@@ -160,6 +162,25 @@ func TestOptionsDefaults(t *testing.T) {
 	d := DefaultOptions()
 	if d.NeighborRounds != 2 || !d.SkipLargest {
 		t.Fatalf("DefaultOptions = %+v", d)
+	}
+}
+
+// TestOptionsKnobBudget pins the exported Options fields to a literal
+// list. A new knob has to edit this list in the same change, so adding
+// one is always visible in review.
+func TestOptionsKnobBudget(t *testing.T) {
+	want := []string{
+		"NeighborRounds", "SkipLargest", "SampleSize", "Parallelism",
+		"EdgeGrain", "Seed", "HalvingCompress", "Observer",
+	}
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
+		if f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Options fields = %v, want %v", got, want)
 	}
 }
 

@@ -2,14 +2,14 @@ package core
 
 import "afforest/internal/graph"
 
-// This file holds the memory-level-parallelism kernels behind the hot
-// phases. Afforest is bandwidth-bound: the dominant cost of a neighbor
-// round or the final pass is random π reads, one cache miss each. Go
-// has no prefetch intrinsic, but the same effect falls out of batching:
-// issue a run of *independent* π loads into a small stack buffer first,
-// then resolve them — the CPU's out-of-order window overlaps the misses
-// instead of serializing one full memory latency per edge behind the
-// Link branch.
+// This file holds the memory-level-parallelism kernel behind the
+// compress passes. Afforest is bandwidth-bound: the dominant cost of a
+// pass is random π reads, one cache miss each. Go has no prefetch
+// intrinsic, but the same effect falls out of batching: issue a run of
+// *independent* π loads into a small stack buffer first, then resolve
+// them — the CPU's out-of-order window overlaps the misses instead of
+// serializing one full memory latency per vertex behind a dependent
+// branch.
 //
 // gatherBatch is the number of π reads issued together. It wants to be
 // at least the line-fill-buffer depth (~10–16 outstanding misses on
@@ -17,243 +17,6 @@ import "afforest/internal/graph"
 // still register/L1-resident when consumed; 32 covers both with room
 // for the compiler to keep the buffers on the stack.
 const gatherBatch = 32
-
-// LinkHint is Link seeded with a previously gathered π(v). The hint may
-// be stale by the time the loop runs — some other worker may have
-// re-pointed v — but any former parent of v is still in v's component
-// (trees only ever merge, Lemma 4), so the climb converges to the same
-// partition Link would. Control flow past the seed is identical to
-// Link; the equivalence is pinned by TestLinkHintMatchesLink.
-func LinkHint(p Parent, u, v, pv graph.V) {
-	p1 := p.Get(u)
-	p2 := pv
-	for p1 != p2 {
-		var h, l graph.V
-		if p1 > p2 {
-			h, l = p1, p2
-		} else {
-			h, l = p2, p1
-		}
-		ph := p.Get(h)
-		if ph == l || (ph == h && p.cas(h, h, l)) {
-			return
-		}
-		p1 = p.Get(p.Get(h))
-		p2 = p.Get(l)
-	}
-}
-
-// LinkCountedHint is LinkHint with LinkCounted's accounting. The two
-// stay in lockstep the same way Link/LinkCounted do.
-func LinkCountedHint(p Parent, u, v, pv graph.V, st *LinkStats) {
-	st.Calls++
-	iters := int64(1)
-	p1 := p.Get(u)
-	p2 := pv
-	for p1 != p2 {
-		iters++
-		var h, l graph.V
-		if p1 > p2 {
-			h, l = p1, p2
-		} else {
-			h, l = p2, p1
-		}
-		ph := p.Get(h)
-		if ph == l {
-			break
-		}
-		if ph == h {
-			if p.cas(h, h, l) {
-				st.Merges++
-				break
-			}
-			st.CASFails++
-		}
-		p1 = p.Get(p.Get(h))
-		p2 = p.Get(l)
-	}
-	st.Iterations += iters
-	if iters > st.MaxIters {
-		st.MaxIters = iters
-	}
-}
-
-// linkRoundGathered is one vertex chunk of a neighbor round (Fig 5
-// lines 2–5): collect up to gatherBatch (source, r-th neighbor) pairs,
-// gather the neighbors' π entries as independent loads, then link with
-// the gathered values as hints.
-func linkRoundGathered(p Parent, offsets []int64, targets []graph.V, rr int64, lo, hi int) {
-	var us [gatherBatch]int32
-	var vs, pvs [gatherBatch]graph.V
-	u := lo
-	for u < hi {
-		b := 0
-		for u < hi && b < gatherBatch {
-			if k := offsets[u] + rr; k < offsets[u+1] {
-				us[b] = int32(u)
-				vs[b] = targets[k]
-				b++
-			}
-			u++
-		}
-		for i := 0; i < b; i++ {
-			pvs[i] = p.Get(vs[i])
-		}
-		for i := 0; i < b; i++ {
-			LinkHint(p, graph.V(us[i]), vs[i], pvs[i])
-		}
-	}
-}
-
-// linkRoundGatheredCounted mirrors linkRoundGathered for the
-// instrumented runner.
-func linkRoundGatheredCounted(p Parent, offsets []int64, targets []graph.V, rr int64, lo, hi int, st *LinkStats) {
-	var us [gatherBatch]int32
-	var vs, pvs [gatherBatch]graph.V
-	u := lo
-	for u < hi {
-		b := 0
-		for u < hi && b < gatherBatch {
-			if k := offsets[u] + rr; k < offsets[u+1] {
-				us[b] = int32(u)
-				vs[b] = targets[k]
-				b++
-			}
-			u++
-		}
-		for i := 0; i < b; i++ {
-			pvs[i] = p.Get(vs[i])
-		}
-		for i := 0; i < b; i++ {
-			LinkCountedHint(p, graph.V(us[i]), vs[i], pvs[i], st)
-		}
-	}
-}
-
-// linkArcsGathered links u against a raw adjacency slice, gathering the
-// targets' π entries a batch at a time.
-func linkArcsGathered(p Parent, u graph.V, arcs []graph.V) {
-	var pvs [gatherBatch]graph.V
-	for len(arcs) > 0 {
-		b := len(arcs)
-		if b > gatherBatch {
-			b = gatherBatch
-		}
-		for i := 0; i < b; i++ {
-			pvs[i] = p.Get(arcs[i])
-		}
-		for i := 0; i < b; i++ {
-			LinkHint(p, u, arcs[i], pvs[i])
-		}
-		arcs = arcs[b:]
-	}
-}
-
-// linkArcsGatheredCounted mirrors linkArcsGathered for the instrumented
-// runner.
-func linkArcsGatheredCounted(p Parent, u graph.V, arcs []graph.V, st *LinkStats) {
-	var pvs [gatherBatch]graph.V
-	for len(arcs) > 0 {
-		b := len(arcs)
-		if b > gatherBatch {
-			b = gatherBatch
-		}
-		for i := 0; i < b; i++ {
-			pvs[i] = p.Get(arcs[i])
-		}
-		for i := 0; i < b; i++ {
-			LinkCountedHint(p, u, arcs[i], pvs[i], st)
-		}
-		arcs = arcs[b:]
-	}
-}
-
-// finalRangeGathered is one arc chunk of the skip-aware final pass (Fig
-// 5 lines 11–15). The component test is hoisted out of the arc loop
-// into a gathered filter over the chunk's source vertices: π(u) for a
-// batch of sources is loaded up front (overlapped misses), so a skipped
-// vertex costs one already-in-flight load and a predictable branch —
-// never a Link call. Surviving sources link their clipped adjacency
-// slice through the gathered arc kernel.
-//
-// The filter reads a snapshot of π(u): if u joined the skipped
-// component after the gather we merely fail to skip it, which is
-// correct (Theorem 3 allows skipping any subset, including none).
-func finalRangeGathered(p Parent, offsets []int64, targets []graph.V, skipArcs int64, c graph.V, skip bool, vlo, vhi int, alo, ahi int64) {
-	var pus [gatherBatch]graph.V
-	for u := vlo; u < vhi; {
-		ub := vhi - u
-		if ub > gatherBatch {
-			ub = gatherBatch
-		}
-		if skip {
-			for i := 0; i < ub; i++ {
-				pus[i] = p.Get(graph.V(u + i))
-			}
-		}
-		for i := 0; i < ub; i++ {
-			uu := u + i
-			lo, hi := offsets[uu]+skipArcs, offsets[uu+1]
-			if lo < alo {
-				lo = alo
-			}
-			if hi > ahi {
-				hi = ahi
-			}
-			if lo >= hi {
-				continue
-			}
-			if skip && pus[i] == c {
-				continue
-			}
-			linkArcsGathered(p, graph.V(uu), targets[lo:hi])
-		}
-		u += ub
-	}
-}
-
-// finalRangeGatheredCounted mirrors finalRangeGathered for the
-// instrumented runner, additionally counting filter decisions: Checked
-// is the number of sources with a non-empty clipped range whose filter
-// ran, Skipped the subset the filter dropped. A hub split across chunks
-// is counted once per chunk — the ratio is a per-decision rate, not a
-// per-vertex census.
-func finalRangeGatheredCounted(p Parent, offsets []int64, targets []graph.V, skipArcs int64, c graph.V, skip bool, vlo, vhi int, alo, ahi int64, st *LinkStats) {
-	var pus [gatherBatch]graph.V
-	for u := vlo; u < vhi; {
-		ub := vhi - u
-		if ub > gatherBatch {
-			ub = gatherBatch
-		}
-		if skip {
-			for i := 0; i < ub; i++ {
-				pus[i] = p.Get(graph.V(u + i))
-			}
-		}
-		for i := 0; i < ub; i++ {
-			uu := u + i
-			lo, hi := offsets[uu]+skipArcs, offsets[uu+1]
-			if lo < alo {
-				lo = alo
-			}
-			if hi > ahi {
-				hi = ahi
-			}
-			if lo >= hi {
-				continue
-			}
-			if skip {
-				st.Checked++
-				if pus[i] == c {
-					st.Skipped++
-					continue
-				}
-			}
-			linkArcsGatheredCounted(p, graph.V(uu), targets[lo:hi], st)
-		}
-		u += ub
-	}
-}
 
 // CompressFrom flattens v given its already-loaded parent: walk the
 // ancestor chain to the root, then store π(v) ← root once. During a
@@ -307,40 +70,12 @@ func compressRangeGathered(p Parent, lo, hi int) {
 	}
 }
 
-// CompressShortcut is the FastSV-style middle ground between full
-// compression and path halving: one great-grandparent hop,
-// π(v) ← π(π(π(v))), per call. It removes two levels per pass where
-// halving removes one, at one extra (usually cache-resident) load —
-// the third point on the compress ablation's depth/cost curve. Like
-// halving it leaves trees deeper than one level, so audits treat it as
-// a halving-family pass. Invariant 1 is preserved: each hop lands on an
-// ancestor, and ancestors never exceed their descendants' ids.
-func CompressShortcut(p Parent, v graph.V) {
-	parent := p.Get(v)
-	grand := p.Get(parent)
-	if parent == grand {
-		return
-	}
-	great := p.Get(grand)
-	p.set(v, great)
-}
-
-// CompressShortcutAll applies one shortcut round to every vertex.
-func CompressShortcutAll(p Parent, parallelism int) {
-	parallelFor(len(p), parallelism, func(i int) {
-		CompressShortcut(p, graph.V(i))
-	})
-}
-
 // compressVariant dispatches one inter-round compress pass according to
 // the options (the final compress is always the full one).
 func compressVariant(p Parent, opt Options) {
-	switch {
-	case opt.HalvingCompress:
+	if opt.HalvingCompress {
 		CompressHalveAll(p, opt.Parallelism)
-	case opt.ShortcutCompress:
-		CompressShortcutAll(p, opt.Parallelism)
-	default:
-		CompressAll(p, opt.Parallelism)
+		return
 	}
+	CompressAll(p, opt.Parallelism)
 }

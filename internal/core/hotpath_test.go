@@ -9,80 +9,6 @@ import (
 	"afforest/internal/graph"
 )
 
-// TestLinkHintMatchesLink pins the hinted kernel to Link: executed
-// serially with a fresh hint (pv = π(v) read immediately before the
-// call), control flow is identical, so the resulting π arrays must be
-// bit-identical, not merely partition-equivalent.
-func TestLinkHintMatchesLink(t *testing.T) {
-	g := gen.URandDegree(2000, 8, 31)
-	edges := g.Edges()
-	pa := NewParent(g.NumVertices())
-	pb := NewParent(g.NumVertices())
-	for _, e := range edges {
-		Link(pa, e.U, e.V)
-		LinkHint(pb, e.U, e.V, pb.Get(e.V))
-	}
-	for v := range pa {
-		if pa[v] != pb[v] {
-			t.Fatalf("π diverges at %d: %d vs %d", v, pa[v], pb[v])
-		}
-	}
-}
-
-// TestLinkHintStaleHintConverges feeds LinkHint hints gathered before a
-// batch of other merges ran — the staleness the gathered kernels see
-// under concurrency. A stale pv is still in v's component (trees only
-// merge), so the final partition must match the oracle.
-func TestLinkHintStaleHintConverges(t *testing.T) {
-	g := gen.Kronecker(10, 8, gen.Graph500, 13)
-	edges := g.Edges()
-	p := NewParent(g.NumVertices())
-	const batch = 64
-	for lo := 0; lo < len(edges); lo += batch {
-		hi := lo + batch
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		// Gather all hints first; by the time the later links in the
-		// batch run, their hints are stale.
-		hints := make([]graph.V, hi-lo)
-		for i := lo; i < hi; i++ {
-			hints[i-lo] = p.Get(edges[i].V)
-		}
-		for i := lo; i < hi; i++ {
-			LinkHint(p, edges[i].U, edges[i].V, hints[i-lo])
-		}
-	}
-	CompressAll(p, 1)
-	checkAgainstOracle(t, g, "stale-hint", p.Labels())
-}
-
-// TestLinkCountedHintMatchesLinkHint runs the counted and uncounted
-// hinted kernels in lockstep and checks both the π arrays and the
-// accounting sanity.
-func TestLinkCountedHintMatchesLinkHint(t *testing.T) {
-	g := gen.URandDegree(2000, 8, 37)
-	edges := g.Edges()
-	pa := NewParent(g.NumVertices())
-	pb := NewParent(g.NumVertices())
-	var st LinkStats
-	for _, e := range edges {
-		LinkHint(pa, e.U, e.V, pa.Get(e.V))
-		LinkCountedHint(pb, e.U, e.V, pb.Get(e.V), &st)
-	}
-	for v := range pa {
-		if pa[v] != pb[v] {
-			t.Fatalf("π diverges at %d: %d vs %d", v, pa[v], pb[v])
-		}
-	}
-	if st.Calls != int64(len(edges)) {
-		t.Fatalf("calls = %d, want %d", st.Calls, len(edges))
-	}
-	if st.Iterations < st.Calls || st.MaxIters < 1 {
-		t.Fatalf("implausible stats: %+v", st)
-	}
-}
-
 // TestCompressFromFlattens builds a deep chain and checks CompressFrom
 // points every vertex at the root with a single pass, leaving roots and
 // already-flat vertices untouched.
@@ -99,46 +25,6 @@ func TestCompressFromFlattens(t *testing.T) {
 		if p.Get(graph.V(v)) != 0 {
 			t.Fatalf("vertex %d: π = %d, want 0", v, p.Get(graph.V(v)))
 		}
-	}
-}
-
-// TestCompressShortcutInvariants checks the great-grandparent hop:
-// Invariant 1 is preserved, the partition is unchanged, and repeated
-// passes converge to a fully flattened forest strictly faster than
-// halving on a deep chain (two levels removed per pass vs one).
-func TestCompressShortcutInvariants(t *testing.T) {
-	g := gen.Kronecker(10, 8, gen.Graph500, 17)
-	p := NewParent(g.NumVertices())
-	for _, e := range g.Edges() {
-		Link(p, e.U, e.V)
-	}
-	before := append(Parent(nil), p...)
-	CompressShortcutAll(p, 4)
-	if bad := p.Validate(); bad >= 0 {
-		t.Fatalf("invariant violated at %d after shortcut pass", bad)
-	}
-	for v := range p {
-		if before.Find(graph.V(v)) != p.Find(graph.V(v)) {
-			t.Fatalf("shortcut changed the partition at vertex %d", v)
-		}
-	}
-
-	// Deep chain: depth after k shortcut passes shrinks ~3x per pass.
-	const n = 1 << 10
-	chain := NewParent(n)
-	for v := 1; v < n; v++ {
-		chain.set(graph.V(v), graph.V(v-1))
-	}
-	passes := 0
-	for chain.MaxDepth() > 1 {
-		CompressShortcutAll(chain, 1)
-		passes++
-		if passes > n {
-			t.Fatal("shortcut compression failed to converge")
-		}
-	}
-	if passes > 12 {
-		t.Fatalf("chain of %d needed %d shortcut passes — expected O(log_3 depth) ~ 7", n, passes)
 	}
 }
 
@@ -165,28 +51,24 @@ func TestCompressAllFullyFlattens(t *testing.T) {
 	}
 }
 
-// variantCases are the Options combinations the hot-path campaign
-// added; every one must reproduce the default Run's exact labels
+// variantCases are the non-default Options that must not change the
+// result: every one must reproduce the default Run's exact labels
 // (labels are canonical component minima, so full equality is the
 // right check, not partition equivalence).
 func variantCases() map[string]func(*Options) {
 	return map[string]func(*Options){
-		"gather":                  func(o *Options) { o.GatherLinks = true },
-		"shortcut":                func(o *Options) { o.ShortcutCompress = true },
-		"relabel":                 func(o *Options) { o.RelabelFinal = true },
-		"blocked":                 func(o *Options) { o.BlockedFinal = true; o.BlockVertices = 64 },
-		"blocked-default-width":   func(o *Options) { o.BlockedFinal = true },
-		"relabel-blocked":         func(o *Options) { o.RelabelFinal = true; o.BlockedFinal = true; o.BlockVertices = 64 },
-		"relabel-gather":          func(o *Options) { o.RelabelFinal = true; o.GatherLinks = true },
-		"shortcut-relabel":        func(o *Options) { o.ShortcutCompress = true; o.RelabelFinal = true },
-		"gather-shortcut-blocked": func(o *Options) { o.GatherLinks = true; o.ShortcutCompress = true; o.BlockedFinal = true; o.BlockVertices = 64 },
-		"relabel-noskip":          func(o *Options) { o.RelabelFinal = true; o.SkipLargest = false }, // RelabelFinal must be a no-op here
+		"halving":       func(o *Options) { o.HalvingCompress = true },
+		"noskip":        func(o *Options) { o.SkipLargest = false },
+		"nosample":      func(o *Options) { o.NeighborRounds = -1; o.SkipLargest = false },
+		"rounds-3":      func(o *Options) { o.NeighborRounds = 3 },
+		"grain-64":      func(o *Options) { o.EdgeGrain = 64 },
+		"halving-grain": func(o *Options) { o.HalvingCompress = true; o.EdgeGrain = 64 },
 	}
 }
 
-// TestVariantOptionsMatchDefaultRun sweeps every new option combination
-// over a giant-component graph, a multi-component graph, and a
-// power-law graph, at 1 and 4 workers.
+// TestVariantOptionsMatchDefaultRun sweeps every variant over a
+// giant-component graph, a multi-component graph, and a power-law
+// graph, at 1 and 4 workers.
 func TestVariantOptionsMatchDefaultRun(t *testing.T) {
 	graphs := map[string]*graph.CSR{
 		"urand":      gen.URandDegree(6000, 16, 43),
@@ -213,7 +95,7 @@ func TestVariantOptionsMatchDefaultRun(t *testing.T) {
 }
 
 // TestVariantInstrumentedMatchesRun checks the instrumented runner
-// mirrors every dispatch: same labels, non-empty stats.
+// matches Run under every variant: same labels, non-empty stats.
 func TestVariantInstrumentedMatchesRun(t *testing.T) {
 	g := gen.Kronecker(11, 8, gen.Graph500, 59)
 	for vname, mod := range variantCases() {
@@ -257,39 +139,6 @@ func TestNewParentAligned(t *testing.T) {
 	}
 }
 
-// BenchmarkLinkVariants compares the plain neighbor-round link loop
-// against the gathered kernel on a power-law graph — the ablation
-// behind the GatherLinks default (off: the out-of-order window already
-// overlaps the plain loop's misses on hub-heavy graphs).
-func BenchmarkLinkVariants(b *testing.B) {
-	g := gen.Kronecker(16, 16, gen.Graph500, 1)
-	n := g.NumVertices()
-	offsets, targets := g.Adjacency(0, n)
-	edges := float64(g.NumEdges())
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := NewParent(n)
-			for r := int64(0); r < 2; r++ {
-				for u := 0; u < n; u++ {
-					if k := offsets[u] + r; k < offsets[u+1] {
-						Link(p, graph.V(u), targets[k])
-					}
-				}
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/edges, "ns/edge")
-	})
-	b.Run("gathered", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := NewParent(n)
-			for r := int64(0); r < 2; r++ {
-				linkRoundGathered(p, offsets, targets, r, 0, n)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/edges, "ns/edge")
-	})
-}
-
 // BenchmarkCompressVariants compares the compress kernels on the forest
 // two sampling rounds leave behind — the state every inter-round
 // compress actually sees.
@@ -328,9 +177,6 @@ func BenchmarkCompressVariants(b *testing.B) {
 	})
 	b.Run("halving", func(b *testing.B) {
 		run(b, func(p Parent) { CompressHalveAll(p, 1) })
-	})
-	b.Run("shortcut", func(b *testing.B) {
-		run(b, func(p Parent) { CompressShortcutAll(p, 1) })
 	})
 }
 

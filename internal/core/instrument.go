@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"afforest/internal/concurrent"
 	"afforest/internal/graph"
 	"afforest/internal/obs"
@@ -178,20 +176,14 @@ func runObservedOn(g *graph.CSR, opt Options, p Parent, ob obs.Observer, afterLi
 		span := ob.BeginPhase(obs.PhaseNeighborRound)
 		per := make([]LinkStats, workers)
 		rr := int64(r)
-		if opt.GatherLinks {
-			concurrent.ForRange(n, opt.Parallelism, 512, func(lo, hi, w int) {
-				linkRoundGatheredCounted(p, offsets, targets, rr, lo, hi, &per[w])
-			})
-		} else {
-			concurrent.ForRange(n, opt.Parallelism, 512, func(lo, hi, w int) {
-				st := &per[w]
-				for u := lo; u < hi; u++ {
-					if k := offsets[u] + rr; k < offsets[u+1] {
-						LinkCounted(p, graph.V(u), targets[k], st)
-					}
+		concurrent.ForRange(n, opt.Parallelism, 512, func(lo, hi, w int) {
+			st := &per[w]
+			for u := lo; u < hi; u++ {
+				if k := offsets[u] + rr; k < offsets[u+1] {
+					LinkCounted(p, graph.V(u), targets[k], st)
 				}
-			})
-		}
+			}
+		})
 		ob.EndPhase(span, mergeWorkers(per))
 		if afterLink != nil {
 			afterLink()
@@ -210,78 +202,35 @@ func runObservedOn(g *graph.CSR, opt Options, p Parent, ob obs.Observer, afterLi
 		ob.EndPhase(span, obs.PhaseStats{SkipRatio: ratio})
 	}
 
-	// Relabeled form of phases 3–4. p stays the (valid, stale) pre-final
-	// forest through the relabel and final spans — the pass runs on the
-	// packed π — and receives the exact labels inside the final_compress
-	// span, so every boundary an auditor observes satisfies the forest
-	// invariants and the closing boundary delivers the labeling.
-	if skip && opt.RelabelFinal {
-		span := ob.BeginPhase(obs.PhaseRelabel)
-		rv := buildRelabeledView(g, opt, p, c)
-		ob.EndPhase(span, obs.PhaseStats{})
-
-		span = ob.BeginPhase(obs.PhaseFinal)
-		per := make([]LinkStats, workers)
-		rv.linkCompactCounted(opt, per)
-		st := mergeWorkers(per)
-		// The compact pass has no per-vertex filter; the packing itself
-		// was the decision. Report it as such: every vertex was checked
-		// once (against the snapshot), the giant group was skipped.
-		st.Checked = int64(n)
-		st.Skipped = int64(n - rv.nActive)
-		ob.EndPhase(span, st)
-
-		span = ob.BeginPhase(obs.PhaseFinalCompress)
-		rv.finishInto(p, opt, c)
-		ob.EndPhase(span, obs.PhaseStats{})
-		if afterLink != nil {
-			afterLink()
-		}
-		ob.EndPhase(root, obs.PhaseStats{})
-		return
-	}
-
 	span := ob.BeginPhase(obs.PhaseFinal)
 	per := make([]LinkStats, workers)
 	skipArcs := int64(rounds)
-	var finalBody func(vlo, vhi int, alo, ahi int64, w int)
-	if opt.GatherLinks {
-		finalBody = func(vlo, vhi int, alo, ahi int64, w int) {
-			finalRangeGatheredCounted(p, offsets, targets, skipArcs, c, skip, vlo, vhi, alo, ahi, &per[w])
-		}
-	} else {
-		finalBody = func(vlo, vhi int, alo, ahi int64, w int) {
-			st := &per[w]
-			for u := vlo; u < vhi; u++ {
-				lo, hi := offsets[u]+skipArcs, offsets[u+1]
-				if lo < alo {
-					lo = alo
-				}
-				if hi > ahi {
-					hi = ahi
-				}
-				if lo >= hi {
+	concurrent.ForEdgeRange(offsets, opt.Parallelism, opt.EdgeGrain, func(vlo, vhi int, alo, ahi int64, w int) {
+		st := &per[w]
+		for u := vlo; u < vhi; u++ {
+			lo, hi := offsets[u]+skipArcs, offsets[u+1]
+			if lo < alo {
+				lo = alo
+			}
+			if hi > ahi {
+				hi = ahi
+			}
+			if lo >= hi {
+				continue
+			}
+			uu := graph.V(u)
+			if skip {
+				st.Checked++
+				if p.Get(uu) == c {
+					st.Skipped++
 					continue
 				}
-				uu := graph.V(u)
-				if skip {
-					st.Checked++
-					if p.Get(uu) == c {
-						st.Skipped++
-						continue
-					}
-				}
-				for _, v := range targets[lo:hi] {
-					LinkCounted(p, uu, v, st)
-				}
+			}
+			for _, v := range targets[lo:hi] {
+				LinkCounted(p, uu, v, st)
 			}
 		}
-	}
-	if opt.BlockedFinal {
-		concurrent.ForEdgeBlocks(offsets, opt.Parallelism, opt.EdgeGrain, opt.BlockVertices, finalBody)
-	} else {
-		concurrent.ForEdgeRange(offsets, opt.Parallelism, opt.EdgeGrain, finalBody)
-	}
+	})
 	ob.EndPhase(span, mergeWorkers(per))
 	if afterLink != nil {
 		afterLink()
@@ -332,43 +281,9 @@ func LinkAllObserved(g *graph.CSR, p Parent, parallelism, edgeGrain int, ob obs.
 }
 
 // EdgesProcessed estimates work saved by sampling+skipping: it runs
-// Afforest while counting arcs actually passed to Link, and returns
-// that count together with the total arc count.
+// Afforest instrumented, and returns the arcs actually passed to Link
+// (one Link call each) together with the total arc count.
 func EdgesProcessed(g *graph.CSR, opt Options) (processed, total int64) {
-	n := g.NumVertices()
-	p := NewParent(n)
-	total = g.NumArcs()
-	if n == 0 {
-		return 0, 0
-	}
-	rounds := opt.rounds()
-	var count atomic.Int64
-	for r := 0; r < rounds; r++ {
-		parallelFor(n, opt.Parallelism, func(i int) {
-			u := graph.V(i)
-			if r < g.Degree(u) {
-				Link(p, u, g.Neighbor(u, r))
-				count.Add(1)
-			}
-		})
-		CompressAll(p, opt.Parallelism)
-	}
-	var c graph.V
-	if opt.SkipLargest {
-		c = SampleFrequentElement(p, opt.sampleSize(), opt.Seed)
-	}
-	parallelFor(n, opt.Parallelism, func(i int) {
-		u := graph.V(i)
-		if opt.SkipLargest && p.Get(u) == c {
-			return
-		}
-		if deg := g.Degree(u); deg > rounds {
-			count.Add(int64(deg - rounds))
-			for k := rounds; k < deg; k++ {
-				Link(p, u, g.Neighbor(u, k))
-			}
-		}
-	})
-	CompressAll(p, opt.Parallelism)
-	return count.Load(), total
+	_, rs := RunInstrumented(g, opt)
+	return rs.Link.Calls, g.NumArcs()
 }

@@ -75,22 +75,27 @@ func TestRunObservedPhaseTree(t *testing.T) {
 	}
 }
 
-// TestRunObservedEdgeAccounting cross-checks the span Edges counters
-// against EdgesProcessed: serially (Parallelism 1) both walk identical
-// per-vertex skip decisions, so the totals must agree exactly.
+// TestRunObservedEdgeAccounting checks the span Edges counters against
+// the graph itself: without skipping every arc is linked exactly once,
+// in a neighbor round or in the final pass, so the link spans' Edges
+// sum to the arc count. With skipping the sum must fall short of it.
 func TestRunObservedEdgeAccounting(t *testing.T) {
 	g := gen.Kronecker(11, 8, gen.Graph500, 5)
-	opt := Options{SkipLargest: true, Parallelism: 1, Seed: 5}
-	processed, total := EdgesProcessed(g, opt)
-	if processed <= 0 || processed >= total {
-		t.Fatalf("EdgesProcessed = %d of %d, want skipping to save work", processed, total)
-	}
-
-	tr := obs.NewTracer()
-	opt.Observer = tr
-	Run(g, opt)
-	if got := tr.Report().Edges; got != processed {
-		t.Errorf("observed edge total = %d, want %d (EdgesProcessed)", got, processed)
+	for _, skip := range []bool{false, true} {
+		tr := obs.NewTracer()
+		Run(g, Options{SkipLargest: skip, Parallelism: 1, Seed: 5, Observer: tr})
+		var linked int64
+		for _, s := range tr.Spans() {
+			if s.Name == obs.PhaseNeighborRound || s.Name == obs.PhaseFinal {
+				linked += s.Stats.Edges
+			}
+		}
+		switch {
+		case !skip && linked != g.NumArcs():
+			t.Errorf("skip=false: link spans' edges = %d, want every arc %d", linked, g.NumArcs())
+		case skip && (linked <= 0 || linked >= g.NumArcs()):
+			t.Errorf("skip=true: link spans' edges = %d of %d, want skipping to save work", linked, g.NumArcs())
+		}
 	}
 }
 

@@ -67,40 +67,6 @@ func RelabelByDegree(g *CSR, parallelism int) (*CSR, []V) {
 	return Permute(g, perm, parallelism), perm
 }
 
-// PackPermutation builds the permutation that packs the vertices with
-// front[v] == true into ids 0..k-1 and the rest into k..n-1, preserving
-// ascending original order *within each group*. Returns perm (old →
-// new), its inverse orig (new → old), and k, the front-group size.
-//
-// Order preservation is what makes the packing usable for π layouts:
-// any id-comparison invariant that holds within a group in the original
-// numbering (e.g. Afforest's π(x) ≤ x when parents stay in-group) holds
-// verbatim in the packed numbering, and the minimum original id of an
-// in-group set maps to the minimum packed id.
-func PackPermutation(front []bool) (perm, orig []V, k int) {
-	n := len(front)
-	perm = make([]V, n)
-	orig = make([]V, n)
-	for _, f := range front {
-		if f {
-			k++
-		}
-	}
-	nf, nb := 0, k
-	for v := 0; v < n; v++ {
-		nv := nb
-		if front[v] {
-			nv = nf
-			nf++
-		} else {
-			nb++
-		}
-		perm[v] = V(nv)
-		orig[nv] = V(v)
-	}
-	return perm, orig, k
-}
-
 // InducedSubgraph extracts the subgraph on the given vertex set,
 // renumbering the kept vertices 0..k-1 in ascending original order.
 // Returns the subgraph and the mapping newID -> originalID.

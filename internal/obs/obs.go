@@ -90,7 +90,6 @@ const (
 	PhaseCompress      = "compress"         // inter-round compress pass (Fig 5 lines 6-8)
 	PhaseSample        = "sample_frequent"  // most-frequent-element search (Fig 5 line 10)
 	PhaseFinal         = "final_skip_pass"  // skip-aware pass over remaining edges (Fig 5 lines 11-15)
-	PhaseRelabel       = "relabel"          // frequency-based repacking of π + adjacency before the final pass
 	PhaseFinalCompress = "final_compress"   // final flattening pass (Fig 5 lines 16-18)
 	PhaseLinkAll       = "link_all"         // unsampled full link pass (Section III)
 	PhaseEdgeBatch     = "edge_batch_apply" // one coalesced incremental edge batch

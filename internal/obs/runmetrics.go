@@ -20,7 +20,6 @@ type RunMetrics struct {
 	casRetries     *Counter
 	edges          *Counter
 	merges         *Counter
-	relabels       *Counter
 	skippedVerts   *Counter
 	skipRatio      *Gauge
 	skipObserved   *Gauge
@@ -53,7 +52,6 @@ func NewRunMetrics(r *Registry) *RunMetrics {
 		casRetries:     r.Counter("afforest_link_cas_retries_total", "CAS retries inside Link."),
 		edges:          r.Counter("afforest_edges_processed_total", "Edges handed to link phases."),
 		merges:         r.Counter("afforest_edge_merges_total", "Edge applications that merged two components."),
-		relabels:       r.Counter("afforest_relabel_passes_total", "Frequency-based relabel passes before the final phase."),
 		skippedVerts:   r.Counter("afforest_final_skipped_vertices_total", "Vertices the final pass skipped via the component filter."),
 		skipRatio:      r.Gauge("afforest_skip_ratio", "Fraction of sampled vertices already in the largest component (last run)."),
 		skipObserved:   r.Gauge("afforest_skip_ratio_observed", "Realized skip fraction of the last final pass (skipped/checked)."),
@@ -101,8 +99,6 @@ func (m *RunMetrics) EndPhase(id SpanID, st PhaseStats) {
 		m.finalPasses.Inc()
 	case PhaseSample:
 		m.samplePasses.Inc()
-	case PhaseRelabel:
-		m.relabels.Inc()
 	}
 	m.linkCalls.Add(st.Links)
 	m.linkIters.Add(st.Iters)

@@ -81,9 +81,7 @@ func afforestAlgo(name string, mod func(*core.Options)) Algo {
 		Audited: func(g *graph.CSR, workers int, seed uint64, audit func(core.Parent, string)) []graph.V {
 			return core.RunAudited(g, opts(workers, seed), audit).Labels()
 		},
-		// Shortcut compress, like halving, legally leaves mid-run trees
-		// deeper than one level, so both defer the auditor's depth checks.
-		Halving: opts(1, 0).HalvingCompress || opts(1, 0).ShortcutCompress,
+		Halving: opts(1, 0).HalvingCompress,
 	}
 }
 
@@ -165,16 +163,6 @@ func init() {
 		o.SkipLargest = false
 	}))
 	RegisterAlgo(afforestAlgo("afforest-halving", func(o *core.Options) { o.HalvingCompress = true }))
-	RegisterAlgo(afforestAlgo("afforest-shortcut", func(o *core.Options) { o.ShortcutCompress = true }))
-	RegisterAlgo(afforestAlgo("afforest-gather", func(o *core.Options) { o.GatherLinks = true }))
-	RegisterAlgo(afforestAlgo("afforest-relabel", func(o *core.Options) { o.RelabelFinal = true }))
-	RegisterAlgo(afforestAlgo("afforest-blocked", func(o *core.Options) {
-		o.BlockedFinal = true
-		// A small block width relative to the corpus graphs so the
-		// matrix actually exercises multi-block tiling, not one block
-		// covering every test graph.
-		o.BlockVertices = 64
-	}))
 	RegisterAlgo(Algo{
 		Name: "linkall",
 		Run: func(g *graph.CSR, workers int, _ uint64) []graph.V {

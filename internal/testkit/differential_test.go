@@ -43,8 +43,6 @@ func TestDifferentialVariants(t *testing.T) {
 	m := Matrix{
 		Algos: []string{
 			"afforest-noskip", "afforest-nosample", "afforest-halving",
-			"afforest-shortcut", "afforest-gather", "afforest-relabel",
-			"afforest-blocked",
 			"linkall", "sv-edgelist", "lp-datadriven", "bfs",
 		},
 		Seeds:   []uint64{6, 7},
