@@ -40,13 +40,15 @@ race-matrix:
 			|| exit 1; \
 	done
 
-# 10-second smoke of each native fuzz target: the parsers for the two
-# external input formats, the HTTP surface, and the cluster wire-frame
+# 10-second smoke of each native fuzz target: the parsers for the
+# external input formats (text edge list, binary CSR, MatrixMarket),
+# the HTTP surface, the cluster wire-frame decoder, and the WAL record
 # decoder. CI keeps corpora warm; real exploration is
 # `go test -fuzz=<target> -fuzztime=10m <pkg>`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzReadBinary -fuzztime=10s ./internal/graph
+	$(GO) test -run='^$$' -fuzz=FuzzReadMatrixMarket -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzServeHandlers -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal

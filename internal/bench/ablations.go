@@ -134,43 +134,38 @@ func AblationRelabel(cfg Config) *stats.Table {
 }
 
 // ExtDist evaluates the distributed-memory extension (Section VII
-// future work; internal/dist): for the road and urand graphs, it
-// sweeps the simulated node count and reports reconciliation rounds,
-// cut edges, and message volume for the Afforest-style scheme versus
-// the classic halo-exchange Label Propagation.
+// future work): for the road and urand graphs it loads the graph into
+// a fresh loopback cluster (internal/cluster) at each shard count and
+// reports cut edges, exchange rounds, opinions and load time against
+// the classic halo-exchange Label Propagation (dist.LP) on the same 1D
+// partition. An opinion is one (vertex, label) pair a shard sends
+// toward the vertex's owner; the router counts each on four legs
+// (outbox, ingest, reply, absorb), so opinions = RouterStats.Messages/4
+// and msg_ratio is LP messages per cluster opinion.
 func ExtDist(cfg Config) *stats.Table {
 	cfg = cfg.withDefaults()
 	t := stats.NewTable(
-		fmt.Sprintf("Extension: distributed-memory simulation (scale=%d)", cfg.Scale),
-		"graph", "nodes", "cut_edges",
-		"aff_rounds", "aff_msgs", "async_msgs", "lp_rounds", "lp_msgs", "msg_ratio")
+		fmt.Sprintf("Extension: distributed memory, loopback cluster vs halo-exchange LP (scale=%d)", cfg.Scale),
+		"graph", "shards", "cut_edges",
+		"rounds", "opinions", "load_ms", "lp_rounds", "lp_msgs", "msg_ratio")
 	for _, name := range []string{"road", "urand"} {
 		sg, err := gen.ByName(name)
 		if err != nil {
 			panic(err)
 		}
 		g := sg.Build(cfg.Scale, cfg.Seed)
-		for _, nodes := range []int{2, 4, 8, 16} {
-			labelsA, stA := dist.ConnectedComponents(g, nodes)
-			checkLabeling(cfg, g, "dist-afforest", labelsA)
-			labelsY, stY := dist.AsyncConnectedComponents(g, nodes)
-			checkLabeling(cfg, g, "dist-async", labelsY)
-			labelsL, stL := dist.LP(g, nodes)
+		for _, shards := range []int{2, 4, 8, 16} {
+			elapsed, st := loadCluster(cfg, g, fmt.Sprintf("cluster-%d/%s", shards, name), shards, true)
+			labelsL, stL := dist.LP(g, shards)
 			checkLabeling(cfg, g, "dist-lp", labelsL)
-			ratio := float64(stL.Messages) / float64(maxI64(stA.Messages, 1))
-			t.AddRow(name, nodes, stA.CutEdges,
-				stA.Rounds, stA.Messages, stY.Messages, stL.Rounds, stL.Messages,
-				fmt.Sprintf("%.1fx", ratio))
+			opinions := st.Messages / 4
+			t.AddRow(name, shards, st.CutEdges,
+				st.Rounds, opinions, fmt.Sprintf("%.1f", elapsed.Seconds()*1000),
+				stL.Rounds, stL.Messages,
+				fmt.Sprintf("%.1fx", float64(stL.Messages)/float64(max(opinions, 1))))
 		}
 	}
 	return t
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // AblationCompress compares the two tree-compaction strategies between

@@ -8,6 +8,7 @@ import (
 
 	"afforest/internal/cluster"
 	"afforest/internal/gen"
+	"afforest/internal/graph"
 )
 
 // clusterShards is the fixed topology of the cluster trajectory cells:
@@ -60,30 +61,11 @@ func ClusterTrajectory(cfg Config) *TrajectoryReport {
 		durations := make([]time.Duration, 0, cfg.Runs)
 		var wireBytes int64
 		for run := 0; run < cfg.Runs; run++ {
-			l, err := cluster.StartLocal(g.NumVertices(), clusterShards,
-				cluster.Config{Parallelism: cfg.Parallelism})
-			if err != nil {
-				panic(fmt.Sprintf("bench: cluster boot failed: %v", err))
-			}
-			start := time.Now()
-			if err := l.Router.LoadGraph(g); err != nil {
-				l.Close()
-				panic(fmt.Sprintf("bench: cluster load failed: %v", err))
-			}
-			durations = append(durations, time.Since(start))
+			d, st := loadCluster(cfg, g, "cluster/"+name, clusterShards, run == 0)
+			durations = append(durations, d)
 			if run == 0 {
-				st := l.Router.Stats()
 				wireBytes = st.BytesSent + st.BytesRecv
-				if cfg.Validate {
-					labels, err := l.Router.GlobalLabels()
-					if err != nil {
-						l.Close()
-						panic(fmt.Sprintf("bench: cluster labels: %v", err))
-					}
-					checkLabeling(cfg, g, "cluster/"+name, labels)
-				}
 			}
-			l.Close()
 		}
 		sort.Slice(durations, func(i, j int) bool { return durations[i] < durations[j] })
 		median := durations[len(durations)/2]
@@ -106,4 +88,31 @@ func ClusterTrajectory(cfg Config) *TrajectoryReport {
 		)
 	}
 	return rep
+}
+
+// loadCluster boots a fresh loopback cluster of the given width, streams
+// g into it, and returns the load's wall time and the router's wire
+// tallies for it. With check set (and cfg.Validate on) the assembled
+// global labeling must pass the oracle check; the tallies are taken
+// before that read so they cover the load alone.
+func loadCluster(cfg Config, g *graph.CSR, algName string, shards int, check bool) (time.Duration, cluster.RouterStats) {
+	l, err := cluster.StartLocal(g.NumVertices(), shards, cluster.Config{Parallelism: cfg.Parallelism})
+	if err != nil {
+		panic(fmt.Sprintf("bench: cluster boot failed: %v", err))
+	}
+	defer l.Close()
+	start := time.Now()
+	if err := l.Router.LoadGraph(g); err != nil {
+		panic(fmt.Sprintf("bench: cluster load failed: %v", err))
+	}
+	elapsed := time.Since(start)
+	st := l.Router.Stats()
+	if check && cfg.Validate {
+		labels, err := l.Router.GlobalLabels()
+		if err != nil {
+			panic(fmt.Sprintf("bench: cluster labels: %v", err))
+		}
+		checkLabeling(cfg, g, algName, labels)
+	}
+	return elapsed, st
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"afforest/internal/dist"
 	"afforest/internal/gen"
 	"afforest/internal/graph"
 )
@@ -48,31 +49,40 @@ func testGraphs() map[string]*graph.CSR {
 	}
 }
 
-// TestClusterMatchesSingleNode loads each graph into 1-, 2-, 3-, and
-// 4-shard topologies and requires the assembled global labeling to
+// loadChecked loads g into a fresh loopback cluster of the given width
+// (closed when the test ends) and requires the assembled global
+// labeling to equal the canonical min-id labeling exactly.
+func loadChecked(t *testing.T, g *graph.CSR, shards int) *Local {
+	t.Helper()
+	l, err := StartLocal(g.NumVertices(), shards, Config{})
+	if err != nil {
+		t.Fatalf("StartLocal: %v", err)
+	}
+	t.Cleanup(l.Close)
+	if err := l.Router.LoadGraph(g); err != nil {
+		t.Fatalf("LoadGraph: %v", err)
+	}
+	got, err := l.Router.GlobalLabels()
+	if err != nil {
+		t.Fatalf("GlobalLabels: %v", err)
+	}
+	for v, want := range canonical(g) {
+		if got[v] != want {
+			t.Fatalf("%d shards: label[%d] = %d, want %d", shards, v, got[v], want)
+		}
+	}
+	return l
+}
+
+// TestClusterMatchesSingleNode loads each graph into 1-, 2-, 3-, 4-,
+// and 7-shard topologies and requires the assembled global labeling to
 // equal the canonical min-id labeling exactly.
 func TestClusterMatchesSingleNode(t *testing.T) {
 	for name, g := range testGraphs() {
 		want := canonical(g)
-		for _, shards := range []int{1, 2, 3, 4} {
+		for _, shards := range []int{1, 2, 3, 4, 7} {
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				l, err := StartLocal(g.NumVertices(), shards, Config{})
-				if err != nil {
-					t.Fatalf("StartLocal: %v", err)
-				}
-				defer l.Close()
-				if err := l.Router.LoadGraph(g); err != nil {
-					t.Fatalf("LoadGraph: %v", err)
-				}
-				got, err := l.Router.GlobalLabels()
-				if err != nil {
-					t.Fatalf("GlobalLabels: %v", err)
-				}
-				for v := range want {
-					if got[v] != want[v] {
-						t.Fatalf("label[%d] = %d, want %d", v, got[v], want[v])
-					}
-				}
+				l := loadChecked(t, g, shards)
 				// Point queries agree with the labeling.
 				checks := [][2]graph.V{{0, graph.V(g.NumVertices() - 1)}, {0, 1}}
 				for _, c := range checks {
@@ -86,6 +96,72 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestClusterMatchesOracleOnSuite loads every generator of the
+// benchmark suite into 1-, 2-, 4- and 7-shard topologies; each load
+// must reproduce the oracle labeling and report the requested width.
+func TestClusterMatchesOracleOnSuite(t *testing.T) {
+	for _, sg := range gen.Suite() {
+		g := sg.Build(9, 33)
+		for _, shards := range []int{1, 2, 4, 7} {
+			st := loadChecked(t, g, shards).Router.Stats()
+			if st.Shards != shards && g.NumVertices() >= shards {
+				t.Fatalf("%s: stats report %d shards, want %d", sg.Name, st.Shards, shards)
+			}
+		}
+	}
+}
+
+// TestClusterSingleShardNoMessages checks that a shard owning every
+// vertex labels the graph without cutting an edge or sending an
+// opinion.
+func TestClusterSingleShardNoMessages(t *testing.T) {
+	st := loadChecked(t, gen.URandDegree(2000, 8, 5), 1).Router.Stats()
+	if st.CutEdges != 0 || st.Messages != 0 {
+		t.Fatalf("single shard communicated: %+v", st)
+	}
+}
+
+// TestClusterPathRoundsBoundedByShards loads a 1000-vertex path into 8
+// shards. Each shard collapses its own stretch of the path locally, so
+// the minimum label crosses the partition's quotient path (8 shards)
+// rather than the graph's 999 hops: rounds are O(shards), not
+// O(diameter).
+func TestClusterPathRoundsBoundedByShards(t *testing.T) {
+	const n = 1000
+	edges := make([]graph.Edge, 0, n-1)
+	for v := 0; v+1 < n; v++ {
+		edges = append(edges, graph.Edge{U: graph.V(v), V: graph.V(v + 1)})
+	}
+	st := loadChecked(t, graph.Build(edges, graph.BuildOptions{NumVertices: n}), 8).Router.Stats()
+	if st.Rounds > 16 {
+		t.Fatalf("rounds = %d, expected O(shards), not O(diameter)", st.Rounds)
+	}
+}
+
+// TestClusterCutEdgesGrowWithShards checks that narrower blocks cut
+// more edges of a uniform random graph.
+func TestClusterCutEdgesGrowWithShards(t *testing.T) {
+	g := gen.URandDegree(4000, 16, 3)
+	cut2, cut8 := loadChecked(t, g, 2).Router.Stats().CutEdges, loadChecked(t, g, 8).Router.Stats().CutEdges
+	if cut8 <= cut2 {
+		t.Fatalf("cut edges must grow with shard count: %d (2 shards) vs %d (8 shards)", cut2, cut8)
+	}
+}
+
+// TestClusterOpinionsBelowLPMessages is the distributed extension's
+// thesis on a high-diameter graph: local forests plus boundary label
+// exchange send fewer (vertex, label) opinions than halo-exchange label
+// propagation sends messages on the same partition. The router counts
+// every opinion on four legs (outbox, ingest, reply, absorb).
+func TestClusterOpinionsBelowLPMessages(t *testing.T) {
+	g := gen.Road(10_000, 5)
+	opinions := loadChecked(t, g, 8).Router.Stats().Messages / 4
+	_, lp := dist.LP(g, 8)
+	if opinions >= lp.Messages {
+		t.Fatalf("cluster opinions (%d) not below LP halo messages (%d)", opinions, lp.Messages)
 	}
 }
 

@@ -1,11 +1,10 @@
-// Package cluster is the real deployment of the distributed design
-// that internal/dist simulates: a sharded connectivity service where a
-// router process 1D-partitions the vertex space (dist.Partitioning)
-// across N shard processes, each running Afforest's link/compress
-// locally over its edge partition via core.Incremental, with component
-// labels reconciled across shards by bulk-synchronous ghost-label
-// exchange rounds — the same BSP structure as dist.ConnectedComponents,
-// lifted onto a wire.
+// Package cluster is distributed-memory Afforest (the paper's Section
+// VII future work) as a deployment: a sharded connectivity service
+// where a router process 1D-partitions the vertex space
+// (dist.Partitioning) across N shard processes, each running Afforest's
+// link/compress locally over its edge partition via core.Incremental,
+// with component labels reconciled across shards by bulk-synchronous
+// ghost-label exchange rounds over a wire.
 //
 // The wire protocol is length-prefixed binary over TCP:
 //
@@ -14,10 +13,9 @@
 //
 // Every RPC is one request frame answered by one response frame on a
 // persistent connection (the router serializes requests per shard
-// connection; fan-out across shards is concurrent). The simulation's
-// counted messages become real frames here, so the message/byte/round
-// statistics internal/dist reports turn into live wire metrics on the
-// router's /metrics.
+// connection; fan-out across shards is concurrent). The router counts
+// the pairs, bytes and rounds it moves (RouterStats) and exports them
+// on its /metrics.
 package cluster
 
 import (
@@ -302,8 +300,8 @@ func (c *cursor) done() error {
 	return nil
 }
 
-// pair is one (vertex, label) unit of the exchange protocol — the same
-// quantum the simulation counts as a message.
+// pair is one (vertex, label) unit of the exchange protocol — the
+// quantum RouterStats counts as a message.
 type pair struct {
 	V, Label graph.V
 }
@@ -429,8 +427,7 @@ func errorFrame(err error) (byte, []byte) { return opError, []byte(err.Error()) 
 
 // countedConn wraps a stream and tallies the bytes actually written and
 // read — frame prefixes included — into both local atomics (for
-// RouterStats) and optional registry counters (for /metrics). This is
-// where the simulation's BytesSent estimate becomes a measurement.
+// RouterStats) and optional registry counters (for /metrics).
 type countedConn struct {
 	rw         io.ReadWriter
 	sent, recv atomic.Int64

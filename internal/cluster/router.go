@@ -463,8 +463,8 @@ func (r *Router) sendEdges(rc rctx, sl *slot, id int, edges []pair) (int64, erro
 
 // routeEdges splits an edge batch into per-owner lists. Every edge goes
 // to owner(u); a cut edge additionally goes to owner(v) as a ghost copy
-// (both sides must link it, exactly as both endpoints' nodes do in the
-// simulation), whose merge count is not double-counted.
+// (both sides must link it, so each owner's forest sees the edge),
+// whose merge count is not double-counted.
 func (r *Router) routeEdges(edges []graph.Edge) (primary, ghost [][]pair) {
 	primary = make([][]pair, r.numShards)
 	ghost = make([][]pair, r.numShards)
@@ -553,8 +553,9 @@ func (r *Router) LoadGraph(g *graph.CSR) error {
 // round, every shard's outbox of (remote ref, local label) opinions is
 // gathered, grouped by owner, ingested there, and the owners' canonical
 // labels are routed back and absorbed. One round's RPCs fan out
-// concurrently across shards with a barrier between phases — the
-// superstep structure of dist.ConnectedComponents on a real wire.
+// concurrently across shards with a barrier between phases, so each
+// round is one superstep. Every opinion is counted as a message on
+// each of its four legs (outbox, ingest, reply, absorb).
 // When rc is traced, the exchange gets a grouping span with one child
 // span per round; every shard RPC hangs off its round. Each round also
 // feeds the cluster anomaly rules: per-shard lag, absorb churn, and —
@@ -900,8 +901,7 @@ func (r *Router) explainLocked(rc rctx, u, v graph.V) (bool, []provenance.Hop, b
 
 // GlobalLabels fans out to every slot for its owned-range labels and
 // shortcuts cross-shard label chains to roots — the canonical min-id
-// labeling a single-node run would produce (the final ownership pass of
-// the simulation, executed at the router over real shard responses).
+// labeling a single-node run would produce.
 func (r *Router) GlobalLabels() ([]graph.V, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -1078,8 +1078,11 @@ func (r *Router) activeCount() float64 {
 	return float64(active)
 }
 
-// RouterStats is the wire-level tally the simulation's dist.Stats
-// becomes in deployment.
+// RouterStats is the router's cumulative wire tally. Messages counts
+// (vertex, label) pairs moved during exchanges: each opinion a shard
+// sends toward a vertex's owner is counted four times (outbox, ingest,
+// reply, absorb), so Messages/4 is the number of opinions. CutEdges
+// counts each accepted edge whose endpoints have different owners once.
 type RouterStats struct {
 	Shards    int   `json:"shards"`
 	Active    int   `json:"active"`

@@ -221,13 +221,6 @@ func parallelFor(n, parallelism int, body func(i int)) {
 	concurrent.ForGrain(n, parallelism, 512, body)
 }
 
-// parallelForWorker is parallelFor with the worker id exposed, used by
-// the instrumented variants to accumulate per-worker statistics without
-// synchronization.
-func parallelForWorker(n, parallelism int, body func(i, worker int)) {
-	concurrent.ForWorker(n, parallelism, 512, body)
-}
-
 // workerCount returns the number of distinct worker ids parallelFor may
 // use for the given parallelism setting.
 func workerCount(parallelism int) int {

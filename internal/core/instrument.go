@@ -242,44 +242,6 @@ func runObservedOn(g *graph.CSR, opt Options, p Parent, ob obs.Observer, afterLi
 	ob.EndPhase(root, obs.PhaseStats{})
 }
 
-// LinkAllObserved is LinkAllGrain emitting one link_all span with the
-// phase's accounting through ob. A nil observer falls through to the
-// uninstrumented pass.
-func LinkAllObserved(g *graph.CSR, p Parent, parallelism, edgeGrain int, ob obs.Observer) {
-	if ob == nil {
-		LinkAllGrain(g, p, parallelism, edgeGrain)
-		return
-	}
-	n := g.NumVertices()
-	if n == 0 {
-		return
-	}
-	span := ob.BeginPhase(obs.PhaseLinkAll)
-	per := make([]LinkStats, workerCount(parallelism))
-	offsets, targets := g.Adjacency(0, n)
-	concurrent.ForEdgeRange(offsets, parallelism, edgeGrain, func(vlo, vhi int, alo, ahi int64, w int) {
-		st := &per[w]
-		for u := vlo; u < vhi; u++ {
-			lo, hi := offsets[u], offsets[u+1]
-			if lo < alo {
-				lo = alo
-			}
-			if hi > ahi {
-				hi = ahi
-			}
-			uu := graph.V(u)
-			for _, v := range targets[lo:hi] {
-				LinkCounted(p, uu, v, st)
-			}
-		}
-	})
-	var total LinkStats
-	for w := range per {
-		total.merge(&per[w])
-	}
-	ob.EndPhase(span, total.PhaseStats())
-}
-
 // EdgesProcessed estimates work saved by sampling+skipping: it runs
 // Afforest instrumented, and returns the arcs actually passed to Link
 // (one Link call each) together with the total arc count.

@@ -126,38 +126,6 @@ func TestRunInstrumentedWithObserver(t *testing.T) {
 	}
 }
 
-func TestLinkAllObserved(t *testing.T) {
-	g := gen.URandDegree(4000, 8, 11)
-	pPlain := NewParent(g.NumVertices())
-	LinkAll(g, pPlain, 0)
-	CompressAll(pPlain, 0)
-
-	tr := obs.NewTracer()
-	pObs := NewParent(g.NumVertices())
-	LinkAllObserved(g, pObs, 0, 0, tr)
-	CompressAll(pObs, 0)
-	for v := range pPlain {
-		if pPlain.Get(graph.V(v)) != pObs.Get(graph.V(v)) {
-			t.Fatalf("label mismatch at %d", v)
-		}
-	}
-	spans := tr.Spans()
-	if len(spans) != 1 || spans[0].Name != obs.PhaseLinkAll {
-		t.Fatalf("spans = %+v, want one link_all span", spans)
-	}
-	if got := spans[0].Stats.Edges; got != g.NumArcs() {
-		t.Errorf("link_all edges = %d, want every arc %d", got, g.NumArcs())
-	}
-
-	// nil observer must fall through to the uninstrumented pass.
-	pNil := NewParent(g.NumVertices())
-	LinkAllObserved(g, pNil, 0, 0, nil)
-	CompressAll(pNil, 0)
-	if pNil.Get(0) != pPlain.Get(0) {
-		t.Error("nil-observer LinkAllObserved diverged")
-	}
-}
-
 func TestIncrementalAddEdges(t *testing.T) {
 	inc := NewIncremental(100)
 	edges := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 5, V: 5}, {U: 3, V: 4}}

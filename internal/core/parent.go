@@ -42,12 +42,12 @@ const cacheLine = 64
 // newParentUninit allocates a length-n π whose element 0 sits on a
 // cache-line boundary, leaving initialization to the caller. The Go
 // allocator only guarantees size-class alignment, so a bare
-// make([]uint32, n) can start mid-line; then the blocked final pass's
-// per-block π regions (and the compress pass's 512-vertex chunks) end
-// on line fragments shared with the neighboring worker's first
-// entries — false sharing exactly at the boundaries every worker
-// touches. Aligning the base makes every cacheLine/4-entry region
-// line-exclusive. BenchmarkParentFalseSharing guards the property.
+// make([]uint32, n) can start mid-line; then the compress pass's
+// 512-vertex chunks end on line fragments shared with the neighboring
+// worker's first entries — false sharing exactly at the boundaries
+// every worker touches. Aligning the base makes every cacheLine/4-entry
+// region line-exclusive. BenchmarkParentFalseSharing guards the
+// property.
 func newParentUninit(n int) Parent {
 	if n == 0 {
 		return Parent{}

@@ -12,9 +12,9 @@ import (
 // the optimal spanning-forest-first order. Afforest's correctness is
 // order-independent (Theorem 1), so strategies differ only in
 // convergence rate. Strategies model *what* the sampling rounds
-// process; the hot-path kernels in hotpath.go and the relabeled final
-// pass in relabel.go (DESIGN.md §12) change *how* each batch's π
-// traffic hits memory — the two axes compose freely.
+// process; the gathered compress kernel in hotpath.go (DESIGN.md §12)
+// changes *how* the π traffic between batches hits memory — the two
+// axes compose freely.
 type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string

@@ -1,10 +1,39 @@
 package dist
 
 import (
+	"fmt"
 	"sync"
 
 	"afforest/internal/graph"
 )
+
+// Stats quantifies one LP execution.
+type Stats struct {
+	Nodes     int
+	Rounds    int   // supersteps: one relaxation sweep each, then a halo exchange unless converged
+	CutEdges  int64 // edges crossing partitions (counted once)
+	Messages  int64 // halo label messages delivered
+	BytesSent int64 // 8 bytes per message (vid + label)
+}
+
+// String renders the stats on one line.
+func (s Stats) String() string {
+	return fmt.Sprintf("nodes=%d rounds=%d cut=%d msgs=%d bytes=%d",
+		s.Nodes, s.Rounds, s.CutEdges, s.Messages, s.BytesSent)
+}
+
+// runOnNodes executes fn(id) for each node id concurrently and waits.
+func runOnNodes(numNodes int, fn func(id int)) {
+	var wg sync.WaitGroup
+	wg.Add(numNodes)
+	for id := 0; id < numNodes; id++ {
+		go func(id int) {
+			defer wg.Done()
+			fn(id)
+		}(id)
+	}
+	wg.Wait()
+}
 
 // LP is the distributed Min-Label Propagation comparator: the classic
 // size-1-halo BSP scheme the paper credits for LP's distributed-memory
@@ -13,10 +42,11 @@ import (
 // sweep over the owned vertices (Pregel-style), then exchanges updated
 // boundary labels. The winning minimum label therefore crawls one hop
 // per superstep — rounds scale with the graph *diameter*, and each
-// round pays a full boundary exchange. The Afforest-style scheme in
-// ConnectedComponents instead collapses distances inside each node with
-// local union-find, so its rounds scale with the partition quotient
-// diameter; ExtDist quantifies the traffic gap on high-diameter graphs.
+// round pays a full boundary exchange. The loopback cluster
+// (internal/cluster) instead collapses distances inside each shard
+// with Afforest's link/compress, so its exchange rounds scale with the
+// partition quotient diameter; ExtDist quantifies the traffic gap on
+// high-diameter graphs.
 func LP(g *graph.CSR, numNodes int) ([]graph.V, Stats) {
 	n := g.NumVertices()
 	part := NewPartitioning(n, numNodes)

@@ -1,3 +1,8 @@
+// Package dist holds the distributed-memory pieces (the paper's
+// Section VII future work) that are not the cluster itself: the 1D
+// vertex partition every distributed component shares, and LP, the
+// halo-exchange label-propagation comparator the distributed extension
+// experiment measures the loopback cluster (internal/cluster) against.
 package dist
 
 import "afforest/internal/graph"
@@ -5,11 +10,10 @@ import "afforest/internal/graph"
 // Partitioning is the cluster's 1D vertex partition: n vertices split
 // across NumNodes contiguous, equal-width blocks (the last block takes
 // the remainder). It is the shared coordinate system of every
-// distributed component in this repository — the in-process BSP and
-// async simulations here, and the real router/shard deployment in
-// internal/cluster — so both sides of a wire protocol can reconstruct
-// the identical partition from just (n, numNodes) and never ship vertex
-// ownership tables.
+// distributed component in this repository — the LP comparator here
+// and the real router/shard deployment in internal/cluster — so both
+// sides of a wire protocol can reconstruct the identical partition from
+// just (n, numNodes) and never ship vertex ownership tables.
 //
 // Guarantees (property-tested in partition_test.go):
 //

@@ -85,3 +85,35 @@ func TestPartitioningFewerVerticesThanNodes(t *testing.T) {
 		}
 	}
 }
+
+func TestPartitioningOwnerAndRange(t *testing.T) {
+	p := NewPartitioning(100, 4)
+	seen := 0
+	for id := 0; id < p.NumNodes; id++ {
+		lo, hi := p.Range(id)
+		for v := lo; v < hi; v++ {
+			if p.Owner(graph.V(v)) != id {
+				t.Fatalf("vertex %d: owner %d, range says %d", v, p.Owner(graph.V(v)), id)
+			}
+			seen++
+		}
+	}
+	if seen != 100 {
+		t.Fatalf("ranges cover %d vertices, want 100", seen)
+	}
+}
+
+func TestPartitioningEdgeCases(t *testing.T) {
+	p := NewPartitioning(3, 10) // more nodes than vertices
+	if p.NumNodes != 3 {
+		t.Fatalf("nodes clamped to %d, want 3", p.NumNodes)
+	}
+	p = NewPartitioning(10, 0) // degenerate node count
+	if p.NumNodes != 1 {
+		t.Fatalf("nodes = %d, want 1", p.NumNodes)
+	}
+	lo, hi := p.Range(0)
+	if lo != 0 || hi != 10 {
+		t.Fatalf("range = [%d,%d)", lo, hi)
+	}
+}

@@ -16,6 +16,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("")
 	f.Add("999999 3\nx y\n")
 	f.Add("0 1 weight\n")
+	f.Add("999999999 3\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadEdgeList(strings.NewReader(input), BuildOptions{})
 		if err != nil {
@@ -62,6 +63,10 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 1\n2 1\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n% c\n2 2 1\n1 2 0.5\n")
 	f.Add("")
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n1 1 4000000000\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n999999999 1 0\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n5 1\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n1 1 -1\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadMatrixMarket(strings.NewReader(input), BuildOptions{})
 		if err != nil {

@@ -34,13 +34,46 @@ func WriteEdgeList(w io.Writer, g *CSR) error {
 	return bw.Flush()
 }
 
+// impliedVertexFloor is the vertex count any text input may imply,
+// however short it is.
+const impliedVertexFloor = 1 << 20
+
+// impliedVertexLimit bounds the vertex count a text input of the given
+// size may imply: one vertex per input byte, and never less than
+// impliedVertexFloor. Every text line that names a vertex spends bytes
+// on it, so a real edge list or MatrixMarket file stays far below the
+// bound unless most of its id space is unused — while a one-line input
+// such as "999999999 3" can no longer make Build allocate a 10⁹-vertex
+// CSR. Callers that know the true |V| pass
+// BuildOptions.NumVertices, which the bound does not apply to.
+func impliedVertexLimit(inputBytes int64) int64 {
+	return max(inputBytes, impliedVertexFloor)
+}
+
+// countingReader counts the bytes its reader delivers; once a scanner
+// over it reaches EOF, n is the input size.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
 // ReadEdgeList parses a text edge list and builds an undirected CSR.
 // Lines starting with '#' or '%' are comments. Endpoints must be
-// non-negative integers that fit in 32 bits.
+// non-negative integers that fit in 32 bits. Unless opt.NumVertices is
+// set, |V| is the largest endpoint + 1, which must stay within
+// impliedVertexLimit of the input size.
 func ReadEdgeList(r io.Reader, opt BuildOptions) (*CSR, error) {
-	sc := bufio.NewScanner(r)
+	cr := &countingReader{r: r}
+	sc := bufio.NewScanner(cr)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var edges []Edge
+	maxID := int64(-1)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -61,9 +94,14 @@ func ReadEdgeList(r io.Reader, opt BuildOptions) (*CSR, error) {
 			return nil, fmt.Errorf("graph: line %d: bad target %q: %w", line, fields[1], err)
 		}
 		edges = append(edges, Edge{U: V(u), V: V(v)})
+		maxID = max(maxID, int64(u), int64(v))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: reading edge list: %w", err)
+	}
+	if opt.NumVertices == 0 && maxID+1 > impliedVertexLimit(cr.n) {
+		return nil, fmt.Errorf("graph: edge list names vertex %d but holds only %d bytes (limit %d vertices)",
+			maxID, cr.n, impliedVertexLimit(cr.n))
 	}
 	return Build(edges, opt), nil
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -50,11 +51,38 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"0 b\n",           // non-numeric target
 		"-1 2\n",          // negative id
 		"99999999999 0\n", // > 32 bits
+		"999999999 3\n",   // 10⁹ vertices implied by 12 bytes
 	}
 	for _, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in), BuildOptions{}); err == nil {
 			t.Errorf("input %q: want error", in)
 		}
+	}
+}
+
+// TestReadEdgeListImpliedVertexLimit pins the bound on the |V| a text
+// input may imply: a short input reaches exactly the floor, one more
+// vertex needs a larger input (or a caller-supplied NumVertices).
+func TestReadEdgeListImpliedVertexLimit(t *testing.T) {
+	atFloor := fmt.Sprintf("%d 0\n", impliedVertexFloor-1)
+	g, err := ReadEdgeList(strings.NewReader(atFloor), BuildOptions{})
+	if err != nil {
+		t.Fatalf("input %q: %v", atFloor, err)
+	}
+	if g.NumVertices() != impliedVertexFloor {
+		t.Fatalf("|V| = %d, want %d", g.NumVertices(), impliedVertexFloor)
+	}
+	past := fmt.Sprintf("%d 0\n", impliedVertexFloor)
+	if _, err := ReadEdgeList(strings.NewReader(past), BuildOptions{}); err == nil {
+		t.Fatalf("input %q: want error past the floor", past)
+	}
+	padded := past + strings.Repeat("# padding\n", impliedVertexFloor/10+1)
+	if _, err := ReadEdgeList(strings.NewReader(padded), BuildOptions{}); err != nil {
+		t.Fatalf("input of %d bytes naming vertex %d: %v", len(padded), impliedVertexFloor, err)
+	}
+	g, err = ReadEdgeList(strings.NewReader("999999999 3\n"), BuildOptions{NumVertices: 4})
+	if err != nil || g.NumVertices() != 4 {
+		t.Fatalf("explicit NumVertices must bypass the bound: %v, %v", g, err)
 	}
 }
 

@@ -38,9 +38,7 @@ type PhaseStats struct {
 // ObservedSkipRatio is the realized (not sampled) skip fraction of a
 // final pass: Skipped over Checked, or 0 when the phase checked nothing.
 // The sample phase's SkipRatio is the a-priori estimate; this is what
-// the pass actually saw, which the relabeled final pass reports even
-// though it never runs a per-vertex filter (the compacted view skips by
-// construction).
+// the pass's per-vertex component filter actually saw.
 func (s PhaseStats) ObservedSkipRatio() float64 {
 	if s.Checked == 0 {
 		return 0
@@ -91,7 +89,6 @@ const (
 	PhaseSample        = "sample_frequent"  // most-frequent-element search (Fig 5 line 10)
 	PhaseFinal         = "final_skip_pass"  // skip-aware pass over remaining edges (Fig 5 lines 11-15)
 	PhaseFinalCompress = "final_compress"   // final flattening pass (Fig 5 lines 16-18)
-	PhaseLinkAll       = "link_all"         // unsampled full link pass (Section III)
 	PhaseEdgeBatch     = "edge_batch_apply" // one coalesced incremental edge batch
 )
 

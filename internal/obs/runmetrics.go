@@ -95,7 +95,7 @@ func (m *RunMetrics) EndPhase(id SpanID, st PhaseStats) {
 		m.linkRounds.Inc()
 	case PhaseCompress, PhaseFinalCompress:
 		m.compressPasses.Inc()
-	case PhaseFinal, PhaseLinkAll:
+	case PhaseFinal:
 		m.finalPasses.Inc()
 	case PhaseSample:
 		m.samplePasses.Inc()

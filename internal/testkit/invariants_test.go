@@ -70,7 +70,7 @@ func TestAuditorCatchesDeepTreeAfterCompress(t *testing.T) {
 	// idempotence violation after a full compress.
 	deep := core.Parent{0, 0, 1}
 	a := auditorFor(0, 0, 0)
-	a.Hook()(deep, obs.PhaseLinkAll)
+	a.Hook()(deep, obs.PhaseFinal)
 	if err := a.Err(); err != nil {
 		t.Fatalf("depth-2 tree after a link phase must be legal, got %v", err)
 	}
