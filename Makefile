@@ -9,15 +9,19 @@ build:
 vet:
 	$(GO) vet ./...
 
+# fmt fails when any Go file is not gofmt-clean, listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
-# check is the correctness gate: static checks, the full test suite,
-# the benchmark's own tests, the race matrix over the schedule-sensitive
-# packages, a smoke run of every fuzz target, the multi-process cluster
-# smoke, and a run-vs-self pass of the perf gate. This is what CI should
-# run.
-check: vet build test ccperf-test race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke perfgate-smoke
+# check is the correctness gate: formatting and static checks, the full
+# test suite, the benchmark's own tests, the race matrix over the
+# schedule-sensitive packages, a smoke run of every fuzz target, the
+# multi-process cluster smoke, and a run-vs-self pass of the perf gate.
+# This is what CI should run.
+check: fmt vet build test ccperf-test race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke perfgate-smoke
 
 # cmd/ccperf is its own Go module (it replaces afforest with ../..), so
 # the root `go test ./...` never reaches its tests: workload smokes,
@@ -31,12 +35,14 @@ ccperf-test:
 # smallest truly parallel schedule), and 8 (contention). The differential
 # matrix inside internal/testkit additionally permutes chunk dispatch
 # with seeded schedules, so each pass explores distinct interleavings.
+# internal/obs is in the matrix because its sinks take Emit from the
+# serve batcher goroutine and a bootstrap run at once.
 race-matrix:
 	@for p in 1 2 8; do \
 		echo "== race matrix: GOMAXPROCS=$$p =="; \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 \
 			./internal/concurrent ./internal/core ./internal/serve ./internal/testkit \
-			./internal/cluster ./internal/wal ./internal/provenance \
+			./internal/cluster ./internal/wal ./internal/provenance ./internal/obs \
 			|| exit 1; \
 	done
 
@@ -111,4 +117,4 @@ perfgate-smoke:
 		rm -f $$tmp || exit 1; \
 	done
 
-.PHONY: all build vet test ccperf-test check race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke bench perfgate perfgate-smoke
+.PHONY: all build vet fmt test ccperf-test check race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke bench perfgate perfgate-smoke

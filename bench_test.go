@@ -163,7 +163,7 @@ func BenchmarkAfforestObserved(b *testing.B) {
 		reg := obs.NewRegistry()
 		opt := core.DefaultOptions()
 		opt.Parallelism = p
-		opt.Observer = obs.Multi(obs.NewTracer(), obs.NewRunMetrics(reg))
+		opt.Observer = obs.NewTracer(obs.NewRunMetrics(reg))
 		return opt2labels(g, opt)
 	})
 }
@@ -351,7 +351,7 @@ func TestNilMergeObserverOverheadGuard(t *testing.T) {
 
 // BenchmarkAfforestFlight is BenchmarkAfforestKron18 with the flight
 // recorder attached to both the worker pool (per-chunk events) and the
-// observer chain (phase events) — the full black-box-recording path.
+// run's tracer (phase events) — the full black-box-recording path.
 // Its gap to the Kron18 anchor is the price of leaving the recorder on
 // in production, which is per-chunk clock reads, never per-edge work.
 func BenchmarkAfforestFlight(b *testing.B) {
@@ -361,7 +361,7 @@ func BenchmarkAfforestFlight(b *testing.B) {
 	benchAlgorithmOn(b, suiteGraphAt("kron", 18), func(g *graph.CSR, p int) []graph.V {
 		opt := core.DefaultOptions()
 		opt.Parallelism = p
-		opt.Observer = fr
+		opt.Observer = obs.NewTracer(fr)
 		return opt2labels(g, opt)
 	})
 }

@@ -193,7 +193,7 @@ func writePhaseTrace(in, genName string, n, scale, deg int, seed uint64, algoNam
 }
 
 // writeFlight runs the core algorithm with the flight recorder on both
-// the worker pool (chunk events) and the observer chain (phase events),
+// the worker pool (chunk events) and the run's tracer (phase events),
 // dumps the per-worker event stream as JSON lines, and prints the
 // worker utilization timeline.
 func writeFlight(in, genName string, n, scale, deg int, seed uint64, algoName string, rounds, par int, path string) error {
@@ -219,7 +219,7 @@ func writeFlight(in, genName string, n, scale, deg int, seed uint64, algoName st
 		SkipLargest:    skip,
 		Parallelism:    par,
 		Seed:           seed,
-		Observer:       fr,
+		Observer:       obs.NewTracer(fr),
 	})
 	elapsed := time.Since(start)
 	f, err := os.Create(path)

@@ -223,10 +223,10 @@ func runLoadtest(target string, lc loadConfig) (loadReport, error) {
 	close(stopScrape)
 	<-scrapeDone
 	report := loadReport{
-		Elapsed: time.Since(start), // configured duration + drain of the last in-flight requests
-		Reads:   reads.Load(),
-		Writes:  writes.Load(),
-		Edges:   edges.Load(),
+		Elapsed:    time.Since(start), // configured duration + drain of the last in-flight requests
+		Reads:      reads.Load(),
+		Writes:     writes.Load(),
+		Edges:      edges.Load(),
 		Errors:     errs.Load(),
 		Scrapes:    scrapes.Load(),
 		Explains:   explains.Load(),

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -478,5 +480,22 @@ func TestClusterHTTPSurface(t *testing.T) {
 	jresp.Body.Close()
 	if resp := post(`{"u":8,"v":9}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-join write status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestConfigKnobBudget pins the exported Config fields to a literal
+// list, the way core's TestOptionsKnobBudget pins Options: a new knob
+// has to edit this list in the same change, so adding one is always
+// visible in review.
+func TestConfigKnobBudget(t *testing.T) {
+	want := []string{"Parallelism", "Registry", "Trace", "Anomaly", "Provenance"}
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		if f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Config fields = %v, want %v", got, want)
 	}
 }

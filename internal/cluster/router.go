@@ -25,11 +25,6 @@ type Config struct {
 	// Parallelism bounds worker goroutines for census assembly
 	// (0 = GOMAXPROCS); shards control their own link parallelism.
 	Parallelism int
-	// EdgeBatch caps edges per opEdges frame when streaming a graph or
-	// an ingest batch to a shard (0 = default 4096).
-	EdgeBatch int
-	// DialTimeout bounds each shard dial (0 = default 5s).
-	DialTimeout time.Duration
 	// Registry receives the router's wire metrics and backs
 	// GET /metrics. nil means a fresh private registry.
 	Registry *obs.Registry
@@ -41,7 +36,7 @@ type Config struct {
 	Trace *obs.WireTrace
 	// Anomaly receives the cluster rule feeds (exchange_round_blowup,
 	// shard_lag, ghost_churn, wire_error_burst). nil means a fresh
-	// detector on Registry with default thresholds.
+	// detector on Registry.
 	Anomaly *obs.AnomalyDetector
 	// Provenance arms merge-forest recording on shards booted by the
 	// local harness (StartLocal/SpawnShard) and enables the router's
@@ -50,18 +45,19 @@ type Config struct {
 	Provenance bool
 }
 
+// edgeBatch caps edges per opEdges frame when streaming a graph or an
+// ingest batch to a shard; dialTimeout bounds each shard dial.
+const (
+	edgeBatch   = 4096
+	dialTimeout = 5 * time.Second
+)
+
 func (c Config) withDefaults() Config {
-	if c.EdgeBatch == 0 {
-		c.EdgeBatch = 4096
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 5 * time.Second
-	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
 	}
 	if c.Anomaly == nil {
-		c.Anomaly = obs.NewAnomalyDetector(c.Registry, obs.AnomalyConfig{})
+		c.Anomaly = obs.NewAnomalyDetector(c.Registry)
 	}
 	return c
 }
@@ -346,7 +342,7 @@ func NewRouter(addrs []string, n int, cfg Config) (*Router, error) {
 
 // dial connects to a shard address and initializes it for slot id.
 func (r *Router) dial(addr string, id int) (*shardConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, r.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dialing shard %d at %s: %w", id, addr, err)
 	}
@@ -437,13 +433,13 @@ func (r *Router) forEachActive(fn func(id int, sl *slot) error) error {
 	return errors.Join(errs...)
 }
 
-// sendEdges streams edges to one shard in EdgeBatch-sized frames and
+// sendEdges streams edges to one shard in edgeBatch-sized frames and
 // returns the shard's merge count. Each frame is its own traced span
 // (the batch boundary is what the wire actually carries).
 func (r *Router) sendEdges(rc rctx, sl *slot, id int, edges []pair) (int64, error) {
 	var merged int64
 	for len(edges) > 0 {
-		k := min(len(edges), r.cfg.EdgeBatch)
+		k := min(len(edges), edgeBatch)
 		resp, sp, err := r.rpcTo(rc, sl, id, 0, opEdges, encodePairs(nil, edges[:k]))
 		if err != nil {
 			return merged, err

@@ -243,22 +243,25 @@ func (s *srvSpan) finish(reqBytes, respBytes int, err error) {
 	s.w.End(s.opID, end)
 }
 
-// observer returns the Observer traced core work should run under: the
-// request's phase tracer (emitting into the shard's retained phase
-// ring) fanned out with the flight recorder. Untraced requests get the
-// flight recorder alone (or nil — the zero-cost path core expects).
-func (sh *Shard) observer(s *srvSpan) obs.Observer {
+// tracer returns the tracer core work for one request should run
+// under: its spans go to the shard's retained phase ring when the
+// request is traced and to the flight recorder when one is attached.
+// With neither it returns nil — the zero-cost path core expects.
+func (sh *Shard) tracer(s *srvSpan) *obs.Tracer {
 	sh.mu.Lock()
 	fl := sh.flight
 	sh.mu.Unlock()
-	var parts []obs.Observer
+	var sinks []obs.Sink
 	if s != nil {
-		parts = append(parts, obs.NewTracer(sh.phases))
+		sinks = append(sinks, sh.phases)
 	}
 	if fl != nil {
-		parts = append(parts, fl)
+		sinks = append(sinks, fl)
 	}
-	return obs.Multi(parts...)
+	if len(sinks) == 0 {
+		return nil
+	}
+	return obs.NewTracer(sinks...)
 }
 
 // handle dispatches one RPC. It returns the response op and payload, or
@@ -285,7 +288,7 @@ func (sh *Shard) handle(op byte, payload []byte, sp *srvSpan) (byte, []byte, err
 			return 0, nil, err
 		}
 		sp.decoded()
-		merged, err := sh.applyEdges(pairs, sh.observer(sp))
+		merged, err := sh.applyEdges(pairs, sh.tracer(sp))
 		if err != nil {
 			return 0, nil, err
 		}
@@ -476,7 +479,7 @@ func (sh *Shard) noteRemote(v graph.V) {
 // (and nothing else here — labels produced by the links are existing π
 // entries) become refs. The link pass itself runs in parallel on the
 // worker pool: Theorem 1 makes the interleaving irrelevant.
-func (sh *Shard) applyEdges(pairs []pair, o obs.Observer) (int64, error) {
+func (sh *Shard) applyEdges(pairs []pair, tr *obs.Tracer) (int64, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := sh.requireInit(); err != nil {
@@ -491,7 +494,7 @@ func (sh *Shard) applyEdges(pairs []pair, o obs.Observer) (int64, error) {
 		sh.noteRemote(p.Label)
 		edges[i] = graph.Edge{U: p.V, V: p.Label}
 	}
-	merged := sh.inc.AddEdges(edges, sh.parallelism, o)
+	merged := sh.inc.AddEdges(edges, sh.parallelism, tr)
 	sh.edges += int64(len(edges))
 	return merged, nil
 }

@@ -45,11 +45,12 @@ type Options struct {
 	// always the full one, so results are identical.
 	HalvingCompress bool
 
-	// Observer, when non-nil, receives the run's phase tree (spans per
-	// neighbor round, compress pass, sample, and final pass) with
-	// per-phase work counters. nil keeps the uninstrumented hot path:
-	// Run dispatches on the nil check once, not per edge.
-	Observer obs.Observer
+	// Observer, when non-nil, is the tracer that opens the run's phase
+	// tree (spans per neighbor round, compress pass, sample, and final
+	// pass) with per-phase work counters and hands each closed span to
+	// its sinks. nil keeps the uninstrumented hot path: Run dispatches on
+	// the nil check once, not per edge.
+	Observer *obs.Tracer
 }
 
 // DefaultOptions returns the configuration used throughout the paper's
@@ -87,7 +88,7 @@ func Run(g *graph.CSR, opt Options) Parent {
 		return p
 	}
 	if opt.Observer != nil {
-		runObservedOn(g, opt, p, opt.Observer, nil)
+		runObservedOn(g, opt, p, nil)
 		return p
 	}
 	rounds := opt.rounds()

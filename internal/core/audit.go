@@ -16,8 +16,8 @@ import (
 // after a full compress). This is the hook the correctness harness
 // (internal/testkit) hangs its per-phase invariant audits on.
 //
-// Any Observer already present in opt still receives the same phase
-// tree Run would emit.
+// A tracer already present in opt.Observer still receives the same
+// phase tree Run would emit.
 func RunAudited(g *graph.CSR, opt Options, audit func(p Parent, phase string)) Parent {
 	n := g.NumVertices()
 	p := NewParent(n)
@@ -28,38 +28,6 @@ func RunAudited(g *graph.CSR, opt Options, audit func(p Parent, phase string)) P
 		audit(p, obs.PhaseRun)
 		return p
 	}
-	ao := &auditObserver{p: p, audit: audit}
-	runObservedOn(g, opt, p, obs.Multi(opt.Observer, ao), nil)
+	runObservedOn(g, opt, p, func(phase string, _ obs.PhaseStats) { audit(p, phase) })
 	return p
-}
-
-// auditObserver adapts the Observer span protocol into phase-boundary
-// callbacks: it allocates its own span ids and remembers each open
-// span's name, so EndPhase can hand the name to the audit function.
-// Spans nest strictly (runObservedOn opens/closes them LIFO under the
-// root), and all calls come from the submitting goroutine, so a plain
-// map without locking is enough.
-type auditObserver struct {
-	p     Parent
-	audit func(p Parent, phase string)
-	next  obs.SpanID
-	open  map[obs.SpanID]string
-}
-
-func (a *auditObserver) BeginPhase(name string) obs.SpanID {
-	if a.open == nil {
-		a.open = make(map[obs.SpanID]string)
-	}
-	a.next++
-	a.open[a.next] = name
-	return a.next
-}
-
-func (a *auditObserver) EndPhase(id obs.SpanID, _ obs.PhaseStats) {
-	name, ok := a.open[id]
-	if !ok {
-		return
-	}
-	delete(a.open, id)
-	a.audit(a.p, name)
 }

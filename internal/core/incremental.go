@@ -99,24 +99,24 @@ func (inc *Incremental) AddEdgeAt(u, v graph.V, lsn uint64) bool {
 // AddEdges applies a batch of undirected edges in parallel and returns
 // the number that merged two components. Theorem 1's order freedom is
 // what makes the parallel pass safe: each edge converges locally
-// regardless of interleaving. A non-nil observer receives one
-// edge_batch_apply span carrying the batch size and merge count — this
-// is the span the serve layer's batcher emits per flush.
-func (inc *Incremental) AddEdges(edges []graph.Edge, parallelism int, ob obs.Observer) int64 {
-	return inc.AddEdgesAt(edges, 0, parallelism, ob)
+// regardless of interleaving. A non-nil tracer records one
+// edge_batch_apply span carrying the batch size and merge count — the
+// same span the serve layer's batcher emits per flush.
+func (inc *Incremental) AddEdges(edges []graph.Edge, parallelism int, tr *obs.Tracer) int64 {
+	return inc.AddEdgesAt(edges, 0, parallelism, tr)
 }
 
 // AddEdgesAt is AddEdges carrying the WAL LSN of the record the batch
 // rode in (every edge of a coalesced batch shares one log record). The
 // merge observer is loaded once per batch — the disabled path pays one
 // atomic load per flush, not per edge.
-func (inc *Incremental) AddEdgesAt(edges []graph.Edge, lsn uint64, parallelism int, ob obs.Observer) int64 {
+func (inc *Incremental) AddEdgesAt(edges []graph.Edge, lsn uint64, parallelism int, tr *obs.Tracer) int64 {
 	if len(edges) == 0 {
 		return 0
 	}
 	var span obs.SpanID
-	if ob != nil {
-		span = ob.BeginPhase(obs.PhaseEdgeBatch)
+	if tr != nil {
+		span = tr.BeginPhase(obs.PhaseEdgeBatch)
 	}
 	mo := inc.mergeObserver()
 	p := inc.p // hoist the slice header out of the hot loop (the CAS barrier in LinkRecord blocks re-hoisting a field load)
@@ -156,8 +156,8 @@ func (inc *Incremental) AddEdgesAt(edges []graph.Edge, lsn uint64, parallelism i
 	if m > 0 {
 		inc.components.Add(-m)
 	}
-	if ob != nil {
-		ob.EndPhase(span, obs.PhaseStats{
+	if tr != nil {
+		tr.EndPhase(span, obs.PhaseStats{
 			Edges:  int64(len(edges)),
 			Links:  int64(len(edges)),
 			Merges: m,
@@ -166,15 +166,10 @@ func (inc *Incremental) AddEdgesAt(edges []graph.Edge, lsn uint64, parallelism i
 	return m
 }
 
-// AddEdgeMerge is AddEdge that additionally reports which component
+// AddEdgeMergeAt is AddEdgeAt that additionally reports which component
 // roots merged (winner survives, loser was hooked under it), for
-// callers that publish merge events. Safe for concurrent use.
-func (inc *Incremental) AddEdgeMerge(u, v graph.V) (winner, loser graph.V, merged bool) {
-	return inc.AddEdgeMergeAt(u, v, 0)
-}
-
-// AddEdgeMergeAt is AddEdgeMerge carrying the WAL LSN handed to the
-// merge observer alongside the causal edge.
+// callers that publish merge events. lsn is handed to the merge
+// observer alongside the causal edge. Safe for concurrent use.
 func (inc *Incremental) AddEdgeMergeAt(u, v graph.V, lsn uint64) (winner, loser graph.V, merged bool) {
 	if u == v {
 		return 0, 0, false

@@ -122,44 +122,41 @@ func RunInstrumented(g *graph.CSR, opt Options) (Parent, *RunStats) {
 	if n == 0 {
 		return p, rs
 	}
-	ob := obs.Multi(opt.Observer, &runStatsObserver{rs: rs})
-	afterLink := func() {
+	// Each link span's stats fold into the Table II accounting, and the
+	// tree depth is measured while the span's trees are still unflattened.
+	runObservedOn(g, opt, p, func(phase string, st obs.PhaseStats) {
+		if phase != obs.PhaseNeighborRound && phase != obs.PhaseFinal {
+			return
+		}
+		rs.Link.merge(&LinkStats{Calls: st.Links, Iterations: st.Iters,
+			MaxIters: st.MaxIters, CASFails: st.CASRetries, Merges: st.Merges})
 		if d := p.MaxDepth(); d > rs.MaxDepth {
 			rs.MaxDepth = d
 		}
-	}
-	runObservedOn(g, opt, p, ob, afterLink)
+	})
 	return p, rs
 }
 
-// runStatsObserver folds every phase's stats into a RunStats — the
-// Table II accounting expressed as an Observer. Phases without link
-// work (compress, sample) contribute zeros.
-type runStatsObserver struct {
-	rs *RunStats
-}
-
-func (o *runStatsObserver) BeginPhase(string) obs.SpanID { return 0 }
-
-func (o *runStatsObserver) EndPhase(_ obs.SpanID, st obs.PhaseStats) {
-	o.rs.Link.Calls += st.Links
-	o.rs.Link.Iterations += st.Iters
-	o.rs.Link.CASFails += st.CASRetries
-	o.rs.Link.Merges += st.Merges
-	if st.MaxIters > o.rs.Link.MaxIters {
-		o.rs.Link.MaxIters = st.MaxIters
-	}
-}
-
 // runObservedOn is Run's phase loop with LinkCounted in place of Link
-// and a span per phase, writing into the caller's p. The loops mirror
-// Run exactly (raw CSR slices, the same grains, the same arc-balanced
-// final pass); afterLink, when non-nil, runs after each link phase
-// closes and before its compress — RunInstrumented measures tree depth
-// there. Callers guarantee n > 0 and ob != nil.
-func runObservedOn(g *graph.CSR, opt Options, p Parent, ob obs.Observer, afterLink func()) {
+// and a span per phase, opened on opt.Observer (a throwaway tracer when
+// nil), writing into the caller's p. The loops mirror Run exactly (raw
+// CSR slices, the same grains, the same arc-balanced final pass). after,
+// when non-nil, runs on the submitting goroutine each time a span closes,
+// with the span's name and stats: no parallel work is in flight then,
+// and a link span's compress has not run yet. Callers guarantee n > 0.
+func runObservedOn(g *graph.CSR, opt Options, p Parent, after func(phase string, st obs.PhaseStats)) {
+	tr := opt.Observer
+	if tr == nil {
+		tr = obs.NewTracer()
+	}
+	end := func(id obs.SpanID, phase string, st obs.PhaseStats) {
+		tr.EndPhase(id, st)
+		if after != nil {
+			after(phase, st)
+		}
+	}
 	n := g.NumVertices()
-	root := ob.BeginPhase(obs.PhaseRun)
+	root := tr.BeginPhase(obs.PhaseRun)
 	rounds := opt.rounds()
 	workers := workerCount(opt.Parallelism)
 	offsets, targets := g.Adjacency(0, n)
@@ -173,7 +170,7 @@ func runObservedOn(g *graph.CSR, opt Options, p Parent, ob obs.Observer, afterLi
 	}
 
 	for r := 0; r < rounds; r++ {
-		span := ob.BeginPhase(obs.PhaseNeighborRound)
+		span := tr.BeginPhase(obs.PhaseNeighborRound)
 		per := make([]LinkStats, workers)
 		rr := int64(r)
 		concurrent.ForRange(n, opt.Parallelism, 512, func(lo, hi, w int) {
@@ -184,25 +181,22 @@ func runObservedOn(g *graph.CSR, opt Options, p Parent, ob obs.Observer, afterLi
 				}
 			}
 		})
-		ob.EndPhase(span, mergeWorkers(per))
-		if afterLink != nil {
-			afterLink()
-		}
-		span = ob.BeginPhase(obs.PhaseCompress)
+		end(span, obs.PhaseNeighborRound, mergeWorkers(per))
+		span = tr.BeginPhase(obs.PhaseCompress)
 		compressVariant(p, opt)
-		ob.EndPhase(span, obs.PhaseStats{})
+		end(span, obs.PhaseCompress, obs.PhaseStats{})
 	}
 
 	var c graph.V
 	skip := opt.SkipLargest
 	if skip {
-		span := ob.BeginPhase(obs.PhaseSample)
+		span := tr.BeginPhase(obs.PhaseSample)
 		var ratio float64
 		c, ratio = SampleFrequentElementRatio(p, opt.sampleSize(), opt.Seed)
-		ob.EndPhase(span, obs.PhaseStats{SkipRatio: ratio})
+		end(span, obs.PhaseSample, obs.PhaseStats{SkipRatio: ratio})
 	}
 
-	span := ob.BeginPhase(obs.PhaseFinal)
+	span := tr.BeginPhase(obs.PhaseFinal)
 	per := make([]LinkStats, workers)
 	skipArcs := int64(rounds)
 	concurrent.ForEdgeRange(offsets, opt.Parallelism, opt.EdgeGrain, func(vlo, vhi int, alo, ahi int64, w int) {
@@ -231,15 +225,12 @@ func runObservedOn(g *graph.CSR, opt Options, p Parent, ob obs.Observer, afterLi
 			}
 		}
 	})
-	ob.EndPhase(span, mergeWorkers(per))
-	if afterLink != nil {
-		afterLink()
-	}
+	end(span, obs.PhaseFinal, mergeWorkers(per))
 
-	span = ob.BeginPhase(obs.PhaseFinalCompress)
+	span = tr.BeginPhase(obs.PhaseFinalCompress)
 	CompressAll(p, opt.Parallelism)
-	ob.EndPhase(span, obs.PhaseStats{})
-	ob.EndPhase(root, obs.PhaseStats{})
+	end(span, obs.PhaseFinalCompress, obs.PhaseStats{})
+	end(root, obs.PhaseRun, obs.PhaseStats{})
 }
 
 // EdgesProcessed estimates work saved by sampling+skipping: it runs

@@ -43,7 +43,7 @@ func genCases() []struct {
 		name  string
 		build func(seed uint64) *graph.CSR
 	}{
-		{"URand", func(s uint64) *graph.CSR { return URand(1 << 10, 1 << 13, s) }},
+		{"URand", func(s uint64) *graph.CSR { return URand(1<<10, 1<<13, s) }},
 		{"URandDegree", func(s uint64) *graph.CSR { return URandDegree(1<<10, 8, s) }},
 		{"URandComponents", func(s uint64) *graph.CSR { return URandComponents(1<<10, 8, 0.25, s) }},
 		{"Kronecker", func(s uint64) *graph.CSR { return Kronecker(9, 8, Graph500, s) }},

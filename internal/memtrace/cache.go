@@ -19,11 +19,6 @@ func DefaultL1() CacheConfig {
 	return CacheConfig{Sets: 64, Ways: 8, LineBytes: 64, EntrySize: 4}
 }
 
-// DefaultL2 models a 1 MiB, 16-way, 64-byte-line private L2.
-func DefaultL2() CacheConfig {
-	return CacheConfig{Sets: 1024, Ways: 16, LineBytes: 64, EntrySize: 4}
-}
-
 // CacheStats summarizes a replay.
 type CacheStats struct {
 	Accesses int64

@@ -4,20 +4,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 )
 
-// The anomaly detector watches the observer event stream for the
-// specific ways an Afforest deployment goes wrong: link rounds that
-// stop converging, a sampled skip ratio too small for Theorem 3's
-// skipping argument to pay off, worker imbalance that defeats the
-// edge-balanced scheduler, and incremental-batch latency spikes. Each
-// rule firing increments afforest_anomalies_total{rule=...}, appends a
-// structured JSONL record to the sink, and — when a flight recorder is
-// attached — captures an automatic canonical snapshot of the last few
-// thousand per-worker events leading up to the firing.
+// The anomaly detector watches closed phase spans and a few direct
+// feeds for the specific ways an Afforest deployment goes wrong: link
+// rounds that stop converging, a sampled skip ratio too small for
+// Theorem 3's skipping argument to pay off, worker imbalance that
+// defeats the edge-balanced scheduler, write-latency spikes (the
+// serve layer feeds it the POST /edges handler time, batch wait
+// included), and the cluster, durability and provenance rules below.
+// Each rule firing increments afforest_anomalies_total{rule=...},
+// appends a structured JSONL record to the sink, and — when a flight
+// recorder is attached — captures an automatic canonical snapshot of
+// the last few thousand per-worker events leading up to the firing.
 
 // Anomaly rule names (the rule label on afforest_anomalies_total and
 // the "rule" field of every record).
@@ -41,132 +42,58 @@ const (
 	RuleExplainDepthBlowup = "explain_depth_blowup"
 )
 
-// AnomalyConfig bounds the detector's rules. The zero value means
-// "default" for every field.
-type AnomalyConfig struct {
-	// StallDecay is the minimum fractional links/round decay between
-	// consecutive neighbor rounds; a round whose link count fails to
-	// drop at least this fraction below the previous round's counts as
-	// stalled. Default 0.05.
-	StallDecay float64
-	// StallRounds is how many consecutive stalled rounds fire
-	// convergence_stall. Default 3.
-	StallRounds int
-	// SkipRatioMin is the smallest healthy sampled skip ratio; a sample
-	// phase reporting a nonzero ratio below it fires
-	// skip_ratio_collapse (Theorem 3's precondition — a dominant
-	// intermediate component — is failing). Default 0.10.
-	SkipRatioMin float64
-	// ImbalanceMax is the largest healthy max-over-mean worker busy
-	// ratio per job. Default 8.
-	ImbalanceMax float64
-	// LatencyFactor fires latency_spike when one observed sample
-	// exceeds this multiple of the exponentially-weighted running mean.
-	// Default 16.
-	LatencyFactor float64
-	// LatencyWarmup is how many samples feed the running mean before
-	// the spike rule arms. Default 32.
-	LatencyWarmup int
-	// RoundBlowupFactor fires exchange_round_blowup when one exchange
-	// takes more than this multiple of the trailing median round count.
-	// Default 4.
-	RoundBlowupFactor float64
-	// RoundBlowupWarmup is how many completed exchanges feed the
-	// trailing median before the blowup rule arms. Default 4.
-	RoundBlowupWarmup int
-	// ShardLagFactor fires shard_lag when one shard's span of a round
-	// exceeds this multiple of the per-round median across shards.
-	// Default 8.
-	ShardLagFactor float64
-	// GhostChurnRatio and GhostChurnRound fire ghost_churn when a
-	// round past GhostChurnRound still absorbs more than
-	// GhostChurnRatio of the first round's absorb merges — ghost labels
-	// that keep churning instead of converging. Defaults 0.10 and 3.
-	GhostChurnRatio float64
-	GhostChurnRound int
-	// WireErrorBurst fires wire_error_burst when this many wire-level
-	// shard RPC errors land within WireErrorWindow. Defaults 3 and 1s.
-	WireErrorBurst  int
-	WireErrorWindow time.Duration
-	// WALLagBytes and WALLagRecords fire wal_lag when the write-ahead
-	// log's durable position trails its appended position by more than
-	// either bound — acknowledged batches are exposed to a crash (the
-	// -wal-fsync=none regime, or an fsync path that stopped keeping up).
-	// Defaults 16MiB and 4096 records.
-	WALLagBytes   int64
-	WALLagRecords int64
-	// WitnessDepthFactor fires explain_depth_blowup when one witness
-	// path's hop count exceeds this multiple of the running mean depth —
-	// the merge-forest's union-by-size keeps typical witnesses short, so
-	// a blowup means a pathological merge chain (or a forest rebuilt from
-	// an adversarial replay order). Default 8.
-	WitnessDepthFactor float64
-	// WitnessDepthWarmup is how many /explain answers feed the running
-	// mean before the blowup rule arms. Default 16.
-	WitnessDepthWarmup int
-	// MinInterval rate-limits each rule: after a firing, the same rule
-	// stays quiet for this long. Default 1s; negative disables the
-	// limit (tests).
-	MinInterval time.Duration
-}
-
-func (c AnomalyConfig) withDefaults() AnomalyConfig {
-	if c.StallDecay == 0 {
-		c.StallDecay = 0.05
-	}
-	if c.StallRounds == 0 {
-		c.StallRounds = 3
-	}
-	if c.SkipRatioMin == 0 {
-		c.SkipRatioMin = 0.10
-	}
-	if c.ImbalanceMax == 0 {
-		c.ImbalanceMax = 8
-	}
-	if c.LatencyFactor == 0 {
-		c.LatencyFactor = 16
-	}
-	if c.LatencyWarmup == 0 {
-		c.LatencyWarmup = 32
-	}
-	if c.RoundBlowupFactor == 0 {
-		c.RoundBlowupFactor = 4
-	}
-	if c.RoundBlowupWarmup == 0 {
-		c.RoundBlowupWarmup = 4
-	}
-	if c.ShardLagFactor == 0 {
-		c.ShardLagFactor = 8
-	}
-	if c.GhostChurnRatio == 0 {
-		c.GhostChurnRatio = 0.10
-	}
-	if c.GhostChurnRound == 0 {
-		c.GhostChurnRound = 3
-	}
-	if c.WireErrorBurst == 0 {
-		c.WireErrorBurst = 3
-	}
-	if c.WireErrorWindow == 0 {
-		c.WireErrorWindow = time.Second
-	}
-	if c.WALLagBytes == 0 {
-		c.WALLagBytes = 16 << 20
-	}
-	if c.WALLagRecords == 0 {
-		c.WALLagRecords = 4096
-	}
-	if c.WitnessDepthFactor == 0 {
-		c.WitnessDepthFactor = 8
-	}
-	if c.WitnessDepthWarmup == 0 {
-		c.WitnessDepthWarmup = 16
-	}
-	if c.MinInterval == 0 {
-		c.MinInterval = time.Second
-	}
-	return c
-}
+// Rule thresholds. Each rule's detail text names the bound it crossed.
+const (
+	// convergence_stall: a neighbor round whose link count fails to drop
+	// at least stallDecay below the previous round's is stalled;
+	// stallRounds stalled rounds in a row fire.
+	stallDecay  = 0.05
+	stallRounds = 3
+	// skip_ratio_collapse: a sample phase reporting a nonzero ratio below
+	// skipRatioMin (Theorem 3's precondition — a dominant intermediate
+	// component — is failing).
+	skipRatioMin = 0.10
+	// worker_imbalance: the largest healthy max-over-mean worker busy
+	// ratio per job.
+	imbalanceMax = 8.0
+	// latency_spike: one sample above latencyFactor times the running
+	// mean, armed after latencyWarmup samples.
+	latencyFactor = 16.0
+	latencyWarmup = 32
+	// exchange_round_blowup: one exchange taking more than
+	// roundBlowupFactor times the trailing median round count, armed
+	// after roundBlowupWarmup exchanges.
+	roundBlowupFactor = 4.0
+	roundBlowupWarmup = 4
+	// shard_lag: one shard's span of a round above shardLagFactor times
+	// the round's median across shards.
+	shardLagFactor = 8.0
+	// ghost_churn: a round past ghostChurnRound still absorbing more than
+	// ghostChurnRatio of the first round's absorb merges — ghost labels
+	// that keep churning instead of converging.
+	ghostChurnRatio = 0.10
+	ghostChurnRound = 3
+	// wire_error_burst: wireErrorBurst shard RPC errors within
+	// wireErrorWindow.
+	wireErrorBurst  = 3
+	wireErrorWindow = time.Second
+	// wal_lag: the log's durable position trailing its appended position
+	// by more than either bound — acknowledged batches are exposed to a
+	// crash (the -wal-fsync=none regime, or an fsync path that stopped
+	// keeping up).
+	walLagBytes   = 16 << 20
+	walLagRecords = 4096
+	// explain_depth_blowup: one witness path above witnessDepthFactor
+	// times the running mean depth, armed after witnessDepthWarmup
+	// answers. Union-by-size keeps typical witnesses short, so a blowup
+	// means a pathological merge chain (or a forest rebuilt from an
+	// adversarial replay order).
+	witnessDepthFactor = 8.0
+	witnessDepthWarmup = 16
+	// anomalyMinInterval rate-limits each rule: after a firing, the same
+	// rule stays quiet this long.
+	anomalyMinInterval = time.Second
+)
 
 // AnomalyRecord is one rule firing.
 type AnomalyRecord struct {
@@ -182,12 +109,12 @@ type AnomalyRecord struct {
 // /stats.
 const anomalyKeep = 64
 
-// AnomalyDetector implements Observer over the rules above. It is safe
-// for concurrent use (the serve layer's batcher ends spans from its own
-// goroutine while the latency tap fires from handlers).
+// AnomalyDetector evaluates the rules above. It is a Sink for the phase
+// rules (convergence_stall, skip_ratio_collapse) and takes direct
+// Observe* feeds for the rest. It is safe for concurrent use (the serve
+// layer's batcher emits spans from its own goroutine while the latency
+// tap fires from handlers).
 type AnomalyDetector struct {
-	cfg AnomalyConfig
-
 	total   *Counter
 	byRule  map[string]*Counter
 	reg     *Registry
@@ -201,30 +128,31 @@ type AnomalyDetector struct {
 	recent    []AnomalyRecord
 	seq       uint64
 	lastFire  map[string]time.Time
-	open      map[SpanID]string
-	nextID    SpanID
 	prevLinks int64
 	stallRun  int
-	latMean   float64
-	latN      int
-	depthMean float64
-	depthN    int
+	latency   ewmaBaseline
+	depth     ewmaBaseline
 
 	// cluster-rule state
 	exchHist   []float64   // trailing exchange round counts (non-fired)
 	churnFirst int64       // round-1 absorb merges of the current exchange
 	wireErrs   []time.Time // recent wire error times within the window
+
+	// Copies of anomalyMinInterval and wireErrorWindow, so in-package
+	// tests can disable the rate limit or stretch the window.
+	minInterval time.Duration
+	wireWindow  time.Duration
 }
 
 // NewAnomalyDetector builds a detector with counters bound in reg (nil
-// means no counters) and the given config (zero-value fields default).
-func NewAnomalyDetector(reg *Registry, cfg AnomalyConfig) *AnomalyDetector {
+// means no counters).
+func NewAnomalyDetector(reg *Registry) *AnomalyDetector {
 	d := &AnomalyDetector{
-		cfg:      cfg.withDefaults(),
-		reg:      reg,
-		byRule:   make(map[string]*Counter),
-		lastFire: make(map[string]time.Time),
-		open:     make(map[SpanID]string),
+		reg:         reg,
+		byRule:      make(map[string]*Counter),
+		lastFire:    make(map[string]time.Time),
+		minInterval: anomalyMinInterval,
+		wireWindow:  wireErrorWindow,
 	}
 	if reg != nil {
 		d.total = reg.Counter("afforest_anomalies_total", "Anomaly rule firings.")
@@ -305,8 +233,8 @@ func (d *AnomalyDetector) ruleCounter(rule string) *Counter {
 func (d *AnomalyDetector) fire(rule, detail string, value, limit float64) {
 	now := time.Now()
 	d.mu.Lock()
-	if d.cfg.MinInterval > 0 {
-		if last, ok := d.lastFire[rule]; ok && now.Sub(last) < d.cfg.MinInterval {
+	if d.minInterval > 0 {
+		if last, ok := d.lastFire[rule]; ok && now.Sub(last) < d.minInterval {
 			d.mu.Unlock()
 			return
 		}
@@ -343,64 +271,49 @@ func (d *AnomalyDetector) fire(rule, detail string, value, limit float64) {
 	}
 }
 
-// --- Observer ---
+// --- phase spans ---
 
-// BeginPhase tracks the span name; a new run resets the stall state.
-func (d *AnomalyDetector) BeginPhase(name string) SpanID {
+// Emit feeds the convergence-stall and skip-ratio rules. A closed run
+// span resets the stall streak, so the rounds of two runs never add up.
+func (d *AnomalyDetector) Emit(s Span) {
+	switch s.Name {
+	case PhaseRun:
+		d.mu.Lock()
+		d.prevLinks, d.stallRun = 0, 0
+		d.mu.Unlock()
+	case PhaseNeighborRound:
+		d.observeRound(s.Stats.Links)
+	case PhaseSample:
+		if r := s.Stats.SkipRatio; r > 0 && r < skipRatioMin {
+			d.fire(RuleSkipRatioCollapse,
+				fmt.Sprintf("sampled skip ratio %.3f below %.3f: no dominant intermediate component, final-pass skipping will not pay off",
+					r, skipRatioMin),
+				r, skipRatioMin)
+		}
+	}
+}
+
+// observeRound feeds one neighbor round's link count to the
+// convergence-stall rule.
+func (d *AnomalyDetector) observeRound(links int64) {
 	d.mu.Lock()
-	id := d.nextID
-	d.nextID++
-	d.open[id] = name
-	if name == PhaseRun {
-		d.prevLinks = 0
+	if d.prevLinks > 0 && float64(links) > float64(d.prevLinks)*(1-stallDecay) {
+		d.stallRun++
+	} else {
+		d.stallRun = 0
+	}
+	d.prevLinks = links
+	stalled := d.stallRun
+	if stalled >= stallRounds {
 		d.stallRun = 0
 	}
 	d.mu.Unlock()
-	return id
-}
 
-// EndPhase feeds the convergence-stall and skip-ratio rules.
-func (d *AnomalyDetector) EndPhase(id SpanID, st PhaseStats) {
-	d.mu.Lock()
-	name, ok := d.open[id]
-	delete(d.open, id)
-	if !ok {
-		d.mu.Unlock()
-		return
-	}
-	var fireStall, fireSkip bool
-	var stallLinks int64
-	var stallRounds int
-	switch name {
-	case PhaseNeighborRound:
-		if d.prevLinks > 0 && float64(st.Links) > float64(d.prevLinks)*(1-d.cfg.StallDecay) {
-			d.stallRun++
-			if d.stallRun >= d.cfg.StallRounds {
-				fireStall = true
-				stallLinks = st.Links
-				stallRounds = d.stallRun
-				d.stallRun = 0
-			}
-		} else {
-			d.stallRun = 0
-		}
-		d.prevLinks = st.Links
-	case PhaseSample:
-		fireSkip = st.SkipRatio > 0 && st.SkipRatio < d.cfg.SkipRatioMin
-	}
-	d.mu.Unlock()
-
-	if fireStall {
+	if stalled >= stallRounds {
 		d.fire(RuleConvergenceStall,
 			fmt.Sprintf("links/round not decaying: %d rounds within %.0f%% of previous (last %d links)",
-				stallRounds, d.cfg.StallDecay*100, stallLinks),
-			float64(stallLinks), d.cfg.StallDecay)
-	}
-	if fireSkip {
-		d.fire(RuleSkipRatioCollapse,
-			fmt.Sprintf("sampled skip ratio %.3f below %.3f: no dominant intermediate component, final-pass skipping will not pay off",
-				st.SkipRatio, d.cfg.SkipRatioMin),
-			st.SkipRatio, d.cfg.SkipRatioMin)
+				stalled, stallDecay*100, links),
+			float64(links), stallDecay)
 	}
 }
 
@@ -410,69 +323,71 @@ func (d *AnomalyDetector) EndPhase(id SpanID, st PhaseStats) {
 // max-over-mean busy ratio (the pool reports it per job through
 // PoolMetrics.OnJob).
 func (d *AnomalyDetector) ObserveImbalance(ratio float64) {
-	if ratio > d.cfg.ImbalanceMax {
+	if ratio > imbalanceMax {
 		d.fire(RuleWorkerImbalance,
-			fmt.Sprintf("job max-over-mean worker busy ratio %.2f exceeds %.2f", ratio, d.cfg.ImbalanceMax),
-			ratio, d.cfg.ImbalanceMax)
+			fmt.Sprintf("job max-over-mean worker busy ratio %.2f exceeds %.2f", ratio, imbalanceMax),
+			ratio, imbalanceMax)
 	}
 }
 
+// ewmaBaseline is the running mean a spike rule measures each sample
+// against: an EWMA with alpha 1/16. Spikes are kept out of the mean, so
+// one outlier does not drag the baseline up and a sustained blowup
+// stays loud.
+type ewmaBaseline struct {
+	mean float64
+	n    int
+}
+
+// observe reports whether x exceeds factor times the mean, once warmup
+// samples have armed it, and returns the mean it compared against.
+// Samples that do not spike update the mean.
+func (b *ewmaBaseline) observe(x, factor float64, warmup int) (spike bool, mean float64) {
+	mean = b.mean
+	spike = b.n >= warmup && mean > 0 && x > factor*mean
+	if !spike {
+		if b.n == 0 {
+			b.mean = x
+		} else {
+			b.mean = mean + (x-mean)/16
+		}
+		b.n++
+	}
+	return spike, mean
+}
+
 // ObserveLatency feeds the latency-spike rule with one sample in
-// nanoseconds (wired as a stats.LatencyRecorder tap). The rule arms
-// after LatencyWarmup samples and fires when a sample exceeds
-// LatencyFactor times the running mean.
+// nanoseconds. The serve layer taps it from the POST /edges handler's
+// latency recorder, so a sample is the whole write: batch wait, WAL
+// append and apply.
 func (d *AnomalyDetector) ObserveLatency(ns float64) {
 	d.mu.Lock()
-	mean, n := d.latMean, d.latN
-	armed := n >= d.cfg.LatencyWarmup && mean > 0
-	spike := armed && ns > d.cfg.LatencyFactor*mean
-	// EWMA with alpha 1/16; spikes are excluded so one outlier does not
-	// drag the baseline up and mask a sustained regression.
-	if !spike {
-		if n == 0 {
-			d.latMean = ns
-		} else {
-			d.latMean = mean + (ns-mean)/16
-		}
-		d.latN = n + 1
-	}
+	spike, mean := d.latency.observe(ns, latencyFactor, latencyWarmup)
 	d.mu.Unlock()
 
 	if spike {
 		d.fire(RuleLatencySpike,
-			fmt.Sprintf("batch latency %.0fns is %.1fx the running mean %.0fns", ns, ns/mean, mean),
-			ns, d.cfg.LatencyFactor*mean)
+			fmt.Sprintf("write latency %.0fns is %.1fx the running mean %.0fns", ns, ns/mean, mean),
+			ns, latencyFactor*mean)
 	}
 }
 
 // ObserveWitnessDepth feeds the explain-depth-blowup rule with one
-// /explain answer's witness hop count. Same EWMA shape as the latency
-// rule: arms after WitnessDepthWarmup answers, fires when one witness
-// runs more than WitnessDepthFactor times the running mean, and keeps
-// fired samples out of the baseline so a sustained blowup stays loud.
+// /explain answer's witness hop count (non-positive depths are
+// ignored).
 func (d *AnomalyDetector) ObserveWitnessDepth(depth int) {
 	if depth <= 0 {
 		return
 	}
 	x := float64(depth)
 	d.mu.Lock()
-	mean, n := d.depthMean, d.depthN
-	armed := n >= d.cfg.WitnessDepthWarmup && mean > 0
-	blowup := armed && x > d.cfg.WitnessDepthFactor*mean
-	if !blowup {
-		if n == 0 {
-			d.depthMean = x
-		} else {
-			d.depthMean = mean + (x-mean)/16
-		}
-		d.depthN = n + 1
-	}
+	blowup, mean := d.depth.observe(x, witnessDepthFactor, witnessDepthWarmup)
 	d.mu.Unlock()
 
 	if blowup {
 		d.fire(RuleExplainDepthBlowup,
 			fmt.Sprintf("witness path of %d hops is %.1fx the running mean depth %.1f", depth, x/mean, mean),
-			x, d.cfg.WitnessDepthFactor*mean)
+			x, witnessDepthFactor*mean)
 	}
 }
 
@@ -482,32 +397,17 @@ func (d *AnomalyDetector) ObserveWitnessDepth(depth int) {
 // blowup rule takes its median over.
 const exchHistKeep = 16
 
-// median returns the middle of a small sample (mean of the two middles
-// for even sizes). It copies; callers keep their slice order.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append(make([]float64, 0, len(xs)), xs...)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
-	}
-	return (s[mid-1] + s[mid]) / 2
-}
-
 // ObserveExchange feeds the exchange-round-blowup rule with one
 // completed BSP exchange's round count. The rule arms after
-// RoundBlowupWarmup healthy exchanges and fires when an exchange takes
-// more than RoundBlowupFactor times the trailing median; fired samples
+// roundBlowupWarmup healthy exchanges and fires when an exchange takes
+// more than roundBlowupFactor times the trailing median; fired samples
 // are kept out of the window so a sustained blowup cannot drag the
 // baseline up and silence itself.
 func (d *AnomalyDetector) ObserveExchange(rounds int) {
 	r := float64(rounds)
 	d.mu.Lock()
-	med := median(d.exchHist)
-	blowup := len(d.exchHist) >= d.cfg.RoundBlowupWarmup && med > 0 && r > d.cfg.RoundBlowupFactor*med
+	med := Median(d.exchHist)
+	blowup := len(d.exchHist) >= roundBlowupWarmup && med > 0 && r > roundBlowupFactor*med
 	if !blowup {
 		d.exchHist = append(d.exchHist, r)
 		if len(d.exchHist) > exchHistKeep {
@@ -518,15 +418,15 @@ func (d *AnomalyDetector) ObserveExchange(rounds int) {
 
 	if blowup {
 		d.fire(RuleExchangeRoundBlowup,
-			fmt.Sprintf("exchange took %d rounds, over %.0fx the trailing median %.1f", rounds, d.cfg.RoundBlowupFactor, med),
-			r, d.cfg.RoundBlowupFactor*med)
+			fmt.Sprintf("exchange took %d rounds, over %.0fx the trailing median %.1f", rounds, roundBlowupFactor, med),
+			r, roundBlowupFactor*med)
 	}
 }
 
 // ObserveRoundLag feeds the shard-lag rule with one exchange round's
 // per-shard RPC spans (nanoseconds, indexed by shard id; zero entries —
 // departed shards — are ignored). Fires when the slowest shard's span
-// exceeds ShardLagFactor times the round's median across shards.
+// exceeds shardLagFactor times the round's median across shards.
 func (d *AnomalyDetector) ObserveRoundLag(round int, shardNS []int64) {
 	live := make([]float64, 0, len(shardNS))
 	maxNS, maxShard := int64(0), -1
@@ -542,18 +442,18 @@ func (d *AnomalyDetector) ObserveRoundLag(round int, shardNS []int64) {
 	if len(live) < 2 {
 		return
 	}
-	med := median(live)
-	if med > 0 && float64(maxNS) > d.cfg.ShardLagFactor*med {
+	med := Median(live)
+	if med > 0 && float64(maxNS) > shardLagFactor*med {
 		d.fire(RuleShardLag,
 			fmt.Sprintf("round %d: shard %d span %dns is over %.0fx the round median %.0fns",
-				round, maxShard, maxNS, d.cfg.ShardLagFactor, med),
-			float64(maxNS), d.cfg.ShardLagFactor*med)
+				round, maxShard, maxNS, shardLagFactor, med),
+			float64(maxNS), shardLagFactor*med)
 	}
 }
 
 // ObserveExchangeRound feeds the ghost-churn rule with one round's
 // absorb-phase merge count. Round 1 sets the exchange's baseline; a
-// round past GhostChurnRound still absorbing more than GhostChurnRatio
+// round past ghostChurnRound still absorbing more than ghostChurnRatio
 // of that baseline means ghost labels keep churning instead of
 // converging geometrically.
 func (d *AnomalyDetector) ObserveExchangeRound(round int, absorbMerged int64) {
@@ -564,11 +464,11 @@ func (d *AnomalyDetector) ObserveExchangeRound(round int, absorbMerged int64) {
 	first := d.churnFirst
 	d.mu.Unlock()
 
-	if round > d.cfg.GhostChurnRound && first > 0 && float64(absorbMerged) > d.cfg.GhostChurnRatio*float64(first) {
+	if round > ghostChurnRound && first > 0 && float64(absorbMerged) > ghostChurnRatio*float64(first) {
 		d.fire(RuleGhostChurn,
 			fmt.Sprintf("round %d absorb still merged %d labels, over %.0f%% of round 1's %d",
-				round, absorbMerged, d.cfg.GhostChurnRatio*100, first),
-			float64(absorbMerged), d.cfg.GhostChurnRatio*float64(first))
+				round, absorbMerged, ghostChurnRatio*100, first),
+			float64(absorbMerged), ghostChurnRatio*float64(first))
 	}
 }
 
@@ -577,17 +477,17 @@ func (d *AnomalyDetector) ObserveExchangeRound(round int, absorbMerged int64) {
 // ObserveWALLag feeds the wal_lag rule with the write-ahead log's
 // current exposure: how many acknowledged records (lsnDelta) and bytes
 // (byteDelta) are appended but not yet known durable. Fires when either
-// exceeds its configured bound.
+// exceeds its bound (walLagBytes, walLagRecords).
 func (d *AnomalyDetector) ObserveWALLag(lsnDelta, byteDelta int64) {
 	switch {
-	case byteDelta > d.cfg.WALLagBytes:
+	case byteDelta > walLagBytes:
 		d.fire(RuleWALLag,
-			fmt.Sprintf("%d bytes (%d records) appended but not durable, over the %d-byte bound", byteDelta, lsnDelta, d.cfg.WALLagBytes),
-			float64(byteDelta), float64(d.cfg.WALLagBytes))
-	case lsnDelta > d.cfg.WALLagRecords:
+			fmt.Sprintf("%d bytes (%d records) appended but not durable, over the %d-byte bound", byteDelta, lsnDelta, walLagBytes),
+			float64(byteDelta), walLagBytes)
+	case lsnDelta > walLagRecords:
 		d.fire(RuleWALLag,
-			fmt.Sprintf("%d records (%d bytes) appended but not durable, over the %d-record bound", lsnDelta, byteDelta, d.cfg.WALLagRecords),
-			float64(lsnDelta), float64(d.cfg.WALLagRecords))
+			fmt.Sprintf("%d records (%d bytes) appended but not durable, over the %d-record bound", lsnDelta, byteDelta, walLagRecords),
+			float64(lsnDelta), walLagRecords)
 	}
 }
 
@@ -600,8 +500,8 @@ func (d *AnomalyDetector) ObserveReplayDivergence(detail string) {
 }
 
 // ObserveWireError feeds the wire-error-burst rule with one failed
-// shard RPC. Fires when WireErrorBurst errors land within
-// WireErrorWindow.
+// shard RPC. Fires when wireErrorBurst errors land within
+// wireErrorWindow.
 func (d *AnomalyDetector) ObserveWireError(err error) {
 	if err == nil {
 		return
@@ -609,11 +509,11 @@ func (d *AnomalyDetector) ObserveWireError(err error) {
 	now := time.Now()
 	d.mu.Lock()
 	cut := 0
-	for cut < len(d.wireErrs) && now.Sub(d.wireErrs[cut]) > d.cfg.WireErrorWindow {
+	for cut < len(d.wireErrs) && now.Sub(d.wireErrs[cut]) > d.wireWindow {
 		cut++
 	}
 	d.wireErrs = append(d.wireErrs[cut:], now)
-	burst := len(d.wireErrs) >= d.cfg.WireErrorBurst
+	burst := len(d.wireErrs) >= wireErrorBurst
 	n := len(d.wireErrs)
 	if burst {
 		d.wireErrs = d.wireErrs[:0] // one firing per burst
@@ -622,7 +522,7 @@ func (d *AnomalyDetector) ObserveWireError(err error) {
 
 	if burst {
 		d.fire(RuleWireErrorBurst,
-			fmt.Sprintf("%d wire errors within %s (last: %v)", n, d.cfg.WireErrorWindow, err),
-			float64(n), float64(d.cfg.WireErrorBurst))
+			fmt.Sprintf("%d wire errors within %s (last: %v)", n, d.wireWindow, err),
+			float64(n), wireErrorBurst)
 	}
 }

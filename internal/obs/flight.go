@@ -15,11 +15,11 @@ import (
 
 // The flight recorder is the "what was every worker doing just now"
 // layer beneath the tracer: a per-worker ring buffer of fixed-size
-// binary events — job start/end, chunk claims, phase boundaries,
-// CAS-retry bursts — cheap enough to leave on while serving and dense
-// enough to reconstruct a per-worker timeline after an anomaly. The
-// pool feeds it per chunk (concurrent.Pool.SetFlight); the observed
-// core phases feed it per phase (FlightRecorder implements Observer).
+// binary events — job start/end, chunk claims, closed phases, CAS-retry
+// bursts — cheap enough to leave on while serving and dense enough to
+// reconstruct a per-worker timeline after an anomaly. The pool feeds it
+// per chunk (concurrent.Pool.SetFlight); a Tracer feeds it one event
+// per closed phase span (FlightRecorder is a Sink).
 // When detached the hot path pays one atomic pointer load per ForRange,
 // never per chunk — the same discipline as PoolMetrics and DetConfig,
 // pinned by TestFlightRecorderDisabledOverheadGuard.
@@ -32,9 +32,8 @@ const (
 	EvJobStart   EventKind = iota + 1 // a parallel job was submitted: Arg0=n, Arg1=grain, Arg2=workers
 	EvJobEnd                          // the job's last chunk drained: Arg0=n
 	EvChunkClaim                      // one chunk ran: Arg0=lo, Arg1=hi (job index domain)
-	EvPhaseBegin                      // an observed phase opened: Arg0=name index
-	EvPhaseEnd                        // the phase closed: Arg0=name index, Arg1=links, Arg2=CAS retries
-	EvCASBurst                        // a phase closed with CAS retries >= burst threshold: Arg0=name index, Arg1=retries, Arg2=links
+	EvPhaseEnd                        // a traced phase closed: Arg0=name index, Arg1=links, Arg2=CAS retries
+	EvCASBurst                        // a phase closed with CAS retries >= casBurstThreshold: Arg0=name index, Arg1=retries, Arg2=links
 )
 
 // String returns the JSONL kind tag.
@@ -46,8 +45,6 @@ func (k EventKind) String() string {
 		return "job_end"
 	case EvChunkClaim:
 		return "chunk_claim"
-	case EvPhaseBegin:
-		return "phase_begin"
 	case EvPhaseEnd:
 		return "phase_end"
 	case EvCASBurst:
@@ -71,8 +68,8 @@ type FlightEvent struct {
 }
 
 // ControlWorker is the worker id reported for events recorded outside
-// any pool worker: phase boundaries and job start/end, which are
-// emitted by the submitting (control) goroutine.
+// any pool worker: closed phases and job start/end, which are emitted
+// by the submitting (control) goroutine.
 const ControlWorker = -1
 
 // flightRing is one worker's event buffer. Each ring has its own
@@ -118,14 +115,14 @@ func (r *flightRing) events() (evs []FlightEvent, first uint64) {
 // ~512-vertex chunk this holds the last few full runs per worker.
 const DefaultFlightCapacity = 4096
 
-// DefaultCASBurstThreshold is the per-phase CAS-retry count at which
-// the recorder flags an EvCASBurst alongside the phase-end event.
-const DefaultCASBurstThreshold = 1024
+// casBurstThreshold is the per-phase CAS-retry count at which the
+// recorder flags an EvCASBurst alongside the phase-end event.
+const casBurstThreshold = 1024
 
 // FlightRecorder holds one ring per worker plus a control ring for
-// events emitted outside any pool worker (phase boundaries, job
-// boundaries). It implements Observer, so it can join any Multi chain
-// next to the tracer and metrics.
+// events emitted outside any pool worker (closed phases, job
+// boundaries). It is a Sink, so a Tracer feeds it next to the metrics
+// and the anomaly detector.
 type FlightRecorder struct {
 	epoch   time.Time
 	rings   []flightRing // [0..workers-1] workers, [workers] control
@@ -137,17 +134,6 @@ type FlightRecorder struct {
 	nameMu sync.Mutex
 	names  []string
 	nameIx map[string]int
-
-	openMu sync.Mutex
-	open   map[SpanID]flightPhase
-
-	// CASBurstThreshold is read at EndPhase; set it before attaching.
-	CASBurstThreshold int64
-}
-
-type flightPhase struct {
-	name  int
-	start int64
 }
 
 // NewFlightRecorder returns a recorder with `workers` per-worker rings
@@ -161,12 +147,10 @@ func NewFlightRecorder(workers, capacity int) *FlightRecorder {
 		capacity = DefaultFlightCapacity
 	}
 	f := &FlightRecorder{
-		epoch:             time.Now(),
-		rings:             make([]flightRing, workers+1),
-		workers:           workers,
-		nameIx:            make(map[string]int),
-		open:              make(map[SpanID]flightPhase),
-		CASBurstThreshold: DefaultCASBurstThreshold,
+		epoch:   time.Now(),
+		rings:   make([]flightRing, workers+1),
+		workers: workers,
+		nameIx:  make(map[string]int),
 	}
 	for i := range f.rings {
 		f.rings[i].buf = make([]FlightEvent, capacity)
@@ -242,41 +226,24 @@ func (f *FlightRecorder) ChunkClaim(job uint32, worker, lo, hi int, durNS int64)
 	})
 }
 
-// --- Observer (phase feed) ---
+// --- phase feed ---
 
-// BeginPhase records the phase opening on the control ring.
-func (f *FlightRecorder) BeginPhase(name string) SpanID {
-	id := SpanID(f.spanSeq.Add(1))
-	ix := f.intern(name)
+// Emit records the closed span as one phase-end event on the control
+// ring (TS is the phase start, Dur its length), flagging a CAS-retry
+// burst when the phase's retry count reaches casBurstThreshold.
+func (f *FlightRecorder) Emit(s Span) {
+	id := f.spanSeq.Add(1)
+	ix := int64(f.intern(s.Name))
 	ts := f.now()
-	f.openMu.Lock()
-	f.open[id] = flightPhase{name: ix, start: ts}
-	f.openMu.Unlock()
-	f.ring(ControlWorker).record(FlightEvent{
-		TS: ts, Kind: EvPhaseBegin, Job: uint32(id), Arg0: int64(ix),
+	ctl := f.ring(ControlWorker)
+	ctl.record(FlightEvent{
+		TS: ts - s.DurNS, Dur: s.DurNS, Kind: EvPhaseEnd, Job: id,
+		Arg0: ix, Arg1: s.Stats.Links, Arg2: s.Stats.CASRetries,
 	})
-	return id
-}
-
-// EndPhase records the phase close, flagging a CAS-retry burst when the
-// phase's retry count reaches the threshold.
-func (f *FlightRecorder) EndPhase(id SpanID, st PhaseStats) {
-	f.openMu.Lock()
-	ph, ok := f.open[id]
-	delete(f.open, id)
-	f.openMu.Unlock()
-	if !ok {
-		return
-	}
-	ts := f.now()
-	f.ring(ControlWorker).record(FlightEvent{
-		TS: ph.start, Dur: ts - ph.start, Kind: EvPhaseEnd, Job: uint32(id),
-		Arg0: int64(ph.name), Arg1: st.Links, Arg2: st.CASRetries,
-	})
-	if t := f.CASBurstThreshold; t > 0 && st.CASRetries >= t {
-		f.ring(ControlWorker).record(FlightEvent{
-			TS: ts, Kind: EvCASBurst, Job: uint32(id),
-			Arg0: int64(ph.name), Arg1: st.CASRetries, Arg2: st.Links,
+	if s.Stats.CASRetries >= casBurstThreshold {
+		ctl.record(FlightEvent{
+			TS: ts, Kind: EvCASBurst, Job: id,
+			Arg0: ix, Arg1: s.Stats.CASRetries, Arg2: s.Stats.Links,
 		})
 	}
 }
@@ -345,8 +312,6 @@ func writeFlightEvent(w *bufio.Writer, f *FlightRecorder, worker int, seq uint64
 		fmt.Fprintf(w, `,"n":%d`, ev.Arg0)
 	case EvChunkClaim:
 		fmt.Fprintf(w, `,"lo":%d,"hi":%d`, ev.Arg0, ev.Arg1)
-	case EvPhaseBegin:
-		fmt.Fprintf(w, `,"phase":%q`, f.nameAt(ev.Arg0))
 	case EvPhaseEnd:
 		fmt.Fprintf(w, `,"phase":%q,"links":%d,"cas_retries":%d`, f.nameAt(ev.Arg0), ev.Arg1, ev.Arg2)
 	case EvCASBurst:

@@ -2,21 +2,20 @@
 // runtime: a lock-free metrics registry (sharded atomic counters,
 // gauges, fixed-bucket histograms with a Prometheus-text exposition
 // encoder), a low-overhead span tracer that records the algorithm's
-// phase tree as structured events, and pluggable sinks (JSON-lines
-// event log, in-memory ring).
+// phase tree, and the sinks that consume each closed span (JSON-lines
+// event log, in-memory ring, run metrics, anomaly detector, flight
+// recorder).
 //
-// Instrumented code reports through the Observer interface; call sites
+// Instrumented code opens and closes phases on a *Tracer; call sites
 // nil-check it so the uninstrumented hot path stays free of counters,
 // allocations, and unpredictable branches — observation cost is paid
-// only when an observer is attached. The package has no dependencies
+// only when a tracer is attached. The package has no dependencies
 // inside this repository, so every layer (concurrent, core, serve, cmd)
 // can import it without cycles.
 package obs
 
-import "sync"
-
-// SpanID identifies an open phase span within one Observer. IDs are
-// only meaningful to the Observer that issued them.
+// SpanID identifies a phase span within one Tracer. IDs are only
+// meaningful to the Tracer that issued them.
 type SpanID int32
 
 // PhaseStats is the measurement payload attached to a completed phase
@@ -64,22 +63,6 @@ func (s *PhaseStats) Merge(b PhaseStats) {
 	}
 }
 
-// Observer receives phase boundaries from instrumented code. Phases
-// nest: a BeginPhase while another span is open opens a child. The
-// zero-cost convention is a nil Observer — instrumented call sites
-// check for nil once per phase, never per edge.
-//
-// Implementations must be safe for use from a single instrumenting
-// goroutine; Tracer and RunMetrics are additionally safe for
-// concurrent use (the serve layer's batcher emits from its own
-// goroutine while handlers run).
-type Observer interface {
-	// BeginPhase opens a span named name and returns its id.
-	BeginPhase(name string) SpanID
-	// EndPhase closes the span, attaching its final stats.
-	EndPhase(id SpanID, st PhaseStats)
-}
-
 // Phase names used by the instrumented Afforest runtime. The tracer
 // records them verbatim; RunMetrics maps them onto registry counters.
 const (
@@ -91,55 +74,3 @@ const (
 	PhaseFinalCompress = "final_compress"   // final flattening pass (Fig 5 lines 16-18)
 	PhaseEdgeBatch     = "edge_batch_apply" // one coalesced incremental edge batch
 )
-
-// Multi fans every phase event out to each non-nil observer. It
-// returns nil when none remain and the single observer unwrapped when
-// only one does, so call sites keep their plain nil check.
-func Multi(parts ...Observer) Observer {
-	live := make([]Observer, 0, len(parts))
-	for _, p := range parts {
-		if p != nil {
-			live = append(live, p)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return &multiObserver{parts: live, open: make(map[SpanID][]SpanID)}
-}
-
-type multiObserver struct {
-	parts []Observer
-	mu    sync.Mutex
-	next  SpanID
-	open  map[SpanID][]SpanID // our id -> per-part ids
-}
-
-func (m *multiObserver) BeginPhase(name string) SpanID {
-	ids := make([]SpanID, len(m.parts))
-	for i, p := range m.parts {
-		ids[i] = p.BeginPhase(name)
-	}
-	m.mu.Lock()
-	m.next++
-	id := m.next
-	m.open[id] = ids
-	m.mu.Unlock()
-	return id
-}
-
-func (m *multiObserver) EndPhase(id SpanID, st PhaseStats) {
-	m.mu.Lock()
-	ids, ok := m.open[id]
-	delete(m.open, id)
-	m.mu.Unlock()
-	if !ok {
-		return
-	}
-	for i, p := range m.parts {
-		p.EndPhase(ids[i], st)
-	}
-}

@@ -1,14 +1,10 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
-// RunMetrics is an Observer that folds every phase into registry
+// RunMetrics is a Sink that folds every closed phase span into registry
 // counters — the aggregate, always-on view that backs /metrics, next
-// to the Tracer's per-run structural view. Both can watch the same run
-// via Multi.
+// to the Tracer's per-run structural view.
 type RunMetrics struct {
 	runs           *Counter
 	linkRounds     *Counter
@@ -28,18 +24,11 @@ type RunMetrics struct {
 
 	mu      sync.Mutex
 	phaseNS map[string]*Counter
-	open    map[SpanID]openPhase
-	nextID  SpanID
-}
-
-type openPhase struct {
-	name  string
-	start time.Time
 }
 
 // NewRunMetrics binds run counters in r. Multiple RunMetrics on the
 // same registry share the underlying counters (registration is
-// idempotent), so per-request observers are cheap.
+// idempotent), so per-request sinks are cheap.
 func NewRunMetrics(r *Registry) *RunMetrics {
 	return &RunMetrics{
 		runs:           r.Counter("afforest_runs_total", "Completed Afforest runs."),
@@ -57,38 +46,21 @@ func NewRunMetrics(r *Registry) *RunMetrics {
 		skipObserved:   r.Gauge("afforest_skip_ratio_observed", "Realized skip fraction of the last final pass (skipped/checked)."),
 		reg:            r,
 		phaseNS:        make(map[string]*Counter),
-		open:           make(map[SpanID]openPhase),
 	}
 }
 
-// BeginPhase records the phase start.
-func (m *RunMetrics) BeginPhase(name string) SpanID {
+// Emit folds the closed span into the counters.
+func (m *RunMetrics) Emit(s Span) {
 	m.mu.Lock()
-	id := m.nextID
-	m.nextID++
-	m.open[id] = openPhase{name: name, start: time.Now()}
-	m.mu.Unlock()
-	return id
-}
-
-// EndPhase folds the finished phase into the counters.
-func (m *RunMetrics) EndPhase(id SpanID, st PhaseStats) {
-	m.mu.Lock()
-	ph, ok := m.open[id]
-	if !ok {
-		m.mu.Unlock()
-		return
-	}
-	delete(m.open, id)
-	c := m.phaseNS[ph.name]
+	c := m.phaseNS[s.Name]
 	if c == nil {
-		c = m.reg.Counter("afforest_phase_ns_total", "Wall time spent per phase.", L("phase", ph.name))
-		m.phaseNS[ph.name] = c
+		c = m.reg.Counter("afforest_phase_ns_total", "Wall time spent per phase.", L("phase", s.Name))
+		m.phaseNS[s.Name] = c
 	}
 	m.mu.Unlock()
 
-	c.Add(time.Since(ph.start).Nanoseconds())
-	switch ph.name {
+	c.Add(s.DurNS)
+	switch s.Name {
 	case PhaseRun:
 		m.runs.Inc()
 	case PhaseNeighborRound:
@@ -100,6 +72,7 @@ func (m *RunMetrics) EndPhase(id SpanID, st PhaseStats) {
 	case PhaseSample:
 		m.samplePasses.Inc()
 	}
+	st := s.Stats
 	m.linkCalls.Add(st.Links)
 	m.linkIters.Add(st.Iters)
 	m.casRetries.Add(st.CASRetries)

@@ -13,12 +13,12 @@ import (
 // bar ('#' where the worker ran at least one chunk in that time slice,
 // '.' where it sat idle).
 type TimelineRow struct {
-	Worker  int     `json:"worker"`
-	Events  int     `json:"events"`
-	Chunks  int     `json:"chunks"`
-	BusyNS  int64   `json:"busy_ns"`
-	Util    float64 `json:"util"` // BusyNS over the window span, in [0,1]
-	Bar     string  `json:"bar"`
+	Worker int     `json:"worker"`
+	Events int     `json:"events"`
+	Chunks int     `json:"chunks"`
+	BusyNS int64   `json:"busy_ns"`
+	Util   float64 `json:"util"` // BusyNS over the window span, in [0,1]
+	Bar    string  `json:"bar"`
 }
 
 // Timeline digests the per-worker rings into utilization rows. width is

@@ -19,16 +19,22 @@ type Span struct {
 	Stats   PhaseStats `json:"stats"`
 }
 
-// Sink receives each span as it completes.
+// Sink receives each span as it completes. Every consumer of phase
+// spans is a Sink: JSONLSink, RingSink, RunMetrics, AnomalyDetector and
+// FlightRecorder. One sink may hear from several tracers at once (a
+// server's batcher and its bootstrap run), so Emit must be safe for
+// concurrent use.
 type Sink interface {
 	Emit(s Span)
 }
 
-// Tracer is an Observer that records the phase tree: BeginPhase while
-// another span is open opens a child. Phases in the Afforest runtime
-// are coarse (a handful per run), so a mutex per boundary costs
-// nothing measurable; the hot loops inside a phase never touch the
-// tracer.
+// Tracer is the one producer of phase spans: it opens and closes them,
+// records the phase tree (BeginPhase while another span is open opens a
+// child), and hands each closed span to its sinks. Phases in the
+// Afforest runtime are coarse (a handful per run), so a mutex per
+// boundary costs nothing measurable; the hot loops inside a phase never
+// touch the tracer. A Tracer keeps every span it opens, so it lives for
+// one run (or one request), not for a server's lifetime.
 type Tracer struct {
 	mu    sync.Mutex
 	epoch time.Time

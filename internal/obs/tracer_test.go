@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -107,23 +108,61 @@ func TestRingSinkEviction(t *testing.T) {
 	}
 }
 
-func TestMultiObserver(t *testing.T) {
-	if Multi(nil, nil) != nil {
-		t.Error("Multi of nils should be nil")
+// TestTracerFeedsEverySink pins the one span path: each span a tracer
+// closes reaches every sink, once, in completion order.
+func TestTracerFeedsEverySink(t *testing.T) {
+	reg := NewRegistry()
+	ring := NewRingSink(8)
+	fr := NewFlightRecorder(1, 16)
+	tr := NewTracer(ring, NewRunMetrics(reg), fr)
+	root := tr.BeginPhase(PhaseRun)
+	tr.EndPhase(tr.BeginPhase(PhaseNeighborRound), PhaseStats{Edges: 7, Links: 7})
+	tr.EndPhase(root, PhaseStats{})
+
+	if got := ring.Spans(); len(got) != 2 || got[0].Name != PhaseNeighborRound || got[1].Name != PhaseRun {
+		t.Errorf("ring saw %+v, want neighbor_round then afforest_run", got)
 	}
-	a := NewTracer()
-	if Multi(nil, a) != Observer(a) {
-		t.Error("Multi with one live observer should unwrap it")
-	}
-	b := NewTracer()
-	m := Multi(a, b)
-	id := m.BeginPhase(PhaseRun)
-	m.EndPhase(id, PhaseStats{Edges: 7})
-	for i, tr := range []*Tracer{a, b} {
-		spans := tr.Spans()
-		if len(spans) != 1 || spans[0].Stats.Edges != 7 {
-			t.Errorf("observer %d saw %+v, want one span with Edges 7", i, spans)
+	for name, want := range map[string]int64{
+		"afforest_runs_total":        1,
+		"afforest_link_rounds_total": 1,
+		"afforest_link_calls_total":  7,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
+	}
+	dump := string(fr.Snapshot(DumpOptions{Canonical: true}))
+	if n := strings.Count(dump, `"kind":"phase_end"`); n != 2 {
+		t.Errorf("flight recorded %d phase_end events, want 2:\n%s", n, dump)
+	}
+}
+
+// TestSinksConcurrentEmit feeds shared sinks from several tracers at
+// once, the way a server's batcher and a bootstrap run do; under -race
+// it checks the sinks' own synchronization.
+func TestSinksConcurrentEmit(t *testing.T) {
+	const tracers, spans = 4, 100
+	reg := NewRegistry()
+	fr := NewFlightRecorder(1, 2*tracers*spans)
+	det := NewAnomalyDetector(reg)
+	var wg sync.WaitGroup
+	for i := 0; i < tracers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr := NewTracer(NewRunMetrics(reg), det, fr)
+			for j := 0; j < spans; j++ {
+				tr.EndPhase(tr.BeginPhase(PhaseNeighborRound), PhaseStats{Links: int64(spans - j)})
+			}
+		}()
+	}
+	wg.Wait()
+	if got := reg.Counter("afforest_link_rounds_total", "").Value(); got != tracers*spans {
+		t.Errorf("link rounds = %d, want %d", got, tracers*spans)
+	}
+	dump := string(fr.Snapshot(DumpOptions{Canonical: true}))
+	if n := strings.Count(dump, `"kind":"phase_end"`); n != tracers*spans {
+		t.Errorf("flight recorded %d phase_end events, want %d", n, tracers*spans)
 	}
 }
 

@@ -158,10 +158,10 @@ func TestBuildClusterTimeline(t *testing.T) {
 
 // newTestDetector returns a detector with the rate limit disabled and a
 // sink capturing records.
-func newTestDetector(cfg AnomalyConfig) (*AnomalyDetector, *bytes.Buffer) {
-	cfg.MinInterval = -1
+func newTestDetector() (*AnomalyDetector, *bytes.Buffer) {
 	var sink bytes.Buffer
-	d := NewAnomalyDetector(NewRegistry(), cfg)
+	d := NewAnomalyDetector(NewRegistry())
+	d.minInterval = -1
 	d.SetSink(&sink)
 	return d, &sink
 }
@@ -176,7 +176,7 @@ func lastRule(t *testing.T, d *AnomalyDetector) string {
 }
 
 func TestExchangeRoundBlowupFires(t *testing.T) {
-	d, sink := newTestDetector(AnomalyConfig{})
+	d, sink := newTestDetector()
 	for i := 0; i < 4; i++ {
 		d.ObserveExchange(2) // healthy warmup, median 2
 	}
@@ -204,7 +204,7 @@ func TestExchangeRoundBlowupFires(t *testing.T) {
 }
 
 func TestShardLagFires(t *testing.T) {
-	d, _ := newTestDetector(AnomalyConfig{})
+	d, _ := newTestDetector()
 	d.ObserveRoundLag(1, []int64{100, 110, 120}) // max 1.1x median: healthy
 	if len(d.Recent()) != 0 {
 		t.Fatalf("healthy round fired: %+v", d.Recent())
@@ -220,7 +220,7 @@ func TestShardLagFires(t *testing.T) {
 }
 
 func TestGhostChurnFires(t *testing.T) {
-	d, _ := newTestDetector(AnomalyConfig{})
+	d, _ := newTestDetector()
 	d.ObserveExchangeRound(1, 1000)
 	d.ObserveExchangeRound(2, 900) // churny but before the armed round
 	d.ObserveExchangeRound(3, 500)
@@ -241,7 +241,8 @@ func TestGhostChurnFires(t *testing.T) {
 }
 
 func TestWireErrorBurstFires(t *testing.T) {
-	d, _ := newTestDetector(AnomalyConfig{WireErrorWindow: time.Hour})
+	d, _ := newTestDetector()
+	d.wireWindow = time.Hour
 	err := errors.New("connection reset")
 	d.ObserveWireError(nil) // nil errors don't count
 	d.ObserveWireError(err)
@@ -262,7 +263,8 @@ func TestWireErrorBurstFires(t *testing.T) {
 }
 
 func TestWireErrorBurstWindowExpiry(t *testing.T) {
-	d, _ := newTestDetector(AnomalyConfig{WireErrorWindow: time.Nanosecond})
+	d, _ := newTestDetector()
+	d.wireWindow = time.Nanosecond
 	err := errors.New("timeout")
 	for i := 0; i < 10; i++ {
 		d.ObserveWireError(err)
@@ -274,7 +276,7 @@ func TestWireErrorBurstWindowExpiry(t *testing.T) {
 }
 
 func TestAnomalySnapshotFuncOverridesFlight(t *testing.T) {
-	d, _ := newTestDetector(AnomalyConfig{})
+	d, _ := newTestDetector()
 	fl := NewFlightRecorder(1, 16)
 	d.AttachFlight(fl)
 	d.SetSnapshotFunc(func() []byte { return []byte("cluster timeline\n") })

@@ -27,8 +27,9 @@ type edgeBatcher struct {
 	maxBatch    int
 	parallelism int
 	accepted    *atomic.Int64  // server's accepted-edge counter
-	ob          obs.Observer   // edge_batch_apply spans (may be nil)
+	sinks       []obs.Sink     // receive each flush's edge_batch_apply span
 	applyHist   *obs.Histogram // per-flush apply wall time (may be nil)
+	epoch       time.Time      // origin of the spans' StartNS
 
 	// Durability and event wiring, assigned by the server between
 	// construction and the run() launch (the batcher goroutine must not
@@ -62,7 +63,7 @@ type submitResult struct {
 	err      error  // WAL append failure: nothing was applied or acked
 }
 
-func newEdgeBatcher(inc *core.Incremental, window time.Duration, maxBatch, parallelism int, accepted *atomic.Int64, ob obs.Observer, applyHist *obs.Histogram) *edgeBatcher {
+func newEdgeBatcher(inc *core.Incremental, window time.Duration, maxBatch, parallelism int, accepted *atomic.Int64, sinks []obs.Sink, applyHist *obs.Histogram) *edgeBatcher {
 	if maxBatch <= 0 {
 		maxBatch = 8192
 	}
@@ -72,8 +73,9 @@ func newEdgeBatcher(inc *core.Incremental, window time.Duration, maxBatch, paral
 		maxBatch:    maxBatch,
 		parallelism: parallelism,
 		accepted:    accepted,
-		ob:          ob,
+		sinks:       sinks,
 		applyHist:   applyHist,
+		epoch:       time.Now(),
 		submit:      make(chan *submission, 1024),
 		done:        make(chan struct{}),
 	}
@@ -183,10 +185,6 @@ func (b *edgeBatcher) flush(batch []*submission) {
 	var eventMu sync.Mutex
 	var events []MergeEvent
 	collect := b.hub != nil
-	var span obs.SpanID
-	if b.ob != nil {
-		span = b.ob.BeginPhase(obs.PhaseEdgeBatch)
-	}
 	applyStart := time.Now()
 	if len(flat) > 0 {
 		concurrent.ForRange(len(flat), b.parallelism, 256, func(lo, hi, _ int) {
@@ -220,12 +218,18 @@ func (b *edgeBatcher) flush(batch []*submission) {
 	if b.applyHist != nil {
 		b.applyHist.ObserveDuration(applyDur)
 	}
-	if b.ob != nil {
-		b.ob.EndPhase(span, obs.PhaseStats{
-			Edges:  int64(total),
-			Links:  int64(total),
-			Merges: merged,
-		})
+	// The flush is one span with no children, so it goes straight to
+	// the sinks: a Tracer living as long as the batcher would retain
+	// every span it ever opened.
+	sp := obs.Span{
+		Parent:  -1,
+		Name:    obs.PhaseEdgeBatch,
+		StartNS: applyStart.Sub(b.epoch).Nanoseconds(),
+		DurNS:   max(applyDur.Nanoseconds(), 1), // 0 would read as still open
+		Stats:   obs.PhaseStats{Edges: int64(total), Links: int64(total), Merges: merged},
+	}
+	for _, sink := range b.sinks {
+		sink.Emit(sp)
 	}
 	if lsn > 0 {
 		b.inc.MarkApplied(lsn)

@@ -40,15 +40,18 @@ type eventSubscriber struct {
 	evicted bool // set under hub.mu; the close reason the handler reports
 }
 
+// eventRingCap is the merge-event ring size backing Last-Event-ID
+// resume on GET /events.
+const eventRingCap = 1024
+
 // eventHub fans component-merge events out to SSE subscribers. The
-// ring always collects the last ringCap events even with no subscribers
-// connected, so a late or reconnecting client can resume from an LSN it
-// has already seen (Last-Event-ID) without a server-side cursor per
-// client.
+// ring always collects the last eventRingCap events even with no
+// subscribers connected, so a late or reconnecting client can resume
+// from an LSN it has already seen (Last-Event-ID) without a server-side
+// cursor per client.
 type eventHub struct {
 	mu       sync.Mutex
-	ring     []MergeEvent // oldest first, bounded by ringCap
-	ringCap  int
+	ring     []MergeEvent // oldest first, bounded by eventRingCap
 	queueLen int
 	seq      uint64
 	subs     map[*eventSubscriber]struct{}
@@ -58,15 +61,11 @@ type eventHub struct {
 	evictions int64
 }
 
-func newEventHub(ringCap, queueLen int) *eventHub {
-	if ringCap <= 0 {
-		ringCap = 1024
-	}
+func newEventHub(queueLen int) *eventHub {
 	if queueLen <= 0 {
 		queueLen = 256
 	}
 	return &eventHub{
-		ringCap:  ringCap,
 		queueLen: queueLen,
 		subs:     map[*eventSubscriber]struct{}{},
 	}
@@ -89,8 +88,8 @@ func (h *eventHub) publish(events []MergeEvent) {
 		events[i].Seq = h.seq
 	}
 	h.ring = append(h.ring, events...)
-	if len(h.ring) > h.ringCap {
-		h.ring = append(h.ring[:0:0], h.ring[len(h.ring)-h.ringCap:]...)
+	if len(h.ring) > eventRingCap {
+		h.ring = append(h.ring[:0:0], h.ring[len(h.ring)-eventRingCap:]...)
 	}
 	h.published += int64(len(events))
 	for sub := range h.subs {

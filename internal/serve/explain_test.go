@@ -243,7 +243,7 @@ func TestExplainSurvivesWALRestart(t *testing.T) {
 // deep one through the /explain path fires explain_depth_blowup.
 func TestExplainDepthBlowupRule(t *testing.T) {
 	reg := obs.NewRegistry()
-	det := obs.NewAnomalyDetector(reg, obs.AnomalyConfig{MinInterval: -1})
+	det := obs.NewAnomalyDetector(reg)
 	srv, err := Open(core.NewIncremental(1024), 0, Config{
 		BatchWindow: -1, SnapshotEvery: -1, Provenance: true,
 		Registry: reg, Anomaly: det,

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -462,4 +464,25 @@ func TestServePeriodicSnapshot(t *testing.T) {
 	}
 	t.Fatalf("snapshot never refreshed: seq=%d components=%d",
 		srv.Snapshot().Seq, srv.Snapshot().NumComponents())
+}
+
+// TestConfigKnobBudget pins the exported Config fields to a literal
+// list, the way core's TestOptionsKnobBudget pins Options: a new knob
+// has to edit this list in the same change, so adding one is always
+// visible in review.
+func TestConfigKnobBudget(t *testing.T) {
+	want := []string{
+		"BatchWindow", "MaxBatch", "SnapshotEvery", "Parallelism",
+		"Registry", "Anomaly", "Flight", "WALDir", "WALSegmentBytes",
+		"WALNoSync", "WAL", "SubscriberQueue", "Provenance",
+	}
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		if f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Config fields = %v, want %v", got, want)
+	}
 }

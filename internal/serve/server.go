@@ -50,25 +50,20 @@ type Config struct {
 	// SnapshotEvery is the period of the census snapshot refresh
 	// (0 = default 250ms; negative = only on demand via Refresh).
 	SnapshotEvery time.Duration
-	// Parallelism bounds worker goroutines for batch links and
-	// snapshot building (0 = GOMAXPROCS).
+	// Parallelism bounds worker goroutines for the bootstrap run, batch
+	// links and snapshot building (0 = GOMAXPROCS).
 	Parallelism int
-	// LatencyWindow is the per-class latency ring size
-	// (0 = stats.DefaultLatencyWindow).
-	LatencyWindow int
-	// Afforest configures the bootstrap run (zero value = defaults).
-	Afforest core.Options
 	// Registry receives the server's metrics and backs GET /metrics.
 	// nil means a fresh private registry; share one to aggregate
 	// several servers into a single exposition.
 	Registry *obs.Registry
 	// Anomaly watches the bootstrap run, every edge batch, pool
 	// imbalance, and write latency for the streaming anomaly rules.
-	// nil means a default detector bound to Registry; pass one to tune
-	// thresholds or share a detector across servers.
+	// nil means a detector bound to Registry; pass one to share a
+	// detector across servers.
 	Anomaly *obs.AnomalyDetector
-	// Flight, when set, is installed on the worker pool and the batch
-	// observer chain, and every anomaly firing snapshots it. nil means
+	// Flight, when set, is installed on the worker pool and among the
+	// phase-span sinks, and every anomaly firing snapshots it. nil means
 	// no flight recording.
 	Flight *obs.FlightRecorder
 	// WALDir, when non-empty, makes Open durable: every coalesced edge
@@ -85,9 +80,6 @@ type Config struct {
 	// WAL injects a pre-opened log instead of WALDir (tests, custom
 	// filesystems). The server takes ownership and closes it on Close.
 	WAL *wal.Log
-	// EventBuffer is the merge-event ring size backing Last-Event-ID
-	// resume on GET /events (0 = 1024).
-	EventBuffer int
 	// SubscriberQueue bounds each SSE subscriber's queue; a client that
 	// falls this far behind is evicted (0 = 256).
 	SubscriberQueue int
@@ -116,19 +108,20 @@ func (c Config) withDefaults() Config {
 		c.Registry = obs.NewRegistry()
 	}
 	if c.Anomaly == nil {
-		c.Anomaly = obs.NewAnomalyDetector(c.Registry, obs.AnomalyConfig{})
+		c.Anomaly = obs.NewAnomalyDetector(c.Registry)
 	}
 	return c
 }
 
-// flightObserver returns the flight recorder as an Observer, or a nil
-// interface when none is configured (a typed nil pointer must not reach
-// obs.Multi).
-func (c Config) flightObserver() obs.Observer {
-	if c.Flight == nil {
-		return nil
+// sinks returns the consumers of the server's phase spans: run
+// metrics, the anomaly detector and, when configured, the flight
+// recorder. Call it on a config that has been through withDefaults.
+func (c Config) sinks() []obs.Sink {
+	sinks := []obs.Sink{obs.NewRunMetrics(c.Registry), c.Anomaly}
+	if c.Flight != nil {
+		sinks = append(sinks, c.Flight)
 	}
-	return c.Flight
+	return sinks
 }
 
 // Server hosts one graph's connectivity. It implements http.Handler.
@@ -229,8 +222,8 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 		snapDone: make(chan struct{}),
 		started:  time.Now(),
 		counts:   newCounters(reg),
-		readLat:  stats.NewLatencyRecorder(cfg.LatencyWindow),
-		writeLat: stats.NewLatencyRecorder(cfg.LatencyWindow),
+		readLat:  stats.NewLatencyRecorder(stats.DefaultLatencyWindow),
+		writeLat: stats.NewLatencyRecorder(stats.DefaultLatencyWindow),
 	}
 	// Mirror the latency rings into registry histograms: /stats and
 	// /metrics summarize the same sample stream.
@@ -272,7 +265,7 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 		s.provMem.Set(float64(st.MemoryBytes))
 		s.provRecords.Set(float64(st.Records))
 	}
-	s.hub = newEventHub(cfg.EventBuffer, cfg.SubscriberQueue)
+	s.hub = newEventHub(cfg.SubscriberQueue)
 	s.wal = cfg.WAL
 	if s.wal != nil {
 		s.walLSN = reg.Gauge("afforest_wal_appended_lsn",
@@ -288,7 +281,7 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 	// and fsyncs each coalesced batch before applying it (write-ahead),
 	// then reports the durability gap to the gauges and the wal_lag rule.
 	s.batcher = newEdgeBatcher(inc, cfg.BatchWindow, cfg.MaxBatch, cfg.Parallelism, &s.edges,
-		obs.Multi(obs.NewRunMetrics(reg), cfg.Anomaly, cfg.flightObserver()),
+		cfg.sinks(),
 		reg.Histogram("afforest_edge_apply_ns",
 			"Wall time of one coalesced edge-batch parallel apply.", obs.DefaultLatencyBuckets))
 	s.batcher.wal = s.wal
@@ -403,13 +396,8 @@ func Open(inc *core.Incremental, bootEdges int64, cfg Config) (*Server, error) {
 // edges one by one.
 func Bootstrap(g *graph.CSR, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	opt := cfg.Afforest
-	if opt == (core.Options{}) {
-		opt = core.DefaultOptions()
-	}
-	if opt.Parallelism == 0 {
-		opt.Parallelism = cfg.Parallelism
-	}
+	opt := core.DefaultOptions()
+	opt.Parallelism = cfg.Parallelism
 	// Observe the bootstrap run itself: its phase tree becomes the
 	// /stats "last_run" section and its counters land in the registry.
 	// Installed before Run so the pool work it schedules is counted.
@@ -420,9 +408,7 @@ func Bootstrap(g *graph.CSR, cfg Config) (*Server, error) {
 		cfg.Anomaly.AttachFlight(cfg.Flight)
 		concurrent.DefaultPool().SetFlight(cfg.Flight)
 	}
-	tracer := obs.NewTracer()
-	opt.Observer = obs.Multi(opt.Observer, tracer,
-		obs.NewRunMetrics(cfg.Registry), cfg.Anomaly, cfg.flightObserver())
+	opt.Observer = obs.NewTracer(cfg.sinks()...)
 	p := core.Run(g, opt)
 	inc, err := core.RestoreIncremental(p.Labels())
 	if err != nil {
@@ -432,7 +418,7 @@ func Bootstrap(g *graph.CSR, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.lastRun.Store(tracer.Report())
+	s.lastRun.Store(opt.Observer.Report())
 	return s, nil
 }
 

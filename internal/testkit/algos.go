@@ -2,7 +2,6 @@ package testkit
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"afforest/internal/baselines"
@@ -51,18 +50,6 @@ func LookupAlgo(name string) (Algo, error) {
 	return a, nil
 }
 
-// AlgoNames lists the registered algorithm names, sorted.
-func AlgoNames() []string {
-	algoMu.Lock()
-	defer algoMu.Unlock()
-	names := make([]string, 0, len(algos))
-	for n := range algos {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 func afforestAlgo(name string, mod func(*core.Options)) Algo {
 	opts := func(workers int, seed uint64) core.Options {
 		o := core.DefaultOptions()
@@ -101,24 +88,25 @@ func baselineAlgo(name string, run func(g *graph.CSR, parallelism int) []graph.V
 // neighbor instead of the r-th, so the per-round link count never
 // decays and convergence stalls by construction. It emits the real
 // phase spans (neighbor_round with link stats, compress, final
-// compress) through ob, which is exactly the event stream the anomaly
-// detector's convergence-stall rule watches. It is NOT registered in
-// the differential matrix — its labels are wrong on purpose (only
-// first-neighbor edges are ever linked); tests construct it directly.
-func StalledAfforest(g *graph.CSR, workers, rounds int, ob obs.Observer) []graph.V {
+// compress) on tr, whose sinks see exactly the event stream the anomaly
+// detector's convergence-stall rule watches (nil tr records them on a
+// throwaway tracer). It is NOT registered in the differential matrix —
+// its labels are wrong on purpose (only first-neighbor edges are ever
+// linked); tests construct it directly.
+func StalledAfforest(g *graph.CSR, workers, rounds int, tr *obs.Tracer) []graph.V {
 	n := g.NumVertices()
 	p := core.NewParent(n)
 	if n == 0 {
 		return p.Labels()
 	}
-	if ob == nil {
-		ob = nopObserver{}
+	if tr == nil {
+		tr = obs.NewTracer()
 	}
 	offsets, targets := g.Adjacency(0, n)
 	w := concurrent.Procs(workers)
-	root := ob.BeginPhase(obs.PhaseRun)
+	root := tr.BeginPhase(obs.PhaseRun)
 	for r := 0; r < rounds; r++ {
-		span := ob.BeginPhase(obs.PhaseNeighborRound)
+		span := tr.BeginPhase(obs.PhaseNeighborRound)
 		per := make([]core.LinkStats, w)
 		concurrent.ForRange(n, workers, 512, func(lo, hi, worker int) {
 			st := &per[worker]
@@ -138,22 +126,17 @@ func StalledAfforest(g *graph.CSR, workers, rounds int, ob obs.Observer) []graph
 				total.MaxIters = per[i].MaxIters
 			}
 		}
-		ob.EndPhase(span, total.PhaseStats())
-		span = ob.BeginPhase(obs.PhaseCompress)
+		tr.EndPhase(span, total.PhaseStats())
+		span = tr.BeginPhase(obs.PhaseCompress)
 		core.CompressAll(p, workers)
-		ob.EndPhase(span, obs.PhaseStats{})
+		tr.EndPhase(span, obs.PhaseStats{})
 	}
-	span := ob.BeginPhase(obs.PhaseFinalCompress)
+	span := tr.BeginPhase(obs.PhaseFinalCompress)
 	core.CompressAll(p, workers)
-	ob.EndPhase(span, obs.PhaseStats{})
-	ob.EndPhase(root, obs.PhaseStats{})
+	tr.EndPhase(span, obs.PhaseStats{})
+	tr.EndPhase(root, obs.PhaseStats{})
 	return p.Labels()
 }
-
-type nopObserver struct{}
-
-func (nopObserver) BeginPhase(string) obs.SpanID        { return 0 }
-func (nopObserver) EndPhase(obs.SpanID, obs.PhaseStats) {}
 
 func init() {
 	RegisterAlgo(afforestAlgo("afforest", nil))

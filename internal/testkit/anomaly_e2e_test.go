@@ -37,12 +37,12 @@ func TestStalledAfforestTripsAnomalyDetector(t *testing.T) {
 		concurrent.DefaultPool().SetFlight(fr)
 		defer concurrent.DefaultPool().SetFlight(nil)
 
-		det := obs.NewAnomalyDetector(obs.NewRegistry(), obs.AnomalyConfig{MinInterval: -1})
+		det := obs.NewAnomalyDetector(obs.NewRegistry())
 		det.AttachFlight(fr)
 		var sink bytes.Buffer
 		det.SetSink(&sink)
 
-		StalledAfforest(g, 0, 6, obs.Multi(det, fr))
+		StalledAfforest(g, 0, 6, obs.NewTracer(det, fr))
 
 		out := replay{
 			fired:    det.Count(),

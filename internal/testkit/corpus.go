@@ -182,10 +182,10 @@ func Corpus() []Case {
 			for y := 0; y < 32; y++ {
 				for x := 0; x < 32; x++ {
 					if x+1 < 32 {
-						edges = append(edges, graph.Edge{U: at(x, y), V: at(x + 1, y)})
+						edges = append(edges, graph.Edge{U: at(x, y), V: at(x+1, y)})
 					}
 					if y+1 < 32 {
-						edges = append(edges, graph.Edge{U: at(x, y), V: at(x, y + 1)})
+						edges = append(edges, graph.Edge{U: at(x, y), V: at(x, y+1)})
 					}
 				}
 			}

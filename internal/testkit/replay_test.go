@@ -184,13 +184,13 @@ func runPinned(g *graph.CSR, algo Algo, seed uint64, serial bool) []graph.V {
 
 func TestParseScheduleIDErrors(t *testing.T) {
 	for _, bad := range []string{
-		"graph=path-1024",                                 // missing algo
-		"algo=afforest seed=0x1 workers=1 mode=serial",    // missing graph
-		"graph=g algo=a seed=zz workers=1 mode=serial",    // bad seed
-		"graph=g algo=a seed=0x1 workers=x mode=serial",   // bad workers
-		"graph=g algo=a seed=0x1 workers=1 mode=chaotic",  // bad mode
-		"graph=g algo=a seed=0x1 workers=1 mode",          // not key=value
-		"graph=g algo=a flavor=vanilla",                   // unknown key
+		"graph=path-1024", // missing algo
+		"algo=afforest seed=0x1 workers=1 mode=serial",   // missing graph
+		"graph=g algo=a seed=zz workers=1 mode=serial",   // bad seed
+		"graph=g algo=a seed=0x1 workers=x mode=serial",  // bad workers
+		"graph=g algo=a seed=0x1 workers=1 mode=chaotic", // bad mode
+		"graph=g algo=a seed=0x1 workers=1 mode",         // not key=value
+		"graph=g algo=a flavor=vanilla",                  // unknown key
 	} {
 		if _, err := ParseScheduleID(bad); err == nil {
 			t.Errorf("ParseScheduleID(%q) accepted malformed input", bad)

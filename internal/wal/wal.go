@@ -143,9 +143,6 @@ func tailRecords(st ReplayStats, tail LSN) uint64 {
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }
 
-// NextLSN returns the LSN the next append will receive.
-func (l *Log) NextLSN() LSN { return LSN(l.appendedLSN.Load()) + 1 }
-
 // Stats returns the current durability position.
 func (l *Log) Stats() Stats {
 	return Stats{
