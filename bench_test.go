@@ -332,9 +332,9 @@ func baselineIncrementalStream(n int, edges []graph.Edge, parallelism, batch int
 // TestNilMergeObserverOverheadGuard is the provenance tripwire: with no
 // MergeObserver installed, streaming a graph through
 // Incremental.AddEdges must stay within 2% of the frozen baseline
-// above. The hook's off path is one atomic pointer load per batch plus
-// a hoisted nil check per merge — a breach means someone put forest
-// work on the unobserved write path.
+// above. The hook's off path is one atomic pointer load per batch, then
+// the plain count-only loop — a breach means someone put forest or
+// merge-collection work on the unobserved write path.
 func TestNilMergeObserverOverheadGuard(t *testing.T) {
 	g := suiteGraphAt("kron", 16)()
 	edges := g.Edges()

@@ -15,12 +15,6 @@ import (
 	"afforest/internal/wal"
 )
 
-func sameComp(snap *serve.Snapshot, u, v uint32) bool {
-	lu, _ := snap.ComponentOf(u)
-	lv, _ := snap.ComponentOf(v)
-	return lu == lv
-}
-
 // TestDrainFlushesPendingWrites pins the shutdown ordering: a write
 // parked in a long coalescing window when the drain starts must be
 // flushed and acknowledged promptly (the serve layer closes before the
@@ -32,10 +26,9 @@ func sameComp(snap *serve.Snapshot, u, v uint32) bool {
 func TestDrainFlushesPendingWrites(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
 	srv, err := buildServer("", "urand", "", 500, 0, 1, 1, serve.Config{
-		SnapshotEvery: -1,
-		BatchWindow:   10 * time.Second, // far longer than the whole test should take
-		MaxBatch:      1 << 20,          // never flush on size
-		WALDir:        walDir,
+		BatchWindow: 10 * time.Second, // far longer than the whole test should take
+		MaxBatch:    1 << 20,          // never flush on size
+		WALDir:      walDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,9 +44,10 @@ func TestDrainFlushesPendingWrites(t *testing.T) {
 	// Pick two vertices not yet connected so the write is observable.
 	var u, v int
 	found := false
+	labels := srv.Refresh().Labels
 	for x := 0; x < 500 && !found; x++ {
 		for y := x + 1; y < 500; y++ {
-			if !sameComp(srv.Snapshot(), uint32(x), uint32(y)) {
+			if labels[x] != labels[y] {
 				u, v, found = x, y, true
 				break
 			}
@@ -105,7 +99,7 @@ func TestDrainFlushesPendingWrites(t *testing.T) {
 	}
 
 	// The acknowledged edge is in the drained state...
-	if !sameComp(srv.Snapshot(), uint32(u), uint32(v)) {
+	if labels := srv.Refresh().Labels; labels[u] != labels[v] {
 		t.Fatalf("edge (%d,%d) acknowledged but absent after drain", u, v)
 	}
 
@@ -137,12 +131,12 @@ func TestDrainFlushesPendingWrites(t *testing.T) {
 	if err := srv.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := buildServer("", "", path, 0, 0, 0, 0, serve.Config{SnapshotEvery: -1})
+	restored, err := buildServer("", "", path, 0, 0, 0, 0, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	if !sameComp(restored.Snapshot(), uint32(u), uint32(v)) {
+	if labels := restored.Refresh().Labels; labels[u] != labels[v] {
 		t.Fatalf("edge (%d,%d) lost across save/restore", u, v)
 	}
 

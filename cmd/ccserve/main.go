@@ -51,7 +51,6 @@ func main() {
 		par      = flag.Int("p", 0, "parallelism (0 = GOMAXPROCS)")
 		window   = flag.Duration("batch-window", time.Millisecond, "write-coalescing window (negative = no waiting)")
 		maxBatch = flag.Int("max-batch", 8192, "max edges per coalesced batch")
-		snapEach = flag.Duration("snapshot-every", 250*time.Millisecond, "census snapshot refresh period (negative = on demand)")
 
 		walDir      = flag.String("wal-dir", "", "write-ahead log directory: every acknowledged write batch is logged and fsynced before it is applied, and replayed on restart (empty = no durability)")
 		walSegBytes = flag.Int64("wal-segment-bytes", 64<<20, "WAL segment rotation threshold in bytes")
@@ -71,11 +70,10 @@ func main() {
 	flag.Parse()
 
 	cfg := serve.Config{
-		BatchWindow:   *window,
-		MaxBatch:      *maxBatch,
-		SnapshotEvery: *snapEach,
-		Parallelism:   *par,
-		Provenance:    *provenance,
+		BatchWindow: *window,
+		MaxBatch:    *maxBatch,
+		Parallelism: *par,
+		Provenance:  *provenance,
 	}
 	switch *walFsync {
 	case "group":
@@ -119,7 +117,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("serving %d vertices, %d edges, %d components on %s\n",
-		srv.NumVertices(), srv.EdgesAccepted(), srv.Snapshot().NumComponents(), *addr)
+		srv.NumVertices(), srv.EdgesAccepted(), srv.NumComponents(), *addr)
 	if rep := srv.WALReplay(); rep != nil {
 		fmt.Printf("wal %s: replayed %d records (%d edges) past watermark, skipped %d\n",
 			*walDir, rep.Records, rep.Edges, rep.Skipped)

@@ -10,7 +10,7 @@ import (
 )
 
 func TestBuildServerSources(t *testing.T) {
-	cfg := serve.Config{SnapshotEvery: -1}
+	cfg := serve.Config{}
 	srv, err := buildServer("", "urand", "", 500, 0, 8, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestBuildServerSources(t *testing.T) {
 }
 
 func TestBuildServerErrors(t *testing.T) {
-	cfg := serve.Config{SnapshotEvery: -1}
+	cfg := serve.Config{}
 	if _, err := buildServer("a.el", "urand", "", 10, 0, 4, 1, cfg); err == nil {
 		t.Fatal("-in with -gen accepted")
 	}
@@ -63,7 +63,7 @@ func TestBuildServerErrors(t *testing.T) {
 // workload with zero errors and nonzero throughput in both classes.
 func TestLoadtestAgainstInProcessServer(t *testing.T) {
 	srv, err := buildServer("", "urand", "", 2000, 0, 8, 3,
-		serve.Config{SnapshotEvery: 20 * time.Millisecond, BatchWindow: 500 * time.Microsecond})
+		serve.Config{BatchWindow: 500 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func getBody(t *testing.T, url string) []byte {
 func TestProvenanceSmoke(t *testing.T) {
 	const n = 2048
 	walDir := filepath.Join(t.TempDir(), "wal")
-	cfg := serve.Config{SnapshotEvery: -1, WALDir: walDir, Provenance: true}
+	cfg := serve.Config{WALDir: walDir, Provenance: true}
 
 	srv, err := serve.Open(core.NewIncremental(n), 0, cfg)
 	if err != nil {

@@ -483,6 +483,38 @@ func TestClusterHTTPSurface(t *testing.T) {
 	}
 }
 
+// TestClusterEdgesBodyLimit: a POST /edges body past maxEdgesBody is
+// refused with 413 and a JSON error before any edge reaches a shard.
+func TestClusterEdgesBodyLimit(t *testing.T) {
+	l, err := StartLocal(16, 2, Config{})
+	if err != nil {
+		t.Fatalf("StartLocal: %v", err)
+	}
+	defer l.Close()
+	srv := httptest.NewServer(l.Router)
+	defer srv.Close()
+
+	body := `{"edges":[` + strings.Repeat("[0,1],", maxEdgesBody/6) + `[0,1]]}`
+	resp, err := srv.Client().Post(srv.URL+"/edges", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /edges: %v", err)
+	}
+	defer resp.Body.Close()
+	var e map[string]string
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /edges: status %d, want 413", resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e["error"] == "" {
+		t.Fatalf("oversized POST /edges: no JSON error body (decode err %v)", err)
+	}
+	if got := l.Router.EdgesAccepted(); got != 0 {
+		t.Fatalf("oversized body applied %d edges", got)
+	}
+	if conn, _ := l.Router.Connected(0, 1); conn {
+		t.Fatal("oversized body connected 0 and 1")
+	}
+}
+
 // TestConfigKnobBudget pins the exported Config fields to a literal
 // list, the way core's TestOptionsKnobBudget pins Options: a new knob
 // has to edit this list in the same change, so adding one is always

@@ -1232,6 +1232,11 @@ func (r *Router) handleCensus(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
+// maxEdgesBody caps a POST /edges body. It is far above any real batch
+// (a bulk edge costs about 20 bytes of JSON) and only stops a request
+// from making the router buffer an edge list of any size.
+const maxEdgesBody = 4 << 20
+
 // edgesRequest mirrors the single-node serve body: a single edge
 // {"u":1,"v":2} or a bulk batch {"edges":[[1,2],[3,4],...]}.
 type edgesRequest struct {
@@ -1243,10 +1248,15 @@ type edgesRequest struct {
 func (r *Router) handleEdges(w http.ResponseWriter, req *http.Request) {
 	r.reqs.edges.Inc()
 	var body edgesRequest
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxEdgesBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
-		r.httpError(w, http.StatusBadRequest, "bad body: "+err.Error())
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		r.httpError(w, code, "bad body: "+err.Error())
 		return
 	}
 	var edges []graph.Edge

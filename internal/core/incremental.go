@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"afforest/internal/concurrent"
@@ -102,15 +104,14 @@ func (inc *Incremental) AddEdgeAt(u, v graph.V, lsn uint64) bool {
 // regardless of interleaving. A non-nil tracer records one
 // edge_batch_apply span carrying the batch size and merge count — the
 // same span the serve layer's batcher emits per flush.
+//
+// The merge observer is loaded once per batch. With none installed the
+// batch runs a loop with no observer code at all: the observed loop
+// carries an indirect call site inside the merge branch, which forces
+// register spills around every LinkRecord even when it is never taken
+// (the 2% tripwire in bench_test.go holds the plain loop there). With
+// an observer installed the batch goes through ApplyBatch.
 func (inc *Incremental) AddEdges(edges []graph.Edge, parallelism int, tr *obs.Tracer) int64 {
-	return inc.AddEdgesAt(edges, 0, parallelism, tr)
-}
-
-// AddEdgesAt is AddEdges carrying the WAL LSN of the record the batch
-// rode in (every edge of a coalesced batch shares one log record). The
-// merge observer is loaded once per batch — the disabled path pays one
-// atomic load per flush, not per edge.
-func (inc *Incremental) AddEdgesAt(edges []graph.Edge, lsn uint64, parallelism int, tr *obs.Tracer) int64 {
 	if len(edges) == 0 {
 		return 0
 	}
@@ -118,43 +119,26 @@ func (inc *Incremental) AddEdgesAt(edges []graph.Edge, lsn uint64, parallelism i
 	if tr != nil {
 		span = tr.BeginPhase(obs.PhaseEdgeBatch)
 	}
-	mo := inc.mergeObserver()
-	p := inc.p // hoist the slice header out of the hot loop (the CAS barrier in LinkRecord blocks re-hoisting a field load)
-	var merged atomic.Int64
-	// Two loop bodies, selected once per batch: the observed variant
-	// carries an indirect call site inside the merge branch, which forces
-	// register spills around every LinkRecord even when mo is nil — so
-	// the off path gets a loop with no observer code at all (the 2%
-	// tripwire in bench_test.go holds it there).
-	body := func(lo, hi, _ int) {
-		var local int64
-		for _, e := range edges[lo:hi] {
-			if e.U != e.V && LinkRecord(p, e.U, e.V) {
-				local++
-			}
-		}
-		if local > 0 {
-			merged.Add(local)
-		}
-	}
-	if mo != nil {
-		body = func(lo, hi, _ int) {
+	var m int64
+	if inc.mergeObserver() != nil {
+		m = int64(len(inc.ApplyBatch(edges, 0, parallelism)))
+	} else {
+		p := inc.p // hoist the slice header out of the hot loop (the CAS barrier in LinkRecord blocks re-hoisting a field load)
+		var merged atomic.Int64
+		concurrent.ForRange(len(edges), parallelism, 256, func(lo, hi, _ int) {
 			var local int64
 			for _, e := range edges[lo:hi] {
 				if e.U != e.V && LinkRecord(p, e.U, e.V) {
 					local++
-					mo.OnMerge(e.U, e.V, lsn)
 				}
 			}
 			if local > 0 {
 				merged.Add(local)
 			}
+		})
+		if m = merged.Load(); m > 0 {
+			inc.components.Add(-m)
 		}
-	}
-	concurrent.ForRange(len(edges), parallelism, 256, body)
-	m := merged.Load()
-	if m > 0 {
-		inc.components.Add(-m)
 	}
 	if tr != nil {
 		tr.EndPhase(span, obs.PhaseStats{
@@ -166,22 +150,86 @@ func (inc *Incremental) AddEdgesAt(edges []graph.Edge, lsn uint64, parallelism i
 	return m
 }
 
-// AddEdgeMergeAt is AddEdgeAt that additionally reports which component
-// roots merged (winner survives, loser was hooked under it), for
-// callers that publish merge events. lsn is handed to the merge
-// observer alongside the causal edge. Safe for concurrent use.
-func (inc *Incremental) AddEdgeMergeAt(u, v graph.V, lsn uint64) (winner, loser graph.V, merged bool) {
-	if u == v {
-		return 0, 0, false
+// Merge is one component merge performed by ApplyBatch: the batch's
+// edge Edge (an index into the batch) hooked root Loser under the
+// component whose root is Winner.
+type Merge struct {
+	Edge   int32
+	Winner graph.V
+	Loser  graph.V
+}
+
+// ApplyBatch links a batch of edges in parallel, like AddEdges, and
+// returns the merges it performed. lsn is the WAL record the batch rode
+// in; it is handed to the merge observer, which is called inline once
+// per merge with the causal edge.
+//
+// The merges come back in descending Loser order, and Winner is the
+// pre-batch root of the vertex Loser was hooked under. Applied in that
+// order to the pre-batch partition, every merge joins two distinct
+// current roots (Winner < Loser, both component minima). A loser is a
+// pre-batch root, and so is each merge's Winner; a Winner's own merge,
+// if it has one, has a smaller Loser and comes later. A serial consumer
+// can therefore fold exact per-root sizes from the list alone.
+//
+// Finally every hooked loser and every edge endpoint is pointed at its
+// root, so streaming keeps trees shallow without an O(n) compress pass.
+//
+// Winner resolution walks π as the link pass left it, so it is exact
+// only when nothing else links or compresses π during the call; the
+// serve layer's batcher holds its view lock for that. Concurrent
+// callers still get every merge, with a Winner that may be a later
+// root.
+func (inc *Incremental) ApplyBatch(edges []graph.Edge, lsn uint64, parallelism int) []Merge {
+	if len(edges) == 0 {
+		return nil
 	}
-	winner, loser, merged = LinkRecordMerge(inc.p, u, v)
-	if merged {
-		inc.components.Add(-1)
-		if mo := inc.mergeObserver(); mo != nil {
-			mo.OnMerge(u, v, lsn)
+	mo := inc.mergeObserver()
+	p := inc.p
+	parts := make([][]Merge, concurrent.Procs(parallelism))
+	concurrent.ForRange(len(edges), parallelism, 256, func(lo, hi, w int) {
+		local := parts[w]
+		for i := lo; i < hi; i++ {
+			e := edges[i]
+			if e.U == e.V {
+				continue
+			}
+			if winner, loser, ok := LinkRecordMerge(p, e.U, e.V); ok {
+				local = append(local, Merge{Edge: int32(i), Winner: winner, Loser: loser})
+				if mo != nil {
+					mo.OnMerge(e.U, e.V, lsn)
+				}
+			}
 		}
+		parts[w] = local
+	})
+	merges := slices.Concat(parts...)
+	inc.components.Add(-int64(len(merges)))
+	slices.SortFunc(merges, func(a, b Merge) int { return cmp.Compare(b.Loser, a.Loser) })
+	// The hook vertex's path still runs through untouched pre-batch
+	// parents to its pre-batch root: the first vertex on it that is now
+	// a root or was hooked in this batch.
+	hooked := func(x graph.V) bool {
+		_, found := slices.BinarySearchFunc(merges, x, func(m Merge, x graph.V) int { return cmp.Compare(x, m.Loser) })
+		return found
 	}
-	return winner, loser, merged
+	for i := range merges {
+		x := merges[i].Winner
+		for px := p.Get(x); px != x && !hooked(x); px = p.Get(x) {
+			x = px
+		}
+		merges[i].Winner = x
+	}
+	for _, m := range merges {
+		Compress(p, m.Loser)
+	}
+	concurrent.ForRange(len(edges), parallelism, 256, func(lo, hi, _ int) {
+		for _, e := range edges[lo:hi] {
+			Compress(p, e.U)
+			Compress(p, e.V)
+		}
+	})
+	return merges
 }
 
 // MarkApplied advances the applied-LSN watermark to lsn if it is
@@ -243,11 +291,10 @@ func (inc *Incremental) Labels(parallelism int) []graph.V {
 
 // Snapshot compresses and returns a copy of the labeling that does not
 // alias live state: the caller owns it outright, and concurrent
-// insertions after Snapshot returns cannot perturb it. This is the
-// copy-on-read primitive behind the serve layer's lock-free census —
-// readers query an immutable snapshot while writers keep streaming into
-// π. Edges inserted concurrently with the Snapshot call itself may or
-// may not be reflected (each vertex's label is some linearized value).
+// insertions after Snapshot returns cannot perturb it. The serve layer
+// exports and persists labels through it. Edges inserted concurrently
+// with the Snapshot call itself may or may not be reflected (each
+// vertex's label is some linearized value).
 func (inc *Incremental) Snapshot(parallelism int) []graph.V {
 	CompressAll(inc.p, parallelism)
 	out := make([]graph.V, len(inc.p))
@@ -265,8 +312,10 @@ func (inc *Incremental) Components() []graph.V { return inc.Snapshot(0) }
 // ComponentSize returns the number of vertices currently in v's
 // component. It is an O(n) scan (no mutation, safe concurrently with
 // AddEdge); under streaming the result reflects some linearization, and
-// sizes only ever grow. Serving layers that need many size queries
-// should take one Snapshot and count labels there instead.
+// sizes only ever grow. Exact per-root sizes need every merge folded in
+// a known order, which concurrent AddEdge callers cannot provide without
+// a lock; a serving layer that serializes its batches can fold the
+// ApplyBatch merge lists instead.
 func (inc *Incremental) ComponentSize(v graph.V) int {
 	root := inc.p.Find(v)
 	size := 0

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -291,6 +293,115 @@ func TestIncrementalMixedConcurrentDurable(t *testing.T) {
 			if oracle[p.u] != oracle[p.v] {
 				t.Fatalf("reader %d: Connected(%d,%d) true but oracle disagrees", r, p.u, p.v)
 			}
+		}
+	}
+}
+
+// TestApplyBatchResolvesWinners: a hook may land on a non-root vertex
+// l (here 5, inside the tree 7→5→4→3), and l's pre-batch root 3 may
+// itself be hooked later in the same batch. ApplyBatch reports the
+// merge with winner 3, the root 9's component actually joined first in
+// descending-loser order, and compresses both losers and every endpoint.
+func TestApplyBatchResolvesWinners(t *testing.T) {
+	inc := NewIncremental(10)
+	inc.p[7], inc.p[5], inc.p[4] = 5, 4, 3
+	inc.components.Store(int64(inc.p.CountTrees()))
+	merges := inc.ApplyBatch([]graph.Edge{{U: 7, V: 9}, {U: 4, V: 1}}, 0, 1)
+	want := []Merge{{Edge: 0, Winner: 3, Loser: 9}, {Edge: 1, Winner: 1, Loser: 3}}
+	if !slices.Equal(merges, want) {
+		t.Fatalf("merges = %+v, want %+v", merges, want)
+	}
+	for _, v := range []graph.V{9, 3, 7, 4, 1} {
+		if got := inc.p.Get(v); got != 1 {
+			t.Errorf("π(%d) = %d after the batch, want root 1", v, got)
+		}
+	}
+	if inc.NumComponents() != 5 {
+		t.Errorf("components = %d, want 5", inc.NumComponents())
+	}
+}
+
+// mergeLog records every observed merge's causal edge.
+type mergeLog struct {
+	mu    sync.Mutex
+	edges []graph.Edge
+}
+
+func (m *mergeLog) OnMerge(u, v graph.V, _ uint64) {
+	m.mu.Lock()
+	m.edges = append(m.edges, graph.Edge{U: u, V: v})
+	m.mu.Unlock()
+}
+
+// TestApplyBatchFoldIsExact streams random batches through ApplyBatch
+// and replays each batch's merges, in the returned order, through a
+// serial union-find: every merge must join two distinct current roots,
+// the replay must reproduce the live partition, the observer must see
+// exactly the returned merges' causal edges, and every loser and
+// endpoint must point straight at its root afterwards.
+func TestApplyBatchFoldIsExact(t *testing.T) {
+	const n = 3000
+	for _, p := range []int{1, 2, 8} {
+		rng := rand.New(rand.NewSource(int64(p)))
+		inc := NewIncremental(n)
+		ob := &mergeLog{}
+		inc.SetMergeObserver(ob)
+		parent := make([]int, n) // the replay: roots are component minima
+		for i := range parent {
+			parent[i] = i
+		}
+		find := func(x int) int {
+			for parent[x] != x {
+				x = parent[x]
+			}
+			return x
+		}
+		total := 0
+		for batch := 0; batch < 60; batch++ {
+			edges := make([]graph.Edge, 1+rng.Intn(600))
+			for i := range edges {
+				edges[i] = graph.Edge{U: graph.V(rng.Intn(n)), V: graph.V(rng.Intn(n))}
+			}
+			ob.edges = ob.edges[:0]
+			merges := inc.ApplyBatch(edges, uint64(batch+1), p)
+			var causal []graph.Edge
+			for i, m := range merges {
+				if i > 0 && m.Loser >= merges[i-1].Loser {
+					t.Fatalf("p=%d batch %d: losers not strictly descending: %+v", p, batch, merges)
+				}
+				w, l := int(m.Winner), int(m.Loser)
+				if w >= l || find(w) != w || find(l) != l {
+					t.Fatalf("p=%d batch %d: merge %+v does not join two current roots", p, batch, m)
+				}
+				parent[l] = w
+				causal = append(causal, edges[m.Edge])
+			}
+			total += len(merges)
+			byEnds := func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) }
+			slices.SortFunc(causal, byEnds)
+			slices.SortFunc(ob.edges, byEnds)
+			if !slices.Equal(causal, ob.edges) {
+				t.Fatalf("p=%d batch %d: observer saw %d merges, ApplyBatch returned %d", p, batch, len(ob.edges), len(causal))
+			}
+			for v := 0; v < n; v++ {
+				if got, want := inc.Find(graph.V(v)), graph.V(find(v)); got != want {
+					t.Fatalf("p=%d batch %d: vertex %d has root %d, replay says %d", p, batch, v, got, want)
+				}
+			}
+			flat := func(v graph.V) bool { r := inc.p.Get(v); return inc.p.Get(r) == r }
+			for _, m := range merges {
+				if !flat(m.Loser) {
+					t.Fatalf("p=%d batch %d: loser %d not pointed at its root", p, batch, m.Loser)
+				}
+			}
+			for _, e := range edges {
+				if !flat(e.U) || !flat(e.V) {
+					t.Fatalf("p=%d batch %d: endpoint of %v not pointed at its root", p, batch, e)
+				}
+			}
+		}
+		if inc.NumComponents() != n-total {
+			t.Fatalf("p=%d: components = %d, want %d", p, inc.NumComponents(), n-total)
 		}
 	}
 }

@@ -33,13 +33,11 @@ func LinkRecord(p Parent, u, v graph.V) bool {
 	return false
 }
 
-// LinkRecordMerge is LinkRecord that additionally reports which roots
-// merged: when the hook CAS succeeds, winner is the surviving root
-// (the lower id l — under Invariant 1, roots are their trees' minima,
-// so winner remains the merged tree's root) and loser is the root that
-// was hooked underneath it. When no merge happens both are zero. This
-// is the observation point behind the serve layer's component-merge
-// event stream.
+// LinkRecordMerge is LinkRecord that additionally reports the hook:
+// when the CAS succeeds, loser is the root that was hooked and winner
+// is the lower-id vertex l it was hooked under. l is an ancestor of one
+// endpoint but not necessarily a root; ApplyBatch resolves it to one.
+// When no merge happens both are zero.
 func LinkRecordMerge(p Parent, u, v graph.V) (winner, loser graph.V, merged bool) {
 	p1 := p.Get(u)
 	p2 := p.Get(v)

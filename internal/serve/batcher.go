@@ -1,14 +1,16 @@
 package serve
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"afforest/internal/concurrent"
 	"afforest/internal/core"
 	"afforest/internal/graph"
 	"afforest/internal/obs"
+	"afforest/internal/provenance"
 	"afforest/internal/wal"
 )
 
@@ -31,12 +33,20 @@ type edgeBatcher struct {
 	applyHist   *obs.Histogram // per-flush apply wall time (may be nil)
 	epoch       time.Time      // origin of the spans' StartNS
 
+	// view orders readers against flushes. A flush holds it around the
+	// in-memory apply and size fold, never around the WAL append.
+	// /component and /census hold it shared to read sizes; Refresh and
+	// SaveSnapshot hold it shared to compress π, which must not happen
+	// while ApplyBatch resolves winners.
+	view  sync.RWMutex
+	sizes []int32 // exact size of every current root, 0 for non-roots
+
 	// Durability and event wiring, assigned by the server between
 	// construction and the run() launch (the batcher goroutine must not
 	// start before these are set).
 	wal      *wal.Log                                                  // nil = no write-ahead logging
 	hub      *eventHub                                                 // merge-event fan-out (may be nil)
-	sizeOf   func(graph.V) int                                         // census-snapshot size lookup for events
+	prov     *provenance.Forest                                        // records each flush's merges (nil = off)
 	onWALLag func(lsnDelta, byteDelta int64, appended, durable uint64) // post-flush durability gap report
 
 	submit chan *submission
@@ -67,7 +77,14 @@ func newEdgeBatcher(inc *core.Incremental, window time.Duration, maxBatch, paral
 	if maxBatch <= 0 {
 		maxBatch = 8192
 	}
-	b := &edgeBatcher{
+	// Seed the size table once from the compressed labeling; from here
+	// on every flush folds its own merges into it.
+	labels := inc.Labels(parallelism)
+	sizes := make([]int32, len(labels))
+	for _, l := range labels {
+		sizes[l]++
+	}
+	return &edgeBatcher{
 		inc:         inc,
 		window:      window,
 		maxBatch:    maxBatch,
@@ -76,10 +93,10 @@ func newEdgeBatcher(inc *core.Incremental, window time.Duration, maxBatch, paral
 		sinks:       sinks,
 		applyHist:   applyHist,
 		epoch:       time.Now(),
+		sizes:       sizes,
 		submit:      make(chan *submission, 1024),
 		done:        make(chan struct{}),
 	}
-	return b
 }
 
 // run is the batcher goroutine: collect, flush, repeat until the submit
@@ -146,25 +163,23 @@ func (b *edgeBatcher) collect(first *submission) (batch []*submission, open bool
 //     one fsync covers every request riding in the batch). A failed
 //     append refuses the batch — nothing is applied, every submission
 //     gets the error, the durability contract "ack ⇒ replayable" holds.
-//  2. Link every edge in one parallel pass, collecting the component
-//     merges each link performed.
-//  3. Advance the applied-LSN watermark, publish the merges to the SSE
-//     hub, report the durability gap, and reply to each submission.
+//  2. Under the view lock, link every edge in one parallel pass
+//     (Incremental.ApplyBatch), fold its merges into the per-root size
+//     table, and advance the applied-LSN watermark. Readers holding the
+//     lock shared see the state after some whole batch.
+//  3. Record the merges in the provenance forest, publish them to the
+//     SSE hub, report the durability gap, and reply to each submission.
 func (b *edgeBatcher) flush(batch []*submission) {
-	type flatEdge struct {
-		u, v graph.V
-		sub  int32
-	}
 	total := 0
 	for _, s := range batch {
 		total += len(s.edges)
 	}
-	flat := make([]flatEdge, 0, total)
 	all := make([]graph.Edge, 0, total)
+	subOf := make([]int32, 0, total) // submission index of each edge
 	for i, s := range batch {
-		for _, e := range s.edges {
-			flat = append(flat, flatEdge{u: e.U, v: e.V, sub: int32(i)})
-			all = append(all, e)
+		all = append(all, s.edges...)
+		for range s.edges {
+			subOf = append(subOf, int32(i))
 		}
 	}
 
@@ -181,40 +196,42 @@ func (b *edgeBatcher) flush(batch []*submission) {
 		lsn = uint64(l)
 	}
 
-	mergedPer := make([]int64, len(batch))
-	var eventMu sync.Mutex
+	mergedPer := make([]int, len(batch))
 	var events []MergeEvent
-	collect := b.hub != nil
+	b.view.Lock()
 	applyStart := time.Now()
-	if len(flat) > 0 {
-		concurrent.ForRange(len(flat), b.parallelism, 256, func(lo, hi, _ int) {
-			var local []MergeEvent
-			for i := lo; i < hi; i++ {
-				e := flat[i]
-				winner, loser, merged := b.inc.AddEdgeMergeAt(e.u, e.v, lsn)
-				if !merged {
-					continue
-				}
-				atomic.AddInt64(&mergedPer[e.sub], 1)
-				if collect {
-					local = append(local, MergeEvent{
-						LSN: lsn, U: e.u, V: e.v, Winner: winner, Loser: loser,
-						WinnerSize: b.sizeOf(winner), LoserSize: b.sizeOf(loser),
-					})
-				}
-			}
-			if len(local) > 0 {
-				eventMu.Lock()
-				events = append(events, local...)
-				eventMu.Unlock()
-			}
-		})
+	merges := b.inc.ApplyBatch(all, lsn, b.parallelism)
+	// ApplyBatch orders the merges so that each one joins two current
+	// roots: both sizes are exact when read, and the fold keeps them so.
+	for _, m := range merges {
+		mergedPer[subOf[m.Edge]]++
+		ws, ls := b.sizes[m.Winner], b.sizes[m.Loser]
+		b.sizes[m.Winner], b.sizes[m.Loser] = ws+ls, 0
+		if b.hub != nil {
+			e := all[m.Edge]
+			events = append(events, MergeEvent{
+				LSN: lsn, U: e.U, V: e.V, Winner: m.Winner, Loser: m.Loser,
+				WinnerSize: int(ws), LoserSize: int(ls),
+			})
+		}
 	}
 	applyDur := time.Since(applyStart)
-	var merged int64
-	for _, m := range mergedPer {
-		merged += m
+	if lsn > 0 {
+		b.inc.MarkApplied(lsn)
 	}
+	b.accepted.Add(int64(total))
+	b.view.Unlock()
+
+	if b.prov != nil {
+		// In edge order, the order WAL replay records them in, so a
+		// restart rebuilds the same forest.
+		slices.SortFunc(merges, func(x, y core.Merge) int { return cmp.Compare(x.Edge, y.Edge) })
+		for _, m := range merges {
+			e := all[m.Edge]
+			b.prov.OnMerge(e.U, e.V, lsn)
+		}
+	}
+	merged := int64(len(merges))
 	if b.applyHist != nil {
 		b.applyHist.ObserveDuration(applyDur)
 	}
@@ -231,10 +248,7 @@ func (b *edgeBatcher) flush(batch []*submission) {
 	for _, sink := range b.sinks {
 		sink.Emit(sp)
 	}
-	if lsn > 0 {
-		b.inc.MarkApplied(lsn)
-	}
-	if collect && len(events) > 0 {
+	if len(events) > 0 {
 		b.hub.publish(events)
 	}
 	if b.wal != nil && b.onWALLag != nil {
@@ -245,7 +259,6 @@ func (b *edgeBatcher) flush(batch []*submission) {
 	b.batches.Add(1)
 	b.batchedEdges.Add(int64(total))
 	b.merges.Add(merged)
-	b.accepted.Add(int64(total))
 	for {
 		max := b.maxSeen.Load()
 		if int64(total) <= max || b.maxSeen.CompareAndSwap(max, int64(total)) {
@@ -253,6 +266,6 @@ func (b *edgeBatcher) flush(batch []*submission) {
 		}
 	}
 	for i, s := range batch {
-		s.reply <- submitResult{accepted: len(s.edges), merged: int(mergedPer[i]), lsn: lsn}
+		s.reply <- submitResult{accepted: len(s.edges), merged: mergedPer[i], lsn: lsn}
 	}
 }

@@ -10,12 +10,12 @@ import (
 	"afforest/internal/graph"
 )
 
-// MergeEvent is one component merge as observed by the write path: the
-// hook CAS joined loser's tree under winner's (winner survives as the
-// merged component's root). Sizes are read from the most recently
-// published census snapshot, so they are approximate under load —
-// winner_size in particular may already include loser's vertices if
-// the snapshot refreshed between the merge and the lookup.
+// MergeEvent is one component merge as observed by the write path:
+// loser's component joined winner's, and winner survives as the merged
+// component's root. A batch's events are published in descending loser
+// order, which makes both of them current roots (component minima) when
+// the events are replayed in seq order; the sizes are those roots'
+// exact sizes just before the merge.
 type MergeEvent struct {
 	Seq uint64 `json:"seq"`
 	LSN uint64 `json:"lsn,omitempty"` // WAL record that carried the edge (0 without a WAL)
@@ -44,6 +44,10 @@ type eventSubscriber struct {
 // resume on GET /events.
 const eventRingCap = 1024
 
+// subscriberQueue bounds each SSE subscriber's queue: a client that
+// falls this far behind is evicted.
+const subscriberQueue = 256
+
 // eventHub fans component-merge events out to SSE subscribers. The
 // ring always collects the last eventRingCap events even with no
 // subscribers connected, so a late or reconnecting client can resume
@@ -61,12 +65,9 @@ type eventHub struct {
 	evictions int64
 }
 
-func newEventHub(queueLen int) *eventHub {
-	if queueLen <= 0 {
-		queueLen = 256
-	}
+func newEventHub() *eventHub {
 	return &eventHub{
-		queueLen: queueLen,
+		queueLen: subscriberQueue,
 		subs:     map[*eventSubscriber]struct{}{},
 	}
 }

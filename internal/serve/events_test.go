@@ -35,26 +35,32 @@ func postEdge(t *testing.T, url string, u, v int) map[string]any {
 }
 
 // sseClient reads an /events stream, decoding data frames and tracking
-// the last id line, until the stream ends or maxEvents arrive.
+// the last id line, until the stream ends or maxEvents arrive. It
+// reports failures with t.Error, so goroutines other than the test's
+// own may call it.
 func sseClient(t *testing.T, url string, lastID string, maxEvents int) (events []MergeEvent, finalID string) {
 	t.Helper()
 	req, err := http.NewRequest("GET", url+"/events", nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil, lastID
 	}
 	if lastID != "" {
 		req.Header.Set("Last-Event-ID", lastID)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil, lastID
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /events: status %d", resp.StatusCode)
+		t.Errorf("GET /events: status %d", resp.StatusCode)
+		return nil, lastID
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("GET /events: content-type %q", ct)
+		t.Errorf("GET /events: content-type %q", ct)
+		return nil, lastID
 	}
 	sc := bufio.NewScanner(resp.Body)
 	finalID = lastID
@@ -66,7 +72,8 @@ func sseClient(t *testing.T, url string, lastID string, maxEvents int) (events [
 		case strings.HasPrefix(line, "data: "):
 			var ev MergeEvent
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-				t.Fatalf("bad event frame %q: %v", line, err)
+				t.Errorf("bad event frame %q: %v", line, err)
+				return events, finalID
 			}
 			events = append(events, ev)
 			if len(events) >= maxEvents {
@@ -82,8 +89,8 @@ func sseClient(t *testing.T, url string, lastID string, maxEvents int) (events [
 // (roots are component minima) and the WAL's LSN attached.
 func TestEventsStreamDeliversMerges(t *testing.T) {
 	srv, err := Open(core.NewIncremental(64), 0, Config{
-		BatchWindow: -1, SnapshotEvery: -1,
-		WALDir: t.TempDir() + "/wal",
+		BatchWindow: -1,
+		WALDir:      t.TempDir() + "/wal",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +146,8 @@ func TestEventsStreamDeliversMerges(t *testing.T) {
 // with Last-Event-ID receives every merge it missed from the ring.
 func TestEventsResumeFromLastID(t *testing.T) {
 	srv, err := Open(core.NewIncremental(256), 0, Config{
-		BatchWindow: -1, SnapshotEvery: -1,
-		WALDir: t.TempDir() + "/wal",
+		BatchWindow: -1,
+		WALDir:      t.TempDir() + "/wal",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,9 +202,8 @@ func TestEventsResumeFromLastID(t *testing.T) {
 // and the eviction is visible in /stats.
 func TestEventsSlowClientEviction(t *testing.T) {
 	srv, err := Open(core.NewIncremental(1<<14), 0, Config{
-		BatchWindow: -1, SnapshotEvery: -1,
-		WALDir:          t.TempDir() + "/wal",
-		SubscriberQueue: 4, // tiny queue: a few unread merges evict
+		BatchWindow: -1,
+		WALDir:      t.TempDir() + "/wal",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +212,9 @@ func TestEventsSlowClientEviction(t *testing.T) {
 	defer ts.Close()
 	defer srv.Close()
 
-	// A raw subscriber that never reads its channel.
+	// A raw subscriber that never reads its channel, with a tiny queue:
+	// a few unread merges evict it.
+	srv.hub.queueLen = 4
 	sub, _ := srv.hub.subscribe(0)
 	if sub == nil {
 		t.Fatal("subscribe refused")
@@ -253,8 +261,8 @@ func drainUntilClosed(ch chan MergeEvent) chan struct{} {
 // batch's events.
 func TestEventsCloseDuringDrain(t *testing.T) {
 	srv, err := Open(core.NewIncremental(64), 0, Config{
-		BatchWindow: -1, SnapshotEvery: -1,
-		WALDir: t.TempDir() + "/wal",
+		BatchWindow: -1,
+		WALDir:      t.TempDir() + "/wal",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +308,7 @@ func TestEventsCloseDuringDrain(t *testing.T) {
 func TestWALSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	walDir := dir + "/wal"
-	cfg := Config{BatchWindow: -1, SnapshotEvery: -1, WALDir: walDir}
+	cfg := Config{BatchWindow: -1, WALDir: walDir}
 
 	srv, err := Open(core.NewIncremental(100), 0, cfg)
 	if err != nil {

@@ -53,7 +53,7 @@ func explainHops(t *testing.T, body map[string]any) [][2]uint64 {
 // depth gauge moves.
 func TestExplainEndpoint(t *testing.T) {
 	srv, err := Open(core.NewIncremental(64), 0, Config{
-		BatchWindow: -1, SnapshotEvery: -1, Provenance: true,
+		BatchWindow: -1, Provenance: true,
 		WALDir: t.TempDir() + "/wal",
 	})
 	if err != nil {
@@ -124,8 +124,8 @@ func TestExplainEndpoint(t *testing.T) {
 // answer 404 with a hint, and the write path carries no forest.
 func TestExplainDisabled(t *testing.T) {
 	srv, err := Open(core.NewIncremental(16), 0, Config{
-		BatchWindow: -1, SnapshotEvery: -1,
-		WALDir: t.TempDir() + "/wal",
+		BatchWindow: -1,
+		WALDir:      t.TempDir() + "/wal",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestExplainBootstrapGap(t *testing.T) {
 	pre := core.NewIncremental(16)
 	pre.AddEdge(0, 1) // merged before any forest exists
 	srv, err := Open(pre, 1, Config{
-		BatchWindow: -1, SnapshotEvery: -1, Provenance: true,
+		BatchWindow: -1, Provenance: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestExplainBootstrapGap(t *testing.T) {
 // identical across a crash — and still sound against the posted edges.
 func TestExplainSurvivesWALRestart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{BatchWindow: -1, SnapshotEvery: -1, Provenance: true, WALDir: dir + "/wal"}
+	cfg := Config{BatchWindow: -1, Provenance: true, WALDir: dir + "/wal"}
 	srv, err := Open(core.NewIncremental(128), 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestExplainDepthBlowupRule(t *testing.T) {
 	reg := obs.NewRegistry()
 	det := obs.NewAnomalyDetector(reg)
 	srv, err := Open(core.NewIncremental(1024), 0, Config{
-		BatchWindow: -1, SnapshotEvery: -1, Provenance: true,
+		BatchWindow: -1, Provenance: true,
 		Registry: reg, Anomaly: det,
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -17,8 +18,7 @@ import (
 // fuzzServer is shared across fuzz iterations: the service is a
 // long-lived stateful index, so hammering one instance with arbitrary
 // requests — mutating writes included — is exactly its production
-// shape. Negative BatchWindow flushes writes immediately; negative
-// SnapshotEvery keeps the snapshot loop quiet.
+// shape. Negative BatchWindow flushes writes immediately.
 var (
 	fuzzOnce sync.Once
 	fuzzSrv  *Server
@@ -29,7 +29,7 @@ func fuzzServer() *Server {
 		g := graph.Build([]graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 4, V: 5}},
 			graph.BuildOptions{NumVertices: 8})
 		var err error
-		fuzzSrv, err = Bootstrap(g, Config{BatchWindow: -1, SnapshotEvery: -1})
+		fuzzSrv, err = Bootstrap(g, Config{BatchWindow: -1})
 		if err != nil {
 			panic(err)
 		}
@@ -41,6 +41,9 @@ func fuzzServer() *Server {
 // bodies at the full handler mux. The server must never panic, must
 // answer every request with a defined status, and must keep its vertex
 // set intact (handlers can merge components, never grow or shrink π).
+// After every request the served sizes must still be exact: the roots'
+// sizes sum to |V|, /census counts inc's components, and every
+// /component answer agrees with the census.
 func FuzzServeHandlers(f *testing.F) {
 	f.Add("GET", "/connected?u=0&v=1", []byte(nil))
 	f.Add("GET", "/connected?u=0&v=99", []byte(nil))
@@ -100,7 +103,45 @@ func FuzzServeHandlers(f *testing.F) {
 		if !srv.inc.Connected(0, 2) {
 			t.Fatalf("%s %q split a component", method, target)
 		}
+		var census struct {
+			Components int         `json:"components"`
+			Top        []Component `json:"top"`
+		}
+		serveJSON(t, srv, "/census?top=8", &census)
+		sizes := map[graph.V]int{}
+		total := 0
+		for _, c := range census.Top {
+			sizes[c.Label] = c.Size
+			total += c.Size
+		}
+		if total != 8 || census.Components != len(census.Top) || census.Components != srv.inc.NumComponents() {
+			t.Fatalf("%s %q: /census = %+v (sizes sum to %d), inc has %d components",
+				method, target, census, total, srv.inc.NumComponents())
+		}
+		for v := 0; v < 8; v++ {
+			var c struct {
+				Label graph.V `json:"label"`
+				Size  int     `json:"size"`
+			}
+			serveJSON(t, srv, fmt.Sprintf("/component?v=%d", v), &c)
+			if c.Label != srv.inc.Find(graph.V(v)) || c.Size != sizes[c.Label] {
+				t.Fatalf("%s %q: /component?v=%d = %+v, census %v", method, target, v, c, census.Top)
+			}
+		}
 	})
+}
+
+// serveJSON answers one GET in-process and decodes its 200 body.
+func serveJSON(t *testing.T, h http.Handler, target string, out any) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: status %d", target, rec.Code)
+	}
+	if err := json.NewDecoder(rec.Body).Decode(out); err != nil {
+		t.Fatalf("GET %s: %v", target, err)
+	}
 }
 
 // validMethod mirrors net/http's token check: fuzz inputs with spaces

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -100,7 +103,7 @@ func (u *unionFind) union(a, b int) {
 func TestServeEndToEnd(t *testing.T) {
 	g := gen.Kronecker(10, 8, gen.Graph500, 99)
 	n := g.NumVertices()
-	srv, err := Bootstrap(g, Config{BatchWindow: 500 * time.Microsecond, SnapshotEvery: -1})
+	srv, err := Bootstrap(g, Config{BatchWindow: 500 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +179,6 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// The /census must match the oracle exactly (sizes and count).
-	srv.Refresh()
 	oracleSizes := map[int]int{}
 	for v := 0; v < n; v++ {
 		oracleSizes[uf.find(v)]++
@@ -231,7 +233,7 @@ func TestServeEndToEnd(t *testing.T) {
 // races the stream; late writes get 503, never silent loss.
 func TestServeGracefulDrain(t *testing.T) {
 	const n = 5000
-	srv := New(core.NewIncremental(n), 0, Config{BatchWindow: 2 * time.Millisecond, SnapshotEvery: -1})
+	srv := New(core.NewIncremental(n), 0, Config{BatchWindow: 2 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -299,7 +301,7 @@ func TestServeGracefulDrain(t *testing.T) {
 // check the restored server answers identically and keeps streaming.
 func TestServeSnapshotPersistence(t *testing.T) {
 	g := gen.URandDegree(3000, 8, 13)
-	srv, err := Bootstrap(g, Config{SnapshotEvery: -1})
+	srv, err := Bootstrap(g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +318,7 @@ func TestServeSnapshotPersistence(t *testing.T) {
 	if err := srv.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(path, Config{SnapshotEvery: -1})
+	restored, err := Restore(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,21 +326,17 @@ func TestServeSnapshotPersistence(t *testing.T) {
 	if restored.EdgesAccepted() != srv.EdgesAccepted() {
 		t.Fatalf("restored edges = %d, want %d", restored.EdgesAccepted(), srv.EdgesAccepted())
 	}
-	a, b := srv.Snapshot(), restored.Snapshot()
-	if a.NumComponents() != b.NumComponents() {
-		t.Fatalf("restored components = %d, want %d", b.NumComponents(), a.NumComponents())
+	if restored.NumComponents() != srv.NumComponents() {
+		t.Fatalf("restored components = %d, want %d", restored.NumComponents(), srv.NumComponents())
 	}
-	for v := range a.Labels {
-		_, sa := a.ComponentOf(graph.V(v))
-		_, sb := b.ComponentOf(graph.V(v))
-		if sa != sb {
-			t.Fatalf("vertex %d: size %d vs restored %d", v, sa, sb)
-		}
+	a, b := srv.Refresh().Labels, restored.Refresh().Labels
+	if !slices.Equal(a, b) {
+		t.Fatal("restored labels differ from the saved server's")
 	}
 }
 
 func TestServeErrorPaths(t *testing.T) {
-	srv := New(core.NewIncremental(10), 0, Config{SnapshotEvery: -1})
+	srv := New(core.NewIncremental(10), 0, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -396,7 +394,7 @@ func TestServeErrorPaths(t *testing.T) {
 // TestServeStatsAndBatching checks the /stats counter set and that
 // concurrent single-edge posts actually coalesce into fewer batches.
 func TestServeStatsAndBatching(t *testing.T) {
-	srv := New(core.NewIncremental(1000), 0, Config{BatchWindow: 30 * time.Millisecond, SnapshotEvery: -1})
+	srv := New(core.NewIncremental(1000), 0, Config{BatchWindow: 30 * time.Millisecond})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -444,26 +442,120 @@ func TestServeStatsAndBatching(t *testing.T) {
 	}
 }
 
-// TestServePeriodicSnapshot: the background loop publishes fresh
-// snapshots without explicit Refresh calls.
-func TestServePeriodicSnapshot(t *testing.T) {
-	srv := New(core.NewIncremental(100), 0, Config{SnapshotEvery: 5 * time.Millisecond})
+// TestServeEdgesBodyLimit: a POST /edges body past maxEdgesBody is
+// refused with 413 and a JSON error before anything is enqueued.
+func TestServeEdgesBodyLimit(t *testing.T) {
+	srv := New(core.NewIncremental(16), 0, Config{BatchWindow: -1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	first := srv.Snapshot().Seq
-	postEdges(t, &http.Client{}, ts.URL, []graph.Edge{{U: 0, V: 1}})
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		snap := srv.Snapshot()
-		if snap.Seq > first && snap.NumComponents() == 99 {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	body := `{"edges":[` + strings.Repeat("[0,1],", maxEdgesBody/6) + `[0,1]]}`
+	resp, err := http.Post(ts.URL+"/edges", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("snapshot never refreshed: seq=%d components=%d",
-		srv.Snapshot().Seq, srv.Snapshot().NumComponents())
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /edges: status %d, want 413", resp.StatusCode)
+	}
+	var e map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e["error"] == "" {
+		t.Fatalf("oversized POST /edges: no JSON error body (decode err %v)", err)
+	}
+	if srv.EdgesAccepted() != 0 || srv.batcher.batches.Load() != 0 || srv.inc.Connected(0, 1) {
+		t.Fatal("oversized body was enqueued or applied")
+	}
+}
+
+// TestStatsRequestsMatchMetrics: /stats "requests" lists every handler
+// label of afforest_http_requests_total with the value /metrics shows.
+func TestStatsRequestsMatchMetrics(t *testing.T) {
+	srv := New(core.NewIncremental(16), 0, Config{BatchWindow: -1, Provenance: true})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	postEdges(t, &http.Client{}, ts.URL, []graph.Edge{{U: 0, V: 1}})
+	for _, path := range []string{"/connected?u=0&v=1", "/component?v=1", "/census", "/explain?u=0&v=1",
+		"/history?v=1", "/healthz", "/stats", "/metrics", "/events"} {
+		// Each answer's headers are enough; /events would stream forever.
+		ctx, cancel := context.WithCancel(context.Background())
+		req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		cancel()
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scraped := map[string]int64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var handler string
+		var v int64
+		if _, err := fmt.Sscanf(sc.Text(), `afforest_http_requests_total{handler=%q} %d`, &handler, &v); err == nil {
+			scraped[handler] = v
+		}
+	}
+	resp.Body.Close()
+	var stats struct {
+		Requests map[string]int64 `json:"requests"`
+	}
+	getJSON(t, ts.URL+"/stats", &stats)
+	scraped["stats"]++ // this /stats request counts itself
+	if len(scraped) != 10 {
+		t.Fatalf("scraped %d handler labels, want 10: %v", len(scraped), scraped)
+	}
+	for h, v := range scraped {
+		got, ok := stats.Requests[h]
+		if !ok || got != v || v == 0 {
+			t.Errorf("handler %q: /stats requests %d (listed %v), /metrics %d", h, got, ok, v)
+		}
+	}
+}
+
+// TestServeReadsAreFresh: an acknowledged write shows in /component and
+// /census at once, with no Refresh call and no background refresh.
+func TestServeReadsAreFresh(t *testing.T) {
+	srv := New(core.NewIncremental(100), 0, Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	type component struct {
+		Label graph.V `json:"label"`
+		Size  int     `json:"size"`
+	}
+	type census struct {
+		Components int         `json:"components"`
+		Top        []Component `json:"top"`
+	}
+	for i, e := range []graph.Edge{{U: 7, V: 9}, {U: 9, V: 3}, {U: 50, V: 51}, {U: 51, V: 3}} {
+		if _, _, status := postEdges(t, &http.Client{}, ts.URL, []graph.Edge{e}); status != http.StatusOK {
+			t.Fatalf("POST /edges status %d", status)
+		}
+		var c component
+		getJSON(t, fmt.Sprintf("%s/component?v=%d", ts.URL, e.V), &c)
+		var cs census
+		getJSON(t, ts.URL+"/census?top=1", &cs)
+		wantSize := []int{2, 3, 2, 5}[i]
+		wantLabel := []graph.V{7, 3, 50, 3}[i]
+		if c.Size != wantSize || c.Label != wantLabel {
+			t.Fatalf("after edge %v: /component?v=%d = %+v, want label %d size %d", e, e.V, c, wantLabel, wantSize)
+		}
+		top := Component{Label: wantLabel, Size: wantSize}
+		if i == 2 {
+			top = Component{Label: 3, Size: 3}
+		}
+		if cs.Components != 100-(i+1) || len(cs.Top) != 1 || cs.Top[0] != top {
+			t.Fatalf("after edge %v: /census?top=1 = %+v, want %d components, top %+v", e, cs, 100-(i+1), top)
+		}
+	}
 }
 
 // TestConfigKnobBudget pins the exported Config fields to a literal
@@ -472,9 +564,9 @@ func TestServePeriodicSnapshot(t *testing.T) {
 // visible in review.
 func TestConfigKnobBudget(t *testing.T) {
 	want := []string{
-		"BatchWindow", "MaxBatch", "SnapshotEvery", "Parallelism",
+		"BatchWindow", "MaxBatch", "Parallelism",
 		"Registry", "Anomaly", "Flight", "WALDir", "WALSegmentBytes",
-		"WALNoSync", "WAL", "SubscriberQueue", "Provenance",
+		"WALNoSync", "WAL", "Provenance",
 	}
 	var got []string
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {

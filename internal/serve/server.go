@@ -7,22 +7,23 @@
 // core:
 //
 //	GET  /connected?u=&v=   point connectivity (live, lock-free)
-//	GET  /component?v=      label + component size (snapshot)
-//	GET  /census?top=       component census (snapshot)
+//	GET  /component?v=      label + exact component size (live)
+//	GET  /census?top=       component count + K largest (live)
 //	POST /edges             insert edges, single or bulk (batched)
 //	GET  /stats             counters, QPS, latency percentiles
 //	GET  /metrics           Prometheus text exposition (obs registry)
 //	GET  /healthz           liveness
 //
-// Writes coalesce into batches on the shared worker pool (edgeBatcher);
-// census-shaped reads go through a periodically refreshed copy-on-read
-// snapshot (Snapshot) so they never contend with the write path; Close
-// drains in-flight batches before returning; SaveSnapshot/Restore
+// Writes coalesce into batches on the shared worker pool (edgeBatcher).
+// Each flush folds its merges into an exact per-root size table, which
+// /component, /census and the /events sizes read between batches;
+// Close drains in-flight batches before returning; SaveSnapshot/Restore
 // persist π for restart-without-rebuild.
 package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -47,11 +48,8 @@ type Config struct {
 	BatchWindow time.Duration
 	// MaxBatch caps edges per coalesced batch (0 = default 8192).
 	MaxBatch int
-	// SnapshotEvery is the period of the census snapshot refresh
-	// (0 = default 250ms; negative = only on demand via Refresh).
-	SnapshotEvery time.Duration
 	// Parallelism bounds worker goroutines for the bootstrap run, batch
-	// links and snapshot building (0 = GOMAXPROCS).
+	// links and label exports (0 = GOMAXPROCS).
 	Parallelism int
 	// Registry receives the server's metrics and backs GET /metrics.
 	// nil means a fresh private registry; share one to aggregate
@@ -80,9 +78,6 @@ type Config struct {
 	// WAL injects a pre-opened log instead of WALDir (tests, custom
 	// filesystems). The server takes ownership and closes it on Close.
 	WAL *wal.Log
-	// SubscriberQueue bounds each SSE subscriber's queue; a client that
-	// falls this far behind is evicted (0 = 256).
-	SubscriberQueue int
 	// Provenance enables the merge-forest: every successful merge records
 	// its causal input edge, GET /explain and GET /history answer from it,
 	// and WAL replay rebuilds it. Off (the default), the write path pays
@@ -100,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 8192
-	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 250 * time.Millisecond
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -130,10 +122,6 @@ type Server struct {
 	inc *core.Incremental
 	mux *http.ServeMux
 
-	snap    atomic.Pointer[Snapshot]
-	snapSeq atomic.Uint64
-	snapMu  sync.Mutex // serializes Refresh (seq/publication order)
-
 	batcher *edgeBatcher
 	writeMu sync.RWMutex // guards closed vs. in-flight enqueues
 	closed  bool
@@ -150,9 +138,6 @@ type Server struct {
 	provRecords *obs.Gauge         // afforest_provenance_records
 
 	edges atomic.Int64 // accepted edges (initial graph + streamed)
-
-	stopSnap chan struct{}
-	snapDone chan struct{}
 
 	started  time.Time
 	counts   counters
@@ -199,7 +184,7 @@ func newCounters(reg *obs.Registry) counters {
 		healthz:   h("healthz"),
 		bad:       reg.Counter("afforest_http_errors_total", "Requests answered with a 4xx status."),
 		rejected:  reg.Counter("afforest_writes_rejected_total", "Edge submissions refused during shutdown drain."),
-		snapshots: reg.Counter("afforest_snapshots_total", "Census snapshots published."),
+		snapshots: reg.Counter("afforest_snapshots_total", "Label exports cut on demand by Refresh."),
 	}
 }
 
@@ -218,8 +203,6 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 		cfg:      cfg,
 		inc:      inc,
 		mux:      http.NewServeMux(),
-		stopSnap: make(chan struct{}),
-		snapDone: make(chan struct{}),
 		started:  time.Now(),
 		counts:   newCounters(reg),
 		readLat:  stats.NewLatencyRecorder(stats.DefaultLatencyWindow),
@@ -240,20 +223,24 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 		cfg.Anomaly.AttachFlight(cfg.Flight)
 		concurrent.DefaultPool().SetFlight(cfg.Flight)
 	}
-	// The worker pool that executes batch flushes and snapshot builds is
+	// The worker pool that executes batch flushes and label exports is
 	// process-wide; report its utilization here. Deliberately global:
 	// with several servers the last one wins, matching the pool itself.
 	pm := obs.NewPoolMetrics(reg)
 	pm.OnJob = cfg.Anomaly.ObserveImbalance
 	concurrent.DefaultPool().SetMetrics(pm)
-	// Provenance: install the merge-forest (or adopt the one Open built
-	// before WAL replay) so every merge from here on records its causal
-	// edge. Gauges make forest growth visible without hitting /debug.
+	// Provenance: create the merge-forest (or adopt the one Open built
+	// and installed on inc so WAL replay recorded into it). From here on
+	// the batcher records each flush's merges itself, after it releases
+	// the view lock: an observer called under that lock would hold every
+	// size reader behind the forest's lock, which /history holds for its
+	// whole scan. Gauges make forest growth visible without hitting
+	// /debug.
 	if cfg.Provenance {
 		if cfg.prov == nil {
 			cfg.prov = provenance.NewForest(inc.NumVertices())
-			inc.SetMergeObserver(cfg.prov)
 		}
+		inc.SetMergeObserver(nil)
 		s.prov = cfg.prov
 		s.provDepth = reg.Gauge("afforest_witness_depth",
 			"Hop count of the most recent /explain witness path.")
@@ -265,7 +252,7 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 		s.provMem.Set(float64(st.MemoryBytes))
 		s.provRecords.Set(float64(st.Records))
 	}
-	s.hub = newEventHub(cfg.SubscriberQueue)
+	s.hub = newEventHub()
 	s.wal = cfg.WAL
 	if s.wal != nil {
 		s.walLSN = reg.Gauge("afforest_wal_appended_lsn",
@@ -277,23 +264,17 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 		s.walDur.Set(float64(ws.DurableLSN))
 	}
 	// The batcher bumps s.edges inside flush, before replying, so the
-	// post-drain snapshot's edge count is exact. With a WAL it appends
-	// and fsyncs each coalesced batch before applying it (write-ahead),
-	// then reports the durability gap to the gauges and the wal_lag rule.
+	// post-drain edge count is exact. It seeds the size table from inc
+	// once here. With a WAL it appends and fsyncs each coalesced batch
+	// before applying it (write-ahead), then reports the durability gap
+	// to the gauges and the wal_lag rule.
 	s.batcher = newEdgeBatcher(inc, cfg.BatchWindow, cfg.MaxBatch, cfg.Parallelism, &s.edges,
 		cfg.sinks(),
 		reg.Histogram("afforest_edge_apply_ns",
 			"Wall time of one coalesced edge-batch parallel apply.", obs.DefaultLatencyBuckets))
 	s.batcher.wal = s.wal
 	s.batcher.hub = s.hub
-	s.batcher.sizeOf = func(v graph.V) int {
-		snap := s.snap.Load()
-		if snap == nil {
-			return 0
-		}
-		_, size := snap.ComponentOf(v)
-		return size
-	}
+	s.batcher.prov = s.prov
 	if s.wal != nil {
 		s.batcher.onWALLag = func(lsnDelta, byteDelta int64, appended, durable uint64) {
 			s.walLSN.Set(float64(appended))
@@ -317,8 +298,6 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 		s.counts.metrics.Inc()
 		metricsHandler.ServeHTTP(w, r)
 	})
-	s.Refresh()
-	go s.snapshotLoop()
 	return s
 }
 
@@ -441,14 +420,15 @@ func Restore(path string, cfg Config) (*Server, error) {
 
 // SaveSnapshot persists the current labeling, accepted-edge count, and
 // WAL watermark to path, then truncates log segments the snapshot has
-// made redundant. Call after Close for a consistent shutdown snapshot,
-// or any time for a fuzzy online one: the watermark is captured before
-// the labels, so it can only undershoot — replay re-applies the
-// overlap, which union-find absorbs idempotently.
+// made redundant. It may be called at any time: the three are cut
+// between whole batches, so they agree with each other.
 func (s *Server) SaveSnapshot(path string) error {
+	s.batcher.view.RLock()
 	lsn := s.inc.AppliedLSN()
 	labels := s.inc.Snapshot(s.cfg.Parallelism)
-	if err := graph.SaveLabelSnapshot(path, labels, s.edges.Load(), lsn); err != nil {
+	edges := s.edges.Load()
+	s.batcher.view.RUnlock()
+	if err := graph.SaveLabelSnapshot(path, labels, edges, lsn); err != nil {
 		return err
 	}
 	if s.wal != nil {
@@ -470,43 +450,25 @@ func (s *Server) NumVertices() int { return s.inc.NumVertices() }
 // EdgesAccepted returns the total accepted edge count.
 func (s *Server) EdgesAccepted() int64 { return s.edges.Load() }
 
-// Refresh cuts and publishes a fresh snapshot immediately.
+// NumComponents returns the current component count.
+func (s *Server) NumComponents() int { return s.inc.NumComponents() }
+
+// Refresh exports the labeling on demand: π is compressed and copied
+// between whole batches, so the result is exact for the batches applied
+// so far and owned by the caller. Reads never need it; each call is an
+// O(n) pass, counted in afforest_snapshots_total.
 func (s *Server) Refresh() *Snapshot {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	labels := s.inc.Snapshot(s.cfg.Parallelism)
-	snap := buildSnapshot(labels, s.snapSeq.Add(1), s.edges.Load(), s.cfg.Parallelism)
-	s.snap.Store(snap)
+	s.batcher.view.RLock()
+	defer s.batcher.view.RUnlock()
 	s.counts.snapshots.Inc()
-	return snap
-}
-
-// Snapshot returns the currently published snapshot.
-func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
-
-func (s *Server) snapshotLoop() {
-	defer close(s.snapDone)
-	if s.cfg.SnapshotEvery < 0 {
-		<-s.stopSnap
-		return
-	}
-	t := time.NewTicker(s.cfg.SnapshotEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.Refresh()
-		case <-s.stopSnap:
-			return
-		}
-	}
+	return &Snapshot{Labels: s.inc.Snapshot(s.cfg.Parallelism)}
 }
 
 // Close shuts the server down gracefully: new writes are refused with
-// 503, every submission already accepted onto the batch queue is
-// flushed (no accepted edge is ever lost), and the snapshot loop stops.
-// Read handlers keep working after Close; stop routing traffic at the
-// http.Server level. Close is idempotent.
+// 503, and every submission already accepted onto the batch queue is
+// flushed (no accepted edge is ever lost). Read handlers keep working
+// after Close; stop routing traffic at the http.Server level. Close is
+// idempotent.
 func (s *Server) Close() {
 	s.writeMu.Lock()
 	already := s.closed
@@ -531,9 +493,6 @@ func (s *Server) Close() {
 		}
 	}
 	s.hub.close() // SSE streams end after the last drained batch's events
-	close(s.stopSnap)
-	<-s.snapDone
-	s.Refresh() // final snapshot reflects every drained batch
 }
 
 // enqueue hands edges to the batcher unless the server is draining.
@@ -607,13 +566,12 @@ func (s *Server) handleComponent(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	snap := s.snap.Load()
-	label, size := snap.ComponentOf(v)
-	writeJSON(w, map[string]any{
-		"v": v, "label": label, "size": size,
-		"snapshot_seq":    snap.Seq,
-		"snapshot_age_ms": time.Since(snap.TakenAt).Milliseconds(),
-	})
+	b := s.batcher
+	b.view.RLock()
+	label := s.inc.Find(v)
+	size := b.sizes[label]
+	b.view.RUnlock()
+	writeJSON(w, map[string]any{"v": v, "label": label, "size": size})
 	s.readLat.Observe(time.Since(start))
 }
 
@@ -629,21 +587,24 @@ func (s *Server) handleCensus(w http.ResponseWriter, r *http.Request) {
 		}
 		top = k
 	}
-	snap := s.snap.Load()
-	census := snap.Census
-	if len(census) > top {
-		census = census[:top]
-	}
+	b := s.batcher
+	b.view.RLock()
+	components, census := topComponents(b.sizes, top)
+	edges := s.edges.Load()
+	b.view.RUnlock()
 	writeJSON(w, map[string]any{
-		"vertices":        len(snap.Labels),
-		"components":      snap.NumComponents(),
-		"edges":           snap.Edges,
-		"top":             census,
-		"snapshot_seq":    snap.Seq,
-		"snapshot_age_ms": time.Since(snap.TakenAt).Milliseconds(),
+		"vertices":   len(b.sizes),
+		"components": components,
+		"edges":      edges,
+		"top":        census,
 	})
 	s.readLat.Observe(time.Since(start))
 }
+
+// maxEdgesBody caps a POST /edges body. It is far above any real batch
+// (a bulk edge costs about 20 bytes of JSON) and only stops a request
+// from making the server buffer an edge list of any size.
+const maxEdgesBody = 4 << 20
 
 // edgesRequest is the POST /edges body: either a single edge
 // {"u":1,"v":2} or a bulk batch {"edges":[[1,2],[3,4],...]}.
@@ -657,10 +618,15 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.counts.edges.Inc()
 	var req edgesRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEdgesBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad body: "+err.Error())
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		s.httpError(w, code, "bad body: "+err.Error())
 		return
 	}
 	var edges []graph.Edge
@@ -728,7 +694,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if batches > 0 {
 		avgBatch = float64(batched) / float64(batches)
 	}
-	snap := s.snap.Load()
 	body := map[string]any{
 		"uptime_seconds": uptime.Seconds(),
 		"vertices":       s.inc.NumVertices(),
@@ -740,6 +705,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"component": s.counts.component.Value(),
 			"census":    s.counts.census.Value(),
 			"edges":     s.counts.edges.Value(),
+			"events":    s.counts.events.Value(),
+			"explain":   s.counts.explain.Value(),
+			"history":   s.counts.history.Value(),
 			"stats":     s.counts.stats.Value(),
 			"metrics":   s.counts.metrics.Value(),
 			"healthz":   s.counts.healthz.Value(),
@@ -755,12 +723,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"max_batch":     s.batcher.maxSeen.Load(),
 			"avg_batch":     avgBatch,
 		},
-		"snapshot": map[string]any{
-			"seq":        snap.Seq,
-			"age_ms":     time.Since(snap.TakenAt).Milliseconds(),
-			"components": snap.NumComponents(),
-			"taken":      s.counts.snapshots.Value(),
-		},
+		"snapshots": s.counts.snapshots.Value(),
 		"anomalies": map[string]any{
 			"count":  s.cfg.Anomaly.Count(),
 			"recent": s.cfg.Anomaly.Recent(),
