@@ -39,7 +39,7 @@ func main() {
 	fmt.Println("\nboth schemes agree with the sequential oracle on every shard count")
 }
 
-// loadCluster streams g into a fresh loopback cluster of the given
+// loadCluster loads g into a fresh loopback cluster of the given
 // width and returns the assembled global labeling and the load's wire
 // tallies.
 func loadCluster(g *graph.CSR, shards int) ([]graph.V, cluster.RouterStats) {

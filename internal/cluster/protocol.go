@@ -2,9 +2,11 @@
 // VII future work) as a deployment: a sharded connectivity service
 // where a router process 1D-partitions the vertex space
 // (dist.Partitioning) across N shard processes, each running Afforest's
-// link/compress locally over its edge partition via core.Incremental,
-// with component labels reconciled across shards by bulk-synchronous
-// ghost-label exchange rounds over a wire.
+// link/compress locally via core.Incremental over the arcs the router
+// ships it (Fig 5's sampled and unskipped arcs of its own CSR rows on a
+// load, routed edges on a stream), with component labels reconciled
+// across shards by bulk-synchronous ghost-label exchange rounds over a
+// wire.
 //
 // The wire protocol is length-prefixed binary over TCP:
 //

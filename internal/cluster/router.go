@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"afforest/internal/core"
 	"afforest/internal/dist"
 	"afforest/internal/graph"
 	"afforest/internal/obs"
@@ -45,8 +46,8 @@ type Config struct {
 	Provenance bool
 }
 
-// edgeBatch caps edges per opEdges frame when streaming a graph or an
-// ingest batch to a shard; dialTimeout bounds each shard dial.
+// edgeBatch caps edges per opEdges frame when shipping graph rows or a
+// streamed batch to a shard; dialTimeout bounds each shard dial.
 const (
 	edgeBatch   = 4096
 	dialTimeout = 5 * time.Second
@@ -127,12 +128,14 @@ type slot struct {
 }
 
 // Router coordinates N shard processes into one connectivity service.
-// It owns edge routing (each edge goes to both endpoints' owners),
-// drives BSP exchange rounds to a global fixed point after every write
-// batch, translates labels across shards for point queries, assembles
-// the global census by fan-out, and manages membership transitions with
-// π snapshot handoff. It implements http.Handler with the same
-// query surface as the single-node serve layer.
+// It loads a graph by running Fig 5 over the row partition (LoadGraph
+// ships each shard sampled arcs of its own rows), routes streamed edges
+// to both endpoints' owners (AddEdges), drives BSP exchange rounds to a
+// global fixed point after every write that merged a component,
+// translates labels across shards for point queries, assembles the
+// global census by fan-out, and manages membership transitions with π
+// snapshot handoff. It implements http.Handler with the same query
+// surface as the single-node serve layer.
 type Router struct {
 	cfg       Config
 	n         int
@@ -457,10 +460,12 @@ func (r *Router) sendEdges(rc rctx, sl *slot, id int, edges []pair) (int64, erro
 	return merged, nil
 }
 
-// routeEdges splits an edge batch into per-owner lists. Every edge goes
-// to owner(u); a cut edge additionally goes to owner(v) as a ghost copy
-// (both sides must link it, so each owner's forest sees the edge),
-// whose merge count is not double-counted.
+// routeEdges splits a streamed edge batch into per-owner lists. A
+// stream has no rows to sample, so every edge goes to owner(u), and a
+// cut edge additionally goes to owner(v) as a ghost copy (both sides
+// must link it, so each owner's forest sees the edge). Each cut edge
+// counts once in CutEdges. LoadGraph does not route: a symmetric CSR
+// already holds every cut edge in both endpoints' rows.
 func (r *Router) routeEdges(edges []graph.Edge) (primary, ghost [][]pair) {
 	primary = make([][]pair, r.numShards)
 	ghost = make([][]pair, r.numShards)
@@ -479,31 +484,47 @@ func (r *Router) routeEdges(edges []graph.Edge) (primary, ghost [][]pair) {
 	return primary, ghost
 }
 
-// applyEdgesLocked routes and applies a batch, then drives the exchange
-// to a fixed point. Caller holds the write lock and has checked
-// degraded. Returns the merge count from the primary copies.
+// applyEdgesLocked routes and applies a streamed batch, then settles
+// the exchange. Caller holds the write lock and has checked degraded.
+// Returns the merge count from the primary copies.
 func (r *Router) applyEdgesLocked(rc rctx, edges []graph.Edge) (int64, error) {
 	primary, ghost := r.routeEdges(edges)
-	var merged atomic.Int64
+	var merged, ghostMerged atomic.Int64
 	err := r.forEachActive(func(id int, sl *slot) error {
 		m, err := r.sendEdges(rc, sl, id, primary[id])
 		if err != nil {
 			return err
 		}
 		merged.Add(m)
-		if _, err := r.sendEdges(rc, sl, id, ghost[id]); err != nil {
-			return err
-		}
-		return nil
+		m, err = r.sendEdges(rc, sl, id, ghost[id])
+		ghostMerged.Add(m)
+		return err
 	})
 	if err != nil {
 		return 0, err
 	}
-	if err := r.exchangeLocked(rc); err != nil {
+	if err := r.settleLocked(rc, merged.Load()+ghostMerged.Load()); err != nil {
 		return 0, err
 	}
 	r.edges.Add(int64(len(edges)))
 	return merged.Load(), nil
+}
+
+// settleLocked restores the global fixed point after a write whose
+// opEdges replies summed to merged. It skips the exchange when nothing
+// merged on any shard, which is sound: a link that merges nothing
+// leaves every shard's partition unchanged, so each outbox opinion
+// (ref, find(ref)) is the one the last fixed point already agreed on.
+// Nor can such a link add a ref: its endpoints already share a local
+// tree of two or more vertices, and a remote id in a non-singleton tree
+// is already a ref by the Shard invariant. The exchange would only
+// resend every ref to learn that nothing changed. Caller holds the
+// write lock with all slots active.
+func (r *Router) settleLocked(rc rctx, merged int64) error {
+	if merged == 0 {
+		return nil
+	}
+	return r.exchangeLocked(rc)
 }
 
 // AddEdges accepts a batch of undirected edges, applies them across the
@@ -527,9 +548,24 @@ func (r *Router) AddEdges(edges []graph.Edge) (int64, error) {
 	return merged, err
 }
 
-// LoadGraph streams every edge of g to its owners and reconciles. This
-// is the cluster bootstrap (`ccserve -cluster` calls it before
-// serving).
+// LoadGraph loads g by running the paper's Fig 5 over the 1D row
+// partition. This is the cluster bootstrap (`ccserve -cluster` calls it
+// before serving). Every cut edge sits in both endpoints' rows of a
+// symmetric CSR, so row u ships only to owner(u) and a load needs no
+// ghost copies. The steps:
+//
+//  1. Ship the first NeighborRounds arcs of every row (neighbor
+//     sampling) and settle the exchange.
+//  2. Read the resolved labels and sample their most frequent value c
+//     with a fixed seed (Fig 5 line 10), so wire bytes repeat exactly.
+//  3. Ship the remaining arcs of only the rows whose label is not c,
+//     and settle again.
+//
+// Step 3 is Theorem 3 over rows. A row is skipped only when its vertex
+// already resolves to c, so an edge between c and an outside vertex
+// ships from the outside vertex's row. The argument holds for any c and
+// any π that records only true connectivity, so loading into a
+// non-empty cluster is exact too.
 func (r *Router) LoadGraph(g *graph.CSR) error {
 	if g.NumVertices() > r.n {
 		return fmt.Errorf("cluster: graph has %d vertices, router partitioned for %d", g.NumVertices(), r.n)
@@ -540,9 +576,81 @@ func (r *Router) LoadGraph(g *graph.CSR) error {
 		return ErrDegraded
 	}
 	rc := r.newRoot("load_graph")
-	_, err := r.applyEdgesLocked(rc, g.Edges())
+	err := r.loadLocked(rc, g)
 	r.endRoot(rc, err)
 	return err
+}
+
+// loadLocked runs LoadGraph's steps. Caller holds the write lock with
+// all slots active.
+func (r *Router) loadLocked(rc rctx, g *graph.CSR) error {
+	rounds := int64(core.DefaultOptions().NeighborRounds)
+	merged, err := r.shipRows(rc, g, func(_ int, lo, hi int64) (int64, int64) {
+		return lo, min(hi, lo+rounds)
+	})
+	if err != nil {
+		return err
+	}
+	if err := r.settleLocked(rc, merged); err != nil {
+		return err
+	}
+	labels, err := r.globalLabelsLocked(rc)
+	if err != nil {
+		return err
+	}
+	c := core.SampleFrequentElement(labels[:g.NumVertices()], 1024, 0)
+	merged, err = r.shipRows(rc, g, func(u int, lo, hi int64) (int64, int64) {
+		if labels[u] == c {
+			return hi, hi
+		}
+		return min(hi, lo+rounds), hi
+	})
+	if err != nil {
+		return err
+	}
+	if err := r.settleLocked(rc, merged); err != nil {
+		return err
+	}
+	r.edges.Add(g.NumEdges())
+	return nil
+}
+
+// shipRows sends each active shard arcs of its owned rows of g as
+// (u, v) pairs on opEdges, in edgeBatch-sized frames, and returns the
+// summed merge count. span maps row u's arc range [lo, hi) to the
+// sub-range to ship. Each frame is built just before it goes out, so a
+// load holds one frame per shard, not every shipped pair. Each shipped
+// cut arc counts once in CutEdges.
+func (r *Router) shipRows(rc rctx, g *graph.CSR, span func(u int, lo, hi int64) (int64, int64)) (int64, error) {
+	n, offsets, targets := g.NumVertices(), g.Offsets(), g.Targets()
+	var merged atomic.Int64
+	err := r.forEachActive(func(id int, sl *slot) error {
+		batch := make([]pair, 0, edgeBatch)
+		var cut int64
+		send := func() error {
+			m, err := r.sendEdges(rc, sl, id, batch)
+			merged.Add(m)
+			batch = batch[:0]
+			return err
+		}
+		for u := sl.lo; u < min(sl.hi, n); u++ {
+			lo, hi := span(u, offsets[u], offsets[u+1])
+			for _, v := range targets[lo:hi] {
+				if r.part.Owner(v) != id {
+					cut++
+				}
+				batch = append(batch, pair{V: graph.V(u), Label: v})
+				if len(batch) == edgeBatch {
+					if err := send(); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		r.cutEdges.Add(cut)
+		return send()
+	})
+	return merged.Load(), err
 }
 
 // exchangeLocked drives BSP rounds until no shard reports a merge: each
@@ -1078,7 +1186,10 @@ func (r *Router) activeCount() float64 {
 // (vertex, label) pairs moved during exchanges: each opinion a shard
 // sends toward a vertex's owner is counted four times (outbox, ingest,
 // reply, absorb), so Messages/4 is the number of opinions. CutEdges
-// counts each accepted edge whose endpoints have different owners once.
+// counts the cut pairs (endpoints with different owners) the router
+// shipped: a streamed cut edge once, and a loaded cut arc once. A load
+// ships only sampled and unskipped arcs, so it counts far fewer than
+// the graph's cut edges.
 type RouterStats struct {
 	Shards    int   `json:"shards"`
 	Active    int   `json:"active"`

@@ -650,7 +650,9 @@ func (sh *Shard) query(v graph.V) (graph.V, error) {
 	return sh.inc.Find(v), nil
 }
 
-// labelRange returns find(v) for every v in [lo, hi).
+// labelRange returns find(v) for every v in [lo, hi). It compresses π
+// first (Fig 5's compress step): shards link without compressing, so a
+// load leaves deep trees, and after the compress each find is one hop.
 func (sh *Shard) labelRange(lo, hi int) ([]graph.V, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -660,6 +662,7 @@ func (sh *Shard) labelRange(lo, hi int) ([]graph.V, error) {
 	if lo < 0 || hi < lo || hi > sh.n {
 		return nil, fmt.Errorf("cluster: label range [%d,%d) out of bounds", lo, hi)
 	}
+	sh.inc.Compress(sh.parallelism)
 	out := make([]graph.V, hi-lo)
 	for v := lo; v < hi; v++ {
 		out[v-lo] = sh.inc.Find(graph.V(v))
