@@ -21,7 +21,24 @@ test:
 # schedule-sensitive packages, a smoke run of every fuzz target, the
 # multi-process cluster smoke, and a run-vs-self pass of the perf gate.
 # This is what CI should run.
-check: fmt vet build test ccperf-test race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke perfgate-smoke
+check: fmt vet build plainloop test ccperf-test race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke perfgate-smoke
+
+# plainloop checks the generated code of Run's nil-Observer path. Fig 5
+# is one generic driver, run[T], and every LinkStats counter statement
+# lives in internal/core/instrument.go, so no instruction in the
+# closures of the uncounted instantiation (run[go.shape.[0]struct {}])
+# may come from that file. The counted closures must hold some, or the
+# check has lost sight of the code it guards.
+plainloop:
+	@$(GO) build -gcflags=-S ./internal/core 2>&1 >/dev/null | awk ' \
+		/^[^ \t]/ { mode = ""; \
+			if ($$0 ~ /^afforest\/internal\/core\.run\[go\.shape\.\[0\]struct \{\}\]\..* STEXT /) { mode = "uncounted"; closures++ } \
+			else if ($$0 ~ /^afforest\/internal\/core\.run\[go\.shape\.\[1\]struct \{\}\]\..* STEXT /) mode = "counted"; \
+			next } \
+		mode != "" && /\/internal\/core\/instrument\.go:/ { hits[mode]++ } \
+		END { printf "plainloop: %d uncounted closures; instructions from instrument.go: uncounted %d, counted %d\n", \
+				closures, hits["uncounted"], hits["counted"]; \
+			if (closures == 0 || hits["uncounted"] > 0 || hits["counted"] == 0) { print "plainloop: FAIL"; exit 1 } }'
 
 # cmd/ccperf is its own Go module (it replaces afforest with ../..), so
 # the root `go test ./...` never reaches its tests: workload smokes,
@@ -117,4 +134,4 @@ perfgate-smoke:
 		rm -f $$tmp || exit 1; \
 	done
 
-.PHONY: all build vet fmt test ccperf-test check race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke bench perfgate perfgate-smoke
+.PHONY: all build vet fmt plainloop test ccperf-test check race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke bench perfgate perfgate-smoke

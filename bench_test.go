@@ -305,8 +305,7 @@ func TestNilObserverOverheadGuard(t *testing.T) {
 
 // baselineIncrementalStream is a frozen copy of Incremental.AddEdges's
 // hot loop — same batching, same LinkRecord primitive, same merge
-// accounting — with no merge-observer load anywhere. The provenance
-// hook's off path must cost nothing against it.
+// accounting — with nothing else on the write path.
 func baselineIncrementalStream(n int, edges []graph.Edge, parallelism, batch int) int64 {
 	p := core.NewParent(n)
 	var total int64
@@ -329,17 +328,16 @@ func baselineIncrementalStream(n int, edges []graph.Edge, parallelism, batch int
 	return total
 }
 
-// TestNilMergeObserverOverheadGuard is the provenance tripwire: with no
-// MergeObserver installed, streaming a graph through
-// Incremental.AddEdges must stay within 2% of the frozen baseline
-// above. The hook's off path is one atomic pointer load per batch, then
-// the plain count-only loop — a breach means someone put forest or
-// merge-collection work on the unobserved write path.
-func TestNilMergeObserverOverheadGuard(t *testing.T) {
+// TestAddEdgesCountOnlyOverheadGuard is the write-path tripwire:
+// streaming a graph through Incremental.AddEdges must stay within 2% of
+// the frozen count-only baseline above. A breach means someone put
+// provenance or merge-collection work on the count-only path, which
+// belongs in ApplyBatch.
+func TestAddEdgesCountOnlyOverheadGuard(t *testing.T) {
 	g := suiteGraphAt("kron", 16)()
 	edges := g.Edges()
 	const batch = 4096
-	overheadGuard(t, "nil-MergeObserver AddEdges",
+	overheadGuard(t, "count-only AddEdges",
 		func() {
 			inc := core.NewIncremental(g.NumVertices())
 			for lo := 0; lo < len(edges); lo += batch {

@@ -90,9 +90,7 @@ func AblationSampleSize(cfg Config) *stats.Table {
 
 		correct := 0
 		for rep := 0; rep < 10; rep++ {
-			p := core.NewParent(g.NumVertices())
-			core.LinkAll(g, p, cfg.Parallelism)
-			core.CompressAll(p, cfg.Parallelism)
+			p := core.Run(g, core.Options{NeighborRounds: -1, Parallelism: cfg.Parallelism})
 			if core.SampleFrequentElement(p, samples, cfg.Seed+uint64(rep)) == trueMode {
 				correct++
 			}

@@ -56,14 +56,12 @@ type Shard struct {
 	flight *obs.FlightRecorder
 
 	// Provenance. When enabled (SetProvenance before Serve), initialize
-	// builds a merge-forest over the full vertex space and installs it on
-	// the local π. Edges applied via opEdges record as real input edges
-	// (including ghost copies of cut edges — those ARE client-submitted
-	// edges); exchange-protocol label merges (ingest/absorb) record
-	// through the ghost view, so cross-shard witness hops are honestly
-	// tagged as connectivity learned from a peer, not as input edges.
-	// Every inc-mutating op holds mu, so swapping the installed observer
-	// around ingest/absorb cannot race a concurrent opEdges.
+	// builds a merge-forest over the full vertex space. Edges applied via
+	// opEdges record as real input edges (including ghost copies of cut
+	// edges — those ARE client-submitted edges); exchange-protocol label
+	// merges (ingest/absorb) record through the ghost view, so
+	// cross-shard witness hops are honestly tagged as connectivity
+	// learned from a peer, not as input edges.
 	provenance bool
 	prov       *provenance.Forest
 	ghost      *provenance.GhostView
@@ -437,7 +435,6 @@ func (sh *Shard) initialize(n, numShards, id int) error {
 		sh.prov = provenance.NewForest(n)
 		sh.prov.SetShard(id)
 		sh.ghost = sh.prov.GhostRecorder()
-		sh.inc.SetMergeObserver(sh.prov)
 	} else {
 		sh.prov, sh.ghost = nil, nil
 	}
@@ -478,7 +475,9 @@ func (sh *Shard) noteRemote(v graph.V) {
 // applyEdges links a batch of edges into the local π. Ghost endpoints
 // (and nothing else here — labels produced by the links are existing π
 // entries) become refs. The link pass itself runs in parallel on the
-// worker pool: Theorem 1 makes the interleaving irrelevant.
+// worker pool: Theorem 1 makes the interleaving irrelevant. With
+// provenance on, ApplyBatch names the merging edges and the forest
+// records them in edge order.
 func (sh *Shard) applyEdges(pairs []pair, tr *obs.Tracer) (int64, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -494,8 +493,20 @@ func (sh *Shard) applyEdges(pairs []pair, tr *obs.Tracer) (int64, error) {
 		sh.noteRemote(p.Label)
 		edges[i] = graph.Edge{U: p.V, V: p.Label}
 	}
-	merged := sh.inc.AddEdges(edges, sh.parallelism, tr)
 	sh.edges += int64(len(edges))
+	if sh.prov == nil {
+		return sh.inc.AddEdges(edges, sh.parallelism, tr), nil
+	}
+	var span obs.SpanID
+	if tr != nil {
+		span = tr.BeginPhase(obs.PhaseEdgeBatch)
+	}
+	merges := sh.inc.ApplyBatch(edges, sh.parallelism)
+	sh.prov.RecordMerges(edges, merges, 0)
+	merged := int64(len(merges))
+	if tr != nil {
+		tr.EndPhase(span, obs.PhaseStats{Edges: int64(len(edges)), Links: int64(len(edges)), Merges: merged})
+	}
 	return merged, nil
 }
 
@@ -564,7 +575,6 @@ func (sh *Shard) ingest(pairs []pair) (int64, []pair, error) {
 	if err := sh.requireInit(); err != nil {
 		return 0, nil, err
 	}
-	defer sh.ghostObserver()()
 	var merged int64
 	replies := make([]pair, len(pairs))
 	for i, p := range pairs {
@@ -575,9 +585,7 @@ func (sh *Shard) ingest(pairs []pair) (int64, []pair, error) {
 			return 0, nil, fmt.Errorf("cluster: ingest label %d out of range", p.Label)
 		}
 		sh.noteRemote(p.Label)
-		if sh.inc.AddEdge(p.V, p.Label) {
-			merged++
-		}
+		merged += sh.linkLabel(p)
 		replies[i] = pair{V: p.V, Label: sh.inc.Find(p.V)}
 	}
 	return merged, replies, nil
@@ -590,7 +598,6 @@ func (sh *Shard) absorb(pairs []pair) (int64, error) {
 	if err := sh.requireInit(); err != nil {
 		return 0, err
 	}
-	defer sh.ghostObserver()()
 	var merged int64
 	for _, p := range pairs {
 		if int(p.V) >= sh.n || int(p.Label) >= sh.n {
@@ -598,25 +605,24 @@ func (sh *Shard) absorb(pairs []pair) (int64, error) {
 		}
 		sh.noteRemote(p.V)
 		sh.noteRemote(p.Label)
-		if sh.inc.AddEdge(p.V, p.Label) {
-			merged++
-		}
+		merged += sh.linkLabel(p)
 	}
 	return merged, nil
 }
 
-// ghostObserver swaps the forest's ghost view in as the π observer for
-// the duration of an exchange-protocol op (ingest/absorb): the (v,label)
-// pairs those apply are connectivity learned from a peer, not client
-// edges, and witness hops through them must say so. Caller holds mu —
-// every other inc mutation also holds mu, so the swap cannot race.
-// Returns the restore func; a no-op closure when provenance is off.
-func (sh *Shard) ghostObserver() func() {
-	if sh.prov == nil {
-		return func() {}
+// linkLabel links one exchange-protocol pair (vertex, label) into π
+// and returns 1 if that merged two trees. The pair is connectivity
+// learned from a peer, not a client edge, so the forest records it
+// through the ghost view and witness hops through it say so. Caller
+// holds mu.
+func (sh *Shard) linkLabel(p pair) int64 {
+	if !sh.inc.AddEdge(p.V, p.Label) {
+		return 0
 	}
-	sh.inc.SetMergeObserver(sh.ghost)
-	return func() { sh.inc.SetMergeObserver(sh.prov) }
+	if sh.ghost != nil {
+		sh.ghost.OnMerge(p.V, p.Label, 0)
+	}
+	return 1
 }
 
 // explain answers opExplain: the local forest's witness path for (u,v).
@@ -712,14 +718,12 @@ func (sh *Shard) restore(lo, hi int, edges int64, labels []graph.V) error {
 	if err != nil {
 		return err
 	}
+	// With provenance on, a restored member keeps the empty forest
+	// initialize built: the snapshot carries labels, not edge history,
+	// so pre-handoff witnesses are gone. Explain reports them as the
+	// documented bootstrap gap.
 	sh.inc = inc
 	sh.edges = edges
-	if sh.prov != nil {
-		// A restored member starts with an empty forest: the snapshot
-		// carries labels, not edge history, so pre-handoff witnesses are
-		// gone. Explain reports them as the documented bootstrap gap.
-		sh.inc.SetMergeObserver(sh.prov)
-	}
 	sh.resetRefs()
 	for _, l := range labels {
 		sh.noteRemote(l)

@@ -89,32 +89,17 @@ type poolJob struct {
 	flightJob uint32
 }
 
-func (j *poolJob) run(worker int) {
-	if j.metrics != nil || j.flight != nil {
-		j.runInstrumented(worker)
-		return
-	}
-	g := int64(j.grain)
-	for {
-		lo := j.next.Add(g) - g
-		if lo >= int64(j.n) {
-			return
-		}
-		hi := int(lo) + j.grain
-		if hi > j.n {
-			hi = j.n
-		}
-		j.body(int(lo), hi, worker)
-	}
-}
-
-// runInstrumented is run with accounting. Metrics cost one clock read
-// around the whole claim loop (not per chunk) and sharded counter adds
-// on the way out, so metered jobs stay within noise of unmetered ones;
-// the flight recorder additionally times each chunk body, since the
+// run is one participant's claim loop. Accounting rides along at one
+// nil check and one increment per chunk: metrics cost one clock read
+// around the whole loop (not per chunk) and sharded counter adds on the
+// way out, so metered jobs stay within noise of unmetered ones; the
+// flight recorder additionally times each chunk body, since the
 // per-chunk busy intervals are exactly what its timeline reconstructs.
-func (j *poolJob) runInstrumented(worker int) {
-	start := time.Now()
+func (j *poolJob) run(worker int) {
+	var start time.Time
+	if j.metrics != nil {
+		start = time.Now()
+	}
 	var chunks int64
 	g := int64(j.grain)
 	for {

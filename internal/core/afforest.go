@@ -29,7 +29,7 @@ type Options struct {
 	Parallelism int
 
 	// EdgeGrain is the number of arcs per dynamically claimed chunk in
-	// the edge-balanced phases (the final phase here, and LinkAll).
+	// the edge-balanced final phase.
 	// Zero means concurrent.DefaultEdgeGrain. Chunking by arcs rather
 	// than vertices keeps per-chunk work uniform on power-law degree
 	// distributions, where a single hub would otherwise serialize its
@@ -80,34 +80,77 @@ func (o Options) sampleSize() int {
 // Run executes the complete Afforest algorithm of Fig 5 on g and
 // returns the flattened π: a labeling where ℓ(v) = ℓ(u) iff u and v are
 // connected, with each label being the minimum vertex id of its
-// component (a consequence of Invariant 1).
+// component (a consequence of Invariant 1). A nil opt.Observer runs the
+// uncounted driver; otherwise the counted one records the phase tree on
+// the observer.
 func Run(g *graph.CSR, opt Options) Parent {
-	n := g.NumVertices()
-	p := NewParent(n)
-	if n == 0 {
-		return p
+	p := NewParent(g.NumVertices())
+	if opt.Observer == nil {
+		run[uncounted](g, opt, p, nil)
+	} else {
+		run[counted](g, opt, p, nil)
 	}
-	if opt.Observer != nil {
-		runObservedOn(g, opt, p, nil)
-		return p
+	return p
+}
+
+// tally picks what run counts, at compile time. Each instantiation
+// fixes len, so the compiler folds every len(t) == 1 test: the
+// uncounted chunk loops carry no counter code (`make plainloop` checks
+// the generated code), and the counted ones keep per-worker LinkStats.
+type tally interface{ ~[0]struct{} | ~[1]struct{} }
+
+type (
+	uncounted = [0]struct{}
+	counted   = [1]struct{}
+)
+
+// run is Fig 5 on p, the one copy of the driver. The counted
+// instantiation opens a span per phase on opt.Observer (a throwaway
+// tracer when nil) with the phase's link accounting. after, when
+// non-nil, runs on the submitting goroutine each time a counted span
+// closes, with the span's name and stats: no parallel work is in
+// flight then, and a link span's compress has not run yet.
+func run[T tally](g *graph.CSR, opt Options, p Parent, after func(phase string, st obs.PhaseStats)) {
+	n := g.NumVertices()
+	if n == 0 {
+		return
+	}
+	var t T
+	var sp spans
+	if len(t) == 1 {
+		sp = spans{tr: opt.Observer, after: after}
+		if sp.tr == nil {
+			sp.tr = obs.NewTracer()
+		}
 	}
 	rounds := opt.rounds()
+	slots := len(t) * workerCount(opt.Parallelism) // per-worker LinkStats, none when uncounted
 	offsets, targets := g.Adjacency(0, n)
+	root := sp.begin(obs.PhaseRun)
 
 	// Phase 1: neighbor-sampling rounds (Fig 5 lines 2–9). Round r
 	// links each vertex to its r-th neighbor — read straight off the
 	// raw CSR slices as targets[offsets[u]+r] — followed by a compress
 	// pass so the next round's links walk shallow trees.
 	for r := 0; r < rounds; r++ {
+		span := sp.begin(obs.PhaseNeighborRound)
+		per := make([]LinkStats, slots)
 		rr := int64(r)
-		concurrent.ForRange(n, opt.Parallelism, 512, func(lo, hi, _ int) {
+		concurrent.ForRange(n, opt.Parallelism, 512, func(lo, hi, w int) {
+			var t T
 			for u := lo; u < hi; u++ {
 				if k := offsets[u] + rr; k < offsets[u+1] {
-					Link(p, graph.V(u), targets[k])
+					_, loser, iters, casFails := link(p, graph.V(u), targets[k])
+					if len(t) == 1 {
+						per[w].addLink(loser, iters, casFails)
+					}
 				}
 			}
 		})
+		sp.end(span, obs.PhaseNeighborRound, sumStats(per))
+		span = sp.begin(obs.PhaseCompress)
 		compressVariant(p, opt)
+		sp.end(span, obs.PhaseCompress, obs.PhaseStats{})
 	}
 
 	// Phase 2: probabilistic search for the largest intermediate
@@ -115,7 +158,10 @@ func Run(g *graph.CSR, opt Options) Parent {
 	var c graph.V
 	skip := opt.SkipLargest
 	if skip {
-		c = SampleFrequentElement(p, opt.sampleSize(), opt.Seed)
+		span := sp.begin(obs.PhaseSample)
+		var ratio float64
+		c, ratio = SampleFrequentElementRatio(p, opt.sampleSize(), opt.Seed)
+		sp.end(span, obs.PhaseSample, obs.PhaseStats{SkipRatio: ratio})
 	}
 
 	// Phase 3: process the remaining edges — neighbors beyond the
@@ -123,9 +169,13 @@ func Run(g *graph.CSR, opt Options) Parent {
 	// 11–15; Theorem 3 guarantees the cross edges are seen from their
 	// other endpoint). Chunks are balanced by arc count, so hub
 	// vertices split across chunks; each vertex's arc range is clipped
-	// to the chunk and offset past the already-sampled rounds.
+	// to the chunk and offset past the already-sampled rounds. With no
+	// rounds and no skipping this is Section III's link over every arc.
+	span := sp.begin(obs.PhaseFinal)
+	per := make([]LinkStats, slots)
 	skipArcs := int64(rounds)
-	concurrent.ForEdgeRange(offsets, opt.Parallelism, opt.EdgeGrain, func(vlo, vhi int, alo, ahi int64, _ int) {
+	concurrent.ForEdgeRange(offsets, opt.Parallelism, opt.EdgeGrain, func(vlo, vhi int, alo, ahi int64, w int) {
+		var t T
 		for u := vlo; u < vhi; u++ {
 			lo, hi := offsets[u]+skipArcs, offsets[u+1]
 			if lo < alo {
@@ -138,19 +188,31 @@ func Run(g *graph.CSR, opt Options) Parent {
 				continue
 			}
 			uu := graph.V(u)
-			if skip && p.Get(uu) == c {
-				continue
+			if skip {
+				inC := p.Get(uu) == c
+				if len(t) == 1 {
+					per[w].addCheck(inC)
+				}
+				if inC {
+					continue
+				}
 			}
 			for _, v := range targets[lo:hi] {
-				Link(p, uu, v)
+				_, loser, iters, casFails := link(p, uu, v)
+				if len(t) == 1 {
+					per[w].addLink(loser, iters, casFails)
+				}
 			}
 		}
 	})
+	sp.end(span, obs.PhaseFinal, sumStats(per))
 
 	// Phase 4: final compress (Fig 5 lines 16–18) flattens every tree
 	// to depth one; π is now the component labeling.
+	span = sp.begin(obs.PhaseFinalCompress)
 	CompressAll(p, opt.Parallelism)
-	return p
+	sp.end(span, obs.PhaseFinalCompress, obs.PhaseStats{})
+	sp.end(root, obs.PhaseRun, obs.PhaseStats{})
 }
 
 // SampleFrequentElement estimates the most frequent value in π by

@@ -223,23 +223,33 @@ func TestRunInstrumentedMatchesRun(t *testing.T) {
 	}
 }
 
-func TestLinkCountedMatchesLink(t *testing.T) {
-	g := gen.URandDegree(2000, 8, 21)
-	edges := g.Edges()
-	pa := NewParent(g.NumVertices())
-	pb := NewParent(g.NumVertices())
-	var st LinkStats
-	for _, e := range edges {
-		Link(pa, e.U, e.V)
-		LinkCounted(pb, e.U, e.V, &st)
+// TestWorkByWorkerMatchesCountedRun pins the Fig 8b work model to the
+// counted driver: at Parallelism 1 the model's per-worker link calls
+// sum to the Link.Calls RunInstrumented counts, on every suite graph,
+// with and without sampling and skipping.
+func TestWorkByWorkerMatchesCountedRun(t *testing.T) {
+	variants := map[string]func(*Options){
+		"default":   func(*Options) {},
+		"no skip":   func(o *Options) { o.SkipLargest = false },
+		"rounds 1":  func(o *Options) { o.NeighborRounds = 1 },
+		"rounds 3":  func(o *Options) { o.NeighborRounds = 3 },
+		"rounds -1": func(o *Options) { o.NeighborRounds = -1 },
 	}
-	for v := range pa {
-		if pa[v] != pb[v] {
-			t.Fatalf("π diverges at %d: %d vs %d (serial execution must be identical)", v, pa[v], pb[v])
+	for _, sg := range gen.Suite() {
+		g := sg.Build(12, 15)
+		for name, edit := range variants {
+			opt := DefaultOptions()
+			edit(&opt)
+			opt.Parallelism = 1
+			var modeled int64
+			for _, c := range WorkByWorker(g, opt, 4) {
+				modeled += c
+			}
+			if _, rs := RunInstrumented(g, opt); modeled != rs.Link.Calls {
+				t.Errorf("%s/%s: WorkByWorker sums to %d link calls, RunInstrumented made %d",
+					sg.Name, name, modeled, rs.Link.Calls)
+			}
 		}
-	}
-	if st.Calls != int64(len(edges)) {
-		t.Fatalf("calls = %d, want %d", st.Calls, len(edges))
 	}
 }
 

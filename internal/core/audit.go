@@ -6,15 +6,15 @@ import (
 )
 
 // RunAudited executes the full Afforest algorithm exactly like Run
-// (observed path: LinkCounted in place of Link, identical loops and
-// grains) while invoking audit(p, phase) every time a phase span
-// closes, with the phase's obs name ("neighbor_round", "compress",
-// "sample_frequent", "final_skip_pass", "final_compress",
-// "afforest_run"). The audit runs on the submitting goroutine between
-// phases — no parallel work is in flight — so it may read π freely and
-// check invariants that only hold at phase boundaries (e.g. depth ≤ 1
-// after a full compress). This is the hook the correctness harness
-// (internal/testkit) hangs its per-phase invariant audits on.
+// (the counted driver, so the same loops and grains) while invoking
+// audit(p, phase) every time a phase span closes, with the phase's obs
+// name ("neighbor_round", "compress", "sample_frequent",
+// "final_skip_pass", "final_compress", "afforest_run"). The audit runs
+// on the submitting goroutine between phases — no parallel work is in
+// flight — so it may read π freely and check invariants that only hold
+// at phase boundaries (e.g. depth ≤ 1 after a full compress). This is
+// the hook the correctness harness (internal/testkit) hangs its
+// per-phase invariant audits on.
 //
 // A tracer already present in opt.Observer still receives the same
 // phase tree Run would emit.
@@ -28,6 +28,6 @@ func RunAudited(g *graph.CSR, opt Options, audit func(p Parent, phase string)) P
 		audit(p, obs.PhaseRun)
 		return p
 	}
-	runObservedOn(g, opt, p, func(phase string, _ obs.PhaseStats) { audit(p, phase) })
+	run[counted](g, opt, p, func(phase string, _ obs.PhaseStats) { audit(p, phase) })
 	return p
 }

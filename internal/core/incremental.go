@@ -26,41 +26,6 @@ type Incremental struct {
 	// layer (MarkApplied after each flush, and during replay); 0 means
 	// no logged history has been applied.
 	appliedLSN atomic.Uint64
-	// mergeOb, when set, receives one call per successful hook CAS with
-	// the causal input edge. The off path is a single atomic load per
-	// edge (hoisted to one per batch in AddEdges), the same discipline as
-	// the nil-Observer fast path, guarded by the overhead tripwires.
-	mergeOb atomic.Pointer[MergeObserver]
-}
-
-// MergeObserver observes component merges at their source: one call per
-// successful hook CAS, carrying the causal input edge {u, v} that
-// performed it and the WAL LSN of the batch it rode in (0 when the
-// caller has no log). Calls arrive concurrently from every goroutine
-// streaming edges; implementations synchronize internally. The
-// provenance merge-forest hangs off this hook.
-type MergeObserver interface {
-	OnMerge(u, v graph.V, lsn uint64)
-}
-
-// SetMergeObserver installs ob (nil removes it). Install before
-// streaming edges whose merges must be observed; merges performed while
-// no observer is set are not replayed to a later one.
-func (inc *Incremental) SetMergeObserver(ob MergeObserver) {
-	if ob == nil {
-		inc.mergeOb.Store(nil)
-		return
-	}
-	inc.mergeOb.Store(&ob)
-}
-
-// mergeObserver returns the installed observer, or nil. One atomic
-// load — callers on batch paths hoist it out of their loops.
-func (inc *Incremental) mergeObserver() MergeObserver {
-	if p := inc.mergeOb.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // NewIncremental returns a structure over n isolated vertices.
@@ -78,24 +43,20 @@ func (inc *Incremental) NumVertices() int { return len(inc.p) }
 // use; each successful merge is counted exactly once (the hook CAS has
 // a unique winner).
 func (inc *Incremental) AddEdge(u, v graph.V) bool {
-	return inc.AddEdgeAt(u, v, 0)
-}
-
-// AddEdgeAt is AddEdge carrying the WAL LSN of the record the edge
-// rode in, handed through to the merge observer so provenance can stamp
-// the causal edge with its durable position. lsn 0 means "not logged".
-func (inc *Incremental) AddEdgeAt(u, v graph.V, lsn uint64) bool {
 	if u == v {
 		return false
 	}
 	if LinkRecord(inc.p, u, v) {
 		inc.components.Add(-1)
-		if mo := inc.mergeObserver(); mo != nil {
-			mo.OnMerge(u, v, lsn)
-		}
 		return true
 	}
 	return false
+}
+
+// AddEdgeAt is AddEdge; lsn is not read. It remains because cmd/ccperf
+// calls it.
+func (inc *Incremental) AddEdgeAt(u, v graph.V, lsn uint64) bool {
+	return inc.AddEdge(u, v)
 }
 
 // AddEdges applies a batch of undirected edges in parallel and returns
@@ -105,12 +66,9 @@ func (inc *Incremental) AddEdgeAt(u, v graph.V, lsn uint64) bool {
 // edge_batch_apply span carrying the batch size and merge count — the
 // same span the serve layer's batcher emits per flush.
 //
-// The merge observer is loaded once per batch. With none installed the
-// batch runs a loop with no observer code at all: the observed loop
-// carries an indirect call site inside the merge branch, which forces
-// register spills around every LinkRecord even when it is never taken
-// (the 2% tripwire in bench_test.go holds the plain loop there). With
-// an observer installed the batch goes through ApplyBatch.
+// AddEdges only counts merges. A caller that must know which edges
+// merged (provenance, exact sizes) uses ApplyBatch. The 2% tripwire in
+// bench_test.go holds this loop to a frozen count-only copy.
 func (inc *Incremental) AddEdges(edges []graph.Edge, parallelism int, tr *obs.Tracer) int64 {
 	if len(edges) == 0 {
 		return 0
@@ -119,26 +77,22 @@ func (inc *Incremental) AddEdges(edges []graph.Edge, parallelism int, tr *obs.Tr
 	if tr != nil {
 		span = tr.BeginPhase(obs.PhaseEdgeBatch)
 	}
-	var m int64
-	if inc.mergeObserver() != nil {
-		m = int64(len(inc.ApplyBatch(edges, 0, parallelism)))
-	} else {
-		p := inc.p // hoist the slice header out of the hot loop (the CAS barrier in LinkRecord blocks re-hoisting a field load)
-		var merged atomic.Int64
-		concurrent.ForRange(len(edges), parallelism, 256, func(lo, hi, _ int) {
-			var local int64
-			for _, e := range edges[lo:hi] {
-				if e.U != e.V && LinkRecord(p, e.U, e.V) {
-					local++
-				}
+	p := inc.p // hoist the slice header out of the hot loop (the CAS barrier in LinkRecord blocks re-hoisting a field load)
+	var merged atomic.Int64
+	concurrent.ForRange(len(edges), parallelism, 256, func(lo, hi, _ int) {
+		var local int64
+		for _, e := range edges[lo:hi] {
+			if e.U != e.V && LinkRecord(p, e.U, e.V) {
+				local++
 			}
-			if local > 0 {
-				merged.Add(local)
-			}
-		})
-		if m = merged.Load(); m > 0 {
-			inc.components.Add(-m)
 		}
+		if local > 0 {
+			merged.Add(local)
+		}
+	})
+	m := merged.Load()
+	if m > 0 {
+		inc.components.Add(-m)
 	}
 	if tr != nil {
 		tr.EndPhase(span, obs.PhaseStats{
@@ -160,9 +114,10 @@ type Merge struct {
 }
 
 // ApplyBatch links a batch of edges in parallel, like AddEdges, and
-// returns the merges it performed. lsn is the WAL record the batch rode
-// in; it is handed to the merge observer, which is called inline once
-// per merge with the causal edge.
+// returns the merges it performed, each with its causal edge. Which
+// edge of a cycle merges depends on the schedule; at parallelism 1 the
+// edges link in batch order, so the merging edges are a function of
+// the batch and the pre-batch partition alone.
 //
 // The merges come back in descending Loser order, and Winner is the
 // pre-batch root of the vertex Loser was hooked under. Applied in that
@@ -180,11 +135,10 @@ type Merge struct {
 // serve layer's batcher holds its view lock for that. Concurrent
 // callers still get every merge, with a Winner that may be a later
 // root.
-func (inc *Incremental) ApplyBatch(edges []graph.Edge, lsn uint64, parallelism int) []Merge {
+func (inc *Incremental) ApplyBatch(edges []graph.Edge, parallelism int) []Merge {
 	if len(edges) == 0 {
 		return nil
 	}
-	mo := inc.mergeObserver()
 	p := inc.p
 	parts := make([][]Merge, concurrent.Procs(parallelism))
 	concurrent.ForRange(len(edges), parallelism, 256, func(lo, hi, w int) {
@@ -194,11 +148,8 @@ func (inc *Incremental) ApplyBatch(edges []graph.Edge, lsn uint64, parallelism i
 			if e.U == e.V {
 				continue
 			}
-			if winner, loser, ok := LinkRecordMerge(p, e.U, e.V); ok {
+			if winner, loser, _, _ := link(p, e.U, e.V); loser != 0 {
 				local = append(local, Merge{Edge: int32(i), Winner: winner, Loser: loser})
-				if mo != nil {
-					mo.OnMerge(e.U, e.V, lsn)
-				}
 			}
 		}
 		parts[w] = local

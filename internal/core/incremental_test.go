@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 	"sync"
@@ -306,7 +305,7 @@ func TestApplyBatchResolvesWinners(t *testing.T) {
 	inc := NewIncremental(10)
 	inc.p[7], inc.p[5], inc.p[4] = 5, 4, 3
 	inc.components.Store(int64(inc.p.CountTrees()))
-	merges := inc.ApplyBatch([]graph.Edge{{U: 7, V: 9}, {U: 4, V: 1}}, 0, 1)
+	merges := inc.ApplyBatch([]graph.Edge{{U: 7, V: 9}, {U: 4, V: 1}}, 1)
 	want := []Merge{{Edge: 0, Winner: 3, Loser: 9}, {Edge: 1, Winner: 1, Loser: 3}}
 	if !slices.Equal(merges, want) {
 		t.Fatalf("merges = %+v, want %+v", merges, want)
@@ -321,31 +320,16 @@ func TestApplyBatchResolvesWinners(t *testing.T) {
 	}
 }
 
-// mergeLog records every observed merge's causal edge.
-type mergeLog struct {
-	mu    sync.Mutex
-	edges []graph.Edge
-}
-
-func (m *mergeLog) OnMerge(u, v graph.V, _ uint64) {
-	m.mu.Lock()
-	m.edges = append(m.edges, graph.Edge{U: u, V: v})
-	m.mu.Unlock()
-}
-
 // TestApplyBatchFoldIsExact streams random batches through ApplyBatch
 // and replays each batch's merges, in the returned order, through a
 // serial union-find: every merge must join two distinct current roots,
-// the replay must reproduce the live partition, the observer must see
-// exactly the returned merges' causal edges, and every loser and
+// the replay must reproduce the live partition, and every loser and
 // endpoint must point straight at its root afterwards.
 func TestApplyBatchFoldIsExact(t *testing.T) {
 	const n = 3000
 	for _, p := range []int{1, 2, 8} {
 		rng := rand.New(rand.NewSource(int64(p)))
 		inc := NewIncremental(n)
-		ob := &mergeLog{}
-		inc.SetMergeObserver(ob)
 		parent := make([]int, n) // the replay: roots are component minima
 		for i := range parent {
 			parent[i] = i
@@ -362,9 +346,7 @@ func TestApplyBatchFoldIsExact(t *testing.T) {
 			for i := range edges {
 				edges[i] = graph.Edge{U: graph.V(rng.Intn(n)), V: graph.V(rng.Intn(n))}
 			}
-			ob.edges = ob.edges[:0]
-			merges := inc.ApplyBatch(edges, uint64(batch+1), p)
-			var causal []graph.Edge
+			merges := inc.ApplyBatch(edges, p)
 			for i, m := range merges {
 				if i > 0 && m.Loser >= merges[i-1].Loser {
 					t.Fatalf("p=%d batch %d: losers not strictly descending: %+v", p, batch, merges)
@@ -374,15 +356,8 @@ func TestApplyBatchFoldIsExact(t *testing.T) {
 					t.Fatalf("p=%d batch %d: merge %+v does not join two current roots", p, batch, m)
 				}
 				parent[l] = w
-				causal = append(causal, edges[m.Edge])
 			}
 			total += len(merges)
-			byEnds := func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) }
-			slices.SortFunc(causal, byEnds)
-			slices.SortFunc(ob.edges, byEnds)
-			if !slices.Equal(causal, ob.edges) {
-				t.Fatalf("p=%d batch %d: observer saw %d merges, ApplyBatch returned %d", p, batch, len(ob.edges), len(causal))
-			}
 			for v := 0; v < n; v++ {
 				if got, want := inc.Find(graph.V(v)), graph.V(find(v)); got != want {
 					t.Fatalf("p=%d batch %d: vertex %d has root %d, replay says %d", p, batch, v, got, want)

@@ -5,10 +5,11 @@ import (
 	"afforest/internal/graph"
 )
 
-// Link ensures u and v are in the same component tree of π, merging
-// their trees if needed (Fig 3). It is lock-free and safe to call from
-// any number of goroutines on any edge order: convergence is local, so
-// each edge needs to be processed exactly once (Theorem 1).
+// link is Fig 3, the one copy of its climb loop in the package. It
+// ensures u and v are in the same component tree of π, merging their
+// trees if needed. It is lock-free and safe to call from any number of
+// goroutines on any edge order: convergence is local, so each edge
+// needs to be processed exactly once (Theorem 1).
 //
 // The procedure climbs from the current parents of u and v toward a
 // root. At each step the higher-indexed vertex h of the two frontier
@@ -17,10 +18,21 @@ import (
 // failure or a non-root h the climb continues from one ancestor up —
 // unlike SV's hook, which would defer the edge to the next global
 // iteration.
-func Link(p Parent, u, v graph.V) {
+//
+// link reports what it did. loser is the root it hooked and winner the
+// vertex l it was hooked under, an ancestor of one endpoint but not
+// necessarily a root. loser == 0 means no merge: a hooked root always
+// goes under a smaller id, so a real loser is never 0. iters counts
+// loop iterations, the entry comparison included, so an edge whose
+// trees already converged runs "a single local iteration of link for
+// validation" (Section V-A). casFails counts hook CASes lost to
+// another goroutine.
+func link(p Parent, u, v graph.V) (winner, loser graph.V, iters, casFails int64) {
+	iters = 1
 	p1 := p.Get(u)
 	p2 := p.Get(v)
 	for p1 != p2 {
+		iters++
 		var h, l graph.V
 		if p1 > p2 {
 			h, l = p1, p2
@@ -30,8 +42,14 @@ func Link(p Parent, u, v graph.V) {
 		ph := p.Get(h)
 		// Done if another processor already hooked h under l; otherwise
 		// attempt the hook ourselves if h is (still) a root.
-		if ph == l || (ph == h && p.cas(h, h, l)) {
-			return
+		if ph == l {
+			return 0, 0, iters, casFails
+		}
+		if ph == h {
+			if p.cas(h, h, l) {
+				return l, h, iters, casFails
+			}
+			casFails++
 		}
 		// Climb: one grandparent step on the high side, one parent step
 		// on the low side (matching the GAP-style formulation the paper
@@ -39,6 +57,21 @@ func Link(p Parent, u, v graph.V) {
 		p1 = p.Get(p.Get(h))
 		p2 = p.Get(l)
 	}
+	return 0, 0, iters, casFails
+}
+
+// Link ensures u and v are in the same component tree of π, merging
+// their trees if needed (Fig 3): link without its report.
+func Link(p Parent, u, v graph.V) { link(p, u, v) }
+
+// LinkRecord is Link that additionally reports whether this call merged
+// two trees (performed the successful hook CAS). Under Invariant 1 a
+// hooked vertex h was the root of its own tree and l belonged to a
+// different tree (roots are the minimum ids of their trees, and l < h),
+// so every true return corresponds to exactly one tree merge.
+func LinkRecord(p Parent, u, v graph.V) bool {
+	_, loser, _, _ := link(p, u, v)
+	return loser != 0
 }
 
 // Compress performs full path compression for v (Fig 2b): repeatedly
@@ -88,39 +121,5 @@ func CompressHalve(p Parent, v graph.V) {
 func CompressHalveAll(p Parent, parallelism int) {
 	parallelFor(len(p), parallelism, func(i int) {
 		CompressHalve(p, graph.V(i))
-	})
-}
-
-// LinkAll applies Link over every arc of g in parallel — the core
-// algorithm of Section III with no sampling. After LinkAll, each
-// connected component of g is a single tree in π (Theorem 1). Work is
-// distributed in arc-balanced chunks over the raw CSR slices, so
-// skewed degree distributions cannot serialize a chunk behind one hub.
-func LinkAll(g *graph.CSR, p Parent, parallelism int) {
-	LinkAllGrain(g, p, parallelism, 0)
-}
-
-// LinkAllGrain is LinkAll with an explicit arc-chunk grain (0 means
-// concurrent.DefaultEdgeGrain).
-func LinkAllGrain(g *graph.CSR, p Parent, parallelism, edgeGrain int) {
-	n := g.NumVertices()
-	if n == 0 {
-		return
-	}
-	offsets, targets := g.Adjacency(0, n)
-	concurrent.ForEdgeRange(offsets, parallelism, edgeGrain, func(vlo, vhi int, alo, ahi int64, _ int) {
-		for u := vlo; u < vhi; u++ {
-			lo, hi := offsets[u], offsets[u+1]
-			if lo < alo {
-				lo = alo
-			}
-			if hi > ahi {
-				hi = ahi
-			}
-			uu := graph.V(u)
-			for _, v := range targets[lo:hi] {
-				Link(p, uu, v)
-			}
-		}
 	})
 }

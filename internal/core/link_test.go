@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"afforest/internal/gen"
 	"afforest/internal/graph"
+	"afforest/internal/obs"
 )
 
 func TestNewParentSelfPointing(t *testing.T) {
@@ -155,16 +157,16 @@ func checkAgainstOracle(t *testing.T, g *graph.CSR, name string, labels []graph.
 	}
 }
 
+// TestLinkAllMatchesOracleOnSuite links every arc of each suite graph
+// (Run with no rounds and no skipping): Section III's algorithm alone.
 func TestLinkAllMatchesOracleOnSuite(t *testing.T) {
 	for _, sg := range gen.Suite() {
 		g := sg.Build(9, 123)
-		p := NewParent(g.NumVertices())
-		LinkAll(g, p, 0)
-		CompressAll(p, 0)
+		p := Run(g, Options{NeighborRounds: -1})
 		if bad := p.Validate(); bad >= 0 {
 			t.Fatalf("%s: invariant violated at %d", sg.Name, bad)
 		}
-		checkAgainstOracle(t, g, "linkall/"+sg.Name, p.Labels())
+		checkAgainstOracle(t, g, "all arcs/"+sg.Name, p.Labels())
 	}
 }
 
@@ -183,17 +185,66 @@ func TestLinkAllEdgeOrderIrrelevant(t *testing.T) {
 	}
 }
 
-// TestLinkConcurrentStress hammers Link from many goroutines over many
+// TestLinkKernel pins link's report on hand-built π arrays whose
+// expected winner, loser and iteration count are written out, and
+// checks that the wrappers report the same calls.
+func TestLinkKernel(t *testing.T) {
+	cases := []struct {
+		name          string
+		parent        []graph.V // π before the call
+		u, v          graph.V
+		winner, loser graph.V
+		iters         int64
+	}{
+		// 1 and 2 already share root 0: the entry comparison is the
+		// only iteration.
+		{"one tree", []graph.V{0, 0, 0}, 1, 2, 0, 0, 1},
+		// Root 3 goes under the smaller root 1.
+		{"two singletons", []graph.V{0, 1, 2, 3}, 3, 1, 1, 3, 2},
+		// 7→6→5→4 and root 3. The high side 6 is not a root, so the
+		// climb jumps to its grandparent 4, which goes under 3.
+		{"grandparent climb", []graph.V{0, 1, 2, 3, 4, 4, 5, 6}, 7, 3, 3, 4, 3},
+	}
+	var st LinkStats
+	for _, tc := range cases {
+		p := Parent(slices.Clone(tc.parent))
+		winner, loser, iters, casFails := link(p, tc.u, tc.v)
+		if winner != tc.winner || loser != tc.loser || iters != tc.iters || casFails != 0 {
+			t.Errorf("%s: link(%d, %d) = (%d, %d, %d, %d), want (%d, %d, %d, 0)",
+				tc.name, tc.u, tc.v, winner, loser, iters, casFails, tc.winner, tc.loser, tc.iters)
+		}
+		want := slices.Clone(tc.parent)
+		if tc.loser != 0 {
+			want[tc.loser] = tc.winner
+		}
+		if !slices.Equal(p, want) {
+			t.Errorf("%s: π after link = %v, want %v", tc.name, p, want)
+		}
+		if got := LinkRecord(Parent(slices.Clone(tc.parent)), tc.u, tc.v); got != (tc.loser != 0) {
+			t.Errorf("%s: LinkRecord = %v", tc.name, got)
+		}
+		LinkCounted(Parent(slices.Clone(tc.parent)), tc.u, tc.v, &st)
+	}
+	if want := (LinkStats{Calls: 3, Iterations: 6, MaxIters: 3, Merges: 2}); st != want {
+		t.Errorf("LinkCounted stats = %+v, want %+v", st, want)
+	}
+}
+
+// TestLinkConcurrentStress hammers link from many goroutines over many
 // runs; any violation of Invariant 1 or wrong final partition fails.
+// Invariant 1 is checked on π as the link pass left it, before the
+// final compress.
 func TestLinkConcurrentStress(t *testing.T) {
 	g := gen.Kronecker(11, 8, gen.Graph500, 9)
 	for trial := 0; trial < 20; trial++ {
-		p := NewParent(g.NumVertices())
-		LinkAll(g, p, 8)
-		if bad := p.Validate(); bad >= 0 {
-			t.Fatalf("trial %d: invariant violated at %d", trial, bad)
-		}
-		CompressAll(p, 8)
+		p := RunAudited(g, Options{NeighborRounds: -1, Parallelism: 8}, func(p Parent, phase string) {
+			if phase != obs.PhaseFinal {
+				return
+			}
+			if bad := p.Validate(); bad >= 0 {
+				t.Fatalf("trial %d: invariant violated at %d", trial, bad)
+			}
+		})
 		checkAgainstOracle(t, g, "stress", p.Labels())
 	}
 }
@@ -238,8 +289,8 @@ func TestAdversarialLinearCompress(t *testing.T) {
 	}
 }
 
-// TestLinkQuickPartition checks on random small graphs that serial
-// Link over all edges yields the oracle partition (property test).
+// TestLinkQuickPartition checks on random small graphs that linking
+// every arc yields the oracle partition (property test).
 func TestLinkQuickPartition(t *testing.T) {
 	f := func(raw []uint16, nSeed uint8) bool {
 		n := int(nSeed)%40 + 2
@@ -248,9 +299,7 @@ func TestLinkQuickPartition(t *testing.T) {
 			edges = append(edges, graph.Edge{U: graph.V(int(raw[i]) % n), V: graph.V(int(raw[i+1]) % n)})
 		}
 		g := graph.Build(edges, graph.BuildOptions{NumVertices: n})
-		p := NewParent(n)
-		LinkAll(g, p, 2)
-		CompressAll(p, 2)
+		p := Run(g, Options{NeighborRounds: -1, Parallelism: 2})
 		if p.Validate() >= 0 {
 			return false
 		}

@@ -26,20 +26,19 @@ func TestRunSequentialDeterminism(t *testing.T) {
 	}
 }
 
-// TestLinkAllEdgeBalancedMatchesOracle exercises LinkAll's arc-balanced
-// scheduling across grains that force hub splitting (grain 16 on a
-// power-law graph) and grains larger than the whole arc set.
+// TestLinkAllEdgeBalancedMatchesOracle exercises the arc-balanced link
+// over every arc (Run with no rounds and no skipping) across grains
+// that force hub splitting (grain 16 on a power-law graph) and grains
+// larger than the whole arc set.
 func TestLinkAllEdgeBalancedMatchesOracle(t *testing.T) {
 	g := gen.Kronecker(11, 8, gen.Graph500, 5)
 	for _, grain := range []int{0, 16, 1 << 30} {
 		for _, par := range []int{1, 4} {
-			p := NewParent(g.NumVertices())
-			LinkAllGrain(g, p, par, grain)
-			CompressAll(p, par)
+			p := Run(g, Options{NeighborRounds: -1, Parallelism: par, EdgeGrain: grain})
 			if bad := p.Validate(); bad >= 0 {
 				t.Fatalf("grain=%d par=%d: invariant violated at %d", grain, par, bad)
 			}
-			checkAgainstOracle(t, g, "linkall", p.Labels())
+			checkAgainstOracle(t, g, "all arcs", p.Labels())
 		}
 	}
 }

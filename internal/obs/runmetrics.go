@@ -34,7 +34,7 @@ func NewRunMetrics(r *Registry) *RunMetrics {
 		runs:           r.Counter("afforest_runs_total", "Completed Afforest runs."),
 		linkRounds:     r.Counter("afforest_link_rounds_total", "Neighbor-sampling link rounds executed."),
 		compressPasses: r.Counter("afforest_compress_passes_total", "Compress passes executed (including final)."),
-		finalPasses:    r.Counter("afforest_final_passes_total", "Full edge passes (skip-aware final or LinkAll)."),
+		finalPasses:    r.Counter("afforest_final_passes_total", "Final skip passes (one per run)."),
 		samplePasses:   r.Counter("afforest_sample_passes_total", "Most-frequent-element sampling passes."),
 		linkCalls:      r.Counter("afforest_link_calls_total", "Link invocations across all phases."),
 		linkIters:      r.Counter("afforest_link_iterations_total", "Hook-climbing iterations inside Link."),

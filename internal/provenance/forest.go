@@ -1,7 +1,8 @@
 // Package provenance records *why* two vertices are connected: a
 // merge forest over the vertex set whose tree edges are exactly the
 // input edges that performed successful hook CASes in the concurrent
-// union-find (core.Incremental's MergeObserver hook). The π array
+// union-find (the merges core.Incremental's AddEdge and ApplyBatch
+// report to their callers, which record them here). The π array
 // itself cannot explain anything — shortcutting destroys history, and
 // a root only says "same component", never "through which inputs" —
 // but the set of successful-CAS edges is a spanning forest of the
@@ -17,7 +18,7 @@
 // serializes insertions under a lock, and because every prefix of any
 // interleaving is a subset of the full forest, each recorded edge
 // always joins two distinct trees — the structure cannot corrupt no
-// matter how the CAS winners' OnMerge calls interleave. Witness paths
+// matter how concurrent OnMerge calls interleave. Witness paths
 // are therefore *sound* at every instant (every hop is a real applied
 // input edge); they become *complete* (path exists ⟺ connected) once
 // the writers quiesce, since a merge is recorded momentarily after its
@@ -25,9 +26,12 @@
 package provenance
 
 import (
+	"cmp"
 	"encoding/json"
+	"slices"
 	"sync"
 
+	"afforest/internal/core"
 	"afforest/internal/graph"
 )
 
@@ -82,9 +86,8 @@ type ann struct {
 // Record runs under it from every goroutine streaming edges (the
 // enabled path's documented cost), Explain/History/Dump are read-side
 // queries that also compress the internal DSU, so they take the same
-// lock. The disabled path never reaches this package at all — the
-// core-side observer load is the only cost, pinned by the overhead
-// guard.
+// lock. With provenance off no forest exists and nothing calls into
+// this package.
 type Forest struct {
 	mu sync.Mutex
 
@@ -130,21 +133,36 @@ func (f *Forest) SetShard(id int) { f.shard = id }
 // NumVertices returns n.
 func (f *Forest) NumVertices() int { return len(f.fparent) }
 
-// OnMerge implements core.MergeObserver: record the causal edge of one
-// successful hook CAS.
+// OnMerge records the causal edge {u, v} of one successful hook CAS: an
+// edge whose core.Incremental.AddEdge returned true. lsn is the WAL
+// record the edge rode in (0 when there is no log).
 func (f *Forest) OnMerge(u, v graph.V, lsn uint64) {
 	f.record(u, v, lsn, false)
 }
 
-// GhostRecorder returns a core.MergeObserver recording merges as ghost
-// hops — exchange-protocol label edges rather than input edges. The
-// cluster shard installs it around ingest/absorb.
+// RecordMerges records the merges one core.Incremental.ApplyBatch call
+// returned for edges, stamped with the batch's WAL LSN, in edge order.
+// It sorts merges by Edge in place. At parallelism 1 ApplyBatch links in
+// edge order, so the recorded sequence depends only on the batch and
+// the partition before it: a WAL replay that applies the same batch the
+// same way rebuilds the same forest.
+func (f *Forest) RecordMerges(edges []graph.Edge, merges []core.Merge, lsn uint64) {
+	slices.SortFunc(merges, func(x, y core.Merge) int { return cmp.Compare(x.Edge, y.Edge) })
+	for _, m := range merges {
+		e := edges[m.Edge]
+		f.record(e.U, e.V, lsn, false)
+	}
+}
+
+// GhostRecorder returns a view recording merges as ghost hops —
+// exchange-protocol label edges rather than input edges. The cluster
+// shard records ingest/absorb merges through it.
 func (f *Forest) GhostRecorder() *GhostView { return &GhostView{f: f} }
 
-// GhostView tags every merge it observes as a ghost edge.
+// GhostView tags every merge it records as a ghost edge.
 type GhostView struct{ f *Forest }
 
-// OnMerge implements core.MergeObserver.
+// OnMerge records the label edge {u, v} of one merge as a ghost hop.
 func (g *GhostView) OnMerge(u, v graph.V, lsn uint64) {
 	g.f.record(u, v, lsn, true)
 }

@@ -10,6 +10,22 @@ import (
 	"afforest/internal/graph"
 )
 
+// recorder is a Forest or its ghost view.
+type recorder interface {
+	OnMerge(u, v graph.V, lsn uint64)
+}
+
+// addEdge streams {u, v} into inc and, when it merged two trees,
+// records it through r, the way a caller of core.Incremental records
+// provenance.
+func addEdge(inc *core.Incremental, r recorder, u, v graph.V, lsn uint64) bool {
+	if !inc.AddEdge(u, v) {
+		return false
+	}
+	r.OnMerge(u, v, lsn)
+	return true
+}
+
 // checkPath verifies hops form a contiguous u→v path whose every hop is
 // an edge of the allowed multigraph (normalized endpoint pairs).
 func checkPath(t *testing.T, u, v graph.V, hops []Hop, allowed map[[2]graph.V]bool) {
@@ -36,11 +52,10 @@ func TestForestExplainPath(t *testing.T) {
 	const n = 16
 	f := NewForest(n)
 	inc := core.NewIncremental(n)
-	inc.SetMergeObserver(f)
 	allowed := map[[2]graph.V]bool{}
 	for i := 0; i < n-1; i++ {
 		u, v := graph.V(i), graph.V(i+1)
-		if !inc.AddEdgeAt(u, v, uint64(100+i)) {
+		if !addEdge(inc, f, u, v, uint64(100+i)) {
 			t.Fatalf("edge {%d,%d} did not merge", u, v)
 		}
 		allowed[[2]graph.V{u, v}] = true
@@ -69,17 +84,16 @@ func TestForestExplainPath(t *testing.T) {
 }
 
 // TestForestDuplicateEdgesDropOnce: only merging edges become tree
-// edges; a duplicate that performs no CAS is never recorded (the core
-// hook only fires on successful CASes), and a defensive same-tree
+// edges; a duplicate that performs no CAS is never recorded (AddEdge
+// reports only successful CASes), and a defensive same-tree
 // record is counted as dropped, not inserted.
 func TestForestDuplicateEdgesDropOnce(t *testing.T) {
 	f := NewForest(4)
 	inc := core.NewIncremental(4)
-	inc.SetMergeObserver(f)
-	inc.AddEdge(0, 1)
-	inc.AddEdge(0, 1) // no merge, no record
-	inc.AddEdge(2, 3)
-	inc.AddEdge(1, 3)
+	addEdge(inc, f, 0, 1, 0)
+	addEdge(inc, f, 0, 1, 0) // no merge, no record
+	addEdge(inc, f, 2, 3, 0)
+	addEdge(inc, f, 1, 3, 0)
 	st := f.StatsNow()
 	if st.Records != 3 || st.Dropped != 0 {
 		t.Fatalf("stats %+v, want 3 records 0 dropped", st)
@@ -96,11 +110,10 @@ func TestForestDuplicateEdgesDropOnce(t *testing.T) {
 func TestForestHistoryTimeline(t *testing.T) {
 	f := NewForest(8)
 	inc := core.NewIncremental(8)
-	inc.SetMergeObserver(f)
-	inc.AddEdgeAt(0, 1, 1) // {0,1}
-	inc.AddEdgeAt(2, 3, 2) // {2,3}
-	inc.AddEdgeAt(1, 2, 3) // {0,1,2,3}
-	inc.AddEdgeAt(6, 7, 4) // other component
+	addEdge(inc, f, 0, 1, 1) // {0,1}
+	addEdge(inc, f, 2, 3, 2) // {2,3}
+	addEdge(inc, f, 1, 2, 3) // {0,1,2,3}
+	addEdge(inc, f, 6, 7, 4) // other component
 	recs := f.History(0)
 	if len(recs) != 3 {
 		t.Fatalf("history has %d records, want 3", len(recs))
@@ -123,8 +136,8 @@ func TestForestHistoryTimeline(t *testing.T) {
 }
 
 // TestForestConcurrentSoundness is the live-writer property: with
-// concurrent goroutines streaming random edges through the core hook,
-// every Explain answered mid-stream must be sound (a genuine contiguous
+// concurrent goroutines streaming random edges into core.Incremental
+// and recording each merge, every Explain answered mid-stream must be sound (a genuine contiguous
 // path of streamed edges), and after quiescence Explain must agree
 // exactly with Connected. Run under -race via the race matrix.
 func TestForestConcurrentSoundness(t *testing.T) {
@@ -132,7 +145,6 @@ func TestForestConcurrentSoundness(t *testing.T) {
 	const writers = 4
 	f := NewForest(n)
 	inc := core.NewIncremental(n)
-	inc.SetMergeObserver(f)
 
 	var mu sync.Mutex
 	allowed := map[[2]graph.V]bool{}
@@ -151,7 +163,7 @@ func TestForestConcurrentSoundness(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				u, v := graph.V(rng.Intn(n)), graph.V(rng.Intn(n))
 				note(u, v) // before the insert: sound even if Explain races
-				inc.AddEdgeAt(u, v, uint64(w*2000+i+1))
+				addEdge(inc, f, u, v, uint64(w*2000+i+1))
 			}
 		}(w)
 	}
@@ -215,10 +227,9 @@ func TestForestDumpCanonicalDeterministic(t *testing.T) {
 	build := func() *Forest {
 		f := NewForest(32)
 		inc := core.NewIncremental(32)
-		inc.SetMergeObserver(f)
 		rng := rand.New(rand.NewSource(42))
 		for i := 0; i < 100; i++ {
-			inc.AddEdgeAt(graph.V(rng.Intn(32)), graph.V(rng.Intn(32)), uint64(i+1))
+			addEdge(inc, f, graph.V(rng.Intn(32)), graph.V(rng.Intn(32)), uint64(i+1))
 		}
 		return f
 	}
@@ -228,16 +239,14 @@ func TestForestDumpCanonicalDeterministic(t *testing.T) {
 	}
 }
 
-// TestGhostRecorderTags: merges observed through the ghost view carry
+// TestGhostRecorderTags: merges recorded through the ghost view carry
 // the ghost flag and the shard identity on both hops and records.
 func TestGhostRecorderTags(t *testing.T) {
 	f := NewForest(4)
 	f.SetShard(2)
 	inc := core.NewIncremental(4)
-	inc.SetMergeObserver(f)
-	inc.AddEdge(0, 1) // real
-	inc.SetMergeObserver(f.GhostRecorder())
-	inc.AddEdge(1, 2) // ghost
+	addEdge(inc, f, 0, 1, 0)                 // real
+	addEdge(inc, f.GhostRecorder(), 1, 2, 0) // ghost
 	hops, ok := f.Explain(0, 2)
 	if !ok || len(hops) != 2 {
 		t.Fatalf("explain 0-2: ok=%v hops=%v", ok, hops)
@@ -253,5 +262,25 @@ func TestGhostRecorderTags(t *testing.T) {
 	}
 	if ghosts != 1 {
 		t.Fatalf("%d ghost hops, want exactly the label edge", ghosts)
+	}
+}
+
+// TestRecordMergesEdgeOrder: RecordMerges records an ApplyBatch merge
+// list (which comes back in descending loser order) in edge order,
+// each record stamped with the batch's LSN.
+func TestRecordMergesEdgeOrder(t *testing.T) {
+	edges := []graph.Edge{{U: 2, V: 3}, {U: 0, V: 1}, {U: 1, V: 3}}
+	inc := core.NewIncremental(4)
+	merges := inc.ApplyBatch(edges, 1)
+	f := NewForest(4)
+	f.RecordMerges(edges, merges, 9)
+	recs := f.History(0)
+	if len(recs) != len(edges) {
+		t.Fatalf("%d records, want %d", len(recs), len(edges))
+	}
+	for i, r := range recs {
+		if r.U != edges[i].U || r.V != edges[i].V || r.LSN != 9 {
+			t.Fatalf("record %d = {%d,%d} lsn %d, want edge %v lsn 9", i, r.U, r.V, r.LSN, edges[i])
+		}
 	}
 }

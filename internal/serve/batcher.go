@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"cmp"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,6 +97,20 @@ func newEdgeBatcher(inc *core.Incremental, window time.Duration, maxBatch, paral
 	}
 }
 
+// applyBatch links one logged batch into inc and returns its merges. A
+// live flush and the WAL replay of its record both apply through it.
+// Which edge of a cycle merges depends on the link schedule, and a
+// provenance forest records exactly those edges, so with a forest the
+// batch links at parallelism 1: the merging edges are then a function
+// of the record and the partition before it, and replay rebuilds the
+// forest the live server built.
+func applyBatch(inc *core.Incremental, edges []graph.Edge, parallelism int, prov *provenance.Forest) []core.Merge {
+	if prov != nil {
+		parallelism = 1
+	}
+	return inc.ApplyBatch(edges, parallelism)
+}
+
 // run is the batcher goroutine: collect, flush, repeat until the submit
 // channel closes, then flush whatever is pending and exit. Closing the
 // channel is the drain signal — the server guarantees no enqueue races
@@ -163,10 +175,10 @@ func (b *edgeBatcher) collect(first *submission) (batch []*submission, open bool
 //     one fsync covers every request riding in the batch). A failed
 //     append refuses the batch — nothing is applied, every submission
 //     gets the error, the durability contract "ack ⇒ replayable" holds.
-//  2. Under the view lock, link every edge in one parallel pass
-//     (Incremental.ApplyBatch), fold its merges into the per-root size
-//     table, and advance the applied-LSN watermark. Readers holding the
-//     lock shared see the state after some whole batch.
+//  2. Under the view lock, link every edge in one pass (applyBatch),
+//     fold its merges into the per-root size table, and advance the
+//     applied-LSN watermark. Readers holding the lock shared see the
+//     state after some whole batch.
 //  3. Record the merges in the provenance forest, publish them to the
 //     SSE hub, report the durability gap, and reply to each submission.
 func (b *edgeBatcher) flush(batch []*submission) {
@@ -200,7 +212,7 @@ func (b *edgeBatcher) flush(batch []*submission) {
 	var events []MergeEvent
 	b.view.Lock()
 	applyStart := time.Now()
-	merges := b.inc.ApplyBatch(all, lsn, b.parallelism)
+	merges := applyBatch(b.inc, all, b.parallelism, b.prov)
 	// ApplyBatch orders the merges so that each one joins two current
 	// roots: both sizes are exact when read, and the fold keeps them so.
 	for _, m := range merges {
@@ -223,13 +235,7 @@ func (b *edgeBatcher) flush(batch []*submission) {
 	b.view.Unlock()
 
 	if b.prov != nil {
-		// In edge order, the order WAL replay records them in, so a
-		// restart rebuilds the same forest.
-		slices.SortFunc(merges, func(x, y core.Merge) int { return cmp.Compare(x.Edge, y.Edge) })
-		for _, m := range merges {
-			e := all[m.Edge]
-			b.prov.OnMerge(e.U, e.V, lsn)
-		}
+		b.prov.RecordMerges(all, merges, lsn)
 	}
 	merged := int64(len(merges))
 	if b.applyHist != nil {

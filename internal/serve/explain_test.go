@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"afforest/internal/core"
+	"afforest/internal/graph"
 	"afforest/internal/obs"
 )
 
@@ -166,76 +167,105 @@ func TestExplainBootstrapGap(t *testing.T) {
 	}
 }
 
-// TestExplainSurvivesWALRestart is the crash-consistency property the
-// provenance smoke also drives end-to-end: the forest is rebuilt from
-// the WAL on restart, and because replay is serial and deterministic,
-// the canonical /debug/provenance dump and every /explain answer are
-// identical across a crash — and still sound against the posted edges.
+// TestExplainSurvivesWALRestart: a server restarted purely from its WAL
+// rebuilds the same merge forest, so the canonical dump and every
+// /explain answer come back identical. Two inputs: 200 single-edge
+// POSTs, and bulk POSTs whose flushes each span many 256-edge link
+// chunks at Parallelism 2. Linked in parallel, such a flush would let
+// the schedule pick which edge of a cycle merges, and serial replay
+// could pick another.
 func TestExplainSurvivesWALRestart(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{BatchWindow: -1, Provenance: true, WALDir: dir + "/wal"}
-	srv, err := Open(core.NewIncremental(128), 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	rng := rand.New(rand.NewSource(3))
-	posted := map[[2]uint64]bool{}
-	for i := 0; i < 200; i++ {
-		u, v := rng.Intn(128), rng.Intn(128)
-		postEdge(t, ts.URL, u, v)
-		posted[[2]uint64{uint64(min(u, v)), uint64(max(u, v))}] = true
-	}
-	dumpBefore := getRaw(t, ts.URL+"/debug/provenance?canonical=1")
-	type answer struct {
-		connected bool
-		hops      [][2]uint64
-	}
-	queries := make([][2]int, 50)
-	before := make([]answer, 50)
-	for i := range queries {
-		queries[i] = [2]int{rng.Intn(128), rng.Intn(128)}
-		body := getMap(t, ts.URL+"/explain?u="+itoa(queries[i][0])+"&v="+itoa(queries[i][1]), http.StatusOK)
-		before[i] = answer{body["connected"] == true, explainHops(t, body)}
-	}
-	ts.Close()
-	srv.Close()
-
-	// Restart purely from the log; replay rebuilds the forest.
-	srv2, err := Open(core.NewIncremental(128), 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(srv2)
-	defer ts2.Close()
-	defer srv2.Close()
-
-	dumpAfter := getRaw(t, ts2.URL+"/debug/provenance?canonical=1")
-	if !bytes.Equal(dumpBefore, dumpAfter) {
-		t.Fatalf("canonical forest dump changed across restart:\n%s\n---\n%s", dumpBefore, dumpAfter)
-	}
-	for i, q := range queries {
-		body := getMap(t, ts2.URL+"/explain?u="+itoa(q[0])+"&v="+itoa(q[1]), http.StatusOK)
-		after := answer{body["connected"] == true, explainHops(t, body)}
-		if after.connected != before[i].connected || len(after.hops) != len(before[i].hops) {
-			t.Fatalf("explain %v changed across restart: before %+v after %+v", q, before[i], after)
-		}
-		for j := range after.hops {
-			if after.hops[j] != before[i].hops[j] {
-				t.Fatalf("explain %v hop %d changed: %v vs %v", q, j, before[i].hops[j], after.hops[j])
+	for _, tc := range []struct {
+		name        string
+		n           int
+		parallelism int
+		bulk        int // edges in each of two POSTs; 0 means 200 single-edge POSTs
+	}{
+		{name: "single posts", n: 128},
+		{name: "bulk posts", n: 4096, parallelism: 2, bulk: 4000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{BatchWindow: -1, Provenance: true, WALDir: dir + "/wal", Parallelism: tc.parallelism}
+			srv, err := Open(core.NewIncremental(tc.n), 0, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// And each rebuilt witness is still a genuine path of posted edges.
-		at := uint64(q[0])
-		for _, h := range after.hops {
-			if h[0] != at || !posted[[2]uint64{min(h[0], h[1]), max(h[0], h[1])}] {
-				t.Fatalf("rebuilt witness for %v broken at hop %v", q, h)
+			ts := httptest.NewServer(srv)
+			rng := rand.New(rand.NewSource(3))
+			posted := map[[2]uint64]bool{}
+			note := func(u, v int) { posted[[2]uint64{uint64(min(u, v)), uint64(max(u, v))}] = true }
+			if tc.bulk > 0 {
+				for range 2 {
+					edges := make([]graph.Edge, tc.bulk)
+					for i := range edges {
+						u, v := rng.Intn(tc.n), rng.Intn(tc.n)
+						edges[i] = graph.Edge{U: graph.V(u), V: graph.V(v)}
+						note(u, v)
+					}
+					if _, _, status := postEdges(t, ts.Client(), ts.URL, edges); status != http.StatusOK {
+						t.Fatalf("bulk POST status %d", status)
+					}
+				}
+			} else {
+				for i := 0; i < 200; i++ {
+					u, v := rng.Intn(tc.n), rng.Intn(tc.n)
+					postEdge(t, ts.URL, u, v)
+					note(u, v)
+				}
 			}
-			at = h[1]
-		}
-		if after.connected && len(after.hops) > 0 && at != uint64(q[1]) {
-			t.Fatalf("rebuilt witness for %v ends at %d", q, at)
-		}
+			dumpBefore := getRaw(t, ts.URL+"/debug/provenance?canonical=1")
+			type answer struct {
+				connected bool
+				hops      [][2]uint64
+			}
+			queries := make([][2]int, 50)
+			before := make([]answer, 50)
+			for i := range queries {
+				queries[i] = [2]int{rng.Intn(tc.n), rng.Intn(tc.n)}
+				body := getMap(t, ts.URL+"/explain?u="+itoa(queries[i][0])+"&v="+itoa(queries[i][1]), http.StatusOK)
+				before[i] = answer{body["connected"] == true, explainHops(t, body)}
+			}
+			ts.Close()
+			srv.Close()
+
+			// Restart purely from the log; replay rebuilds the forest.
+			srv2, err := Open(core.NewIncremental(tc.n), 0, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts2 := httptest.NewServer(srv2)
+			defer ts2.Close()
+			defer srv2.Close()
+
+			dumpAfter := getRaw(t, ts2.URL+"/debug/provenance?canonical=1")
+			if !bytes.Equal(dumpBefore, dumpAfter) {
+				t.Fatalf("canonical forest dump changed across restart:\n%s\n---\n%s", dumpBefore, dumpAfter)
+			}
+			for i, q := range queries {
+				body := getMap(t, ts2.URL+"/explain?u="+itoa(q[0])+"&v="+itoa(q[1]), http.StatusOK)
+				after := answer{body["connected"] == true, explainHops(t, body)}
+				if after.connected != before[i].connected || len(after.hops) != len(before[i].hops) {
+					t.Fatalf("explain %v changed across restart: before %+v after %+v", q, before[i], after)
+				}
+				for j := range after.hops {
+					if after.hops[j] != before[i].hops[j] {
+						t.Fatalf("explain %v hop %d changed: %v vs %v", q, j, before[i].hops[j], after.hops[j])
+					}
+				}
+				// And each rebuilt witness is still a genuine path of posted edges.
+				at := uint64(q[0])
+				for _, h := range after.hops {
+					if h[0] != at || !posted[[2]uint64{min(h[0], h[1]), max(h[0], h[1])}] {
+						t.Fatalf("rebuilt witness for %v broken at hop %v", q, h)
+					}
+					at = h[1]
+				}
+				if after.connected && len(after.hops) > 0 && at != uint64(q[1]) {
+					t.Fatalf("rebuilt witness for %v ends at %d", q, at)
+				}
+			}
+		})
 	}
 }
 

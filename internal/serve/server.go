@@ -80,8 +80,9 @@ type Config struct {
 	WAL *wal.Log
 	// Provenance enables the merge-forest: every successful merge records
 	// its causal input edge, GET /explain and GET /history answer from it,
-	// and WAL replay rebuilds it. Off (the default), the write path pays
-	// one atomic nil-check per batch — the overhead guard's regime.
+	// and WAL replay rebuilds it. Each flush then links serially, so the
+	// recorded edges depend only on the batch. Off (the default), no
+	// forest exists and flushes link in parallel.
 	Provenance bool
 
 	// prov carries a forest created before New runs (Open builds it ahead
@@ -230,17 +231,15 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 	pm.OnJob = cfg.Anomaly.ObserveImbalance
 	concurrent.DefaultPool().SetMetrics(pm)
 	// Provenance: create the merge-forest (or adopt the one Open built
-	// and installed on inc so WAL replay recorded into it). From here on
-	// the batcher records each flush's merges itself, after it releases
-	// the view lock: an observer called under that lock would hold every
-	// size reader behind the forest's lock, which /history holds for its
-	// whole scan. Gauges make forest growth visible without hitting
-	// /debug.
+	// so WAL replay recorded into it). The batcher records each flush's
+	// merges after it releases the view lock: recording under that lock
+	// would hold every size reader behind the forest's lock, which
+	// /history holds for its whole scan. Gauges make forest growth
+	// visible without hitting /debug.
 	if cfg.Provenance {
 		if cfg.prov == nil {
 			cfg.prov = provenance.NewForest(inc.NumVertices())
 		}
-		inc.SetMergeObserver(nil)
 		s.prov = cfg.prov
 		s.provDepth = reg.Gauge("afforest_witness_depth",
 			"Hop count of the most recent /explain witness path.")
@@ -332,21 +331,22 @@ func (s *Server) Provenance() *provenance.Forest { return s.prov }
 // the verdict is surfaced in /stats under "wal".
 func Open(inc *core.Incremental, bootEdges int64, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	// The forest must exist before replay so replayed merges are recorded:
-	// wal.Open applies records serially in LSN order, so two boots from the
-	// same log image build identical forests — /explain answers survive a
-	// crash byte-for-byte (the provenance-smoke property).
+	// The forest must exist before replay so replayed merges are recorded.
+	// Replay applies each record, in LSN order, the way the live flush
+	// applied it (applyBatch, then RecordMerges), so a boot from the log
+	// rebuilds the forest the live server built — /explain answers
+	// survive a crash byte-for-byte (the provenance-smoke property).
 	if cfg.Provenance && cfg.prov == nil {
 		cfg.prov = provenance.NewForest(inc.NumVertices())
-		inc.SetMergeObserver(cfg.prov)
 	}
 	var st wal.ReplayStats
 	if cfg.WAL == nil && cfg.WALDir != "" {
 		after := wal.LSN(inc.AppliedLSN())
 		var replayed int64
 		l, rst, err := wal.Open(cfg.WALDir, after, func(lsn wal.LSN, edges []graph.Edge) error {
-			for _, e := range edges {
-				inc.AddEdgeAt(e.U, e.V, uint64(lsn))
+			merges := applyBatch(inc, edges, cfg.Parallelism, cfg.prov)
+			if cfg.prov != nil {
+				cfg.prov.RecordMerges(edges, merges, uint64(lsn))
 			}
 			inc.MarkApplied(uint64(lsn))
 			replayed += int64(len(edges))

@@ -146,15 +146,6 @@ func init() {
 		o.SkipLargest = false
 	}))
 	RegisterAlgo(afforestAlgo("afforest-halving", func(o *core.Options) { o.HalvingCompress = true }))
-	RegisterAlgo(Algo{
-		Name: "linkall",
-		Run: func(g *graph.CSR, workers int, _ uint64) []graph.V {
-			p := core.NewParent(g.NumVertices())
-			core.LinkAll(g, p, workers)
-			core.CompressAll(p, workers)
-			return p.Labels()
-		},
-	})
 	RegisterAlgo(baselineAlgo("sv", baselines.SV))
 	RegisterAlgo(baselineAlgo("sv-edgelist", baselines.SVEdgeList))
 	RegisterAlgo(baselineAlgo("lp", baselines.LP))

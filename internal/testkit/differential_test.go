@@ -43,7 +43,7 @@ func TestDifferentialVariants(t *testing.T) {
 	m := Matrix{
 		Algos: []string{
 			"afforest-noskip", "afforest-nosample", "afforest-halving",
-			"linkall", "sv-edgelist", "lp-datadriven", "bfs",
+			"sv-edgelist", "lp-datadriven", "bfs",
 		},
 		Seeds:   []uint64{6, 7},
 		Workers: []int{1, 8},

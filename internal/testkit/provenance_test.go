@@ -12,8 +12,8 @@ import (
 
 // TestProvenanceWitnessMatrix is the provenance acceptance matrix:
 // corpus × seeds × worker counts, each run streaming the case's edges
-// through core.Incremental with a merge forest installed, under a
-// pinned deterministic schedule. At quiescence every sampled pair must
+// through core.Incremental.ApplyBatch and recording every batch's
+// merges in a merge forest, under a pinned deterministic schedule. At quiescence every sampled pair must
 // satisfy
 //
 //	Explain(u,v) found  ⟺  Connected(u,v)  ⟺  oracle says same component
@@ -48,11 +48,10 @@ func TestProvenanceWitnessMatrix(t *testing.T) {
 			concurrent.SetDeterministic(&concurrent.DetConfig{Seed: seed, Serial: serial})
 			inc := core.NewIncremental(n)
 			prov := provenance.NewForest(n)
-			inc.SetMergeObserver(prov)
 			const batch = 89
 			for lo := 0; lo < len(edges); lo += batch {
-				hi := min(lo+batch, len(edges))
-				inc.AddEdges(edges[lo:hi], workers, nil)
+				chunk := edges[lo:min(lo+batch, len(edges))]
+				prov.RecordMerges(chunk, inc.ApplyBatch(chunk, workers), 0)
 			}
 			concurrent.SetDeterministic(nil)
 			schedMu.Unlock()
@@ -108,7 +107,6 @@ func TestProvenanceExplainUnderLiveWriters(t *testing.T) {
 
 	inc := core.NewIncremental(n)
 	prov := provenance.NewForest(n)
-	inc.SetMergeObserver(prov)
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -137,7 +135,8 @@ func TestProvenanceExplainUnderLiveWriters(t *testing.T) {
 
 	const batch = 113
 	for lo := 0; lo < len(edges); lo += batch {
-		inc.AddEdges(edges[lo:min(lo+batch, len(edges))], 4, nil)
+		chunk := edges[lo:min(lo+batch, len(edges))]
+		prov.RecordMerges(chunk, inc.ApplyBatch(chunk, 4), 0)
 	}
 	close(stop)
 	readers.Wait()
