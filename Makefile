@@ -53,13 +53,16 @@ ccperf-test:
 # matrix inside internal/testkit additionally permutes chunk dispatch
 # with seeded schedules, so each pass explores distinct interleavings.
 # internal/obs is in the matrix because its sinks take Emit from the
-# serve batcher goroutine and a bootstrap run at once.
+# serve batcher goroutine and a bootstrap run at once. internal/graph and
+# internal/gen are in it because graph.Build's output rests on workers
+# writing disjoint ranges of shared arrays with plain stores.
 race-matrix:
 	@for p in 1 2 8; do \
 		echo "== race matrix: GOMAXPROCS=$$p =="; \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 \
 			./internal/concurrent ./internal/core ./internal/serve ./internal/testkit \
 			./internal/cluster ./internal/wal ./internal/provenance ./internal/obs \
+			./internal/graph ./internal/gen \
 			|| exit 1; \
 	done
 

@@ -22,7 +22,8 @@ type Graph struct {
 
 // BuildOptions tunes graph construction.
 type BuildOptions struct {
-	// NumVertices fixes |V| (0 = infer from max endpoint).
+	// NumVertices fixes |V| (0 = infer from max endpoint). Edges with
+	// an endpoint >= NumVertices are dropped silently.
 	NumVertices int
 	// KeepDuplicates retains parallel edges (default: deduplicate).
 	KeepDuplicates bool

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"afforest/internal/concurrent"
@@ -34,15 +36,14 @@ func sameCSR(a, b *graph.CSR) bool {
 	return true
 }
 
-// genCases covers every exported generator at small scale.
-func genCases() []struct {
+type genCase struct {
 	name  string
 	build func(seed uint64) *graph.CSR
-} {
-	return []struct {
-		name  string
-		build func(seed uint64) *graph.CSR
-	}{
+}
+
+// genCases covers every exported generator at small scale.
+func genCases() []genCase {
+	return []genCase{
 		{"URand", func(s uint64) *graph.CSR { return URand(1<<10, 1<<13, s) }},
 		{"URandDegree", func(s uint64) *graph.CSR { return URandDegree(1<<10, 8, s) }},
 		{"URandComponents", func(s uint64) *graph.CSR { return URandComponents(1<<10, 8, 0.25, s) }},
@@ -96,6 +97,59 @@ func TestSuiteIsSeedStable(t *testing.T) {
 		base := sg.Build(8, 7)
 		if again := sg.Build(8, 7); !sameCSR(base, again) {
 			t.Errorf("suite %s: two builds with the same seed differ", sg.Name)
+		}
+	}
+}
+
+// csrDigest is the FNV-64a hash of g's offsets (8-byte little-endian)
+// followed by its targets (4-byte little-endian).
+func csrDigest(g *graph.CSR) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, o := range g.Offsets() {
+		binary.LittleEndian.PutUint64(buf[:], uint64(o))
+		h.Write(buf[:])
+	}
+	_, targets := g.Adjacency(0, g.NumVertices())
+	for _, t := range targets {
+		binary.LittleEndian.PutUint32(buf[:4], t)
+		h.Write(buf[:4])
+	}
+	return h.Sum64()
+}
+
+// TestGeneratorsMatchGoldenDigests pins generator output across
+// commits: every genCases entry at seed 42, urand-18 and kron-18 at
+// seed 1 (the cluster load tests' inputs) and at seed 42 (the perf
+// gate's). A digest changes only if a generator or graph.Build changes
+// a byte of its output, which would make recorded measurements
+// incomparable.
+func TestGeneratorsMatchGoldenDigests(t *testing.T) {
+	golden := map[string]uint64{
+		"URand":            0x31563940d62cabcd,
+		"URandDegree":      0x705841ec3be4862e,
+		"URandComponents":  0x3745fcc7d64de9dc,
+		"Kronecker":        0xf75b02782b4ab0cd,
+		"TwitterLike":      0x408925a4b0274653,
+		"WebLike":          0xf3dace52aeee37f9,
+		"Road":             0x698cd2cda4b73802,
+		"RoadGrid":         0x12dba7207ee1048e,
+		"Regular":          0xea33a24076355d51,
+		"RGG":              0xcc3acf40e2b663b2,
+		"urand-18 seed 1":  0xc1bfe0249bafe576,
+		"kron-18 seed 1":   0x1783b0d19781d9b5,
+		"urand-18 seed 42": 0xfeb4648b10573548,
+		"kron-18 seed 42":  0xec251c01e2ae94a6,
+	}
+	cases := append(genCases(),
+		genCase{"urand-18 seed 1", func(uint64) *graph.CSR { return URandDegree(1<<18, 16, 1) }},
+		genCase{"kron-18 seed 1", func(uint64) *graph.CSR { return Kronecker(18, 16, Graph500, 1) }},
+		genCase{"urand-18 seed 42", func(s uint64) *graph.CSR { return URandDegree(1<<18, 16, s) }},
+		genCase{"kron-18 seed 42", func(s uint64) *graph.CSR { return Kronecker(18, 16, Graph500, s) }},
+	)
+	for _, tc := range cases {
+		if got := csrDigest(tc.build(42)); got != golden[tc.name] {
+			t.Errorf("%s: digest %#016x, want %#016x", tc.name, got, golden[tc.name])
 		}
 	}
 }

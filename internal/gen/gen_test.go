@@ -346,6 +346,49 @@ func BenchmarkKroneckerScale16(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild20 times graph.Build alone on the raw edge streams of
+// urand-20 and kron-20, the batch benchmark's inputs. Their 2^20-vertex
+// arrays and 16–32 M arcs are far larger than the caches, so the
+// builder's cache misses show, as they do not in the graph package's
+// BenchmarkBuild100k. ns/arc is per input arc, two per edge.
+func BenchmarkBuild20(b *testing.B) {
+	const scale = 20
+	n := 1 << scale
+	for _, bc := range []struct {
+		name  string
+		edges func() []graph.Edge
+	}{
+		{"urand", func() []graph.Edge {
+			// URandDegree(n, 16, 1)'s edge stream.
+			edges := make([]graph.Edge, 8*n)
+			for i := range edges {
+				r := newRNG(mix(1 ^ uint64(i)*0x9e3779b97f4a7c15))
+				edges[i] = graph.Edge{U: graph.V(r.intn(n)), V: graph.V(r.intn(n))}
+			}
+			return edges
+		}},
+		{"kron", func() []graph.Edge { return kronEdges(scale, 16, Graph500, 1) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			edges := bc.edges()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				graph.Build(edges, graph.BuildOptions{NumVertices: n})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*len(edges)), "ns/arc")
+		})
+	}
+}
+
+// BenchmarkKronecker20 is Kronecker(20, 16, Graph500, 1) end to end:
+// the edge draw plus the build. ns/arc is per drawn arc.
+func BenchmarkKronecker20(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		Kronecker(20, 16, Graph500, 1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*16<<20), "ns/arc")
+}
+
 func TestRGGShape(t *testing.T) {
 	g := RGGDegree(5000, 12, 31)
 	if g.NumVertices() != 5000 {

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"math"
+
 	"afforest/internal/concurrent"
 	"afforest/internal/graph"
 )
@@ -27,31 +29,54 @@ var Graph500 = KronParams{A: 0.57, B: 0.19, C: 0.19}
 // below edgeFactor·2^scale (noticeably so for heavy hubs at small
 // scales), matching how GAP reports its kron statistics.
 func Kronecker(scale int, edgeFactor int, params KronParams, seed uint64) *graph.CSR {
-	n := 1 << uint(scale)
-	m := int64(edgeFactor) * int64(n)
+	edges := kronEdges(scale, edgeFactor, params, seed)
+	return graph.Build(edges, graph.BuildOptions{NumVertices: 1 << uint(scale)})
+}
+
+// kronEdges draws Kronecker's raw edge stream, edge i from its own RNG
+// stream.
+func kronEdges(scale int, edgeFactor int, params KronParams, seed uint64) []graph.Edge {
+	m := int64(edgeFactor) << uint(scale)
 	ab := params.A + params.B
 	abc := ab + params.C
+	tA, tAB, tABC := drawThreshold(params.A), drawThreshold(ab), drawThreshold(abc)
 	edges := make([]graph.Edge, m)
-	concurrent.For(int(m), 0, func(i int) {
-		r := newRNG(mix(seed ^ uint64(i)*0x94d049bb133111eb))
-		var u, v int
-		for bit := 0; bit < scale; bit++ {
-			p := r.float64()
-			switch {
-			case p < params.A:
-				// top-left: no bits set
-			case p < ab:
-				v |= 1 << uint(bit)
-			case p < abc:
-				u |= 1 << uint(bit)
-			default:
-				u |= 1 << uint(bit)
-				v |= 1 << uint(bit)
+	concurrent.ForRange(int(m), 0, 0, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			r := newRNG(mix(seed ^ uint64(i)*0x94d049bb133111eb))
+			var u, v uint64
+			for bit := 0; bit < scale; bit++ {
+				// A level takes the first quadrant whose cumulative
+				// probability the draw falls below: A sets no bit, B
+				// sets v's, C sets u's, D both. a, b and c are 1 when
+				// the 53-bit draw k is below tA, tAB and tABC; k and
+				// the thresholds are below 2^63, so the sign bit of
+				// the difference is the comparison. No branch.
+				k := r.next() >> 11
+				a, b, c := (k-tA)>>63, (k-tAB)>>63, (k-tABC)>>63
+				u |= ((a | b) ^ 1) << bit
+				v |= ((a ^ 1) & (b | (c ^ 1))) << bit
 			}
+			edges[i] = graph.Edge{U: graph.V(u), V: graph.V(v)}
 		}
-		edges[i] = graph.Edge{U: graph.V(u), V: graph.V(v)}
 	})
-	return graph.Build(edges, graph.BuildOptions{NumVertices: n})
+	return edges
+}
+
+// drawThreshold returns ceil(x·2^53) clamped to [0, 2^53]. For a
+// 53-bit integer k, k < drawThreshold(x) exactly when
+// float64(k)/2^53 < x: k/2^53 and x·2^53 are exact in float64, and for
+// an integer k, k < y exactly when k < ceil(y). So comparing k with
+// the thresholds picks the quadrant that comparing rng.float64's draw
+// with the cumulative probabilities would.
+func drawThreshold(x float64) uint64 {
+	switch {
+	case !(x > 0): // NaN too: no draw is below it
+		return 0
+	case x >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(x * (1 << 53)))
 }
 
 // TwitterLike generates a heavy-tailed social-network analogue of the

@@ -1,35 +1,25 @@
 package graph
 
-import (
-	"sort"
+import "sort"
 
-	"afforest/internal/concurrent"
-)
-
-// radixSortAdjacency sorts every adjacency list of the CSR in place
-// using an LSD radix sort over a shared scratch buffer, parallelized
-// across vertices. For large average degrees this beats per-vertex
-// comparison sorting (the builder's default) by a constant factor; the
-// builder switches to it automatically above a degree threshold, and
-// the ablation benchmark BenchmarkBuilderSortVariants quantifies the
-// crossover.
-//
-// Lists shorter than radixMinLen use insertion sort — radix passes
-// cannot amortize on tiny lists.
+// radixMinLen is the shortest row sortRow radix-sorts. Shorter rows use
+// insertion sort: radix passes cannot amortize on tiny lists.
+// BenchmarkRadixSortV4096 and BenchmarkStdSort4096 compare the radix
+// sort with the standard library's comparison sort at 4096 elements.
 const radixMinLen = 64
 
-func radixSortAdjacency(offsets []int64, targets []V, parallelism int) {
-	n := len(offsets) - 1
-	concurrent.ForGrain(n, parallelism, 32, func(v int) {
-		adj := targets[offsets[v]:offsets[v+1]]
-		switch {
-		case len(adj) < 2 || sortedUnique(adj):
-		case len(adj) < radixMinLen:
-			insertionSortV(adj)
-		default:
-			radixSortV(adj)
-		}
-	})
+// sortRow sorts one adjacency row in place for Build. A row that is
+// already strictly increasing is left alone, a short one is
+// insertion-sorted, and a long one is radix-sorted with buf, at least
+// as long as a, as the second array.
+func sortRow(a, buf []V) {
+	switch {
+	case len(a) < 2 || sortedUnique(a):
+	case len(a) < radixMinLen:
+		insertionSortV(a)
+	default:
+		radixSortV(a, buf)
+	}
 }
 
 func insertionSortV(a []V) {
@@ -44,12 +34,11 @@ func insertionSortV(a []V) {
 	}
 }
 
-// radixSortV sorts a in place by four 8-bit LSD passes, skipping passes
-// whose byte is constant across the slice (common: high bytes of small
-// vertex ids).
-func radixSortV(a []V) {
-	buf := make([]V, len(a))
-	src, dst := a, buf
+// radixSortV sorts a in place by four 8-bit LSD passes through buf,
+// skipping passes whose byte is constant across the slice (common: high
+// bytes of small vertex ids).
+func radixSortV(a, buf []V) {
+	src, dst := a, buf[:len(a)]
 	swapped := false
 	for shift := uint(0); shift < 32; shift += 8 {
 		var count [257]int
@@ -82,7 +71,7 @@ func radixSortV(a []V) {
 }
 
 // sortedUnique reports whether a is strictly increasing (sorted and
-// duplicate-free) — a fast pre-check the builder uses to skip work.
+// duplicate-free) — a fast pre-check sortRow uses to skip work.
 func sortedUnique(a []V) bool {
 	for i := 1; i < len(a); i++ {
 		if a[i-1] >= a[i] {

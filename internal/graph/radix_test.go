@@ -24,7 +24,7 @@ func TestRadixSortVMatchesSort(t *testing.T) {
 		}
 		want := append([]V(nil), a...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		radixSortV(a)
+		radixSortV(a, make([]V, len(a)))
 		for i := range a {
 			if a[i] != want[i] {
 				t.Fatalf("trial %d: mismatch at %d", trial, i)
@@ -40,7 +40,7 @@ func TestRadixSortVQuick(t *testing.T) {
 		want := append([]V(nil), a...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		if len(a) >= 2 {
-			radixSortV(a)
+			radixSortV(a, make([]V, len(a)))
 		}
 		for i := range a {
 			if a[i] != want[i] {
@@ -97,11 +97,11 @@ func BenchmarkRadixSortV4096(b *testing.B) {
 	for i := range base {
 		base[i] = V(rng.Intn(1 << 22))
 	}
-	work := make([]V, len(base))
+	work, buf := make([]V, len(base)), make([]V, len(base))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, base)
-		radixSortV(work)
+		radixSortV(work, buf)
 	}
 }
 
