@@ -29,12 +29,9 @@ func main() {
 		if countDistinct(labelsC) != len(sizes) || countDistinct(labelsL) != len(sizes) {
 			log.Fatalf("component count mismatch at %d shards", shards)
 		}
-		// The router counts each (vertex, label) opinion on four legs:
-		// outbox, ingest, reply, absorb.
-		opinions := stC.Messages / 4
 		fmt.Printf("%-6d  rounds=%-3d opinions=%-12d  rounds=%-3d msgs=%-12d  %.1fx\n",
-			shards, stC.Rounds, opinions, stL.Rounds, stL.Messages,
-			float64(stL.Messages)/float64(max(opinions, 1)))
+			shards, stC.Rounds, stC.Opinions, stL.Rounds, stL.Messages,
+			float64(stL.Messages)/float64(max(stC.Opinions, 1)))
 	}
 	fmt.Println("\nboth schemes agree with the sequential oracle on every shard count")
 }

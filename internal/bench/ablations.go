@@ -137,9 +137,8 @@ func AblationRelabel(cfg Config) *stats.Table {
 // reports cut edges, exchange rounds, opinions and load time against
 // the classic halo-exchange Label Propagation (dist.LP) on the same 1D
 // partition. An opinion is one (vertex, label) pair a shard sends
-// toward the vertex's owner; the router counts each on four legs
-// (outbox, ingest, reply, absorb), so opinions = RouterStats.Messages/4
-// and msg_ratio is LP messages per cluster opinion.
+// toward the vertex's owner (RouterStats.Opinions), and msg_ratio is LP
+// messages per cluster opinion.
 func ExtDist(cfg Config) *stats.Table {
 	cfg = cfg.withDefaults()
 	t := stats.NewTable(
@@ -156,11 +155,10 @@ func ExtDist(cfg Config) *stats.Table {
 			elapsed, st := loadCluster(cfg, g, fmt.Sprintf("cluster-%d/%s", shards, name), shards, true)
 			labelsL, stL := dist.LP(g, shards)
 			checkLabeling(cfg, g, "dist-lp", labelsL)
-			opinions := st.Messages / 4
 			t.AddRow(name, shards, st.CutEdges,
-				st.Rounds, opinions, fmt.Sprintf("%.1f", elapsed.Seconds()*1000),
+				st.Rounds, st.Opinions, fmt.Sprintf("%.1f", elapsed.Seconds()*1000),
 				stL.Rounds, stL.Messages,
-				fmt.Sprintf("%.1fx", float64(stL.Messages)/float64(max(opinions, 1))))
+				fmt.Sprintf("%.1fx", float64(stL.Messages)/float64(max(st.Opinions, 1))))
 		}
 	}
 	return t

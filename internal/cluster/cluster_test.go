@@ -156,11 +156,10 @@ func TestClusterCutEdgesGrowWithShards(t *testing.T) {
 // TestClusterOpinionsBelowLPMessages is the distributed extension's
 // thesis on a high-diameter graph: local forests plus boundary label
 // exchange send fewer (vertex, label) opinions than halo-exchange label
-// propagation sends messages on the same partition. The router counts
-// every opinion on four legs (outbox, ingest, reply, absorb).
+// propagation sends messages on the same partition.
 func TestClusterOpinionsBelowLPMessages(t *testing.T) {
 	g := gen.Road(10_000, 5)
-	opinions := loadChecked(t, g, 8).Router.Stats().Messages / 4
+	opinions := loadChecked(t, g, 8).Router.Stats().Opinions
 	_, lp := dist.LP(g, 8)
 	if opinions >= lp.Messages {
 		t.Fatalf("cluster opinions (%d) not below LP halo messages (%d)", opinions, lp.Messages)

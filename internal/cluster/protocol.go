@@ -33,21 +33,28 @@ import (
 
 // Protocol ops. Requests are router→shard; a response reuses the
 // request op on success or carries opError with a UTF-8 message.
+//
+// The exchange ops run as one exchange: opOutbox starts it and records
+// every opinion sent as that ref's ack, opIngest answers only the
+// opinions its owner labels differently (a reply reuses the pair layout
+// with the request index in the vertex slot), opAbsorb returns the
+// next round's opinions, and opEndExchange frees the shard's state.
 const (
-	opInit     byte = 1  // n u64 | numShards u32 | shardID u32 → (empty)
-	opEdges    byte = 2  // pairs (edges) → merged u32
-	opOutbox   byte = 3  // (empty) → pairs (remote ref, local label)
-	opIngest   byte = 4  // pairs (owned v, remote opinion) → merged u32 | pairs (owned v, owner label)
-	opAbsorb   byte = 5  // pairs (remote ref, owner label) → merged u32
-	opQuery    byte = 6  // v u32 → label u32
-	opLabels   byte = 7  // lo u32 | hi u32 → labels [hi-lo]u32
-	opSnapshot byte = 8  // (empty) → lo u32 | hi u32 | edges u64 | labels [hi-lo]u32
-	opRestore  byte = 9  // lo u32 | hi u32 | edges u64 | labels [hi-lo]u32 → (empty)
-	opPing     byte = 10 // (empty) → (empty)
-	opShutdown byte = 11 // (empty) → (empty), then the shard exits its serve loop
-	opFlight   byte = 12 // (empty) → flightLen u32 | flight JSONL | spansLen u32 | wire-span JSON
-	opExplain  byte = 13 // u u32 | v u32 → found u8 | count u32 | hops (u u32 | v u32 | lsn u64 | ordinal u64 | flags u8)
-	opError    byte = 99 // message string (response only)
+	opInit        byte = 1  // n u64 | numShards u32 | shardID u32 → (empty)
+	opEdges       byte = 2  // pairs (edges) → merged u32
+	opOutbox      byte = 3  // (empty) → pairs (remote ref, local label)
+	opIngest      byte = 4  // pairs (owned v, remote opinion) → merged u32 | pairs (request index, owner label)
+	opAbsorb      byte = 5  // pairs (remote ref, owner label) → merged u32 | pairs (remote ref, local label)
+	opQuery       byte = 6  // v u32 → label u32
+	opLabels      byte = 7  // lo u32 | hi u32 → labels [hi-lo]u32
+	opSnapshot    byte = 8  // (empty) → lo u32 | hi u32 | edges u64 | labels [hi-lo]u32
+	opRestore     byte = 9  // lo u32 | hi u32 | edges u64 | labels [hi-lo]u32 → (empty)
+	opPing        byte = 10 // (empty) → (empty)
+	opShutdown    byte = 11 // (empty) → (empty), then the shard exits its serve loop
+	opFlight      byte = 12 // (empty) → flightLen u32 | flight JSONL | spansLen u32 | wire-span JSON
+	opExplain     byte = 13 // u u32 | v u32 → found u8 | count u32 | hops (u u32 | v u32 | lsn u64 | ordinal u64 | flags u8)
+	opEndExchange byte = 14 // (empty) → (empty)
+	opError       byte = 99 // message string (response only)
 )
 
 // opName renders an op byte for error messages and trace span labels
@@ -80,6 +87,8 @@ func opName(op byte) string {
 		return "opFlight"
 	case opExplain:
 		return "opExplain"
+	case opEndExchange:
+		return "opEndExchange"
 	case opError:
 		return "opError"
 	default:
@@ -89,7 +98,8 @@ func opName(op byte) string {
 
 // wireName maps a request op to its obs wire-span name; "" for ops that
 // are not traced as spans (init/snapshot/restore/ping/shutdown — rare
-// control-plane calls outside any request's critical path).
+// control-plane calls outside any request's critical path — and the
+// empty end-of-exchange message).
 func wireName(op byte) string {
 	switch op &^ traceFlag {
 	case opEdges:

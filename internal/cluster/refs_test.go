@@ -12,14 +12,18 @@ import (
 	"afforest/internal/graph"
 )
 
-// refModel is the reference for a shard's ref set: a plain map of remote
-// ids plus a sort on every outbox, next to a min-root union-find standing
-// in for π (every π link hooks the larger root under the smaller, so a
-// shard's find(v) is the minimum id of v's local component).
+// refModel is the reference for a shard's ref set and exchange state: a
+// plain map of remote ids plus a sort on every outbox, next to a
+// min-root union-find standing in for π (every π link hooks the larger
+// root under the smaller, so a shard's find(v) is the minimum id of v's
+// local component), and a map of acks while an exchange is open.
 type refModel struct {
 	n, lo, hi int
 	refs      map[graph.V]struct{}
 	parent    []graph.V
+	comps     int                 // components of parent
+	acks      map[graph.V]graph.V // ref → ack; nil outside an exchange
+	seen      int                 // comps when every find last matched its ack
 }
 
 func newRefModel(n, lo, hi int) *refModel {
@@ -34,13 +38,24 @@ func (m *refModel) reset() {
 	for v := range m.parent {
 		m.parent[v] = graph.V(v)
 	}
+	m.comps = m.n
+	m.acks = nil
 }
 
 func (m *refModel) owned(v graph.V) bool { return int(v) >= m.lo && int(v) < m.hi }
 
+// note records a remote id as a ref. A ref that joins during an
+// exchange starts unsent, so the next scan sends it whatever its find.
 func (m *refModel) note(v graph.V) {
-	if !m.owned(v) {
-		m.refs[v] = struct{}{}
+	if m.owned(v) {
+		return
+	}
+	if _, ok := m.refs[v]; ok {
+		return
+	}
+	m.refs[v] = struct{}{}
+	if m.acks != nil {
+		m.acks[v] = unsent
 	}
 }
 
@@ -54,19 +69,27 @@ func (m *refModel) find(v graph.V) graph.V {
 
 func (m *refModel) union(u, v graph.V) {
 	ru, rv := m.find(u), m.find(v)
+	if ru == rv {
+		return
+	}
 	if ru > rv {
 		ru, rv = rv, ru
 	}
 	m.parent[rv] = ru
+	m.comps--
 }
 
 // outbox is the pre-bitset algorithm: every ref with its label, sorted
-// by vertex id, and the labels noted as refs only after the walk.
+// by vertex id, and the labels noted as refs only after the walk. It
+// opens an exchange with each label sent as its ref's ack.
 func (m *refModel) outbox() []pair {
 	out := make([]pair, 0, len(m.refs))
+	m.acks = map[graph.V]graph.V{}
 	for r := range m.refs {
 		out = append(out, pair{V: r, Label: m.find(r)})
+		m.acks[r] = m.find(r)
 	}
+	m.seen = m.comps
 	for _, p := range out {
 		m.note(p.Label)
 	}
@@ -74,11 +97,60 @@ func (m *refModel) outbox() []pair {
 	return out
 }
 
+// ingest links every opinion, then answers (index, find) for each whose
+// find after the whole batch differs from the label sent.
+func (m *refModel) ingest(ps []pair) []pair {
+	for _, p := range ps {
+		m.note(p.Label)
+		m.union(p.V, p.Label)
+	}
+	var replies []pair
+	for i, p := range ps {
+		if f := m.find(p.V); f != p.Label {
+			replies = append(replies, pair{V: graph.V(i), Label: f})
+		}
+	}
+	return replies
+}
+
+// absorb links the replies and sets each replied ref's ack to the
+// reply. With no merge since the last scan it returns nothing; else it
+// returns, in ref order, every ref whose find differs from its ack and
+// moves the ack there.
+func (m *refModel) absorb(ps []pair) []pair {
+	for _, p := range ps {
+		m.note(p.V)
+		m.note(p.Label)
+		m.union(p.V, p.Label)
+	}
+	for _, p := range ps {
+		if _, ok := m.acks[p.V]; ok {
+			m.acks[p.V] = p.Label
+		}
+	}
+	if m.comps == m.seen {
+		return nil
+	}
+	m.seen = m.comps
+	var next []pair
+	for r, a := range m.acks {
+		if f := m.find(r); f != a {
+			m.acks[r] = f
+			next = append(next, pair{V: r, Label: f})
+		}
+	}
+	sort.Slice(next, func(i, j int) bool { return next[i].V < next[j].V })
+	return next
+}
+
 // TestShardRefsMatchModel drives a Shard directly through seeded random
-// sequences of applyEdges / ingest / absorb / outbox / restore beside
-// refModel and requires every outbox to carry the model's pairs in the
-// model's order, never an owned id, and labels first seen during one
-// outbox only from the next outbox on.
+// sequences of applyEdges / ingest / absorb / outbox / restore /
+// endExchange beside refModel. Every outbox must carry the model's
+// pairs in the model's order, never an owned id, and labels first seen
+// during one outbox only from the next outbox on. Every ingest must
+// answer exactly the opinions the model labels differently, and every
+// absorb must return exactly the model's next opinions, or fail when no
+// exchange is open.
 //
 // Every protocol op notes the ids it puts into π, so a ref's label is
 // normally a ref already. The sixth op links two ids straight into π
@@ -86,7 +158,7 @@ func (m *refModel) outbox() []pair {
 // so the "next outbox on" rule is exercised, not vacuous.
 func TestShardRefsMatchModel(t *testing.T) {
 	sizes := []int{1, 2, 63, 64, 65, 130, 257}
-	freshSeen := 0
+	var freshSeen, scans, quiet, refused int
 	for seed := uint64(1); seed <= 60; seed++ {
 		rng := mathrand.New(mathrand.NewPCG(seed, 0))
 		n := sizes[rng.IntN(len(sizes))]
@@ -107,7 +179,7 @@ func TestShardRefsMatchModel(t *testing.T) {
 		}
 		var fresh []graph.V // remote labels first seen by the last outbox
 		for step := 0; step < 200; step++ {
-			switch op := rng.IntN(6); op {
+			switch op := rng.IntN(7); op {
 			case 0:
 				ps := randPairs(randV)
 				if _, err := sh.applyEdges(ps, nil); err != nil {
@@ -127,22 +199,41 @@ func TestShardRefsMatchModel(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d step %d: ingest: %v", seed, step, err)
 				}
-				for i, p := range ps {
-					m.note(p.Label)
-					m.union(p.V, p.Label)
-					if want := (pair{V: p.V, Label: m.find(p.V)}); replies[i] != want {
-						t.Fatalf("seed %d step %d: ingest reply %d = %v, want %v", seed, step, i, replies[i], want)
-					}
+				if want := m.ingest(ps); !slices.Equal(replies, want) {
+					t.Fatalf("seed %d step %d: ingest of %v replied\n got %v\nwant %v", seed, step, ps, replies, want)
 				}
 			case 2:
+				// Replies mostly answer refs, as the router's would.
+				var acked []graph.V
+				for r := range m.acks {
+					acked = append(acked, r)
+				}
+				slices.Sort(acked)
 				ps := randPairs(randV)
-				if _, err := sh.absorb(ps); err != nil {
+				for i := range ps {
+					if len(acked) > 0 && rng.IntN(4) > 0 {
+						ps[i].V = acked[rng.IntN(len(acked))]
+					}
+				}
+				_, next, err := sh.absorb(ps)
+				if m.acks == nil {
+					if err == nil {
+						t.Fatalf("seed %d step %d: absorb outside an exchange succeeded", seed, step)
+					}
+					refused++
+					continue
+				}
+				if err != nil {
 					t.Fatalf("seed %d step %d: absorb: %v", seed, step, err)
 				}
-				for _, p := range ps {
-					m.note(p.V)
-					m.note(p.Label)
-					m.union(p.V, p.Label)
+				before := m.seen
+				if want := m.absorb(ps); !slices.Equal(next, want) {
+					t.Fatalf("seed %d step %d: absorb of %v returned\n got %v\nwant %v", seed, step, ps, next, want)
+				}
+				if m.seen == before {
+					quiet++
+				} else {
+					scans++
 				}
 			case 3:
 				before := make(map[graph.V]struct{}, len(m.refs))
@@ -197,12 +288,21 @@ func TestShardRefsMatchModel(t *testing.T) {
 				u, v := randV(), randV()
 				sh.inc.AddEdge(u, v)
 				m.union(u, v)
+			case 6:
+				if err := sh.endExchange(); err != nil {
+					t.Fatalf("seed %d step %d: endExchange: %v", seed, step, err)
+				}
+				m.acks = nil
 			}
 		}
 	}
 	if freshSeen == 0 {
 		t.Fatal("no outbox ever saw a new label; the next-outbox rule went unchecked")
 	}
+	if scans == 0 || quiet == 0 || refused == 0 {
+		t.Fatalf("absorb cases went unchecked: %d scans, %d quiet, %d refused", scans, quiet, refused)
+	}
+	t.Logf("absorbs: %d scanned, %d without a merge, %d outside an exchange", scans, quiet, refused)
 }
 
 // TestShardRejectsHostileIDs sends, over a real connection, frames whose

@@ -157,6 +157,7 @@ type Router struct {
 	anom *obs.AnomalyDetector // never nil after withDefaults
 
 	rounds     *obs.Counter
+	opinions   *obs.Counter
 	exchanges  *obs.Counter
 	exchangeNS *obs.Histogram
 	activeG    *obs.Gauge
@@ -282,6 +283,8 @@ func NewRouter(addrs []string, n int, cfg Config) (*Router, error) {
 	reg := cfg.Registry
 	r.rounds = reg.Counter("afforest_cluster_exchange_rounds_total",
 		"BSP ghost-label exchange rounds driven to fixed point.")
+	r.opinions = reg.Counter("afforest_cluster_opinions_total",
+		"(ref, label) opinions shards sent toward the refs' owners.")
 	r.exchanges = reg.Counter("afforest_cluster_exchanges_total",
 		"Exchange-to-fixed-point invocations (one per write batch).")
 	r.exchangeNS = reg.Histogram("afforest_cluster_exchange_ns",
@@ -653,29 +656,40 @@ func (r *Router) shipRows(rc rctx, g *graph.CSR, span func(u int, lo, hi int64) 
 	return merged.Load(), err
 }
 
-// exchangeLocked drives BSP rounds until no shard reports a merge: each
-// round, every shard's outbox of (remote ref, local label) opinions is
-// gathered, grouped by owner, ingested there, and the owners' canonical
-// labels are routed back and absorbed. One round's RPCs fan out
-// concurrently across shards with a barrier between phases, so each
-// round is one superstep. Every opinion is counted as a message on
-// each of its four legs (outbox, ingest, reply, absorb).
+// exchangeLocked drives BSP rounds until no shard has an opinion left
+// to send. Round 1 gathers every shard's outbox of (remote ref, local
+// label) opinions; each round then groups the opinions by owner and
+// ingests them there, and owners answer only the opinions they label
+// differently. The replies are routed back and absorbed, and each
+// absorb returns the shard's opinions for the next round: the refs
+// whose label moved off the one their owner is known to hold. A shard
+// whose ingest merged nothing and that got no reply has no such ref, so
+// its absorb is skipped. One round's RPCs fan out concurrently across
+// shards with a barrier between phases, so each round is one
+// superstep. Every pair on every leg (outbox, ingest, reply, absorb,
+// next opinions) counts as a message, and each opinion a shard sends
+// counts once in Opinions. opEndExchange then frees the shards'
+// exchange state.
 // When rc is traced, the exchange gets a grouping span with one child
 // span per round; every shard RPC hangs off its round. Each round also
 // feeds the cluster anomaly rules: per-shard lag, absorb churn, and —
 // on completion — the round-count blowup rule.
 // Caller holds the write lock with all slots active.
-func (r *Router) exchangeLocked(rc rctx) error {
+func (r *Router) exchangeLocked(rc rctx) (err error) {
 	start := time.Now()
 	exc := r.child(rc, obs.WireExchange, 0)
 	round := 0
 	defer func() {
+		err = errors.Join(err, r.forEachActive(func(id int, sl *slot) error {
+			_, err := sl.conn.rpc(opEndExchange, nil)
+			return err
+		}))
 		r.exchanges.Inc()
 		r.exchangeNS.ObserveDuration(time.Since(start))
 		r.endRoot(exc, nil)
 		r.anom.ObserveExchange(round)
 	}()
-	type origin struct{ src, idx int }
+	opinions := make([][]pair, r.numShards)
 	for {
 		round++
 		rnd := r.child(exc, obs.WireRound, round)
@@ -687,45 +701,47 @@ func (r *Router) exchangeLocked(rc rctx) error {
 			return err
 		}
 
-		// Superstep phase 1: gather outboxes.
-		outboxes := make([][]pair, r.numShards)
-		err := r.forEachActive(func(id int, sl *slot) error {
-			return timed(id, func() error {
-				resp, sp, err := r.rpcTo(rnd, sl, id, round, opOutbox, nil)
-				if err != nil {
-					return err
-				}
-				c := &cursor{b: resp}
-				outboxes[id] = c.pairs()
-				if err := c.done(); err != nil {
-					r.endRPC(sp, 0, 0, err)
-					return err
-				}
-				r.endRPC(sp, int64(len(outboxes[id])), 0, nil)
-				sl.msgs.Add(int64(len(outboxes[id])))
-				return nil
+		// Round 1 only: gather every shard's full outbox.
+		if round == 1 {
+			err := r.forEachActive(func(id int, sl *slot) error {
+				return timed(id, func() error {
+					resp, sp, err := r.rpcTo(rnd, sl, id, round, opOutbox, nil)
+					if err != nil {
+						return err
+					}
+					c := &cursor{b: resp}
+					opinions[id] = c.pairs()
+					if err := c.done(); err != nil {
+						r.endRPC(sp, 0, 0, err)
+						return err
+					}
+					r.endRPC(sp, int64(len(opinions[id])), 0, nil)
+					sl.msgs.Add(int64(len(opinions[id])))
+					r.opinions.Add(int64(len(opinions[id])))
+					return nil
+				})
 			})
-		})
-		if err != nil {
-			r.endRoot(rnd, err)
-			return err
-		}
-
-		// Group opinions by owner, remembering where each came from.
-		ingest := make([][]pair, r.numShards)
-		origins := make([][]origin, r.numShards)
-		for src, out := range outboxes {
-			for idx, p := range out {
-				dest := r.part.Owner(p.V)
-				ingest[dest] = append(ingest[dest], p)
-				origins[dest] = append(origins[dest], origin{src: src, idx: idx})
+			if err != nil {
+				r.endRoot(rnd, err)
+				return err
 			}
 		}
 
-		// Superstep phase 2: owners ingest and reply with canon labels.
-		var totalMerged atomic.Int64
+		// Group opinions by owner, remembering which shard sent each.
+		ingest := make([][]pair, r.numShards)
+		origins := make([][]int, r.numShards)
+		for src, out := range opinions {
+			for _, p := range out {
+				dest := r.part.Owner(p.V)
+				ingest[dest] = append(ingest[dest], p)
+				origins[dest] = append(origins[dest], src)
+			}
+		}
+
+		// Owners ingest and answer only with news: (request index, label).
 		replies := make([][]pair, r.numShards)
-		err = r.forEachActive(func(id int, sl *slot) error {
+		ingestMerged := make([]int64, r.numShards)
+		err := r.forEachActive(func(id int, sl *slot) error {
 			if len(ingest[id]) == 0 {
 				return nil
 			}
@@ -737,18 +753,18 @@ func (r *Router) exchangeLocked(rc rctx) error {
 				c := &cursor{b: resp}
 				merged := c.u32()
 				replies[id] = c.pairs()
-				if err := c.done(); err != nil {
-					r.endRPC(sp, 0, 0, err)
-					return err
+				err = c.done()
+				for _, rep := range replies[id] {
+					if err == nil && int(rep.V) >= len(ingest[id]) {
+						err = fmt.Errorf("cluster: shard %d replied to opinion %d of %d", id, rep.V, len(ingest[id]))
+					}
 				}
-				if len(replies[id]) != len(ingest[id]) {
-					err := fmt.Errorf("cluster: shard %d replied %d labels for %d opinions",
-						id, len(replies[id]), len(ingest[id]))
+				if err != nil {
 					r.endRPC(sp, 0, 0, err)
 					return err
 				}
 				r.endRPC(sp, int64(len(ingest[id])+len(replies[id])), int64(merged), nil)
-				totalMerged.Add(int64(merged))
+				ingestMerged[id] = int64(merged)
 				sl.msgs.Add(int64(len(ingest[id])) + int64(len(replies[id])))
 				return nil
 			})
@@ -758,21 +774,22 @@ func (r *Router) exchangeLocked(rc rctx) error {
 			return err
 		}
 
-		// Scatter owner labels back to the shards that asked.
+		// Route each reply back to the shard that sent the opinion.
 		absorbs := make([][]pair, r.numShards)
 		for dest := range replies {
-			for i, rep := range replies[dest] {
-				o := origins[dest][i]
-				absorbs[o.src] = append(absorbs[o.src], rep)
+			for _, rep := range replies[dest] {
+				src := origins[dest][rep.V]
+				absorbs[src] = append(absorbs[src], pair{V: ingest[dest][rep.V].V, Label: rep.Label})
 			}
 		}
 
-		// Superstep phase 3: askers absorb canonical labels. Absorb
-		// merges are tracked apart from ingest merges — they are the
-		// ghost-churn signal.
-		var absorbMerged atomic.Int64
+		// Askers absorb the replies and return their next opinions.
+		// Absorb merges are tracked apart from ingest merges — they are
+		// the ghost-churn signal.
+		var absorbMerged, pending atomic.Int64
 		err = r.forEachActive(func(id int, sl *slot) error {
-			if len(absorbs[id]) == 0 {
+			opinions[id] = nil
+			if len(absorbs[id]) == 0 && ingestMerged[id] == 0 {
 				return nil
 			}
 			return timed(id, func() error {
@@ -782,14 +799,16 @@ func (r *Router) exchangeLocked(rc rctx) error {
 				}
 				c := &cursor{b: resp}
 				merged := c.u32()
+				opinions[id] = c.pairs()
 				if err := c.done(); err != nil {
 					r.endRPC(sp, 0, 0, err)
 					return err
 				}
-				r.endRPC(sp, int64(len(absorbs[id])), int64(merged), nil)
-				totalMerged.Add(int64(merged))
+				r.endRPC(sp, int64(len(absorbs[id])+len(opinions[id])), int64(merged), nil)
 				absorbMerged.Add(int64(merged))
-				sl.msgs.Add(int64(len(absorbs[id])))
+				pending.Add(int64(len(opinions[id])))
+				sl.msgs.Add(int64(len(absorbs[id]) + len(opinions[id])))
+				r.opinions.Add(int64(len(opinions[id])))
 				return nil
 			})
 		})
@@ -812,7 +831,7 @@ func (r *Router) exchangeLocked(rc rctx) error {
 		r.anom.ObserveRoundLag(round, rpcNS)
 		r.anom.ObserveExchangeRound(round, absorbMerged.Load())
 		r.endRoot(rnd, nil)
-		if totalMerged.Load() == 0 {
+		if pending.Load() == 0 {
 			return nil
 		}
 	}
@@ -833,7 +852,11 @@ func (r *Router) ownerLabel(rc rctx, v graph.V) (graph.V, error) {
 	}
 	c := &cursor{b: resp}
 	l := graph.V(c.u32())
-	if err := c.done(); err != nil {
+	err = c.done()
+	if err == nil {
+		err = checkLabels(id, int(v), []graph.V{l})
+	}
+	if err != nil {
 		r.endRPC(sp, 0, 0, err)
 		return 0, err
 	}
@@ -1036,7 +1059,11 @@ func (r *Router) globalLabelsLocked(rc rctx) ([]graph.V, error) {
 				}
 				c := &cursor{b: resp}
 				got := c.labels(sl.hi - sl.lo)
-				if err := c.done(); err != nil {
+				err = c.done()
+				if err == nil {
+					err = checkLabels(id, sl.lo, got)
+				}
+				if err != nil {
 					r.endRPC(sp, 0, 0, err)
 					errs[id] = err
 					return
@@ -1051,19 +1078,26 @@ func (r *Router) globalLabelsLocked(rc rctx) ([]graph.V, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Shortcut across shards: a label is itself labeled at its owner;
-	// iterate label-of-label until every chain bottoms out at a root.
-	for changed := true; changed; {
-		changed = false
-		for u := range labels {
-			l := labels[u]
-			if ll := labels[l]; ll != l {
-				labels[u] = ll
-				changed = true
-			}
-		}
+	// Shortcut across shards: a label is itself labeled at its owner.
+	// Every label is at most its vertex, so in increasing vertex order
+	// labels[l] is already the end of l's chain when u reads it.
+	for u, l := range labels {
+		labels[u] = labels[l]
 	}
 	return labels, nil
+}
+
+// checkLabels rejects a shard's owned-range labels (an opLabels or
+// opSnapshot answer from shard id, starting at vertex lo) unless every
+// label is at most its vertex — the π(x) ≤ x invariant the label-chain
+// walks rely on to end.
+func checkLabels(id, lo int, labels []graph.V) error {
+	for i, l := range labels {
+		if int(l) > lo+i {
+			return fmt.Errorf("cluster: shard %d labels vertex %d with %d, violating π(x) ≤ x", id, lo+i, l)
+		}
+	}
+	return nil
 }
 
 // Component is one census entry (same JSON shape as the serve layer's).
@@ -1124,6 +1158,9 @@ func (r *Router) Leave(id int) error {
 	if lo != sl.lo || hi != sl.hi {
 		return fmt.Errorf("cluster: shard %d snapshot range [%d,%d), want [%d,%d)", id, lo, hi, sl.lo, sl.hi)
 	}
+	if err := checkLabels(id, lo, snap); err != nil {
+		return err
+	}
 	sl.conn.rpc(opShutdown, nil) // best-effort: member may already be dying
 	sl.conn.conn.Close()
 	sl.conn = nil
@@ -1182,20 +1219,24 @@ func (r *Router) activeCount() float64 {
 	return float64(active)
 }
 
-// RouterStats is the router's cumulative wire tally. Messages counts
-// (vertex, label) pairs moved during exchanges: each opinion a shard
-// sends toward a vertex's owner is counted four times (outbox, ingest,
-// reply, absorb), so Messages/4 is the number of opinions. CutEdges
-// counts the cut pairs (endpoints with different owners) the router
-// shipped: a streamed cut edge once, and a loaded cut arc once. A load
-// ships only sampled and unskipped arcs, so it counts far fewer than
-// the graph's cut edges.
+// RouterStats is the router's cumulative wire tally. Opinions counts
+// the (vertex, label) pairs shards sent toward the vertices' owners:
+// the round-1 outboxes and the opinions each absorb returned. Messages
+// counts every pair moved during exchanges: each opinion twice (from
+// its shard, into its owner's ingest) and each owner reply twice (out
+// of the ingest, into the asker's absorb). Owners reply only with a
+// label that differs from the opinion, so Messages is not a fixed
+// multiple of Opinions. CutEdges counts the cut pairs (endpoints with
+// different owners) the router shipped: a streamed cut edge once, and
+// a loaded cut arc once. A load ships only sampled and unskipped arcs,
+// so it counts far fewer than the graph's cut edges.
 type RouterStats struct {
 	Shards    int   `json:"shards"`
 	Active    int   `json:"active"`
 	Rounds    int64 `json:"rounds"`
 	Exchanges int64 `json:"exchanges"`
 	CutEdges  int64 `json:"cut_edges"`
+	Opinions  int64 `json:"opinions"`
 	Messages  int64 `json:"messages"`
 	BytesSent int64 `json:"bytes_sent"`
 	BytesRecv int64 `json:"bytes_recv"`
@@ -1211,6 +1252,7 @@ func (r *Router) Stats() RouterStats {
 		Rounds:    r.rounds.Value(),
 		Exchanges: r.exchanges.Value(),
 		CutEdges:  r.cutEdges.Load(),
+		Opinions:  r.opinions.Value(),
 	}
 	for _, sl := range r.slots {
 		st.Messages += sl.msgs.Value()

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/bits"
 	"net"
+	"slices"
 	"sync"
 
 	"afforest/internal/core"
@@ -21,9 +23,10 @@ import (
 // single-node serve layer uses). Non-owned vertices that the shard has
 // an opinion about — ghost endpoints of cut edges, plus every remote
 // label that ever entered its π through the exchange — are tracked in
-// refs, a dense bitset over [0, n); each BSP exchange round pushes (ref,
-// local label) opinions to the ref's owner and absorbs the owner's
-// canonical label back.
+// refs, a dense bitset over [0, n). An exchange's first round sends a
+// (ref, local label) opinion for every ref to the ref's owner; later
+// rounds send only the refs whose label moved off the one the owner is
+// known to hold (the ref's ack), and owners answer only with news.
 //
 // Invariant: every remote vertex id appearing anywhere in the shard's π
 // is in refs. Remote ids enter π only through applyEdges endpoints,
@@ -44,6 +47,10 @@ type Shard struct {
 	numRefs     int      // population count of refs
 	edges       int64    // arcs applied here (includes ghost copies)
 	parallelism int
+
+	// xch is the exchange in progress: opOutbox creates it and
+	// opEndExchange frees it, so between exchanges it is nil.
+	xch *exchange
 
 	// Observability. wire records server-side spans for requests that
 	// arrive with a trace-context extension (untraced requests record
@@ -324,12 +331,15 @@ func (sh *Shard) handle(op byte, payload []byte, sp *srvSpan) (byte, []byte, err
 			return 0, nil, err
 		}
 		sp.decoded()
-		merged, err := sh.absorb(pairs)
+		merged, next, err := sh.absorb(pairs)
 		if err != nil {
 			return 0, nil, err
 		}
 		sp.worked(merged)
-		return op, putU32(nil, uint32(merged)), nil
+		return op, encodePairs(putU32(nil, uint32(merged)), next), nil
+
+	case opEndExchange:
+		return op, nil, errors.Join(c.done(), sh.endExchange())
 
 	case opQuery:
 		v := graph.V(c.u32())
@@ -429,6 +439,7 @@ func (sh *Shard) initialize(n, numShards, id int) error {
 	sh.part = part
 	sh.lo, sh.hi = part.Range(id)
 	sh.inc = core.NewIncremental(n)
+	sh.xch = nil
 	sh.resetRefs()
 	sh.edges = 0
 	if sh.provenance {
@@ -457,10 +468,11 @@ func (sh *Shard) resetRefs() {
 	sh.numRefs = 0
 }
 
-// noteRemote records a remote vertex id as a ref. v must be < n: an id
-// past the bitset panics, and serveConn does not recover, so it would
-// take the whole shard process down. Every caller range-checks wire
-// input first. Caller holds mu.
+// noteRemote records a remote vertex id as a ref; during an exchange a
+// new ref also joins the exchange's acks. v must be < n: an id past the
+// bitset panics, and serveConn does not recover, so it would take the
+// whole shard process down. Every caller range-checks wire input first.
+// Caller holds mu.
 func (sh *Shard) noteRemote(v graph.V) {
 	if sh.owned(v) {
 		return
@@ -469,6 +481,9 @@ func (sh *Shard) noteRemote(v graph.V) {
 	if sh.refs[w]&bit == 0 {
 		sh.refs[w] |= bit
 		sh.numRefs++
+		if sh.xch != nil {
+			sh.xch.joined = append(sh.xch.joined, v)
+		}
 	}
 }
 
@@ -541,12 +556,59 @@ func (sh *Shard) flightDump() ([]byte, error) {
 	return b, nil
 }
 
-// outbox returns the shard's current opinion (ref, find(ref)) for every
-// tracked remote vertex. Walking the bitset word by word yields the
-// pairs sorted by vertex id, so the wire traffic is deterministic for a
-// given state. Labels that are themselves new remote vertices join refs
-// only after the walk — they go out from the next round on — which is
-// how label chains across three or more shards get resolved.
+// exchange is a shard's state for one exchange, from the round-1
+// outbox to opEndExchange. It holds each ref's ack: a label the ref's
+// owner is known to hold for it. A ref goes out again only when its
+// find moves off its ack. The state is sized by refs, not by n.
+type exchange struct {
+	acks   []pair    // (ref, ack) sorted by ref
+	joined []graph.V // refs noted since the last fold, not yet in acks
+	comps  int       // π's component count at the outbox or the last scan
+}
+
+// unsent is the ack of a ref that joined during the exchange and has not
+// gone to its owner yet. It equals no find, so the next scan sends the
+// ref even when it is its own root: the owner's reply to (ref, ref) is
+// how a label chain across three or more shards shortens each round.
+const unsent = ^graph.V(0)
+
+// fold moves the refs that joined since the last fold into acks,
+// keeping acks sorted, each with the ack unsent.
+func (x *exchange) fold() {
+	if len(x.joined) == 0 {
+		return
+	}
+	slices.Sort(x.joined)
+	i, j := len(x.acks)-1, len(x.joined)-1
+	x.acks = slices.Grow(x.acks, len(x.joined))[:len(x.acks)+len(x.joined)]
+	for k := len(x.acks) - 1; j >= 0; k-- {
+		if i >= 0 && x.acks[i].V > x.joined[j] {
+			x.acks[k] = x.acks[i]
+			i--
+		} else {
+			x.acks[k] = pair{V: x.joined[j], Label: unsent}
+			j--
+		}
+	}
+	x.joined = x.joined[:0]
+}
+
+// ack returns ref v's ack, or nil when v is not in acks.
+func (x *exchange) ack(v graph.V) *graph.V {
+	i, ok := slices.BinarySearchFunc(x.acks, v, func(p pair, v graph.V) int { return cmp.Compare(p.V, v) })
+	if !ok {
+		return nil
+	}
+	return &x.acks[i].Label
+}
+
+// outbox starts an exchange: it returns the shard's current opinion
+// (ref, find(ref)) for every tracked remote vertex and records each as
+// that ref's ack. Walking the bitset word by word yields the pairs
+// sorted by vertex id, so the wire traffic is deterministic for a given
+// state. Labels that are themselves new remote vertices join refs only
+// after the walk, which is how label chains across three or more shards
+// get resolved.
 func (sh *Shard) outbox() ([]pair, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -561,14 +623,17 @@ func (sh *Shard) outbox() ([]pair, error) {
 			out = append(out, pair{V: r, Label: sh.inc.Find(r)})
 		}
 	}
+	sh.xch = &exchange{acks: slices.Clone(out), comps: sh.inc.NumComponents()}
 	for _, p := range out {
 		sh.noteRemote(p.Label)
 	}
 	return out, nil
 }
 
-// ingest merges remote opinions about owned vertices and replies with
-// this shard's (canonical-so-far) label for each, in request order.
+// ingest links remote opinions about owned vertices, then answers only
+// the opinions whose owner label g after the whole batch differs from
+// the label sent, each as (index into pairs, g) in request order.
+// Silence acknowledges the label sent.
 func (sh *Shard) ingest(pairs []pair) (int64, []pair, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -576,8 +641,7 @@ func (sh *Shard) ingest(pairs []pair) (int64, []pair, error) {
 		return 0, nil, err
 	}
 	var merged int64
-	replies := make([]pair, len(pairs))
-	for i, p := range pairs {
+	for _, p := range pairs {
 		if !sh.owned(p.V) {
 			return 0, nil, fmt.Errorf("cluster: ingest for %d, not owned by shard %d", p.V, sh.id)
 		}
@@ -586,28 +650,75 @@ func (sh *Shard) ingest(pairs []pair) (int64, []pair, error) {
 		}
 		sh.noteRemote(p.Label)
 		merged += sh.linkLabel(p)
-		replies[i] = pair{V: p.V, Label: sh.inc.Find(p.V)}
+	}
+	var replies []pair
+	for i, p := range pairs {
+		if g := sh.inc.Find(p.V); g != p.Label {
+			replies = append(replies, pair{V: graph.V(i), Label: g})
+		}
 	}
 	return merged, replies, nil
 }
 
-// absorb merges owners' canonical labels for this shard's refs.
-func (sh *Shard) absorb(pairs []pair) (int64, error) {
+// absorb links the owners' replies to this shard's opinions, moves each
+// replied ref's ack to the owner's label, and returns the next round's
+// opinions: every ref whose find now differs from its ack (refs that
+// joined during the round included), with the ack moved to that find,
+// in ref order. When π has merged nothing since the outbox or the last
+// scan it returns nothing without walking the refs: no find moved, no
+// ref joined, and a reply that merged nothing repeats the ack it
+// answered (DESIGN.md §13).
+func (sh *Shard) absorb(pairs []pair) (int64, []pair, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := sh.requireInit(); err != nil {
-		return 0, err
+		return 0, nil, err
+	}
+	for _, p := range pairs {
+		if int(p.V) >= sh.n || int(p.Label) >= sh.n {
+			return 0, nil, fmt.Errorf("cluster: absorb pair {%d,%d} out of range", p.V, p.Label)
+		}
+	}
+	x := sh.xch
+	if x == nil {
+		return 0, nil, errors.New("cluster: absorb outside an exchange")
 	}
 	var merged int64
 	for _, p := range pairs {
-		if int(p.V) >= sh.n || int(p.Label) >= sh.n {
-			return 0, fmt.Errorf("cluster: absorb pair {%d,%d} out of range", p.V, p.Label)
-		}
 		sh.noteRemote(p.V)
 		sh.noteRemote(p.Label)
 		merged += sh.linkLabel(p)
 	}
-	return merged, nil
+	x.fold()
+	for _, p := range pairs {
+		if a := x.ack(p.V); a != nil {
+			*a = p.Label
+		}
+	}
+	comps := sh.inc.NumComponents()
+	if comps == x.comps {
+		return merged, nil, nil
+	}
+	x.comps = comps
+	var next []pair
+	for i := range x.acks {
+		if f := sh.inc.Find(x.acks[i].V); f != x.acks[i].Label {
+			x.acks[i].Label = f
+			next = append(next, x.acks[i])
+		}
+	}
+	return merged, next, nil
+}
+
+// endExchange frees the exchange state (opEndExchange).
+func (sh *Shard) endExchange() error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err := sh.requireInit(); err != nil {
+		return err
+	}
+	sh.xch = nil
+	return nil
 }
 
 // linkLabel links one exchange-protocol pair (vertex, label) into π
@@ -724,6 +835,7 @@ func (sh *Shard) restore(lo, hi int, edges int64, labels []graph.V) error {
 	// documented bootstrap gap.
 	sh.inc = inc
 	sh.edges = edges
+	sh.xch = nil
 	sh.resetRefs()
 	for _, l := range labels {
 		sh.noteRemote(l)

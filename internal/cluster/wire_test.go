@@ -17,9 +17,9 @@ func TestLoadWireTrafficGolden(t *testing.T) {
 		g    *graph.CSR
 		want RouterStats
 	}{
-		{"urand-2^14x16", gen.URandDegree(1<<14, 16, 1), RouterStats{Rounds: 2, Messages: 61796, BytesSent: 509649, BytesRecv: 313017}},
-		{"kron-12", gen.Kronecker(12, 8, gen.Graph500, 42), RouterStats{Rounds: 3, Messages: 10660, BytesSent: 85560, BytesRecv: 59360}},
-		{"zigzag-path-3000", zigzagPath(3000), RouterStats{Rounds: 3, Messages: 71984, BytesSent: 336256, BytesRecv: 300272}},
+		{"urand-2^14x16", gen.URandDegree(1<<14, 16, 1), RouterStats{Rounds: 2, Opinions: 7752, Messages: 17248, BytesSent: 331412, BytesRecv: 134772}},
+		{"kron-12", gen.Kronecker(12, 8, gen.Graph500, 42), RouterStats{Rounds: 3, Opinions: 908, Messages: 2342, BytesSent: 52210, BytesRecv: 25994}},
+		{"zigzag-path-3000", zigzagPath(3000), RouterStats{Rounds: 2, Opinions: 7997, Messages: 23988, BytesSent: 144158, BytesRecv: 108142}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -32,11 +32,11 @@ func TestLoadWireTrafficGolden(t *testing.T) {
 				t.Fatalf("LoadGraph: %v", err)
 			}
 			got, want := l.Router.Stats(), tc.want
-			if got.Rounds != want.Rounds || got.Messages != want.Messages ||
+			if got.Rounds != want.Rounds || got.Opinions != want.Opinions || got.Messages != want.Messages ||
 				got.BytesSent != want.BytesSent || got.BytesRecv != want.BytesRecv {
-				t.Fatalf("wire traffic moved:\n got rounds=%d messages=%d sent=%d recv=%d\nwant rounds=%d messages=%d sent=%d recv=%d",
-					got.Rounds, got.Messages, got.BytesSent, got.BytesRecv,
-					want.Rounds, want.Messages, want.BytesSent, want.BytesRecv)
+				t.Fatalf("wire traffic moved:\n got rounds=%d opinions=%d messages=%d sent=%d recv=%d\nwant rounds=%d opinions=%d messages=%d sent=%d recv=%d",
+					got.Rounds, got.Opinions, got.Messages, got.BytesSent, got.BytesRecv,
+					want.Rounds, want.Opinions, want.Messages, want.BytesSent, want.BytesRecv)
 			}
 		})
 	}
