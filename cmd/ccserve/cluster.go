@@ -2,27 +2,38 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"afforest/internal/cluster"
-	"afforest/internal/graph"
 	"afforest/internal/obs"
 )
+
+// singleNodeFlags are the ccserve flags only a single node reads, each
+// with what a cluster user does instead. Cluster mode refuses any of
+// them set on the command line rather than dropping it: a router started
+// with -wal-dir would acknowledge writes that no log holds.
+var singleNodeFlags = []struct{ name, instead string }{
+	{"restore", "cluster state is handed off via shard snapshots"},
+	{"save", "cluster state is handed off via shard snapshots"},
+	{"wal-dir", "the cluster router keeps no write-ahead log"},
+	{"wal-fsync", "the cluster router keeps no write-ahead log"},
+	{"wal-segment-bytes", "the cluster router keeps no write-ahead log"},
+	{"provenance", "start each shard with ccshard -provenance instead"},
+	{"batch-window", "the cluster router does not coalesce writes"},
+	{"max-batch", "the cluster router does not coalesce writes"},
+	{"flight", "each shard keeps its own flight recorder, served at /debug/cluster?view=flight&shard=N"},
+	{"loadtest", "start the router, then load-test it with ccserve -loadtest -target http://ROUTER"},
+}
 
 // clusterMain runs ccserve as the router of a sharded cluster: it
 // resolves the graph source, dials the ccshard processes, streams each
 // its edge partition, reconciles labels across shards, and serves the
-// router's HTTP surface on addr. Label snapshots live at the shards in
-// cluster mode, so -restore and -save are rejected rather than
-// silently half-working.
+// router's HTTP surface on addr. set holds the flags given on the
+// command line; any of singleNodeFlags among them is an error.
 //
 // Distributed tracing is always on in cluster mode: every request's
 // shard RPCs carry the trace-context frame extension and the merged
@@ -30,22 +41,13 @@ import (
 // bounded ring; the per-RPC cost is 13 header bytes and two span
 // records). debugAddr, when non-empty, additionally serves
 // net/http/pprof on a separate listener.
-func clusterMain(shardList, addr, debugAddr, in, genName, restore, save string, n, scale, deg int, seed uint64, par int) error {
-	if restore != "" || save != "" {
-		return errors.New("-restore/-save are single-node flags; cluster state is handed off via shard snapshots")
+func clusterMain(shardList, addr, debugAddr, in, genName string, n, scale, deg int, seed uint64, par int, set map[string]bool) error {
+	for _, f := range singleNodeFlags {
+		if set[f.name] {
+			return fmt.Errorf("-%s is a single-node flag, refused with -cluster: %s", f.name, f.instead)
+		}
 	}
-	var g *graph.CSR
-	var err error
-	switch {
-	case in != "" && genName != "":
-		return errors.New("-in and -gen are mutually exclusive")
-	case in != "":
-		g, err = graph.LoadFile(in)
-	case genName != "":
-		g, err = generate(genName, n, scale, deg, seed)
-	default:
-		return errors.New("cluster mode needs a graph: provide -in FILE or -gen NAME")
-	}
+	g, err := loadGraph(in, genName, n, scale, deg, seed)
 	if err != nil {
 		return err
 	}
@@ -61,14 +63,7 @@ func clusterMain(shardList, addr, debugAddr, in, genName, restore, save string, 
 	if err != nil {
 		return err
 	}
-	if debugAddr != "" {
-		go func() {
-			fmt.Printf("pprof on http://%s/debug/pprof/ (cluster timeline on the service address at /debug/cluster)\n", debugAddr)
-			if err := http.ListenAndServe(debugAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ccserve: debug listener:", err)
-			}
-		}()
-	}
+	serveDebug(debugAddr, fmt.Sprintf("pprof on http://%s/debug/pprof/ (cluster timeline on the service address at /debug/cluster)", debugAddr))
 	start := time.Now()
 	if err := router.LoadGraph(g); err != nil {
 		router.Close(false)
@@ -87,22 +82,12 @@ func clusterMain(shardList, addr, debugAddr, in, genName, restore, save string, 
 		router.NumShards(), router.NumVertices(), time.Since(start).Round(time.Millisecond),
 		st.Rounds, (st.BytesSent+st.BytesRecv)/1024, ln.Addr())
 
-	httpSrv := &http.Server{Handler: router}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	err = httpSrv.Shutdown(shutCtx)
-	// Tearing the router down shuts the shard processes down with it: a
+	// The router holds no write queue, so the listener drains first; then
+	// tearing the router down shuts the shard processes down with it: a
 	// ^C on the router is the whole-topology off switch.
-	router.Close(true)
-	return err
+	return serveUntilSignal(ln, router, func(ctx context.Context, httpSrv *http.Server) error {
+		err := httpSrv.Shutdown(ctx)
+		router.Close(true)
+		return err
+	})
 }

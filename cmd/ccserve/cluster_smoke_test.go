@@ -297,24 +297,36 @@ func TestClusterSmoke(t *testing.T) {
 	}
 }
 
-// TestClusterMainFlagValidation pins the cluster-mode flag contract.
+// TestClusterMainFlagValidation pins the cluster-mode flag contract:
+// each single-node flag given on the command line is refused by name,
+// with a pointer to what to use instead, before any shard is dialed.
 func TestClusterMainFlagValidation(t *testing.T) {
-	if err := clusterMain("127.0.0.1:1", ":0", "", "", "", "pi.snap", "", 10, 0, 4, 1, 0); err == nil ||
-		!strings.Contains(err.Error(), "single-node") {
-		t.Fatalf("-restore accepted in cluster mode: %v", err)
+	for _, tc := range []struct{ flag, hint string }{
+		{"restore", "shard snapshots"},
+		{"save", "shard snapshots"},
+		{"wal-dir", "write-ahead log"},
+		{"wal-fsync", "write-ahead log"},
+		{"wal-segment-bytes", "write-ahead log"},
+		{"provenance", "ccshard -provenance"},
+		{"batch-window", "coalesce"},
+		{"max-batch", "coalesce"},
+		{"flight", "/debug/cluster"},
+		{"loadtest", "-target"},
+	} {
+		err := clusterMain("127.0.0.1:1", ":0", "", "", "urand", 10, 0, 4, 1, 0, map[string]bool{tc.flag: true})
+		if err == nil || !strings.Contains(err.Error(), "-"+tc.flag+" is a single-node flag") ||
+			!strings.Contains(err.Error(), tc.hint) {
+			t.Fatalf("-%s in cluster mode: err = %v, want a refusal naming the flag and %q", tc.flag, err, tc.hint)
+		}
 	}
-	if err := clusterMain("127.0.0.1:1", ":0", "", "", "", "", "pi.snap", 10, 0, 4, 1, 0); err == nil ||
-		!strings.Contains(err.Error(), "single-node") {
-		t.Fatalf("-save accepted in cluster mode: %v", err)
-	}
-	if err := clusterMain("127.0.0.1:1", ":0", "", "", "", "", "", 10, 0, 4, 1, 0); err == nil {
+	if err := clusterMain("127.0.0.1:1", ":0", "", "", "", 10, 0, 4, 1, 0, nil); err == nil {
 		t.Fatal("cluster mode without a graph source accepted")
 	}
-	if err := clusterMain("127.0.0.1:1", ":0", "", "a.el", "urand", "", "", 10, 0, 4, 1, 0); err == nil {
+	if err := clusterMain("127.0.0.1:1", ":0", "", "a.el", "urand", 10, 0, 4, 1, 0, nil); err == nil {
 		t.Fatal("-in with -gen accepted in cluster mode")
 	}
 	// A dead shard address must fail the dial, not hang.
-	if err := clusterMain("127.0.0.1:1", ":0", "", "", "urand", "", "", 100, 0, 2, 1, 0); err == nil {
+	if err := clusterMain("127.0.0.1:1", ":0", "", "", "urand", 100, 0, 2, 1, 0, nil); err == nil {
 		t.Fatal("unreachable shard accepted")
 	}
 }

@@ -68,6 +68,16 @@ func main() {
 		bulk     = flag.Int("bulk", 8, "loadtest edges per write request")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+
+	if *clusterAddrs != "" {
+		if err := clusterMain(*clusterAddrs, *addr, *debug, *in, *genName, *n, *scale, *deg, *seed, *par, set); err != nil {
+			fmt.Fprintln(os.Stderr, "ccserve:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	cfg := serve.Config{
 		BatchWindow: *window,
@@ -103,21 +113,18 @@ func main() {
 		return
 	}
 
-	if *clusterAddrs != "" {
-		if err := clusterMain(*clusterAddrs, *addr, *debug, *in, *genName, *restore, *save, *n, *scale, *deg, *seed, *par); err != nil {
-			fmt.Fprintln(os.Stderr, "ccserve:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	srv, err := buildServer(*in, *genName, *restore, *n, *scale, *deg, *seed, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ccserve:", err)
 		os.Exit(1)
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ccserve:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("serving %d vertices, %d edges, %d components on %s\n",
-		srv.NumVertices(), srv.EdgesAccepted(), srv.NumComponents(), *addr)
+		srv.NumVertices(), srv.EdgesAccepted(), srv.NumComponents(), ln.Addr())
 	if rep := srv.WALReplay(); rep != nil {
 		fmt.Printf("wal %s: replayed %d records (%d edges) past watermark, skipped %d\n",
 			*walDir, rep.Records, rep.Edges, rep.Skipped)
@@ -128,35 +135,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ccserve: WARNING: wal replay diverged: %s\n", rep.Divergence)
 		}
 	}
+	serveDebug(*debug, fmt.Sprintf("pprof on http://%s/debug/pprof/, flight recorder on http://%s/debug/flight", *debug, *debug))
 
-	if *debug != "" {
-		// pprof registers on http.DefaultServeMux via its import side
-		// effect, and /debug/flight was mounted there above; a separate
-		// listener keeps both off the service address.
-		go func() {
-			fmt.Printf("pprof on http://%s/debug/pprof/, flight recorder on http://%s/debug/flight\n", *debug, *debug)
-			if err := http.ListenAndServe(*debug, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ccserve: debug listener:", err)
-			}
-		}()
-	}
-
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-
-	select {
-	case err := <-errc:
+	err = serveUntilSignal(ln, srv, func(ctx context.Context, httpSrv *http.Server) error {
+		return drainServer(ctx, httpSrv, srv)
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ccserve:", err)
 		os.Exit(1)
-	case <-ctx.Done():
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := drainServer(shutCtx, httpSrv, srv); err != nil {
-		fmt.Fprintln(os.Stderr, "ccserve: shutdown:", err)
 	}
 	if *save != "" {
 		if err := srv.SaveSnapshot(*save); err != nil {
@@ -165,6 +151,46 @@ func main() {
 		}
 		fmt.Printf("snapshot saved to %s (%d edges)\n", *save, srv.EdgesAccepted())
 	}
+}
+
+// serveDebug serves net/http/pprof, which registers on
+// http.DefaultServeMux via its import side effect, and whatever else main
+// mounted there, on a listener of its own that keeps them off the service
+// address. An empty addr serves nothing.
+func serveDebug(addr, banner string) {
+	if addr == "" {
+		return
+	}
+	go func() {
+		fmt.Println(banner)
+		if err := http.ListenAndServe(addr, nil); err != nil {
+			fmt.Fprintln(os.Stderr, "ccserve: debug listener:", err)
+		}
+	}()
+}
+
+// serveUntilSignal serves h on ln until SIGINT or SIGTERM, then runs drain
+// with a 10-second deadline. A listener failure returns at once; a drain
+// error is reported, not returned, so the caller's shutdown work (the
+// -save snapshot) still runs.
+func serveUntilSignal(ln net.Listener, h http.Handler, drain func(context.Context, *http.Server) error) error {
+	httpSrv := &http.Server{Handler: h}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errc := make(chan error, 1)
+	go func() { errc <- httpSrv.Serve(ln) }()
+
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := drain(shutCtx, httpSrv); err != nil {
+		fmt.Fprintln(os.Stderr, "ccserve: shutdown:", err)
+	}
+	return nil
 }
 
 // drainServer stops a ccserve service in an order that cannot strand
@@ -185,33 +211,31 @@ func drainServer(ctx context.Context, httpSrv *http.Server, srv *serve.Server) e
 
 // buildServer resolves the graph source flags into a running server.
 func buildServer(in, genName, restore string, n, scale, deg int, seed uint64, cfg serve.Config) (*serve.Server, error) {
-	sources := 0
-	for _, s := range []string{in, genName, restore} {
-		if s != "" {
-			sources++
+	if restore != "" {
+		if in != "" || genName != "" {
+			return nil, errors.New("-in, -gen, and -restore are mutually exclusive")
 		}
-	}
-	if sources > 1 {
-		return nil, errors.New("-in, -gen, and -restore are mutually exclusive")
-	}
-	switch {
-	case restore != "":
 		return serve.Restore(restore, cfg)
-	case in != "":
-		g, err := graph.LoadFile(in)
-		if err != nil {
-			return nil, err
-		}
-		return serve.Bootstrap(g, cfg)
-	case genName != "":
-		g, err := generate(genName, n, scale, deg, seed)
-		if err != nil {
-			return nil, err
-		}
-		return serve.Bootstrap(g, cfg)
-	default:
-		return nil, errors.New("provide -in FILE, -gen NAME, or -restore SNAPSHOT (try -gen urand)")
 	}
+	g, err := loadGraph(in, genName, n, scale, deg, seed)
+	if err != nil {
+		return nil, err
+	}
+	return serve.Bootstrap(g, cfg)
+}
+
+// loadGraph resolves -in or -gen into the graph to bootstrap from, in
+// either deployment.
+func loadGraph(in, genName string, n, scale, deg int, seed uint64) (*graph.CSR, error) {
+	switch {
+	case in != "" && genName != "":
+		return nil, errors.New("-in and -gen are mutually exclusive")
+	case in != "":
+		return graph.LoadFile(in)
+	case genName != "":
+		return generate(genName, n, scale, deg, seed)
+	}
+	return nil, errors.New("provide -in FILE or -gen NAME (try -gen urand); a single node also takes -restore SNAPSHOT")
 }
 
 func generate(genName string, n, scale, deg int, seed uint64) (*graph.CSR, error) {

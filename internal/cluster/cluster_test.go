@@ -15,6 +15,7 @@ import (
 	"afforest/internal/dist"
 	"afforest/internal/gen"
 	"afforest/internal/graph"
+	"afforest/internal/serve"
 )
 
 // canonical returns the min-id labeling of g — the global ground truth
@@ -352,9 +353,9 @@ func TestClusterHTTPSurface(t *testing.T) {
 	}
 
 	var census struct {
-		Vertices   int         `json:"vertices"`
-		Components int         `json:"components"`
-		Top        []Component `json:"top"`
+		Vertices   int               `json:"vertices"`
+		Components int               `json:"components"`
+		Top        []serve.Component `json:"top"`
 	}
 	getJSON(t, srv, "/census?top=5", &census)
 	comps := map[graph.V]int{}
@@ -482,7 +483,7 @@ func TestClusterHTTPSurface(t *testing.T) {
 	}
 }
 
-// TestClusterEdgesBodyLimit: a POST /edges body past maxEdgesBody is
+// TestClusterEdgesBodyLimit: a POST /edges body past the 4 MiB limit is
 // refused with 413 and a JSON error before any edge reaches a shard.
 func TestClusterEdgesBodyLimit(t *testing.T) {
 	l, err := StartLocal(16, 2, Config{})
@@ -493,7 +494,7 @@ func TestClusterEdgesBodyLimit(t *testing.T) {
 	srv := httptest.NewServer(l.Router)
 	defer srv.Close()
 
-	body := `{"edges":[` + strings.Repeat("[0,1],", maxEdgesBody/6) + `[0,1]]}`
+	body := `{"edges":[` + strings.Repeat("[0,1],", (4<<20)/6) + `[0,1]]}`
 	resp, err := srv.Client().Post(srv.URL+"/edges", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /edges: %v", err)

@@ -19,6 +19,7 @@ import (
 	"afforest/internal/graph"
 	"afforest/internal/obs"
 	"afforest/internal/provenance"
+	"afforest/internal/serve"
 )
 
 // Config tunes a Router. The zero value is reasonable.
@@ -66,8 +67,9 @@ func (c Config) withDefaults() Config {
 // ErrDegraded is returned for writes while a shard slot is vacant
 // (between leave and join): the cluster serves reads from the retained
 // snapshot but refuses new edges rather than acknowledging writes some
-// member has not seen.
-var ErrDegraded = errors.New("cluster: degraded (shard slot vacant), writes refused")
+// member has not seen. POST /edges answers it with 503.
+var ErrDegraded error = &serve.StatusError{Code: http.StatusServiceUnavailable,
+	Err: errors.New("cluster: degraded (shard slot vacant), writes refused")}
 
 // shardConn is one persistent RPC connection with request/response
 // framing serialized by a mutex and every byte counted.
@@ -134,15 +136,16 @@ type slot struct {
 // global fixed point after every write that merged a component,
 // translates labels across shards for point queries, assembles the
 // global census by fan-out, and manages membership transitions with π
-// snapshot handoff. It implements http.Handler with the same query
-// surface as the single-node serve layer.
+// snapshot handoff. It implements http.Handler as a serve.Backend behind
+// serve's Surface, the same query surface as a single node, and adds
+// the membership and /debug/cluster routes.
 type Router struct {
 	cfg       Config
 	n         int
 	part      dist.Partitioning
 	numShards int
 	slots     []*slot
-	mux       *http.ServeMux
+	api       *serve.Surface
 
 	// mu serializes writes/membership (Lock) against reads (RLock).
 	// Exchange runs under the write lock, so reads always observe a
@@ -151,7 +154,6 @@ type Router struct {
 
 	edges    atomic.Int64
 	cutEdges atomic.Int64
-	started  time.Time
 
 	wire *obs.WireTrace       // nil = tracing off
 	anom *obs.AnomalyDetector // never nil after withDefaults
@@ -161,7 +163,6 @@ type Router struct {
 	exchanges  *obs.Counter
 	exchangeNS *obs.Histogram
 	activeG    *obs.Gauge
-	reqs       struct{ connected, census, edges, stats, metrics, healthz, admin, debug, explain, bad, rejected *obs.Counter }
 }
 
 // --- trace plumbing ---
@@ -263,8 +264,6 @@ func NewRouter(addrs []string, n int, cfg Config) (*Router, error) {
 		n:         n,
 		part:      part,
 		numShards: part.NumNodes,
-		mux:       http.NewServeMux(),
-		started:   time.Now(),
 		wire:      cfg.Trace,
 		anom:      cfg.Anomaly,
 	}
@@ -291,22 +290,6 @@ func NewRouter(addrs []string, n int, cfg Config) (*Router, error) {
 		"Wall time of one exchange-to-fixed-point, ns.", obs.DefaultLatencyBuckets)
 	r.activeG = reg.Gauge("afforest_cluster_shards_active", "Shard slots currently connected.")
 	reg.Gauge("afforest_cluster_shards", "Shard slots in the partition.").Set(float64(r.numShards))
-	h := func(name string) *obs.Counter {
-		return reg.Counter("afforest_http_requests_total",
-			"HTTP requests served, by handler.", obs.L("handler", name))
-	}
-	r.reqs.connected = h("connected")
-	r.reqs.census = h("census")
-	r.reqs.edges = h("edges")
-	r.reqs.stats = h("stats")
-	r.reqs.metrics = h("metrics")
-	r.reqs.healthz = h("healthz")
-	r.reqs.admin = h("cluster")
-	r.reqs.debug = h("debug_cluster")
-	r.reqs.explain = h("explain")
-	r.reqs.bad = reg.Counter("afforest_http_errors_total", "Requests answered with a 4xx status.")
-	r.reqs.rejected = reg.Counter("afforest_writes_rejected_total",
-		"Edge submissions refused while the cluster was degraded.")
 
 	for id := 0; id < r.numShards; id++ {
 		lo, hi := part.Range(id)
@@ -328,21 +311,14 @@ func NewRouter(addrs []string, n int, cfg Config) (*Router, error) {
 	}
 	r.activeG.Set(float64(r.numShards))
 
-	r.mux.HandleFunc("GET /connected", r.handleConnected)
-	r.mux.HandleFunc("GET /census", r.handleCensus)
-	r.mux.HandleFunc("POST /edges", r.handleEdges)
-	r.mux.HandleFunc("GET /stats", r.handleStats)
-	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
-	r.mux.HandleFunc("GET /cluster", r.handleTopology)
-	r.mux.HandleFunc("POST /cluster/leave", r.handleLeave)
-	r.mux.HandleFunc("POST /cluster/join", r.handleJoin)
-	r.mux.HandleFunc("GET /debug/cluster", r.handleDebugCluster)
-	r.mux.HandleFunc("GET /explain", r.handleExplain)
-	metricsHandler := cfg.Registry.Handler()
-	r.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
-		r.reqs.metrics.Inc()
-		metricsHandler.ServeHTTP(w, req)
-	})
+	r.api = serve.NewSurface(r, reg, cfg.Anomaly)
+	r.api.Handle("GET /cluster", "cluster", r.handleTopology)
+	r.api.Handle("POST /cluster/leave", "cluster", r.handleLeave)
+	r.api.Handle("POST /cluster/join", "cluster", r.handleJoin)
+	r.api.Handle("GET /debug/cluster", "debug_cluster", r.handleDebugCluster)
+	for _, route := range []string{"/component", "/events", "/history", "/debug/provenance"} {
+		r.api.Handle(route, "", r.handleSingleNodeOnly)
+	}
 	return r, nil
 }
 
@@ -1100,34 +1076,26 @@ func checkLabels(id, lo int, labels []graph.V) error {
 	return nil
 }
 
-// Component is one census entry (same JSON shape as the serve layer's).
-type Component struct {
-	Label graph.V `json:"label"`
-	Size  int     `json:"size"`
-}
-
-// Census assembles the global component census, largest first (ties by
-// label).
-func (r *Router) Census() (labels []graph.V, census []Component, err error) {
-	labels, err = r.GlobalLabels()
+// ComponentSizes folds GlobalLabels into the per-root size table the
+// census ranks (canonical labels are component minima, so each root
+// counts its members), with the accepted-edge count read under the same
+// read lock: O(n) with no map and no sort.
+func (r *Router) ComponentSizes(fn func(sizes []int32, edges int64)) error {
+	r.mu.RLock()
+	rc := r.newRoot("census_request")
+	labels, err := r.globalLabelsLocked(rc)
+	r.endRoot(rc, err)
+	edges := r.edges.Load()
+	r.mu.RUnlock()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	counts := make(map[graph.V]int, 64)
+	sizes := make([]int32, len(labels))
 	for _, l := range labels {
-		counts[l]++
+		sizes[l]++
 	}
-	census = make([]Component, 0, len(counts))
-	for l, c := range counts {
-		census = append(census, Component{Label: l, Size: c})
-	}
-	sort.Slice(census, func(i, j int) bool {
-		if census[i].Size != census[j].Size {
-			return census[i].Size > census[j].Size
-		}
-		return census[i].Label < census[j].Label
-	})
-	return labels, census, nil
+	fn(sizes, edges)
+	return nil
 }
 
 // Leave removes shard id from the cluster: its π snapshot is pulled and
@@ -1267,221 +1235,47 @@ func (r *Router) Stats() RouterStats {
 // Registry returns the registry backing this router's /metrics.
 func (r *Router) Registry() *obs.Registry { return r.cfg.Registry }
 
-// --- HTTP surface ---
+// --- serve.Backend ---
 
 // ServeHTTP implements http.Handler.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	r.mux.ServeHTTP(w, req)
+	r.api.ServeHTTP(w, req)
 }
 
-func (r *Router) httpError(w http.ResponseWriter, code int, msg string) {
-	if code < 500 {
-		r.reqs.bad.Inc()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func (r *Router) vertexParam(req *http.Request, name string) (graph.V, error) {
-	raw := req.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", name)
-	}
-	x, err := strconv.ParseUint(raw, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad vertex %q: %v", raw, err)
-	}
-	if x >= uint64(r.n) {
-		return 0, fmt.Errorf("vertex %d out of range (|V|=%d)", x, r.n)
-	}
-	return graph.V(x), nil
-}
-
-func (r *Router) handleConnected(w http.ResponseWriter, req *http.Request) {
-	r.reqs.connected.Inc()
-	u, err := r.vertexParam(req, "u")
-	if err != nil {
-		r.httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	v, err := r.vertexParam(req, "v")
-	if err != nil {
-		r.httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	conn, err := r.Connected(u, v)
-	if err != nil {
-		r.httpError(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	writeJSON(w, map[string]any{"u": u, "v": v, "connected": conn})
-}
-
-// handleExplain serves the cluster-wide witness surface — the same JSON
-// shapes as the single-node /explain, with each hop additionally tagged
-// by the shard that recorded it and ghost:true on exchange-learned hops.
-func (r *Router) handleExplain(w http.ResponseWriter, req *http.Request) {
-	r.reqs.explain.Inc()
-	u, err := r.vertexParam(req, "u")
-	if err != nil {
-		r.httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	v, err := r.vertexParam(req, "v")
-	if err != nil {
-		r.httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	conn, hops, gap, err := r.Explain(u, v)
-	if err != nil {
-		r.httpError(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	body := map[string]any{"u": u, "v": v, "connected": conn}
-	switch {
-	case conn && !gap:
-		body["witness"] = hops
-		body["hops"] = len(hops)
-	case conn:
-		body["witness"] = nil
-		body["reason"] = "connected, but the cluster witness is incomplete: a segment predates provenance (bootstrap load or restore handoff)"
-	default:
-		body["witness"] = nil
-	}
-	writeJSON(w, body)
-}
-
-func (r *Router) handleCensus(w http.ResponseWriter, req *http.Request) {
-	r.reqs.census.Inc()
-	top := 10
-	if raw := req.URL.Query().Get("top"); raw != "" {
-		k, err := strconv.Atoi(raw)
-		if err != nil || k < 0 {
-			r.httpError(w, http.StatusBadRequest, fmt.Sprintf("bad top %q", raw))
-			return
-		}
-		top = k
-	}
-	labels, census, err := r.Census()
-	if err != nil {
-		r.httpError(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	full := len(census)
-	if len(census) > top {
-		census = census[:top]
-	}
-	writeJSON(w, map[string]any{
-		"vertices":   len(labels),
-		"components": full,
-		"edges":      r.edges.Load(),
-		"top":        census,
-	})
-}
-
-// maxEdgesBody caps a POST /edges body. It is far above any real batch
-// (a bulk edge costs about 20 bytes of JSON) and only stops a request
-// from making the router buffer an edge list of any size.
-const maxEdgesBody = 4 << 20
-
-// edgesRequest mirrors the single-node serve body: a single edge
-// {"u":1,"v":2} or a bulk batch {"edges":[[1,2],[3,4],...]}.
-type edgesRequest struct {
-	U     *uint32     `json:"u"`
-	V     *uint32     `json:"v"`
-	Edges [][2]uint32 `json:"edges"`
-}
-
-func (r *Router) handleEdges(w http.ResponseWriter, req *http.Request) {
-	r.reqs.edges.Inc()
-	var body edgesRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxEdgesBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		r.httpError(w, code, "bad body: "+err.Error())
-		return
-	}
-	var edges []graph.Edge
-	switch {
-	case body.Edges != nil:
-		if body.U != nil || body.V != nil {
-			r.httpError(w, http.StatusBadRequest, `provide either "u"/"v" or "edges", not both`)
-			return
-		}
-		edges = make([]graph.Edge, len(body.Edges))
-		for i, e := range body.Edges {
-			edges[i] = graph.Edge{U: e[0], V: e[1]}
-		}
-	case body.U != nil && body.V != nil:
-		edges = []graph.Edge{{U: *body.U, V: *body.V}}
-	default:
-		r.httpError(w, http.StatusBadRequest, `provide "u" and "v", or "edges"`)
-		return
-	}
-	for _, e := range edges {
-		if int(e.U) >= r.n || int(e.V) >= r.n {
-			r.httpError(w, http.StatusBadRequest,
-				fmt.Sprintf("edge {%d,%d} out of range (|V|=%d)", e.U, e.V, r.n))
-			return
-		}
-	}
+// SubmitEdges is AddEdges with the serve.Ack the HTTP surface answers.
+func (r *Router) SubmitEdges(edges []graph.Edge) (serve.Ack, error) {
 	merged, err := r.AddEdges(edges)
-	if errors.Is(err, ErrDegraded) {
-		r.reqs.rejected.Inc()
-		r.httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	if err != nil {
-		r.httpError(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	writeJSON(w, map[string]any{"accepted": len(edges), "merged": merged})
+	return serve.Ack{Accepted: len(edges), Merged: merged}, err
 }
 
-func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	r.reqs.stats.Inc()
-	st := r.Stats()
-	writeJSON(w, map[string]any{
-		"uptime_seconds": time.Since(r.started).Seconds(),
-		"vertices":       r.n,
-		"edges_accepted": r.edges.Load(),
-		"cluster":        st,
-		"anomalies": map[string]any{
-			"count":  r.anom.Count(),
-			"recent": r.anom.Recent(),
-		},
-	})
+// StatsSections adds the wire tallies to /stats as "cluster".
+func (r *Router) StatsSections(body map[string]any) {
+	body["cluster"] = r.Stats()
 }
 
-func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	r.reqs.healthz.Inc()
+// Health adds the partition width to /healthz; the status is
+// "degraded" while a slot is vacant.
+func (r *Router) Health(body map[string]any) string {
+	body["shards"] = r.numShards
 	r.mu.RLock()
-	degraded := r.degradedLocked()
-	r.mu.RUnlock()
-	status := "ok"
-	if degraded {
-		status = "degraded"
+	defer r.mu.RUnlock()
+	if r.degradedLocked() {
+		return "degraded"
 	}
-	writeJSON(w, map[string]any{
-		"status":   status,
-		"vertices": r.n,
-		"shards":   r.numShards,
-	})
+	return "ok"
+}
+
+// --- router-only routes ---
+
+// handleSingleNodeOnly refuses the routes only a single node serves:
+// per-vertex sizes, the merge-event stream and the provenance forest
+// have no cluster-wide counterpart, and a partial answer would be wrong.
+func (r *Router) handleSingleNodeOnly(w http.ResponseWriter, req *http.Request) {
+	r.api.Error(w, http.StatusNotImplemented,
+		req.URL.Path+" is served by a single-node ccserve only; the cluster router does not answer it")
 }
 
 func (r *Router) handleTopology(w http.ResponseWriter, req *http.Request) {
-	r.reqs.admin.Inc()
 	r.mu.RLock()
 	type slotInfo struct {
 		ID     int    `json:"id"`
@@ -1496,7 +1290,7 @@ func (r *Router) handleTopology(w http.ResponseWriter, req *http.Request) {
 	}
 	degraded := r.degradedLocked()
 	r.mu.RUnlock()
-	writeJSON(w, map[string]any{"shards": slots, "degraded": degraded})
+	serve.WriteJSON(w, map[string]any{"shards": slots, "degraded": degraded})
 }
 
 // shardDump is one member's opFlight payload: its flight-recorder JSONL
@@ -1579,14 +1373,13 @@ func (r *Router) Anomalies() *obs.AnomalyDetector { return r.anom }
 //	GET /debug/cluster?view=flight&shard=N one member's flight-recorder dump
 //	GET /debug/cluster?view=phases&shard=N one member's Afforest phase spans (JSON)
 func (r *Router) handleDebugCluster(w http.ResponseWriter, req *http.Request) {
-	r.reqs.debug.Inc()
 	if r.wire == nil {
-		r.httpError(w, http.StatusNotFound, "tracing disabled: construct the router with Config.Trace")
+		r.api.Error(w, http.StatusNotFound, "tracing disabled: construct the router with Config.Trace")
 		return
 	}
 	dumps, err := r.pullFlight()
 	if err != nil {
-		r.httpError(w, http.StatusBadGateway, err.Error())
+		r.api.Error(w, http.StatusBadGateway, err.Error())
 		return
 	}
 	canonical := req.URL.Query().Get("canonical") == "1"
@@ -1600,7 +1393,7 @@ func (r *Router) handleDebugCluster(w http.ResponseWriter, req *http.Request) {
 	case "flight", "phases":
 		id, err := r.shardParam(req)
 		if err != nil {
-			r.httpError(w, http.StatusBadRequest, err.Error())
+			r.api.Error(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		for _, d := range dumps {
@@ -1616,9 +1409,9 @@ func (r *Router) handleDebugCluster(w http.ResponseWriter, req *http.Request) {
 			}
 			return
 		}
-		r.httpError(w, http.StatusNotFound, fmt.Sprintf("shard %d inactive or unknown", id))
+		r.api.Error(w, http.StatusNotFound, fmt.Sprintf("shard %d inactive or unknown", id))
 	default:
-		r.httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown view %q", view))
+		r.api.Error(w, http.StatusBadRequest, fmt.Sprintf("unknown view %q", view))
 	}
 }
 
@@ -1635,34 +1428,32 @@ func (r *Router) shardParam(req *http.Request) (int, error) {
 }
 
 func (r *Router) handleLeave(w http.ResponseWriter, req *http.Request) {
-	r.reqs.admin.Inc()
 	id, err := r.shardParam(req)
 	if err != nil {
-		r.httpError(w, http.StatusBadRequest, err.Error())
+		r.api.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if err := r.Leave(id); err != nil {
-		r.httpError(w, http.StatusConflict, err.Error())
+		r.api.Error(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, map[string]any{"left": id})
+	serve.WriteJSON(w, map[string]any{"left": id})
 }
 
 func (r *Router) handleJoin(w http.ResponseWriter, req *http.Request) {
-	r.reqs.admin.Inc()
 	id, err := r.shardParam(req)
 	if err != nil {
-		r.httpError(w, http.StatusBadRequest, err.Error())
+		r.api.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	addr := req.URL.Query().Get("addr")
 	if addr == "" {
-		r.httpError(w, http.StatusBadRequest, `missing query parameter "addr"`)
+		r.api.Error(w, http.StatusBadRequest, `missing query parameter "addr"`)
 		return
 	}
 	if err := r.Join(id, addr); err != nil {
-		r.httpError(w, http.StatusConflict, err.Error())
+		r.api.Error(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, map[string]any{"joined": id, "addr": addr})
+	serve.WriteJSON(w, map[string]any{"joined": id, "addr": addr})
 }

@@ -179,10 +179,9 @@ func (h *eventHub) snapshot() (int64, int64, int) {
 // reconnecting sends Last-Event-ID (or ?after=<lsn>) and the ring
 // replays everything newer it still holds.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s.counts.events.Inc()
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		s.httpError(w, http.StatusInternalServerError, "streaming unsupported")
+		s.api.Error(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	var after uint64
@@ -193,15 +192,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if raw != "" {
 		v, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
-			s.httpError(w, http.StatusBadRequest, fmt.Sprintf("bad event id %q", raw))
+			s.api.Error(w, http.StatusBadRequest, fmt.Sprintf("bad event id %q", raw))
 			return
 		}
 		after = v
 	}
 	sub, backlog := s.hub.subscribe(after)
 	if sub == nil {
-		s.counts.rejected.Inc()
-		s.httpError(w, http.StatusServiceUnavailable, "server is draining")
+		s.api.fail(w, errDraining)
 		return
 	}
 	defer s.hub.unsubscribe(sub)

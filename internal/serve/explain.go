@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"errors"
 	"net/http"
 	"time"
+
+	"afforest/internal/graph"
+	"afforest/internal/provenance"
 )
 
 // The provenance query surface:
@@ -13,66 +17,32 @@ import (
 //
 // All three answer 404 with a hint when the server runs without
 // cfg.Provenance — the forest simply does not exist, and pretending
-// "not connected" would be wrong.
+// "not connected" would be wrong. /explain is the shared Surface's
+// route, which checks its vertices first, so a malformed pair is a 400
+// there as on a cluster.
 
-// provenanceDisabled answers for the three handlers when no forest is
+// errNoProvenance answers the three provenance routes when no forest is
 // installed.
-func (s *Server) provenanceDisabled(w http.ResponseWriter) {
-	s.counts.bad.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusNotFound)
-	w.Write([]byte(`{"error":"provenance is disabled; start the server with provenance enabled to record witness paths"}` + "\n"))
-}
+var errNoProvenance = &StatusError{Code: http.StatusNotFound,
+	Err: errors.New("provenance is disabled; start the server with provenance enabled to record witness paths")}
 
-// handleExplain answers "why are u and v connected": a witness path of
-// recorded input edges, each hop stamped with the WAL LSN of the batch
-// that carried it. Three shapes:
-//
-//	connected, witness found    — the path, hop count fed to the gauge
-//	                              and the explain_depth_blowup rule
-//	connected, no witness       — π says connected but the forest holds
-//	                              no path: the connection predates
-//	                              provenance (bootstrap labels, edges
-//	                              streamed before enabling). Reported
-//	                              explicitly, never invented.
-//	not connected               — witness:null, connected:false
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.counts.explain.Inc()
+// Explain answers from the merge forest: a witness path of recorded
+// input edges between u and v. gap reports a pair π connects that the
+// forest does not: the connection predates provenance (bootstrap
+// labels, edges streamed before it was enabled). Each witness found
+// feeds the afforest_witness_depth gauge and the explain_depth_blowup
+// rule.
+func (s *Server) Explain(u, v graph.V) (bool, []provenance.Hop, bool, error) {
 	if s.prov == nil {
-		s.provenanceDisabled(w)
-		return
-	}
-	u, err := s.vertexParam(r, "u")
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	v, err := s.vertexParam(r, "v")
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return false, nil, false, errNoProvenance
 	}
 	hops, ok := s.prov.Explain(u, v)
 	connected := s.inc.Connected(u, v)
-	body := map[string]any{
-		"u": u, "v": v,
-		"connected": connected,
-	}
-	switch {
-	case ok:
-		body["witness"] = hops
-		body["hops"] = len(hops)
+	if ok {
 		s.provDepth.Set(float64(len(hops)))
 		s.cfg.Anomaly.ObserveWitnessDepth(len(hops))
-	case connected:
-		body["witness"] = nil
-		body["reason"] = "connected, but no witness recorded: the connection predates provenance (bootstrap or pre-enable edges)"
-	default:
-		body["witness"] = nil
 	}
-	writeJSON(w, body)
-	s.readLat.Observe(time.Since(start))
+	return connected, hops, connected && !ok, nil
 }
 
 // handleHistory answers "how did v's component form": every recorded
@@ -81,23 +51,22 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // fact.
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	s.counts.history.Inc()
 	if s.prov == nil {
-		s.provenanceDisabled(w)
+		s.api.fail(w, errNoProvenance)
 		return
 	}
-	v, err := s.vertexParam(r, "v")
+	v, err := s.api.vertexParam(r, "v")
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err.Error())
+		s.api.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	recs := s.prov.History(v)
-	writeJSON(w, map[string]any{
+	WriteJSON(w, map[string]any{
 		"v":       v,
 		"count":   len(recs),
 		"records": recs,
 	})
-	s.readLat.Observe(time.Since(start))
+	s.api.readLat.Observe(time.Since(start))
 }
 
 // handleProvenanceDump serves the forest dump. ?canonical=1 restricts
@@ -105,7 +74,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 // boots from one WAL image byte-for-byte).
 func (s *Server) handleProvenanceDump(w http.ResponseWriter, r *http.Request) {
 	if s.prov == nil {
-		s.provenanceDisabled(w)
+		s.api.fail(w, errNoProvenance)
 		return
 	}
 	canonical := r.URL.Query().Get("canonical") == "1"

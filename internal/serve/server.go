@@ -14,6 +14,10 @@
 //	GET  /metrics           Prometheus text exposition (obs registry)
 //	GET  /healthz           liveness
 //
+// The HTTP contract itself (parsing, limits, statuses, JSON shapes,
+// request counters, latency recorders) is Surface, which answers for a
+// Backend: Server here, cluster.Router in the sharded deployment.
+//
 // Writes coalesce into batches on the shared worker pool (edgeBatcher).
 // Each flush folds its merges into an exact per-root size table, which
 // /component, /census and the /events sizes read between batches;
@@ -22,11 +26,9 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +38,6 @@ import (
 	"afforest/internal/graph"
 	"afforest/internal/obs"
 	"afforest/internal/provenance"
-	"afforest/internal/stats"
 	"afforest/internal/wal"
 )
 
@@ -117,11 +118,14 @@ func (c Config) sinks() []obs.Sink {
 	return sinks
 }
 
-// Server hosts one graph's connectivity. It implements http.Handler.
+// Server hosts one graph's connectivity. It implements http.Handler
+// through the shared Surface, as its Backend, and adds the routes only a
+// single node serves: /component, /events, /history and
+// /debug/provenance.
 type Server struct {
 	cfg Config
 	inc *core.Incremental
-	mux *http.ServeMux
+	api *Surface
 
 	batcher *edgeBatcher
 	writeMu sync.RWMutex // guards closed vs. in-flight enqueues
@@ -138,61 +142,10 @@ type Server struct {
 	provMem     *obs.Gauge         // afforest_provenance_memory_bytes
 	provRecords *obs.Gauge         // afforest_provenance_records
 
-	edges atomic.Int64 // accepted edges (initial graph + streamed)
-
-	started  time.Time
-	counts   counters
-	readLat  *stats.LatencyRecorder
-	writeLat *stats.LatencyRecorder
+	edges     atomic.Int64 // accepted edges (initial graph + streamed)
+	snapshots *obs.Counter // afforest_snapshots_total
 
 	lastRun atomic.Pointer[obs.Report] // bootstrap run's phase tree, if any
-}
-
-// counters is the per-handler request counter set: one registry family
-// (afforest_http_requests_total, labeled by handler) surfaced by both
-// /stats and /metrics, so the two endpoints read the same cells.
-type counters struct {
-	connected *obs.Counter
-	component *obs.Counter
-	census    *obs.Counter
-	edges     *obs.Counter
-	events    *obs.Counter
-	explain   *obs.Counter
-	history   *obs.Counter
-	stats     *obs.Counter
-	metrics   *obs.Counter
-	healthz   *obs.Counter
-	bad       *obs.Counter // 4xx responses
-	rejected  *obs.Counter // writes refused during shutdown
-	snapshots *obs.Counter
-}
-
-func newCounters(reg *obs.Registry) counters {
-	h := func(name string) *obs.Counter {
-		return reg.Counter("afforest_http_requests_total",
-			"HTTP requests served, by handler.", obs.L("handler", name))
-	}
-	return counters{
-		connected: h("connected"),
-		component: h("component"),
-		census:    h("census"),
-		edges:     h("edges"),
-		events:    h("events"),
-		explain:   h("explain"),
-		history:   h("history"),
-		stats:     h("stats"),
-		metrics:   h("metrics"),
-		healthz:   h("healthz"),
-		bad:       reg.Counter("afforest_http_errors_total", "Requests answered with a 4xx status."),
-		rejected:  reg.Counter("afforest_writes_rejected_total", "Edge submissions refused during shutdown drain."),
-		snapshots: reg.Counter("afforest_snapshots_total", "Label exports cut on demand by Refresh."),
-	}
-}
-
-func (c *counters) total() int64 {
-	return c.connected.Value() + c.component.Value() + c.census.Value() +
-		c.edges.Value() + c.explain.Value() + c.history.Value() +
-		c.stats.Value() + c.healthz.Value()
 }
 
 // New wraps an existing incremental structure. bootEdges seeds the
@@ -201,25 +154,16 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := cfg.Registry
 	s := &Server{
-		cfg:      cfg,
-		inc:      inc,
-		mux:      http.NewServeMux(),
-		started:  time.Now(),
-		counts:   newCounters(reg),
-		readLat:  stats.NewLatencyRecorder(stats.DefaultLatencyWindow),
-		writeLat: stats.NewLatencyRecorder(stats.DefaultLatencyWindow),
+		cfg:       cfg,
+		inc:       inc,
+		snapshots: reg.Counter("afforest_snapshots_total", "Label exports cut on demand by Refresh."),
 	}
-	// Mirror the latency rings into registry histograms: /stats and
-	// /metrics summarize the same sample stream.
-	s.readLat.Attach(reg.Histogram("afforest_read_latency_ns",
-		"Read handler latency (connected/component/census).", obs.DefaultLatencyBuckets))
-	s.writeLat.Attach(reg.Histogram("afforest_write_latency_ns",
-		"Write handler latency (POST /edges, includes batch wait).", obs.DefaultLatencyBuckets))
+	s.api = NewSurface(s, reg, cfg.Anomaly)
 	s.edges.Store(bootEdges)
 	// Anomaly feeds: write latency (spike rule) and per-job pool
 	// imbalance; flight snapshots on every firing when a recorder is
 	// configured.
-	s.writeLat.Tap(cfg.Anomaly.ObserveLatency)
+	s.api.writeLat.Tap(cfg.Anomaly.ObserveLatency)
 	if cfg.Flight != nil {
 		cfg.Anomaly.AttachFlight(cfg.Flight)
 		concurrent.DefaultPool().SetFlight(cfg.Flight)
@@ -282,21 +226,10 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 		}
 	}
 	go s.batcher.run()
-	s.mux.HandleFunc("GET /connected", s.handleConnected)
-	s.mux.HandleFunc("GET /component", s.handleComponent)
-	s.mux.HandleFunc("GET /census", s.handleCensus)
-	s.mux.HandleFunc("GET /events", s.handleEvents)
-	s.mux.HandleFunc("GET /explain", s.handleExplain)
-	s.mux.HandleFunc("GET /history", s.handleHistory)
-	s.mux.HandleFunc("GET /debug/provenance", s.handleProvenanceDump)
-	s.mux.HandleFunc("POST /edges", s.handleEdges)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	metricsHandler := reg.Handler()
-	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		s.counts.metrics.Inc()
-		metricsHandler.ServeHTTP(w, r)
-	})
+	s.api.Handle("GET /component", "component", s.handleComponent)
+	s.api.Handle("GET /events", "events", s.handleEvents)
+	s.api.Handle("GET /history", "history", s.handleHistory)
+	s.api.Handle("GET /debug/provenance", "", s.handleProvenanceDump)
 	return s
 }
 
@@ -441,7 +374,7 @@ func (s *Server) SaveSnapshot(path string) error {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+	s.api.ServeHTTP(w, r)
 }
 
 // NumVertices returns the served graph's vertex count.
@@ -460,7 +393,7 @@ func (s *Server) NumComponents() int { return s.inc.NumComponents() }
 func (s *Server) Refresh() *Snapshot {
 	s.batcher.view.RLock()
 	defer s.batcher.view.RUnlock()
-	s.counts.snapshots.Inc()
+	s.snapshots.Inc()
 	return &Snapshot{Labels: s.inc.Snapshot(s.cfg.Parallelism)}
 }
 
@@ -508,227 +441,67 @@ func (s *Server) enqueue(edges []graph.Edge) (submitResult, bool) {
 	return <-sub.reply, true
 }
 
-// --- handlers ---
+// errDraining refuses a write or subscription once Close has begun.
+var errDraining = &StatusError{Code: http.StatusServiceUnavailable, Err: errors.New("server is draining")}
 
-func (s *Server) httpError(w http.ResponseWriter, code int, msg string) {
-	s.counts.bad.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+// --- Backend ---
+
+// Connected reports whether u and v are in the same component (live,
+// lock-free).
+func (s *Server) Connected(u, v graph.V) (bool, error) {
+	return s.inc.Connected(u, v), nil
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-// vertexParam parses a vertex query parameter and range-checks it.
-func (s *Server) vertexParam(r *http.Request, name string) (graph.V, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", name)
-	}
-	x, err := strconv.ParseUint(raw, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad vertex %q: %v", raw, err)
-	}
-	if x >= uint64(s.inc.NumVertices()) {
-		return 0, fmt.Errorf("vertex %d out of range (|V|=%d)", x, s.inc.NumVertices())
-	}
-	return graph.V(x), nil
-}
-
-func (s *Server) handleConnected(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.counts.connected.Inc()
-	u, err := s.vertexParam(r, "u")
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	v, err := s.vertexParam(r, "v")
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, map[string]any{
-		"u": u, "v": v,
-		"connected": s.inc.Connected(u, v),
-	})
-	s.readLat.Observe(time.Since(start))
-}
-
-func (s *Server) handleComponent(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.counts.component.Inc()
-	v, err := s.vertexParam(r, "v")
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+// ComponentSizes calls fn with the exact per-root size table and the
+// accepted-edge count, between whole batches.
+func (s *Server) ComponentSizes(fn func(sizes []int32, edges int64)) error {
 	b := s.batcher
 	b.view.RLock()
-	label := s.inc.Find(v)
-	size := b.sizes[label]
-	b.view.RUnlock()
-	writeJSON(w, map[string]any{"v": v, "label": label, "size": size})
-	s.readLat.Observe(time.Since(start))
+	defer b.view.RUnlock()
+	fn(b.sizes, s.edges.Load())
+	return nil
 }
 
-func (s *Server) handleCensus(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.counts.census.Inc()
-	top := 10
-	if raw := r.URL.Query().Get("top"); raw != "" {
-		k, err := strconv.Atoi(raw)
-		if err != nil || k < 0 {
-			s.httpError(w, http.StatusBadRequest, fmt.Sprintf("bad top %q", raw))
-			return
-		}
-		top = k
-	}
-	b := s.batcher
-	b.view.RLock()
-	components, census := topComponents(b.sizes, top)
-	edges := s.edges.Load()
-	b.view.RUnlock()
-	writeJSON(w, map[string]any{
-		"vertices":   len(b.sizes),
-		"components": components,
-		"edges":      edges,
-		"top":        census,
-	})
-	s.readLat.Observe(time.Since(start))
-}
-
-// maxEdgesBody caps a POST /edges body. It is far above any real batch
-// (a bulk edge costs about 20 bytes of JSON) and only stops a request
-// from making the server buffer an edge list of any size.
-const maxEdgesBody = 4 << 20
-
-// edgesRequest is the POST /edges body: either a single edge
-// {"u":1,"v":2} or a bulk batch {"edges":[[1,2],[3,4],...]}.
-type edgesRequest struct {
-	U     *uint32     `json:"u"`
-	V     *uint32     `json:"v"`
-	Edges [][2]uint32 `json:"edges"`
-}
-
-func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.counts.edges.Inc()
-	var req edgesRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEdgesBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		s.httpError(w, code, "bad body: "+err.Error())
-		return
-	}
-	var edges []graph.Edge
-	switch {
-	case req.Edges != nil:
-		if req.U != nil || req.V != nil {
-			s.httpError(w, http.StatusBadRequest, `provide either "u"/"v" or "edges", not both`)
-			return
-		}
-		edges = make([]graph.Edge, len(req.Edges))
-		for i, e := range req.Edges {
-			edges[i] = graph.Edge{U: e[0], V: e[1]}
-		}
-	case req.U != nil && req.V != nil:
-		edges = []graph.Edge{{U: *req.U, V: *req.V}}
-	default:
-		s.httpError(w, http.StatusBadRequest, `provide "u" and "v", or "edges"`)
-		return
-	}
-	n := uint32(s.inc.NumVertices())
-	for _, e := range edges {
-		if e.U >= n || e.V >= n {
-			s.httpError(w, http.StatusBadRequest,
-				fmt.Sprintf("edge {%d,%d} out of range (|V|=%d)", e.U, e.V, n))
-			return
-		}
-	}
+// SubmitEdges hands edges to the write coalescer and waits for the
+// batch that carries them to be logged (with a WAL) and applied.
+func (s *Server) SubmitEdges(edges []graph.Edge) (Ack, error) {
 	res, ok := s.enqueue(edges)
 	if !ok {
-		s.counts.rejected.Inc()
-		s.httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+		return Ack{}, errDraining
 	}
 	if res.err != nil {
 		// The WAL append failed: the batch was not applied and must not
 		// be acknowledged — the durability contract is ack ⇒ replayable.
-		// (Not httpError: that counter tracks 4xx client mistakes.)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		json.NewEncoder(w).Encode(map[string]string{"error": "write-ahead log append failed: " + res.err.Error()})
-		return
+		return Ack{}, &StatusError{Code: http.StatusInternalServerError,
+			Err: fmt.Errorf("write-ahead log append failed: %w", res.err)}
 	}
-	body := map[string]any{
-		"accepted": res.accepted,
-		"merged":   res.merged,
-	}
-	if res.lsn > 0 {
-		body["lsn"] = res.lsn
-	}
-	writeJSON(w, body)
-	s.writeLat.Observe(time.Since(start))
+	return Ack{Accepted: res.accepted, Merged: int64(res.merged), LSN: res.lsn}, nil
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.counts.stats.Inc()
-	uptime := time.Since(s.started)
-	total := s.counts.total()
-	qps := 0.0
-	if sec := uptime.Seconds(); sec > 0 {
-		qps = float64(total) / sec
-	}
+// Health adds the component count to /healthz.
+func (s *Server) Health(body map[string]any) string {
+	body["components"] = s.inc.NumComponents()
+	return "ok"
+}
+
+// StatsSections adds the batching, event, provenance, WAL and bootstrap
+// sections to /stats.
+func (s *Server) StatsSections(body map[string]any) {
 	batches := s.batcher.batches.Load()
 	batched := s.batcher.batchedEdges.Load()
 	avgBatch := 0.0
 	if batches > 0 {
 		avgBatch = float64(batched) / float64(batches)
 	}
-	body := map[string]any{
-		"uptime_seconds": uptime.Seconds(),
-		"vertices":       s.inc.NumVertices(),
-		"components":     s.inc.NumComponents(),
-		"edges_accepted": s.edges.Load(),
-		"qps":            qps,
-		"requests": map[string]int64{
-			"connected": s.counts.connected.Value(),
-			"component": s.counts.component.Value(),
-			"census":    s.counts.census.Value(),
-			"edges":     s.counts.edges.Value(),
-			"events":    s.counts.events.Value(),
-			"explain":   s.counts.explain.Value(),
-			"history":   s.counts.history.Value(),
-			"stats":     s.counts.stats.Value(),
-			"metrics":   s.counts.metrics.Value(),
-			"healthz":   s.counts.healthz.Value(),
-			"bad":       s.counts.bad.Value(),
-			"rejected":  s.counts.rejected.Value(),
-		},
-		"read_latency":  s.readLat.Summary(),
-		"write_latency": s.writeLat.Summary(),
-		"batching": map[string]any{
-			"batches":       batches,
-			"batched_edges": batched,
-			"merges":        s.batcher.merges.Load(),
-			"max_batch":     s.batcher.maxSeen.Load(),
-			"avg_batch":     avgBatch,
-		},
-		"snapshots": s.counts.snapshots.Value(),
-		"anomalies": map[string]any{
-			"count":  s.cfg.Anomaly.Count(),
-			"recent": s.cfg.Anomaly.Recent(),
-		},
+	body["components"] = s.inc.NumComponents()
+	body["batching"] = map[string]any{
+		"batches":       batches,
+		"batched_edges": batched,
+		"merges":        s.batcher.merges.Load(),
+		"max_batch":     s.batcher.maxSeen.Load(),
+		"avg_batch":     avgBatch,
 	}
+	body["snapshots"] = s.snapshots.Value()
 	if s.prov != nil {
 		st := s.prov.StatsNow()
 		s.provMem.Set(float64(st.MemoryBytes))
@@ -740,7 +513,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"published":   published,
 		"evictions":   evictions,
 		"subscribers": live,
-		"requests":    s.counts.events.Value(),
+		"requests":    s.api.requests["events"].Value(),
 	}
 	if s.wal != nil {
 		ws := s.wal.Stats()
@@ -766,14 +539,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"phases":   rep.Rows(),
 		}
 	}
-	writeJSON(w, body)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.counts.healthz.Inc()
-	writeJSON(w, map[string]any{
-		"status":     "ok",
-		"vertices":   s.inc.NumVertices(),
-		"components": s.inc.NumComponents(),
-	})
+// --- single-node handlers ---
+
+func (s *Server) handleComponent(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	v, err := s.api.vertexParam(r, "v")
+	if err != nil {
+		s.api.Error(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	b := s.batcher
+	b.view.RLock()
+	label := s.inc.Find(v)
+	size := b.sizes[label]
+	b.view.RUnlock()
+	WriteJSON(w, map[string]any{"v": v, "label": label, "size": size})
+	s.api.readLat.Observe(time.Since(start))
 }
