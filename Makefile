@@ -123,15 +123,21 @@ perfgate:
 			|| exit 1; \
 	done
 
+# NPROC is this machine's CPU count.
+NPROC := $(shell nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
+
 # perfgate-smoke is the short-mode gate check inside `make check`: a
 # fresh small-scale measurement appended to a throwaway history must
-# pass a gate run against itself (run-vs-self) in both matrix cells,
-# proving the gate machinery works end-to-end. Scale-14 cells run in
-# well under a millisecond, so back-to-back noise on a shared VM
-# routinely exceeds the production 35% tolerance — the smoke widens it
-# to 75%, which still fails loudly on a 2x injected slowdown.
+# pass a gate run against itself (run-vs-self) at GOMAXPROCS 1 and at
+# NPROC (one cell when they are equal), proving the gate machinery works
+# end-to-end. A GOMAXPROCS above the CPU count would measure
+# oversubscription, not this machine; the race matrix still covers 8.
+# Scale-14 cells run in well under a millisecond, so back-to-back noise
+# on a shared VM routinely exceeds the production 35% tolerance — the
+# smoke widens it to 75%, which still fails loudly on a 2x injected
+# slowdown.
 perfgate-smoke:
-	@for p in 1 8; do \
+	@for p in $$(printf '%s\n' 1 $(NPROC) | sort -nu); do \
 		echo "== perfgate-smoke: GOMAXPROCS=$$p =="; \
 		tmp=$$(mktemp) && rm -f $$tmp && \
 		GOMAXPROCS=$$p $(GO) run ./cmd/ccbench -exp bench -benchout $$tmp -scale 14 -runs 3 -p $$p >/dev/null && \

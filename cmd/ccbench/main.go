@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table2 | table3 | fig6a | fig6b | fig6c | fig7 | fig8a | fig8b | fig8c | ablation-rounds | ablation-sample | ablation-relabel | ablation-compress | ext-dist | ext-gpu | bench | dist | all")
+		exp      = flag.String("exp", "all", "experiment: table2 | table3 | fig6a | fig6b | fig6c | fig7 | fig8a | fig8b | fig8c | ablation-rounds | ablation-sample | ablation-relabel | ext-dist | ext-gpu | bench | dist | all")
 		benchOut = flag.String("benchout", "BENCH_afforest.json", "perf-trajectory history file appended to by -exp bench")
 		gate     = flag.Bool("gate", false, "measure the trajectory grid and gate it against the baseline history: print the per-cell delta table, exit 1 on regression (read-only; does not append)")
 		baseline = flag.String("baseline", "", "history file the gate compares against (default: the -benchout path)")
@@ -106,7 +106,6 @@ func main() {
 		{"ablation-rounds", func() { emit(bench.AblationRounds(cfg)) }},
 		{"ablation-sample", func() { emit(bench.AblationSampleSize(cfg)) }},
 		{"ablation-relabel", func() { emit(bench.AblationRelabel(cfg)) }},
-		{"ablation-compress", func() { emit(bench.AblationCompress(cfg)) }},
 		{"ext-dist", func() { emit(bench.ExtDist(cfg)) }},
 		{"ext-gpu", func() { emit(bench.ExtGPU(cfg)) }},
 	}

@@ -163,36 +163,3 @@ func ExtDist(cfg Config) *stats.Table {
 	}
 	return t
 }
-
-// AblationCompress compares the two tree-compaction strategies between
-// link phases: the paper's full compress (walk to root, depth-1 result;
-// Fig 2b) and single path-halving rounds. Full compression makes each
-// interleaved pass costlier but keeps subsequent links at depth one;
-// halving is cheaper per pass but lets link climbs lengthen.
-func AblationCompress(cfg Config) *stats.Table {
-	cfg = cfg.withDefaults()
-	t := stats.NewTable(
-		fmt.Sprintf("Ablation: compress variant (scale=%d, median of %d)", cfg.Scale, cfg.Runs),
-		"graph", "full_compress_ms", "path_halving_ms")
-	for _, name := range []string{"road", "web", "kron", "urand"} {
-		sg, err := gen.ByName(name)
-		if err != nil {
-			panic(err)
-		}
-		g := sg.Build(cfg.Scale, cfg.Seed)
-		times := make(map[string]float64)
-		for _, variant := range []string{"full", "halving"} {
-			opt := core.DefaultOptions()
-			opt.Parallelism = cfg.Parallelism
-			opt.HalvingCompress = variant == "halving"
-			var labels core.Parent
-			tm := stats.MeasureFunc(cfg.Runs, func() { labels = core.Run(g, opt) })
-			checkLabeling(cfg, g, "compress-"+variant, labels.Labels())
-			times[variant] = tm.Median.Seconds() * 1000
-		}
-		t.AddRow(name,
-			fmt.Sprintf("%.2f", times["full"]),
-			fmt.Sprintf("%.2f", times["halving"]))
-	}
-	return t
-}

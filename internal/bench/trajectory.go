@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"os/exec"
 	"runtime"
 	"strings"
@@ -115,14 +113,4 @@ func (r *TrajectoryReport) Table() *stats.Table {
 		t.AddRow(e.Algorithm, e.Graph, e.Edges, fmt.Sprintf("%.2f", e.MedianMS), fmt.Sprintf("%.3f", e.NSPerEdge))
 	}
 	return t
-}
-
-// WriteJSON writes the report to path, indented for diff-friendly
-// commits.
-func (r *TrajectoryReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

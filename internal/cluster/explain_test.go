@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"afforest/internal/gen"
 	"afforest/internal/graph"
 	"afforest/internal/provenance"
+	"afforest/internal/serve"
 )
 
 // checkClusterWitness asserts the stitched witness is a contiguous path
@@ -166,7 +168,8 @@ func TestClusterExplainShardStitching(t *testing.T) {
 
 // TestClusterExplainDisconnectedAndDisabled covers the two refusal
 // shapes: a disconnected pair answers connected:false with no witness,
-// and a cluster without provenance surfaces the shard's error.
+// and a connected pair on a cluster without provenance answers the
+// single node's 404 error value.
 func TestClusterExplainDisconnectedAndDisabled(t *testing.T) {
 	l, err := StartLocal(20, 2, Config{Provenance: true})
 	if err != nil {
@@ -189,7 +192,9 @@ func TestClusterExplainDisconnectedAndDisabled(t *testing.T) {
 	if _, err := off.Router.AddEdges([]graph.Edge{{U: 0, V: 15}}); err != nil {
 		t.Fatalf("AddEdges: %v", err)
 	}
-	if _, _, _, err := off.Router.Explain(0, 15); err == nil {
-		t.Fatal("Explain with provenance off: expected the shard's disabled error")
+	_, _, _, err = off.Router.Explain(0, 15)
+	var se *serve.StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusNotFound || !errors.Is(err, serve.ErrNoProvenance) {
+		t.Fatalf("Explain with provenance off: err = %v, want serve.ErrNoProvenance (404)", err)
 	}
 }

@@ -65,6 +65,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			func(c *cursor) { c.u64(); c.u32(); c.u32() },
 			func(c *cursor) { lo, hi := c.u32(), c.u32(); c.u64(); c.labels(int(hi) - int(lo)) },
 			func(c *cursor) { c.block(); c.block(); c.block() },
+			func(c *cursor) { c.hops(0) },
 		} {
 			c := &cursor{b: data}
 			script(c)

@@ -51,8 +51,8 @@ const (
 	opRestore     byte = 9  // lo u32 | hi u32 | edges u64 | labels [hi-lo]u32 → (empty)
 	opPing        byte = 10 // (empty) → (empty)
 	opShutdown    byte = 11 // (empty) → (empty), then the shard exits its serve loop
-	opFlight      byte = 12 // (empty) → flightLen u32 | flight JSONL | spansLen u32 | wire-span JSON
-	opExplain     byte = 13 // u u32 | v u32 → found u8 | count u32 | hops (u u32 | v u32 | lsn u64 | ordinal u64 | flags u8)
+	opFlight      byte = 12 // (empty) → flightLen u32 | flight JSONL | phasesLen u32 | phase-span JSON | spansLen u32 | wire-span JSON
+	opExplain     byte = 13 // u u32 | v u32 → status u8 | count u32 | hops (u u32 | v u32 | lsn u64 | ordinal u64 | flags u8)
 	opEndExchange byte = 14 // (empty) → (empty)
 	opError       byte = 99 // message string (response only)
 )
@@ -345,16 +345,21 @@ func (c *cursor) pairs() []pair {
 	return out
 }
 
-// encodeHops serializes an opExplain witness segment: found flag, hop
+// opExplain reply statuses. A shard without a forest says so in its
+// reply, so the router answers as a single node does, not with the
+// shard's error.
+const (
+	explainGap      byte = 0 // the local forest does not connect the pair
+	explainFound    byte = 1 // the hops are the pair's witness segment
+	explainDisabled byte = 2 // the shard records no provenance
+)
+
+// encodeHops serializes an opExplain witness segment: status, hop
 // count, then each hop's endpoints, LSN, ordinal, and a flags byte
 // (bit 0: ghost). The recording shard is implicit — the router stamps
 // hops with the shard it asked.
-func encodeHops(b []byte, found bool, hops []provenance.Hop) []byte {
-	if found {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
+func encodeHops(b []byte, status byte, hops []provenance.Hop) []byte {
+	b = append(b, status)
 	b = putU32(b, uint32(len(hops)))
 	for _, h := range hops {
 		b = putU32(b, uint32(h.U))
@@ -386,16 +391,19 @@ func (c *cursor) u8() byte {
 
 // hops decodes an opExplain response, stamping each hop with the shard
 // that answered.
-func (c *cursor) hops(shard int) (bool, []provenance.Hop) {
-	found := c.u8() != 0
+func (c *cursor) hops(shard int) (byte, []provenance.Hop) {
+	status := c.u8()
 	count := c.u32()
+	if c.err == nil && status > explainDisabled {
+		c.err = fmt.Errorf("cluster: unknown opExplain status %d", status)
+	}
 	if c.err != nil {
-		return false, nil
+		return 0, nil
 	}
 	const hopWire = 4 + 4 + 8 + 8 + 1
 	if int(count) > (len(c.b)-c.off)/hopWire {
 		c.err = fmt.Errorf("cluster: hop count %d exceeds payload", count)
-		return false, nil
+		return 0, nil
 	}
 	out := make([]provenance.Hop, count)
 	for i := range out {
@@ -406,7 +414,7 @@ func (c *cursor) hops(shard int) (bool, []provenance.Hop) {
 		flags := c.u8()
 		out[i] = provenance.Hop{U: u, V: v, LSN: lsn, Ordinal: ord, Ghost: flags&1 != 0, Shard: shard}
 	}
-	return found, out
+	return status, out
 }
 
 // encodeLabels serializes a label block.

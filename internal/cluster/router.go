@@ -895,7 +895,9 @@ func (r *Router) connectedLocked(rc rctx, u, v graph.V) (bool, error) {
 	return lu == lv, nil
 }
 
-// explainAt asks owner(x) for its local forest's witness of (x, y).
+// explainAt asks owner(x) for its local forest's witness of (x, y). A
+// shard that records no provenance makes it serve.ErrNoProvenance, the
+// single node's answer.
 func (r *Router) explainAt(rc rctx, x, y graph.V) (bool, []provenance.Hop, error) {
 	id := r.part.Owner(x)
 	sl := r.slots[id]
@@ -907,13 +909,16 @@ func (r *Router) explainAt(rc rctx, x, y graph.V) (bool, []provenance.Hop, error
 		return false, nil, err
 	}
 	c := &cursor{b: resp}
-	found, hops := c.hops(id)
+	status, hops := c.hops(id)
 	if err := c.done(); err != nil {
 		r.endRPC(sp, 0, 0, err)
 		return false, nil, err
 	}
 	r.endRPC(sp, int64(len(hops)), 0, nil)
-	return found, hops, nil
+	if status == explainDisabled {
+		return false, nil, serve.ErrNoProvenance
+	}
+	return status == explainFound, hops, nil
 }
 
 // Explain stitches a cluster-wide witness for (u, v) out of per-shard
@@ -1232,9 +1237,6 @@ func (r *Router) Stats() RouterStats {
 	return st
 }
 
-// Registry returns the registry backing this router's /metrics.
-func (r *Router) Registry() *obs.Registry { return r.cfg.Registry }
-
 // --- serve.Backend ---
 
 // ServeHTTP implements http.Handler.
@@ -1361,10 +1363,6 @@ func (r *Router) ClusterTimeline() ([]obs.ClusterLaneRow, error) {
 	}
 	return obs.BuildClusterTimeline(r.wire.Spans()), nil
 }
-
-// Anomalies returns the detector receiving this router's cluster rule
-// feeds.
-func (r *Router) Anomalies() *obs.AnomalyDetector { return r.anom }
 
 // handleDebugCluster serves the merged cluster observability surface:
 //

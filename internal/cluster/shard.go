@@ -104,21 +104,6 @@ func (sh *Shard) SetProvenance(on bool) {
 	sh.mu.Unlock()
 }
 
-// Provenance returns the shard's merge-forest (nil when disabled or not
-// yet initialized).
-func (sh *Shard) Provenance() *provenance.Forest {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.prov
-}
-
-// Flight returns the attached flight recorder (nil when unset).
-func (sh *Shard) Flight() *obs.FlightRecorder {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.flight
-}
-
 // shardID returns the shard's identity (-1 before opInit) for error
 // attribution and span labeling.
 func (sh *Shard) shardID() int {
@@ -398,11 +383,11 @@ func (sh *Shard) handle(op byte, payload []byte, sp *srvSpan) (byte, []byte, err
 		if err := c.done(); err != nil {
 			return 0, nil, err
 		}
-		found, hops, err := sh.explain(u, v)
+		status, hops, err := sh.explain(u, v)
 		if err != nil {
 			return 0, nil, err
 		}
-		return op, encodeHops(nil, found, hops), nil
+		return op, encodeHops(nil, status, hops), nil
 
 	case opRestore:
 		lo, hi := int(c.u32()), int(c.u32())
@@ -736,21 +721,25 @@ func (sh *Shard) linkLabel(p pair) int64 {
 	return 1
 }
 
-// explain answers opExplain: the local forest's witness path for (u,v).
-func (sh *Shard) explain(u, v graph.V) (bool, []provenance.Hop, error) {
+// explain answers opExplain: the local forest's witness path for (u,v),
+// with the reply status that says whether it is one.
+func (sh *Shard) explain(u, v graph.V) (byte, []provenance.Hop, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := sh.requireInit(); err != nil {
-		return false, nil, err
+		return 0, nil, err
 	}
 	if int(u) >= sh.n || int(v) >= sh.n {
-		return false, nil, fmt.Errorf("cluster: explain pair {%d,%d} out of range (|V|=%d)", u, v, sh.n)
+		return 0, nil, fmt.Errorf("cluster: explain pair {%d,%d} out of range (|V|=%d)", u, v, sh.n)
 	}
 	if sh.prov == nil {
-		return false, nil, errors.New("cluster: provenance is disabled on this shard")
+		return explainDisabled, nil, nil
 	}
 	hops, ok := sh.prov.Explain(u, v)
-	return ok, hops, nil
+	if !ok {
+		return explainGap, hops, nil
+	}
+	return explainFound, hops, nil
 }
 
 // query returns find(v). The router asks the owner, so v is usually

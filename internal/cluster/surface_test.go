@@ -95,6 +95,9 @@ func TestHTTPSurfaceMatchesSingleNode(t *testing.T) {
 		fmt.Sprintf(`{"u":%d,"v":0}`, n),
 		`not json`,
 		`{"bogus":true}`,
+		`{"edges":[[5]]}`,
+		`{"edges":[[1,2,3]]}`,
+		`{"edges":[[]]}`,
 	} {
 		if rec := same("POST", "/edges", body); rec.Code != http.StatusBadRequest {
 			t.Fatalf("POST /edges %s: status %d, want 400", body, rec.Code)
@@ -125,6 +128,12 @@ func TestHTTPSurfaceMatchesSingleNode(t *testing.T) {
 	}
 	components = single.NumComponents()
 	reads()
+
+	// Neither side records provenance: a connected pair's /explain is the
+	// single node's 404 on both.
+	if rec := same("GET", "/explain?u=0&v=599", ""); rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /explain without provenance: status %d, want 404", rec.Code)
+	}
 }
 
 // TestClusterRefusesSingleNodeRoutes: the routes only a single node

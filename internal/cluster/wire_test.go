@@ -58,3 +58,19 @@ func zigzagPath(n int) *graph.CSR {
 	}
 	return graph.Build(edges, graph.BuildOptions{NumVertices: n})
 }
+
+// TestExplainStatusWire: each opExplain reply status survives the wire,
+// and a status no shard sends is a decode error.
+func TestExplainStatusWire(t *testing.T) {
+	for _, st := range []byte{explainGap, explainFound, explainDisabled} {
+		c := &cursor{b: encodeHops(nil, st, nil)}
+		if got, _ := c.hops(0); got != st || c.done() != nil {
+			t.Fatalf("status %d decoded as %d (err %v)", st, got, c.done())
+		}
+	}
+	c := &cursor{b: encodeHops(nil, explainDisabled+1, nil)}
+	c.hops(0)
+	if c.done() == nil {
+		t.Fatal("unknown opExplain status decoded without error")
+	}
+}

@@ -45,12 +45,6 @@ func (b *Bitmap) Set(i int) bool {
 	}
 }
 
-// SetUnsync sets bit i without atomics; callers must guarantee exclusive
-// access (e.g. during sequential initialization).
-func (b *Bitmap) SetUnsync(i int) {
-	b.words[i>>6] |= 1 << (uint(i) & 63)
-}
-
 // Reset clears all bits. Not safe for use concurrently with Set/Get.
 func (b *Bitmap) Reset() {
 	for i := range b.words {
@@ -66,11 +60,4 @@ func (b *Bitmap) Count() int {
 		total += bits.OnesCount64(w)
 	}
 	return total
-}
-
-// Swap exchanges the contents of two equal-length bitmaps in O(1) by
-// swapping their backing storage (used for frontier double-buffering).
-func (b *Bitmap) Swap(o *Bitmap) {
-	b.words, o.words = o.words, b.words
-	b.n, o.n = o.n, b.n
 }

@@ -78,28 +78,6 @@ func TestBitmapCountMatchesReference(t *testing.T) {
 	}
 }
 
-func TestBitmapSwap(t *testing.T) {
-	a := NewBitmap(64)
-	b := NewBitmap(64)
-	a.Set(3)
-	b.Set(7)
-	a.Swap(b)
-	if !a.Get(7) || a.Get(3) {
-		t.Fatal("a does not hold b's old contents")
-	}
-	if !b.Get(3) || b.Get(7) {
-		t.Fatal("b does not hold a's old contents")
-	}
-}
-
-func TestBitmapSetUnsync(t *testing.T) {
-	b := NewBitmap(70)
-	b.SetUnsync(69)
-	if !b.Get(69) || b.Count() != 1 {
-		t.Fatal("SetUnsync did not set the bit")
-	}
-}
-
 func BenchmarkBitmapSet(b *testing.B) {
 	bm := NewBitmap(1 << 20)
 	b.ReportAllocs()

@@ -139,16 +139,3 @@ func ForStatic(n, p int, body func(lo, hi, worker int)) {
 	}
 	wg.Wait()
 }
-
-// Run invokes each of fns concurrently and waits for all of them.
-func Run(fns ...func()) {
-	var wg sync.WaitGroup
-	wg.Add(len(fns))
-	for _, fn := range fns {
-		go func(f func()) {
-			defer wg.Done()
-			f()
-		}(fn)
-	}
-	wg.Wait()
-}

@@ -100,18 +100,6 @@ func TestForZeroAndNegativeN(t *testing.T) {
 	}
 }
 
-func TestRunWaitsForAll(t *testing.T) {
-	var total atomic.Int64
-	Run(
-		func() { total.Add(1) },
-		func() { total.Add(10) },
-		func() { total.Add(100) },
-	)
-	if total.Load() != 111 {
-		t.Fatalf("total = %d, want 111", total.Load())
-	}
-}
-
 func TestProcs(t *testing.T) {
 	if Procs(3) != 3 {
 		t.Fatalf("Procs(3) = %d", Procs(3))
@@ -135,68 +123,6 @@ func TestSumInt64MatchesSerial(t *testing.T) {
 	got := SumInt64(len(vals), 0, func(i int) int64 { return vals[i] })
 	if got != want {
 		t.Fatalf("SumInt64 = %d, want %d", got, want)
-	}
-}
-
-func TestCount(t *testing.T) {
-	got := Count(1000, 4, func(i int) bool { return i%3 == 0 })
-	if got != 334 {
-		t.Fatalf("Count = %d, want 334", got)
-	}
-}
-
-func TestMaxIndex(t *testing.T) {
-	vals := []int64{3, 9, 2, 9, 1}
-	idx, max := MaxIndex(len(vals), 2, func(i int) int64 { return vals[i] })
-	if idx != 1 || max != 9 {
-		t.Fatalf("MaxIndex = (%d,%d), want (1,9) (lowest-index tie-break)", idx, max)
-	}
-}
-
-func TestMaxIndexSingle(t *testing.T) {
-	idx, max := MaxIndex(1, 8, func(int) int64 { return -7 })
-	if idx != 0 || max != -7 {
-		t.Fatalf("MaxIndex = (%d,%d), want (0,-7)", idx, max)
-	}
-}
-
-func TestMaxIndexQuick(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		vals := make([]int64, len(raw))
-		for i, v := range raw {
-			vals[i] = int64(v)
-		}
-		gotIdx, gotMax := MaxIndex(len(vals), 4, func(i int) int64 { return vals[i] })
-		wantIdx, wantMax := 0, vals[0]
-		for i, v := range vals {
-			if v > wantMax {
-				wantIdx, wantMax = i, v
-			}
-		}
-		return gotIdx == wantIdx && gotMax == wantMax
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const n, buckets = 100_000, 17
-	keys := make([]int, n)
-	want := make([]int64, buckets)
-	for i := range keys {
-		keys[i] = rng.Intn(buckets)
-		want[keys[i]]++
-	}
-	got := Histogram(n, 0, buckets, func(i int) int { return keys[i] })
-	for b := range want {
-		if got[b] != want[b] {
-			t.Fatalf("bucket %d: got %d want %d", b, got[b], want[b])
-		}
 	}
 }
 

@@ -17,71 +17,3 @@ func SumInt64(n, p int, f func(i int) int64) int64 {
 	}
 	return total
 }
-
-// Count returns the number of indices i in [0, n) for which pred(i) holds.
-func Count(n, p int, pred func(i int) bool) int64 {
-	return SumInt64(n, p, func(i int) int64 {
-		if pred(i) {
-			return 1
-		}
-		return 0
-	})
-}
-
-// MaxIndex returns the index of the maximum of f(i) over [0, n) and the
-// maximum itself. Ties resolve to the lowest index. n must be > 0.
-func MaxIndex(n, p int, f func(i int) int64) (argmax int, max int64) {
-	p = Procs(p)
-	type best struct {
-		idx int
-		val int64
-		set bool
-	}
-	partial := make([]best, p)
-	ForRange(n, p, 0, func(lo, hi, worker int) {
-		b := partial[worker]
-		for i := lo; i < hi; i++ {
-			v := f(i)
-			if !b.set || v > b.val || (v == b.val && i < b.idx) {
-				b = best{idx: i, val: v, set: true}
-			}
-		}
-		partial[worker] = b
-	})
-	first := true
-	for _, b := range partial {
-		if !b.set {
-			continue
-		}
-		if first || b.val > max || (b.val == max && b.idx < argmax) {
-			argmax, max = b.idx, b.val
-			first = false
-		}
-	}
-	return argmax, max
-}
-
-// Histogram computes, in parallel, counts[f(i)]++ for all i in [0, n),
-// where f(i) must be in [0, buckets). Each worker accumulates into a
-// private histogram that is merged at the end, avoiding atomic traffic.
-func Histogram(n, p, buckets int, f func(i int) int) []int64 {
-	p = Procs(p)
-	partial := make([][]int64, p)
-	ForRange(n, p, 0, func(lo, hi, worker int) {
-		local := partial[worker]
-		if local == nil {
-			local = make([]int64, buckets)
-			partial[worker] = local
-		}
-		for i := lo; i < hi; i++ {
-			local[f(i)]++
-		}
-	})
-	total := make([]int64, buckets)
-	for _, local := range partial {
-		for b, c := range local {
-			total[b] += c
-		}
-	}
-	return total
-}

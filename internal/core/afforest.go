@@ -39,12 +39,6 @@ type Options struct {
 	// Seed drives the probabilistic most-frequent-element search.
 	Seed uint64
 
-	// HalvingCompress replaces the full compress between link phases
-	// with single path-halving rounds (the cheaper-but-shallower
-	// variant measured by the compress ablation). The final compress is
-	// always the full one, so results are identical.
-	HalvingCompress bool
-
 	// Observer, when non-nil, is the tracer that opens the run's phase
 	// tree (spans per neighbor round, compress pass, sample, and final
 	// pass) with per-phase work counters and hands each closed span to
@@ -149,7 +143,7 @@ func run[T tally](g *graph.CSR, opt Options, p Parent, after func(phase string, 
 		})
 		sp.end(span, obs.PhaseNeighborRound, sumStats(per))
 		span = sp.begin(obs.PhaseCompress)
-		compressVariant(p, opt)
+		CompressAll(p, opt.Parallelism)
 		sp.end(span, obs.PhaseCompress, obs.PhaseStats{})
 	}
 

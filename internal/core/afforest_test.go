@@ -171,7 +171,7 @@ func TestOptionsDefaults(t *testing.T) {
 func TestOptionsKnobBudget(t *testing.T) {
 	want := []string{
 		"NeighborRounds", "SkipLargest", "SampleSize", "Parallelism",
-		"EdgeGrain", "Seed", "HalvingCompress", "Observer",
+		"EdgeGrain", "Seed", "Observer",
 	}
 	var got []string
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {

@@ -69,13 +69,3 @@ func compressRangeGathered(p Parent, lo, hi int) {
 		v += b
 	}
 }
-
-// compressVariant dispatches one inter-round compress pass according to
-// the options (the final compress is always the full one).
-func compressVariant(p Parent, opt Options) {
-	if opt.HalvingCompress {
-		CompressHalveAll(p, opt.Parallelism)
-		return
-	}
-	CompressAll(p, opt.Parallelism)
-}

@@ -57,12 +57,10 @@ func TestCompressAllFullyFlattens(t *testing.T) {
 // right check, not partition equivalence).
 func variantCases() map[string]func(*Options) {
 	return map[string]func(*Options){
-		"halving":       func(o *Options) { o.HalvingCompress = true },
-		"noskip":        func(o *Options) { o.SkipLargest = false },
-		"nosample":      func(o *Options) { o.NeighborRounds = -1; o.SkipLargest = false },
-		"rounds-3":      func(o *Options) { o.NeighborRounds = 3 },
-		"grain-64":      func(o *Options) { o.EdgeGrain = 64 },
-		"halving-grain": func(o *Options) { o.HalvingCompress = true; o.EdgeGrain = 64 },
+		"noskip":   func(o *Options) { o.SkipLargest = false },
+		"nosample": func(o *Options) { o.NeighborRounds = -1; o.SkipLargest = false },
+		"rounds-3": func(o *Options) { o.NeighborRounds = 3 },
+		"grain-64": func(o *Options) { o.EdgeGrain = 64 },
 	}
 }
 
@@ -174,9 +172,6 @@ func BenchmarkCompressVariants(b *testing.B) {
 				Compress(p, graph.V(v))
 			}
 		})
-	})
-	b.Run("halving", func(b *testing.B) {
-		run(b, func(p Parent) { CompressHalveAll(p, 1) })
 	})
 }
 

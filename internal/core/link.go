@@ -102,24 +102,3 @@ func CompressAll(p Parent, parallelism int) {
 		compressRangeGathered(p, lo, hi)
 	})
 }
-
-// CompressHalve is the path-halving alternative to Compress: a single
-// grandparent hop (π(v) ← π(π(v))) per call instead of a full walk to
-// the root. Interleaving halving rounds is cheaper per pass but leaves
-// trees deeper than one level, so subsequent links walk farther — the
-// trade-off the compress-variant ablation measures. Halving preserves
-// Invariant 1 for the same reason Compress does (Lemma 2).
-func CompressHalve(p Parent, v graph.V) {
-	parent := p.Get(v)
-	grand := p.Get(parent)
-	if parent != grand {
-		p.set(v, grand)
-	}
-}
-
-// CompressHalveAll applies one halving round to every vertex.
-func CompressHalveAll(p Parent, parallelism int) {
-	parallelFor(len(p), parallelism, func(i int) {
-		CompressHalve(p, graph.V(i))
-	})
-}

@@ -325,41 +325,3 @@ func TestLabelsAliasParent(t *testing.T) {
 		t.Fatal("Labels must alias π without copying")
 	}
 }
-
-func TestCompressHalveStepsTowardRoot(t *testing.T) {
-	p := NewParent(6)
-	for v := 1; v < 6; v++ {
-		p[v] = uint32(v - 1) // chain 5->4->3->2->1->0
-	}
-	CompressHalveAll(p, 1)
-	// One halving round roughly halves depth; invariant must hold.
-	if bad := p.Validate(); bad >= 0 {
-		t.Fatalf("invariant violated at %d", bad)
-	}
-	if d := p.MaxDepth(); d >= 5 || d < 1 {
-		t.Fatalf("depth after one halving = %d", d)
-	}
-	// Repeated halving converges to depth 1.
-	for i := 0; i < 10; i++ {
-		CompressHalveAll(p, 2)
-	}
-	if p.MaxDepth() != 1 {
-		t.Fatalf("depth after repeated halving = %d", p.MaxDepth())
-	}
-	if p.Find(5) != 0 {
-		t.Fatal("halving broke connectivity")
-	}
-}
-
-func TestRunHalvingCompressMatchesDefault(t *testing.T) {
-	g := gen.WebLike(4000, 12, 19)
-	opt := DefaultOptions()
-	opt.HalvingCompress = true
-	p := Run(g, opt)
-	q := Run(g, DefaultOptions())
-	for v := range p {
-		if p[v] != q[v] {
-			t.Fatalf("halving variant diverges at %d: %d vs %d", v, p[v], q[v])
-		}
-	}
-}

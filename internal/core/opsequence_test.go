@@ -37,7 +37,7 @@ func (d *refDSU) union(a, b int) {
 }
 
 // TestParentOpSequenceQuick drives Parent through random interleavings
-// of Link, Compress, CompressHalve and Find, checking after every
+// of Link, Compress, CompressFrom and Find, checking after every
 // operation that (a) Invariant 1 holds and (b) the induced partition
 // matches the reference DSU. Compression operations must never change
 // the partition.
@@ -57,7 +57,7 @@ func TestParentOpSequenceQuick(t *testing.T) {
 			case 1:
 				Compress(p, a)
 			case 2:
-				CompressHalve(p, a)
+				CompressFrom(p, a, p.Get(a))
 			case 3:
 				if (p.Find(a) == p.Find(b)) != (ref.find(int(a)) == ref.find(int(b))) {
 					return false
@@ -101,7 +101,7 @@ func TestParentOpSequenceLongRandom(t *testing.T) {
 			case 2:
 				Compress(p, a)
 			case 3:
-				CompressHalve(p, a)
+				CompressFrom(p, a, p.Get(a))
 			}
 		}
 		if bad := p.Validate(); bad >= 0 {

@@ -53,7 +53,6 @@ func genCases() []genCase {
 		{"Road", func(s uint64) *graph.CSR { return Road(1<<10, s) }},
 		{"RoadGrid", func(s uint64) *graph.CSR { return RoadGrid(48, 24, 0.9, s) }},
 		{"Regular", func(s uint64) *graph.CSR { return Regular(1<<10, 6, s) }},
-		{"RGG", func(s uint64) *graph.CSR { return RGGDegree(1<<10, 8, s) }},
 	}
 }
 
@@ -135,7 +134,6 @@ func TestGeneratorsMatchGoldenDigests(t *testing.T) {
 		"Road":             0x698cd2cda4b73802,
 		"RoadGrid":         0x12dba7207ee1048e,
 		"Regular":          0xea33a24076355d51,
-		"RGG":              0xcc3acf40e2b663b2,
 		"urand-18 seed 1":  0xc1bfe0249bafe576,
 		"kron-18 seed 1":   0x1783b0d19781d9b5,
 		"urand-18 seed 42": 0xfeb4648b10573548,

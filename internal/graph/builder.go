@@ -260,18 +260,3 @@ func FromAdjacency(adj [][]V) *CSR {
 	}
 	return Build(edges, BuildOptions{NumVertices: len(adj)})
 }
-
-// FilterEdges builds the subgraph of g (same vertex set) containing only
-// the undirected edges {u, v} for which keep(u, v) is true. keep is
-// evaluated once per undirected edge with u <= v.
-func FilterEdges(g *CSR, keep func(u, v V) bool) *CSR {
-	var kept []Edge
-	for u := V(0); int(u) < g.NumVertices(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if u <= v && keep(u, v) {
-				kept = append(kept, Edge{U: u, V: v})
-			}
-		}
-	}
-	return Build(kept, BuildOptions{NumVertices: g.NumVertices()})
-}

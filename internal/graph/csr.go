@@ -122,23 +122,6 @@ func (g *CSR) Offsets() []int64 { return g.offsets }
 // and serialization. Read-only.
 func (g *CSR) Targets() []V { return g.targets }
 
-// ArcSource returns the source vertex of arc index k via binary search
-// over the offsets. Edge-parallel algorithms that need (source, target)
-// pairs for arbitrary arc indices use ArcSources instead to avoid the
-// per-arc logarithm.
-func (g *CSR) ArcSource(k int64) V {
-	lo, hi := 0, g.NumVertices()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.offsets[mid+1] <= k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return V(lo)
-}
-
 // ArcSources materializes the per-arc source array (len NumArcs). This is
 // the "COO expansion" the edge-list SV baseline of Soman et al. operates
 // on; the paper notes it loads more data in exchange for homogeneous

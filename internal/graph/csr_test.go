@@ -114,19 +114,6 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestArcSource(t *testing.T) {
-	g := twoTriangles()
-	src := g.ArcSources()
-	if int64(len(src)) != g.NumArcs() {
-		t.Fatalf("ArcSources len = %d", len(src))
-	}
-	for k := int64(0); k < g.NumArcs(); k++ {
-		if g.ArcSource(k) != src[k] {
-			t.Fatalf("ArcSource(%d) = %d, want %d", k, g.ArcSource(k), src[k])
-		}
-	}
-}
-
 func TestHasEdgeLargeSorted(t *testing.T) {
 	// Star with center 0 and 100 leaves: exercises the binary-search path.
 	var edges []Edge
@@ -180,21 +167,6 @@ func TestFromAdjacency(t *testing.T) {
 	}
 	if !g.HasEdge(1, 0) || !g.HasEdge(2, 0) {
 		t.Fatal("FromAdjacency did not symmetrize")
-	}
-}
-
-func TestFilterEdges(t *testing.T) {
-	g := twoTriangles()
-	sub := FilterEdges(g, func(u, v V) bool { return v-u == 1 })
-	// Keeps 0-1, 1-2, 3-4, 4-5; drops 0-2 and 3-5.
-	if sub.NumEdges() != 4 {
-		t.Fatalf("filtered edges = %d, want 4", sub.NumEdges())
-	}
-	if sub.HasEdge(0, 2) || sub.HasEdge(3, 5) {
-		t.Fatal("dropped edge still present")
-	}
-	if sub.NumVertices() != g.NumVertices() {
-		t.Fatal("vertex set changed")
 	}
 }
 

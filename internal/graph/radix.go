@@ -81,8 +81,8 @@ func sortedUnique(a []V) bool {
 	return true
 }
 
-// SortAdjacencyCheck verifies every adjacency list is sorted; used by
-// tests and by ReadBinary's strict mode.
+// SortAdjacencyCheck verifies every adjacency list is sorted; the
+// builder's tests use it.
 func SortAdjacencyCheck(g *CSR) bool {
 	for v := 0; v < g.NumVertices(); v++ {
 		adj := g.Neighbors(V(v))

@@ -66,30 +66,3 @@ func RelabelByDegree(g *CSR, parallelism int) (*CSR, []V) {
 	}
 	return Permute(g, perm, parallelism), perm
 }
-
-// InducedSubgraph extracts the subgraph on the given vertex set,
-// renumbering the kept vertices 0..k-1 in ascending original order.
-// Returns the subgraph and the mapping newID -> originalID.
-func InducedSubgraph(g *CSR, keep []V) (*CSR, []V) {
-	inSet := make(map[V]V, len(keep)) // original -> new
-	sorted := append([]V(nil), keep...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	orig := make([]V, 0, len(sorted))
-	for _, v := range sorted {
-		if _, dup := inSet[v]; dup {
-			continue
-		}
-		inSet[v] = V(len(orig))
-		orig = append(orig, v)
-	}
-	var edges []Edge
-	for _, u := range orig {
-		nu := inSet[u]
-		for _, w := range g.Neighbors(u) {
-			if nw, ok := inSet[w]; ok && nu < nw {
-				edges = append(edges, Edge{U: nu, V: nw})
-			}
-		}
-	}
-	return Build(edges, BuildOptions{NumVertices: len(orig)}), orig
-}

@@ -103,24 +103,3 @@ func TestRelabelByDegreeOrdersHubsFirst(t *testing.T) {
 		}
 	}
 }
-
-func TestInducedSubgraph(t *testing.T) {
-	g := twoTriangles() // {0,1,2} triangle, {3,4,5} triangle, 6 isolated
-	sub, orig := InducedSubgraph(g, []V{0, 1, 2, 6})
-	if sub.NumVertices() != 4 || sub.NumEdges() != 3 {
-		t.Fatalf("sub: %v", sub)
-	}
-	if len(orig) != 4 || orig[3] != 6 {
-		t.Fatalf("orig mapping = %v", orig)
-	}
-	// Duplicate keeps collapse.
-	sub2, orig2 := InducedSubgraph(g, []V{3, 3, 4})
-	if sub2.NumVertices() != 2 || sub2.NumEdges() != 1 || len(orig2) != 2 {
-		t.Fatalf("dedup failed: %v %v", sub2, orig2)
-	}
-	// Cross edges to excluded vertices vanish.
-	sub3, _ := InducedSubgraph(g, []V{0, 3})
-	if sub3.NumEdges() != 0 {
-		t.Fatalf("cross edges leaked: %v", sub3)
-	}
-}

@@ -146,16 +146,6 @@ func ApproxDiameter(g *CSR, sweeps int, seed int64) int {
 	return int(best)
 }
 
-// DegreeHistogram returns counts[d] = number of vertices with degree d,
-// for d up to MaxDegree.
-func DegreeHistogram(g *CSR) []int64 {
-	counts := make([]int64, g.MaxDegree()+1)
-	for v := 0; v < g.NumVertices(); v++ {
-		counts[g.Degree(V(v))]++
-	}
-	return counts
-}
-
 // String renders the stats as a single Table III-style row.
 func (s Stats) String() string {
 	return fmt.Sprintf("|V|=%d |E|=%d deg[min=%d avg=%.2f max=%d] C=%d maxComp=%.1f%% diam>=%d",

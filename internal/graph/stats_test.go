@@ -99,14 +99,6 @@ func TestComputeStatsEmpty(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	h := DegreeHistogram(path5())
-	// Path: two degree-1 endpoints, three degree-2 internals.
-	if len(h) != 3 || h[0] != 0 || h[1] != 2 || h[2] != 3 {
-		t.Fatalf("histogram = %v", h)
-	}
-}
-
 func TestSequentialCCRandomSizesConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n = 2000

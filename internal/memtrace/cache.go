@@ -92,49 +92,3 @@ func (t *Trace) SimulateCache(cfg CacheConfig) CacheStats {
 	}
 	return st
 }
-
-// SimulateCachePerWorker replays each worker's accesses through its own
-// private cache (a per-core L1/L2 view) and returns the aggregate along
-// with each worker's stats.
-func (t *Trace) SimulateCachePerWorker(cfg CacheConfig) (total CacheStats, perWorker []CacheStats) {
-	caches := make([]*lruCache, t.Workers)
-	perWorker = make([]CacheStats, t.Workers)
-	for i := range caches {
-		caches[i] = newLRUCache(cfg)
-	}
-	for _, acc := range t.Accesses {
-		w := int(acc.Worker)
-		st := &perWorker[w]
-		st.Accesses++
-		if caches[w].access(int64(acc.Index) * int64(cfg.EntrySize)) {
-			st.Hits++
-		} else {
-			st.Misses++
-		}
-	}
-	for _, st := range perWorker {
-		total.Accesses += st.Accesses
-		total.Hits += st.Hits
-		total.Misses += st.Misses
-	}
-	return total, perWorker
-}
-
-// PhaseCacheStats replays the trace through a shared cache while
-// splitting the tally by algorithm phase, showing where each
-// algorithm's misses concentrate.
-func (t *Trace) PhaseCacheStats(cfg CacheConfig) map[Phase]CacheStats {
-	cache := newLRUCache(cfg)
-	out := make(map[Phase]CacheStats)
-	for _, acc := range t.Accesses {
-		st := out[acc.Phase]
-		st.Accesses++
-		if cache.access(int64(acc.Index) * int64(cfg.EntrySize)) {
-			st.Hits++
-		} else {
-			st.Misses++
-		}
-		out[acc.Phase] = st
-	}
-	return out
-}

@@ -87,44 +87,3 @@ func TestAfforestBeatsSVOnHitRate(t *testing.T) {
 			affStats.Misses, svStats.Misses)
 	}
 }
-
-func TestPerWorkerCacheAggregates(t *testing.T) {
-	g := gen.URand(1<<10, 1<<14, 5)
-	tr, _ := TracedAfforest(g, 2, true, 4)
-	total, perWorker := tr.SimulateCachePerWorker(DefaultL1())
-	if len(perWorker) != 4 {
-		t.Fatalf("perWorker len = %d", len(perWorker))
-	}
-	var sum CacheStats
-	for _, st := range perWorker {
-		sum.Accesses += st.Accesses
-		sum.Hits += st.Hits
-		sum.Misses += st.Misses
-	}
-	if sum != total {
-		t.Fatalf("aggregate mismatch: %+v vs %+v", sum, total)
-	}
-	if total.Accesses != int64(len(tr.Accesses)) {
-		t.Fatalf("accesses %d != trace %d", total.Accesses, len(tr.Accesses))
-	}
-}
-
-func TestPhaseCacheStats(t *testing.T) {
-	g := gen.URand(1<<10, 1<<14, 7)
-	tr, _ := TracedAfforest(g, 2, true, 2)
-	byPhase := tr.PhaseCacheStats(DefaultL1())
-	var sum int64
-	for _, st := range byPhase {
-		sum += st.Accesses
-	}
-	if sum != int64(len(tr.Accesses)) {
-		t.Fatalf("phase accesses sum %d != %d", sum, len(tr.Accesses))
-	}
-	if byPhase[PhaseInit].Accesses == 0 || byPhase[PhaseLink].Accesses == 0 {
-		t.Fatal("missing phases in breakdown")
-	}
-	// Init is a sequential sweep: near-maximal hit rate.
-	if byPhase[PhaseInit].HitRate() < 0.9 {
-		t.Fatalf("init hit rate %.2f, want ~0.94 (sequential)", byPhase[PhaseInit].HitRate())
-	}
-}

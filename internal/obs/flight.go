@@ -158,9 +158,6 @@ func NewFlightRecorder(workers, capacity int) *FlightRecorder {
 	return f
 }
 
-// Workers returns the number of per-worker rings (excluding control).
-func (f *FlightRecorder) Workers() int { return f.workers }
-
 // now returns nanoseconds since the recorder's epoch.
 func (f *FlightRecorder) now() int64 { return time.Since(f.epoch).Nanoseconds() }
 

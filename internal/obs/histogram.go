@@ -60,9 +60,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records d in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(float64(d.Nanoseconds())) }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // HistogramSnapshot is a point-in-time copy of a histogram's state.
 // Counts are per-bucket (not cumulative); Counts[len(Bounds)] is the
 // +Inf bucket.

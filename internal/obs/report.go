@@ -82,17 +82,6 @@ func (r *Report) Rows() []BreakdownRow {
 	return rows
 }
 
-// LeafNS sums the leaf phases' wall time. For a sequential phase tree
-// this covers TotalNS up to per-phase bookkeeping, which is the
-// property the -trace acceptance check pins (within 5% of total wall).
-func (r *Report) LeafNS() int64 {
-	var sum int64
-	for _, row := range r.Rows() {
-		sum += row.DurNS
-	}
-	return sum
-}
-
 // breakdownNameWidth fixes the phase column's width: wide enough for
 // every phase constant in obs.go, and constant so the columns sit in
 // the same place whatever subset of phases a run exercised (the golden

@@ -208,15 +208,6 @@ func (w *WireTrace) Drain() []WireSpan {
 	return out
 }
 
-// Reset discards every retained and open span (the bench CLI reuses one
-// recorder across demo runs).
-func (w *WireTrace) Reset() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.next, w.wrapped = 0, false
-	clear(w.open)
-}
-
 // WriteJSONL dumps the retained spans one JSON object per line with a
 // fixed field order. Canonical omits the wall-clock fields (start_ns,
 // dur_ns) and the replay-racy span/parent ids, keeping only the logical

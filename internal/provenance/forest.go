@@ -130,9 +130,6 @@ func NewForest(n int) *Forest {
 // deployments). Call before recording begins.
 func (f *Forest) SetShard(id int) { f.shard = id }
 
-// NumVertices returns n.
-func (f *Forest) NumVertices() int { return len(f.fparent) }
-
 // OnMerge records the causal edge {u, v} of one successful hook CAS: an
 // edge whose core.Incremental.AddEdge returned true. lsn is the WAL
 // record the edge rode in (0 when there is no log).
@@ -295,17 +292,6 @@ func (f *Forest) rootPath(v graph.V) []graph.V {
 		path = append(path, v)
 	}
 	return path
-}
-
-// Connected reports whether the forest holds a connection between u and
-// v (same tree).
-func (f *Forest) Connected(u, v graph.V) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if int(u) >= len(f.fparent) || int(v) >= len(f.fparent) {
-		return false
-	}
-	return f.find(u) == f.find(v)
 }
 
 // History returns v's component merge timeline: every recorded merge

@@ -21,10 +21,11 @@ import (
 // route, which checks its vertices first, so a malformed pair is a 400
 // there as on a cluster.
 
-// errNoProvenance answers the three provenance routes when no forest is
-// installed.
-var errNoProvenance = &StatusError{Code: http.StatusNotFound,
-	Err: errors.New("provenance is disabled; start the server with provenance enabled to record witness paths")}
+// ErrNoProvenance answers the provenance routes when no forest is
+// installed: on a single node, and from a cluster router whose shard
+// reports that it records none.
+var ErrNoProvenance = &StatusError{Code: http.StatusNotFound,
+	Err: errors.New("provenance is disabled; start ccserve -provenance, or every ccshard -provenance behind ccserve -cluster, to record witness paths")}
 
 // Explain answers from the merge forest: a witness path of recorded
 // input edges between u and v. gap reports a pair π connects that the
@@ -34,7 +35,7 @@ var errNoProvenance = &StatusError{Code: http.StatusNotFound,
 // rule.
 func (s *Server) Explain(u, v graph.V) (bool, []provenance.Hop, bool, error) {
 	if s.prov == nil {
-		return false, nil, false, errNoProvenance
+		return false, nil, false, ErrNoProvenance
 	}
 	hops, ok := s.prov.Explain(u, v)
 	connected := s.inc.Connected(u, v)
@@ -52,7 +53,7 @@ func (s *Server) Explain(u, v graph.V) (bool, []provenance.Hop, bool, error) {
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if s.prov == nil {
-		s.api.fail(w, errNoProvenance)
+		s.api.fail(w, ErrNoProvenance)
 		return
 	}
 	v, err := s.api.vertexParam(r, "v")
@@ -74,7 +75,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 // boots from one WAL image byte-for-byte).
 func (s *Server) handleProvenanceDump(w http.ResponseWriter, r *http.Request) {
 	if s.prov == nil {
-		s.api.fail(w, errNoProvenance)
+		s.api.fail(w, ErrNoProvenance)
 		return
 	}
 	canonical := r.URL.Query().Get("canonical") == "1"

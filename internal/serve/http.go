@@ -70,11 +70,13 @@ const noWitness = "connected, but no witness recorded: the connection predates p
 const maxEdgesBody = 4 << 20
 
 // edgesRequest is the POST /edges body: either a single edge
-// {"u":1,"v":2} or a bulk batch {"edges":[[1,2],[3,4],...]}.
+// {"u":1,"v":2} or a bulk batch {"edges":[[1,2],[3,4],...]}. A bulk
+// edge decodes into a slice so handleEdges can reject one of the wrong
+// length: a [2]uint32 would read [5] as {5,0} and [1,2,3] as {1,2}.
 type edgesRequest struct {
-	U     *uint32     `json:"u"`
-	V     *uint32     `json:"v"`
-	Edges [][2]uint32 `json:"edges"`
+	U     *uint32    `json:"u"`
+	V     *uint32    `json:"v"`
+	Edges [][]uint32 `json:"edges"`
 }
 
 // Surface is the HTTP contract both deployments answer. It owns request
@@ -310,6 +312,11 @@ func (h *Surface) handleEdges(w http.ResponseWriter, r *http.Request) {
 		}
 		edges = make([]graph.Edge, len(req.Edges))
 		for i, e := range req.Edges {
+			if len(e) != 2 {
+				h.Error(w, http.StatusBadRequest,
+					fmt.Sprintf("bad body: edges[%d] must be a [u,v] pair, got length %d", i, len(e)))
+				return
+			}
 			edges[i] = graph.Edge{U: e[0], V: e[1]}
 		}
 	case req.U != nil && req.V != nil:

@@ -236,16 +236,6 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 // Registry returns the registry backing this server's /metrics.
 func (s *Server) Registry() *obs.Registry { return s.cfg.Registry }
 
-// Anomaly returns the server's anomaly detector (never nil after New).
-func (s *Server) Anomaly() *obs.AnomalyDetector { return s.cfg.Anomaly }
-
-// Flight returns the configured flight recorder, or nil.
-func (s *Server) Flight() *obs.FlightRecorder { return s.cfg.Flight }
-
-// LastRun returns the bootstrap run's phase-tree report, or nil when
-// the server was built without a batch run (New/Restore).
-func (s *Server) LastRun() *obs.Report { return s.lastRun.Load() }
-
 // WALReplay returns the startup replay outcome, or nil when the server
 // runs without a write-ahead log.
 func (s *Server) WALReplay() *wal.ReplayStats { return s.walReplay }

@@ -99,15 +99,6 @@ func MeasureFunc(runs int, fn func()) Timing {
 	}
 }
 
-// Speedup returns base/this as a ratio (how many times faster `this`
-// is than `base`); 0 if this is zero.
-func (t Timing) Speedup(base Timing) float64 {
-	if t.Median == 0 {
-		return 0
-	}
-	return float64(base.Median) / float64(t.Median)
-}
-
 // String renders a Timing like "12.3ms [11.9,13.0]".
 func (t Timing) String() string {
 	return fmt.Sprintf("%v [%v,%v]", t.Median.Round(time.Microsecond),

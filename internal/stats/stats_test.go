@@ -80,18 +80,6 @@ func TestMeasureFuncMinRuns(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	base := Timing{Median: 100 * time.Millisecond}
-	fast := Timing{Median: 25 * time.Millisecond}
-	if s := fast.Speedup(base); s != 4 {
-		t.Fatalf("speedup = %v", s)
-	}
-	var zero Timing
-	if s := zero.Speedup(base); s != 0 {
-		t.Fatalf("zero-duration speedup = %v", s)
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tb := NewTable("demo", "graph", "time", "speedup")
 	tb.AddRow("road", "12ms", 3.25)

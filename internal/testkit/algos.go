@@ -19,10 +19,6 @@ type Algo struct {
 	Name    string
 	Run     func(g *graph.CSR, workers int, seed uint64) []graph.V
 	Audited func(g *graph.CSR, workers int, seed uint64, audit func(core.Parent, string)) []graph.V
-	// Halving marks variants whose mid-run compress phases are pointer
-	// halving; the auditor then defers depth-1 checks to the final
-	// compress (see Auditor.Halving).
-	Halving bool
 }
 
 var (
@@ -68,7 +64,6 @@ func afforestAlgo(name string, mod func(*core.Options)) Algo {
 		Audited: func(g *graph.CSR, workers int, seed uint64, audit func(core.Parent, string)) []graph.V {
 			return core.RunAudited(g, opts(workers, seed), audit).Labels()
 		},
-		Halving: opts(1, 0).HalvingCompress,
 	}
 }
 
@@ -145,7 +140,6 @@ func init() {
 		o.NeighborRounds = -1
 		o.SkipLargest = false
 	}))
-	RegisterAlgo(afforestAlgo("afforest-halving", func(o *core.Options) { o.HalvingCompress = true }))
 	RegisterAlgo(baselineAlgo("sv", baselines.SV))
 	RegisterAlgo(baselineAlgo("sv-edgelist", baselines.SVEdgeList))
 	RegisterAlgo(baselineAlgo("lp", baselines.LP))

@@ -42,7 +42,7 @@ func TestDifferentialMatrix(t *testing.T) {
 func TestDifferentialVariants(t *testing.T) {
 	m := Matrix{
 		Algos: []string{
-			"afforest-noskip", "afforest-nosample", "afforest-halving",
+			"afforest-noskip", "afforest-nosample",
 			"sv-edgelist", "lp-datadriven", "bfs",
 		},
 		Seeds:   []uint64{6, 7},

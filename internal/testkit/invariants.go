@@ -15,8 +15,8 @@ import (
 //   - Invariant 1, π(x) ≤ x, for every vertex — Lemma 1 derives
 //     acyclicity from it, so a passing check also proves root walks
 //     terminate;
-//   - compress idempotence (π(π(x)) = π(x)) after every full compress
-//     pass (Theorem 2 flattens all trees to depth ≤ 1);
+//   - compress idempotence (π(π(x)) = π(x)) after every compress pass
+//     (Theorem 2 flattens all trees to depth ≤ 1);
 //   - partition refinement against ground truth: at any instant each
 //     π-tree must contain only genuinely connected vertices — link may
 //     under-merge mid-run, never over-merge.
@@ -25,11 +25,6 @@ import (
 // produced it; later phases are still audited so Phases() counts the
 // whole run.
 type Auditor struct {
-	// Halving marks runs whose mid-run compress phases are pointer
-	// halving (Options.HalvingCompress): those only shorten paths, so
-	// depth ≤ 1 is asserted at the final full compress alone.
-	Halving bool
-
 	oracle []graph.V
 	err    error
 	phases int
@@ -62,9 +57,9 @@ func (a *Auditor) audit(p core.Parent, phase string) error {
 	if err := ParentBound(pi); err != nil {
 		return err
 	}
-	// Depth ≤ 1 must hold once a full compress pass has closed. Halving
-	// passes and link phases may legally leave deeper trees.
-	if phase == obs.PhaseFinalCompress || (phase == obs.PhaseCompress && !a.Halving) {
+	// Depth ≤ 1 must hold once a compress pass has closed. Link phases
+	// may legally leave deeper trees.
+	if phase == obs.PhaseCompress || phase == obs.PhaseFinalCompress {
 		if err := Idempotent(pi); err != nil {
 			return err
 		}

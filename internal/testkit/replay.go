@@ -107,7 +107,7 @@ func runSchedule(g *graph.CSR, oracle []graph.V, id ScheduleID) error {
 	defer concurrent.SetDeterministic(nil)
 	var labels []graph.V
 	if algo.Audited != nil {
-		aud := &Auditor{oracle: oracle, Halving: algo.Halving}
+		aud := &Auditor{oracle: oracle}
 		labels = algo.Audited(g, id.Workers, id.Seed, aud.Hook())
 		if err := aud.Err(); err != nil {
 			return err

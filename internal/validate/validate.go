@@ -211,14 +211,6 @@ type Census struct {
 	Sizes      []int // descending
 }
 
-// MaxFraction returns |c_max| / |V| (0 for an empty labeling).
-func (c Census) MaxFraction(n int) float64 {
-	if n == 0 || len(c.Sizes) == 0 {
-		return 0
-	}
-	return float64(c.Sizes[0]) / float64(n)
-}
-
 // ComputeCensus counts components and their sizes from labels.
 func ComputeCensus(labels []graph.V) Census {
 	counts := make(map[graph.V]int)

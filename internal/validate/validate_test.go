@@ -145,11 +145,8 @@ func TestComputeCensus(t *testing.T) {
 	if c.Sizes[0] != 3 || c.Sizes[1] != 2 || c.Sizes[2] != 1 {
 		t.Fatalf("sizes = %v (must be descending)", c.Sizes)
 	}
-	if f := c.MaxFraction(6); f != 0.5 {
-		t.Fatalf("MaxFraction = %v", f)
-	}
 	empty := ComputeCensus(nil)
-	if empty.Components != 0 || empty.MaxFraction(0) != 0 {
+	if empty.Components != 0 {
 		t.Fatalf("empty census: %+v", empty)
 	}
 }
