@@ -69,8 +69,8 @@ race-matrix:
 # 10-second smoke of each native fuzz target: the parsers for the
 # external input formats (text edge list, binary CSR, MatrixMarket),
 # the HTTP surface behind both deployments (a single node and a
-# loopback cluster router), the cluster wire-frame decoder, and the WAL
-# record decoder. CI keeps corpora warm; real exploration is
+# loopback cluster router), the cluster wire-frame decoder, the shard's
+# request dispatcher, and the WAL record decoder. CI keeps corpora warm; real exploration is
 # `go test -fuzz=<target> -fuzztime=10m <pkg>`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=10s ./internal/graph
@@ -79,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzServeHandlers -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzRouterHandlers -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/cluster
+	$(GO) test -run='^$$' -fuzz=FuzzShardHandle -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
 
 # wal-smoke is the crash-recovery e2e: a durable ccserve under a

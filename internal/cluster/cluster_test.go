@@ -520,7 +520,7 @@ func TestClusterEdgesBodyLimit(t *testing.T) {
 // has to edit this list in the same change, so adding one is always
 // visible in review.
 func TestConfigKnobBudget(t *testing.T) {
-	want := []string{"Parallelism", "Registry", "Trace", "Anomaly", "Provenance"}
+	want := []string{"Parallelism", "Trace", "Provenance"}
 	var got []string
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
 		if f.IsExported() {

@@ -3,7 +3,12 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"net"
+	"strings"
 	"testing"
+	"time"
+
+	"afforest/internal/graph"
 )
 
 // FuzzDecodeFrame drives readFrame and the bounds-checked cursor over
@@ -70,6 +75,91 @@ func FuzzDecodeFrame(f *testing.F) {
 			c := &cursor{b: data}
 			script(c)
 			c.done()
+		}
+	})
+}
+
+// FuzzShardHandle sends scripts of arbitrary request frames through a
+// shard's serve loop into its dispatcher. The shard is initialized with
+// n = 64 as shard 1 of 3, so remote ids lie on both sides of its range.
+// A script is a sequence of records op u8 | length u8 | payload; an op
+// with the high bit set goes out with a trace context, and opInit
+// records are skipped because opInit's allocation grows with n. The
+// invariants: no panic, every frame is answered with its own op or with
+// an opError naming the shard and the op, and opPing still answers
+// after the script. One dispatcher decodes every request, so this
+// covers every request decoder and every range check in front of the
+// ref bitset.
+func FuzzShardHandle(f *testing.F) {
+	rec := func(op byte, payload []byte) []byte { return append([]byte{op, byte(len(payload))}, payload...) }
+	script := func(recs ...[]byte) []byte { return bytes.Join(recs, nil) }
+	edges := encodePairs(nil, []pair{{V: 0, Label: 30}, {V: 30, Label: 63}, {V: 25, Label: 50}})
+	f.Add(rec(opPing, nil))
+	f.Add(script(rec(opEdges, edges), rec(opOutbox, nil),
+		rec(opIngest, encodePairs(nil, []pair{{V: 30, Label: 0}, {V: 25, Label: 10}})),
+		rec(opAbsorb, encodePairs(nil, []pair{{V: 50, Label: 0}, {V: 63, Label: 5}})),
+		rec(opEndExchange, nil)))
+	f.Add(script(rec(opEdges|traceFlag, edges), rec(opOutbox|traceFlag, nil),
+		rec(opAbsorb|traceFlag, encodePairs(nil, []pair{{V: 0, Label: 0}})), rec(opFlight|traceFlag, nil)))
+	f.Add(script(rec(opQuery, putU32(nil, 64)), rec(opLabels, putU32(putU32(nil, 40), 10)),
+		rec(opLabels, putU32(putU32(nil, 22), 44)), rec(opExplain, putU32(putU32(nil, 0), 63))))
+	f.Add(script(rec(opSnapshot, nil),
+		rec(opRestore, encodeLabels(putU64(putU32(putU32(nil, 22), 44), 7), make([]graph.V, 22))),
+		rec(opShutdown, nil), rec(opError, []byte("x")), rec(0, nil)))
+
+	f.Fuzz(func(t *testing.T, script []byte) {
+		sh := NewShard(1)
+		if _, err := sh.handle(opInit, putU32(putU32(putU64(nil, 64), 3), 1), nil); err != nil {
+			t.Fatalf("opInit: %v", err)
+		}
+		var conn net.Conn
+		connect := func() {
+			client, server := net.Pipe()
+			go func() {
+				defer server.Close()
+				sh.serveConn(server)
+			}()
+			client.SetDeadline(time.Now().Add(10 * time.Second))
+			conn = client
+		}
+		connect()
+		defer func() { conn.Close() }()
+		send := func(op byte, tc traceCtx, payload []byte) (byte, []byte) {
+			if err := writeFrameCtx(conn, op, tc, payload); err != nil {
+				t.Fatalf("%s: write: %v", opName(op), err)
+			}
+			rop, _, resp, err := readFrame(conn)
+			if err != nil {
+				t.Fatalf("%s: no answer: %v", opName(op), err)
+			}
+			return rop, resp
+		}
+		for len(script) >= 2 {
+			op, k := script[0], min(int(script[1]), len(script)-2)
+			payload := script[2 : 2+k]
+			script = script[2+k:]
+			var tc traceCtx
+			if op&traceFlag != 0 {
+				tc = traceCtx{trace: 1, parent: 1}
+			}
+			if op &^= traceFlag; op == opInit {
+				continue
+			}
+			rop, resp := send(op, tc, payload)
+			switch {
+			case rop == opError:
+				if prefix := "shard 1: " + opName(op) + ": "; !strings.HasPrefix(string(resp), prefix) {
+					t.Fatalf("%s answered error %q, want the prefix %q", opName(op), resp, prefix)
+				}
+			case rop != op:
+				t.Fatalf("%s answered %s", opName(op), opName(rop))
+			case op == opShutdown:
+				conn.Close()
+				connect()
+			}
+		}
+		if rop, resp := send(opPing, traceCtx{}, nil); rop != opPing {
+			t.Fatalf("opPing after the script answered %s: %s", opName(rop), resp)
 		}
 	})
 }

@@ -26,21 +26,12 @@ type Local struct {
 func StartLocal(n, numShards int, cfg Config) (*Local, error) {
 	l := &Local{provenance: cfg.Provenance}
 	for i := 0; i < numShards; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		addr, err := l.SpawnShard(cfg.Parallelism)
 		if err != nil {
 			l.Close()
 			return nil, fmt.Errorf("cluster: local listener %d: %w", i, err)
 		}
-		sh := NewShard(cfg.Parallelism)
-		sh.SetProvenance(cfg.Provenance)
-		l.shards = append(l.shards, sh)
-		l.listeners = append(l.listeners, ln)
-		l.Addrs = append(l.Addrs, ln.Addr().String())
-		l.wg.Add(1)
-		go func(sh *Shard, ln net.Listener) {
-			defer l.wg.Done()
-			sh.Serve(ln)
-		}(sh, ln)
+		l.Addrs = append(l.Addrs, addr)
 	}
 	r, err := NewRouter(l.Addrs, n, cfg)
 	if err != nil {
@@ -51,9 +42,10 @@ func StartLocal(n, numShards int, cfg Config) (*Local, error) {
 	return l, nil
 }
 
-// SpawnShard starts one extra in-process shard (not part of the initial
-// partition) and returns its address — the replacement member for a
-// Join after a Leave.
+// SpawnShard starts one in-process shard on a loopback listener and
+// returns its address. StartLocal boots the initial partition with it;
+// called afterwards, it is the replacement member for a Join after a
+// Leave.
 func (l *Local) SpawnShard(parallelism int) (string, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -57,69 +57,45 @@ const (
 	opError       byte = 99 // message string (response only)
 )
 
-// opName renders an op byte for error messages and trace span labels
-// (the trace flag is masked off so a flagged request names cleanly).
-func opName(op byte) string {
-	switch op &^ traceFlag {
-	case opInit:
-		return "opInit"
-	case opEdges:
-		return "opEdges"
-	case opOutbox:
-		return "opOutbox"
-	case opIngest:
-		return "opIngest"
-	case opAbsorb:
-		return "opAbsorb"
-	case opQuery:
-		return "opQuery"
-	case opLabels:
-		return "opLabels"
-	case opSnapshot:
-		return "opSnapshot"
-	case opRestore:
-		return "opRestore"
-	case opPing:
-		return "opPing"
-	case opShutdown:
-		return "opShutdown"
-	case opFlight:
-		return "opFlight"
-	case opExplain:
-		return "opExplain"
-	case opEndExchange:
-		return "opEndExchange"
-	case opError:
-		return "opError"
-	default:
-		return fmt.Sprintf("op%d", op&^traceFlag)
-	}
+// ops is the op table: each op's name in errors and logs, and its
+// obs wire-span name. span is "" for ops not traced as spans: the rare
+// control-plane calls outside any request's critical path (init,
+// snapshot, restore, ping, shutdown), the empty end-of-exchange message
+// and opExplain. beforeInit marks the ops a shard answers before
+// opInit.
+var ops = map[byte]struct {
+	name, span string
+	beforeInit bool
+}{
+	opInit:        {"opInit", "", true},
+	opEdges:       {"opEdges", obs.WireEdges, false},
+	opOutbox:      {"opOutbox", obs.WireOutbox, false},
+	opIngest:      {"opIngest", obs.WireIngest, false},
+	opAbsorb:      {"opAbsorb", obs.WireAbsorb, false},
+	opQuery:       {"opQuery", obs.WireQuery, false},
+	opLabels:      {"opLabels", obs.WireLabels, false},
+	opSnapshot:    {"opSnapshot", "", false},
+	opRestore:     {"opRestore", "", false},
+	opPing:        {"opPing", "", true},
+	opShutdown:    {"opShutdown", "", true},
+	opFlight:      {"opFlight", obs.WireFlight, true},
+	opExplain:     {"opExplain", "", false},
+	opEndExchange: {"opEndExchange", "", false},
+	opError:       {"opError", "", false},
 }
 
-// wireName maps a request op to its obs wire-span name; "" for ops that
-// are not traced as spans (init/snapshot/restore/ping/shutdown — rare
-// control-plane calls outside any request's critical path — and the
-// empty end-of-exchange message).
-func wireName(op byte) string {
-	switch op &^ traceFlag {
-	case opEdges:
-		return obs.WireEdges
-	case opOutbox:
-		return obs.WireOutbox
-	case opIngest:
-		return obs.WireIngest
-	case opAbsorb:
-		return obs.WireAbsorb
-	case opQuery:
-		return obs.WireQuery
-	case opLabels:
-		return obs.WireLabels
-	case opFlight:
-		return obs.WireFlight
-	default:
-		return ""
+// opName renders an op byte for error messages (the trace flag is
+// masked off so a flagged request names cleanly).
+func opName(op byte) string {
+	if o, ok := ops[op&^traceFlag]; ok {
+		return o.name
 	}
+	return fmt.Sprintf("op%d", op&^traceFlag)
 }
+
+// wireName maps a request op to its obs wire-span name; "" for ops
+// that are not traced as spans.
+func wireName(op byte) string { return ops[op&^traceFlag].span }
 
 // --- trace-context frame extension ---
 
@@ -161,31 +137,21 @@ func writeFrame(w io.Writer, op byte, payload []byte) error {
 	return writeFrameCtx(w, op, traceCtx{}, payload)
 }
 
-// writeFrameCtx emits one frame, appending the trace-context extension
-// when tc is active. The inactive path takes the exact legacy layout —
-// no flag bit, no extension bytes.
+// writeFrameCtx emits one frame, with the trace-context extension
+// between the op byte and the payload when tc is active. The inactive
+// path takes the exact legacy layout — no flag bit, no extension bytes.
 func writeFrameCtx(w io.Writer, op byte, tc traceCtx, payload []byte) error {
-	if !tc.active() {
-		var hdr [5]byte
-		binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-		hdr[4] = op
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if len(payload) > 0 {
-			if _, err := w.Write(payload); err != nil {
-				return err
-			}
-		}
-		return nil
+	var buf [5 + traceExtLen]byte
+	hdr := buf[:5]
+	if tc.active() {
+		op |= traceFlag
+		hdr = binary.LittleEndian.AppendUint64(hdr, tc.trace)
+		hdr = binary.LittleEndian.AppendUint32(hdr, tc.parent)
+		hdr = append(hdr, tc.flags)
 	}
-	var hdr [5 + traceExtLen]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(1+traceExtLen+len(payload)))
-	hdr[4] = op | traceFlag
-	binary.LittleEndian.PutUint64(hdr[5:13], tc.trace)
-	binary.LittleEndian.PutUint32(hdr[13:17], tc.parent)
-	hdr[17] = tc.flags
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(hdr, uint32(len(hdr)-4+len(payload)))
+	hdr[4] = op
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if len(payload) > 0 {
@@ -439,9 +405,6 @@ func (c *cursor) labels(count int) []graph.V {
 	}
 	return out
 }
-
-// errorFrame renders an error as an opError response payload.
-func errorFrame(err error) (byte, []byte) { return opError, []byte(err.Error()) }
 
 // --- byte-counting connection wrapper ---
 

@@ -143,9 +143,9 @@ func (m *refModel) absorb(ps []pair) []pair {
 	return next
 }
 
-// TestShardRefsMatchModel drives a Shard directly through seeded random
-// sequences of applyEdges / ingest / absorb / outbox / restore /
-// endExchange beside refModel. Every outbox must carry the model's
+// TestShardRefsMatchModel drives a Shard's dispatcher directly through
+// seeded random sequences of opEdges / opIngest / opAbsorb / opOutbox /
+// opRestore / opEndExchange beside refModel. Every outbox must carry the model's
 // pairs in the model's order, never an owned id, and labels first seen
 // during one outbox only from the next outbox on. Every ingest must
 // answer exactly the opinions the model labels differently, and every
@@ -165,7 +165,11 @@ func TestShardRefsMatchModel(t *testing.T) {
 		numShards := 1 + rng.IntN(min(n, 4))
 		id := rng.IntN(numShards)
 		sh := NewShard(1)
-		if err := sh.initialize(n, numShards, id); err != nil {
+		do := func(op byte, payload []byte) (*cursor, error) {
+			b, err := sh.handle(op, payload, nil)
+			return &cursor{b: b}, err
+		}
+		if _, err := do(opInit, putU32(putU32(putU64(nil, uint64(n)), uint32(numShards)), uint32(id))); err != nil {
 			t.Fatalf("seed %d: initialize(%d, %d, %d): %v", seed, n, numShards, id, err)
 		}
 		m := newRefModel(n, sh.lo, sh.hi)
@@ -182,7 +186,7 @@ func TestShardRefsMatchModel(t *testing.T) {
 			switch op := rng.IntN(7); op {
 			case 0:
 				ps := randPairs(randV)
-				if _, err := sh.applyEdges(ps, nil); err != nil {
+				if _, err := do(opEdges, encodePairs(nil, ps)); err != nil {
 					t.Fatalf("seed %d step %d: applyEdges: %v", seed, step, err)
 				}
 				for _, p := range ps {
@@ -195,7 +199,9 @@ func TestShardRefsMatchModel(t *testing.T) {
 					continue
 				}
 				ps := randPairs(func() graph.V { return graph.V(sh.lo + rng.IntN(sh.hi-sh.lo)) })
-				_, replies, err := sh.ingest(ps)
+				c, err := do(opIngest, encodePairs(nil, ps))
+				c.u32()
+				replies := c.pairs()
 				if err != nil {
 					t.Fatalf("seed %d step %d: ingest: %v", seed, step, err)
 				}
@@ -215,7 +221,9 @@ func TestShardRefsMatchModel(t *testing.T) {
 						ps[i].V = acked[rng.IntN(len(acked))]
 					}
 				}
-				_, next, err := sh.absorb(ps)
+				c, err := do(opAbsorb, encodePairs(nil, ps))
+				c.u32()
+				next := c.pairs()
 				if m.acks == nil {
 					if err == nil {
 						t.Fatalf("seed %d step %d: absorb outside an exchange succeeded", seed, step)
@@ -241,7 +249,8 @@ func TestShardRefsMatchModel(t *testing.T) {
 					before[r] = struct{}{}
 				}
 				want := m.outbox()
-				got, err := sh.outbox()
+				c, err := do(opOutbox, nil)
+				got := c.pairs()
 				if err != nil {
 					t.Fatalf("seed %d step %d: outbox: %v", seed, step, err)
 				}
@@ -275,7 +284,8 @@ func TestShardRefsMatchModel(t *testing.T) {
 				for i := range labels {
 					labels[i] = graph.V(rng.IntN(sh.lo + i + 1))
 				}
-				if err := sh.restore(sh.lo, sh.hi, 0, labels); err != nil {
+				restore := encodeLabels(putU64(putU32(putU32(nil, uint32(sh.lo)), uint32(sh.hi)), 0), labels)
+				if _, err := do(opRestore, restore); err != nil {
 					t.Fatalf("seed %d step %d: restore: %v", seed, step, err)
 				}
 				m.reset()
@@ -289,7 +299,7 @@ func TestShardRefsMatchModel(t *testing.T) {
 				sh.inc.AddEdge(u, v)
 				m.union(u, v)
 			case 6:
-				if err := sh.endExchange(); err != nil {
+				if _, err := do(opEndExchange, nil); err != nil {
 					t.Fatalf("seed %d step %d: endExchange: %v", seed, step, err)
 				}
 				m.acks = nil
@@ -308,7 +318,9 @@ func TestShardRefsMatchModel(t *testing.T) {
 // TestShardRejectsHostileIDs sends, over a real connection, frames whose
 // ids lie past the vertex space (and an ingest for a vertex the shard
 // does not own). Each must be answered with opError rather than reach
-// the ref bitset, and the shard must keep serving afterwards.
+// the ref bitset, and the shard must keep serving afterwards. So must
+// an opInit whose vertex count no 32-bit id space holds: accepting it
+// would allocate π and the ref set for 2^33 vertices.
 func TestShardRejectsHostileIDs(t *testing.T) {
 	const n, numShards, id = 200, 3, 1
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -368,6 +380,7 @@ func TestShardRejectsHostileIDs(t *testing.T) {
 		{"absorb v>=n", opAbsorb, encodePairs(nil, []pair{{V: ^graph.V(0), Label: 0}})},
 		{"absorb label>=n", opAbsorb, encodePairs(nil, []pair{{V: remote, Label: n}})},
 		{"restore label>=n", opRestore, restore},
+		{"init n>2^32", opInit, putU32(putU32(putU64(nil, 1<<33), numShards), id)},
 	}
 	for _, tc := range cases {
 		rop, resp := call(tc.op, tc.payload)

@@ -27,19 +27,12 @@ type Config struct {
 	// Parallelism bounds worker goroutines for census assembly
 	// (0 = GOMAXPROCS); shards control their own link parallelism.
 	Parallelism int
-	// Registry receives the router's wire metrics and backs
-	// GET /metrics. nil means a fresh private registry.
-	Registry *obs.Registry
 	// Trace enables distributed tracing: every request becomes a trace
 	// whose shard RPCs carry the trace-context frame extension, and
 	// GET /debug/cluster serves the merged cluster timeline. nil (the
 	// default) keeps tracing off — the wire stays byte-identical to the
 	// untraced protocol.
 	Trace *obs.WireTrace
-	// Anomaly receives the cluster rule feeds (exchange_round_blowup,
-	// shard_lag, ghost_churn, wire_error_burst). nil means a fresh
-	// detector on Registry.
-	Anomaly *obs.AnomalyDetector
 	// Provenance arms merge-forest recording on shards booted by the
 	// local harness (StartLocal/SpawnShard) and enables the router's
 	// GET /explain to stitch cross-shard witnesses. Out-of-process
@@ -53,16 +46,6 @@ const (
 	edgeBatch   = 4096
 	dialTimeout = 5 * time.Second
 )
-
-func (c Config) withDefaults() Config {
-	if c.Registry == nil {
-		c.Registry = obs.NewRegistry()
-	}
-	if c.Anomaly == nil {
-		c.Anomaly = obs.NewAnomalyDetector(c.Registry)
-	}
-	return c
-}
 
 // ErrDegraded is returned for writes while a shard slot is vacant
 // (between leave and join): the cluster serves reads from the retained
@@ -78,42 +61,6 @@ type shardConn struct {
 	conn net.Conn
 	cc   *countedConn
 	br   *bufio.Reader
-}
-
-// rpc issues one untraced request frame and reads its response,
-// unwrapping opError into a Go error.
-func (sc *shardConn) rpc(op byte, payload []byte) ([]byte, error) {
-	resp, _, _, err := sc.rpcCtx(op, traceCtx{}, payload)
-	return resp, err
-}
-
-// rpcCtx issues one request frame — carrying the trace-context
-// extension when tc is active — and reads its response. sent/recv are
-// this call's wire bytes (frame prefixes and extension included), exact
-// because the mutex serializes the connection. Shards wrap their errors
-// with identity and op ("shard 2: opIngest: ..."), so opError unwraps
-// attributably here.
-func (sc *shardConn) rpcCtx(op byte, tc traceCtx, payload []byte) (resp []byte, sent, recv int64, err error) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	s0, r0 := sc.cc.sent.Load(), sc.cc.recv.Load()
-	defer func() {
-		sent, recv = sc.cc.sent.Load()-s0, sc.cc.recv.Load()-r0
-	}()
-	if err := writeFrameCtx(sc.cc, op, tc, payload); err != nil {
-		return nil, 0, 0, err
-	}
-	respOp, _, resp, err := readFrame(sc.br)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if respOp == opError {
-		return nil, 0, 0, fmt.Errorf("cluster: %s", resp)
-	}
-	if respOp != op {
-		return nil, 0, 0, fmt.Errorf("cluster: response op %d for request op %d", respOp, op)
-	}
-	return resp, 0, 0, nil
 }
 
 // slot is one membership slot of the fixed-width partition: either an
@@ -140,7 +87,6 @@ type slot struct {
 // serve's Surface, the same query surface as a single node, and adds
 // the membership and /debug/cluster routes.
 type Router struct {
-	cfg       Config
 	n         int
 	part      dist.Partitioning
 	numShards int
@@ -155,8 +101,9 @@ type Router struct {
 	edges    atomic.Int64
 	cutEdges atomic.Int64
 
-	wire *obs.WireTrace       // nil = tracing off
-	anom *obs.AnomalyDetector // never nil after withDefaults
+	wire *obs.WireTrace // nil = tracing off
+	reg  *obs.Registry
+	anom *obs.AnomalyDetector
 
 	rounds     *obs.Counter
 	opinions   *obs.Counter
@@ -208,45 +155,59 @@ func (r *Router) child(rc rctx, name string, round int) rctx {
 	return rctx{trace: rc.trace, parent: id}
 }
 
-// rpcSpan is one in-flight traced client RPC with its measured wire
-// bytes; the zero value is the untraced fast path.
-type rpcSpan struct {
-	id         uint32
-	tc         traceCtx
-	sent, recv int64
-}
-
-// rpcTo issues one RPC to a slot as a child span of rc (plain rpc when
-// untraced), feeding the wire-error-burst rule on failure. The returned
-// span stays open so the caller can attach parsed pair/merge counts via
-// endRPC; error paths are closed here.
-func (r *Router) rpcTo(rc rctx, sl *slot, shard, round int, op byte, payload []byte) ([]byte, rpcSpan, error) {
-	var sp rpcSpan
+// call issues one RPC to shard on sc, the router's only path to a
+// shard. When rc is traced and op has a span name, the RPC is a client
+// span under rc (round is the exchange round, 0 outside one) whose
+// trace context rides the request frame, and the span records the
+// call's wire bytes, exact because sc's mutex serializes the
+// connection. decode (nil for an empty reply) parses the reply and
+// returns the pair and merge counts the span records; the reply must
+// then be fully consumed. Every failure — transport, an opError reply,
+// a mismatched reply op, a reply that fails to decode or check — closes
+// the span with the error and feeds the wire-error-burst rule. Shards
+// wrap their errors with identity and op ("shard 2: opIngest: ..."), so
+// opError unwraps attributably here.
+func (r *Router) call(rc rctx, sc *shardConn, shard, round int, op byte, payload []byte,
+	decode func(c *cursor) (pairs, merged int64, err error)) error {
+	var span uint32
+	var tc traceCtx
 	if rc.trace != 0 && wireName(op) != "" {
-		sp.id = r.wire.Begin(rc.trace, rc.parent, false, wireName(op), shard, round)
-		sp.tc = traceCtx{trace: rc.trace, parent: sp.id}
+		span = r.wire.Begin(rc.trace, rc.parent, false, wireName(op), shard, round)
+		tc = traceCtx{trace: rc.trace, parent: span}
 	}
-	resp, sent, recv, err := sl.conn.rpcCtx(op, sp.tc, payload)
-	sp.sent, sp.recv = sent, recv
+	sc.mu.Lock()
+	s0, r0 := sc.cc.sent.Load(), sc.cc.recv.Load()
+	err := writeFrameCtx(sc.cc, op, tc, payload)
+	var respOp byte
+	var resp []byte
+	if err == nil {
+		respOp, _, resp, err = readFrame(sc.br)
+	}
+	end := obs.WireEnd{ReqBytes: sc.cc.sent.Load() - s0, RespBytes: sc.cc.recv.Load() - r0}
+	sc.mu.Unlock()
+	switch {
+	case err != nil:
+	case respOp == opError:
+		err = fmt.Errorf("cluster: %s", resp)
+	case respOp != op:
+		err = fmt.Errorf("cluster: response op %d for request op %d", respOp, op)
+	default:
+		c := &cursor{b: resp}
+		if decode != nil {
+			end.Pairs, end.Merged, err = decode(c)
+		}
+		if derr := c.done(); derr != nil {
+			err = derr
+		}
+	}
 	if err != nil {
 		r.anom.ObserveWireError(err)
-		r.endRPC(sp, 0, 0, err)
-		return nil, rpcSpan{}, err
+		end.Pairs, end.Merged, end.Err = 0, 0, err.Error()
 	}
-	return resp, sp, nil
-}
-
-// endRPC closes a traced RPC span with the counts the caller parsed out
-// of the response. No-op for the untraced zero span.
-func (r *Router) endRPC(sp rpcSpan, pairs, merged int64, err error) {
-	if sp.id == 0 {
-		return
+	if span != 0 {
+		r.wire.End(span, end)
 	}
-	end := obs.WireEnd{ReqBytes: sp.sent, RespBytes: sp.recv, Pairs: pairs, Merged: merged}
-	if err != nil {
-		end.Err = err.Error()
-	}
-	r.wire.End(sp.id, end)
+	return err
 }
 
 // NewRouter dials the shard addresses, initializes each member with its
@@ -257,15 +218,15 @@ func NewRouter(addrs []string, n int, cfg Config) (*Router, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("cluster: no shard addresses")
 	}
-	cfg = cfg.withDefaults()
 	part := dist.NewPartitioning(n, len(addrs))
+	reg := obs.NewRegistry()
 	r := &Router{
-		cfg:       cfg,
 		n:         n,
 		part:      part,
 		numShards: part.NumNodes,
 		wire:      cfg.Trace,
-		anom:      cfg.Anomaly,
+		reg:       reg,
+		anom:      obs.NewAnomalyDetector(reg),
 	}
 	if r.wire != nil {
 		// Anomaly firings snapshot the canonical merged cluster timeline.
@@ -279,7 +240,6 @@ func NewRouter(addrs []string, n int, cfg Config) (*Router, error) {
 			return buf.Bytes()
 		})
 	}
-	reg := cfg.Registry
 	r.rounds = reg.Counter("afforest_cluster_exchange_rounds_total",
 		"BSP ghost-label exchange rounds driven to fixed point.")
 	r.opinions = reg.Counter("afforest_cluster_opinions_total",
@@ -311,7 +271,7 @@ func NewRouter(addrs []string, n int, cfg Config) (*Router, error) {
 	}
 	r.activeG.Set(float64(r.numShards))
 
-	r.api = serve.NewSurface(r, reg, cfg.Anomaly)
+	r.api = serve.NewSurface(r, reg, r.anom)
 	r.api.Handle("GET /cluster", "cluster", r.handleTopology)
 	r.api.Handle("POST /cluster/leave", "cluster", r.handleLeave)
 	r.api.Handle("POST /cluster/join", "cluster", r.handleJoin)
@@ -328,19 +288,18 @@ func (r *Router) dial(addr string, id int) (*shardConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dialing shard %d at %s: %w", id, addr, err)
 	}
-	reg := r.cfg.Registry
 	cc := &countedConn{
 		rw: conn,
-		sentCtr: reg.Counter("afforest_cluster_bytes_total",
+		sentCtr: r.reg.Counter("afforest_cluster_bytes_total",
 			"Wire bytes by shard and direction.", obs.L("shard", strconv.Itoa(id)), obs.L("dir", "sent")),
-		recvCtr: reg.Counter("afforest_cluster_bytes_total",
+		recvCtr: r.reg.Counter("afforest_cluster_bytes_total",
 			"Wire bytes by shard and direction.", obs.L("shard", strconv.Itoa(id)), obs.L("dir", "recv")),
 	}
 	sc := &shardConn{conn: conn, cc: cc, br: bufio.NewReader(cc)}
 	payload := putU64(nil, uint64(r.n))
 	payload = putU32(payload, uint32(r.numShards))
 	payload = putU32(payload, uint32(id))
-	if _, err := sc.rpc(opInit, payload); err != nil {
+	if err := r.call(rctx{}, sc, id, 0, opInit, payload, nil); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("cluster: initializing shard %d: %w", id, err)
 	}
@@ -364,12 +323,12 @@ func (r *Router) closeAll() {
 func (r *Router) Close(shutdownShards bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, sl := range r.slots {
+	for id, sl := range r.slots {
 		if sl.conn == nil {
 			continue
 		}
 		if shutdownShards {
-			sl.conn.rpc(opShutdown, nil) // best-effort
+			r.call(rctx{}, sl.conn, id, 0, opShutdown, nil, nil) // best-effort
 		}
 		sl.conn.conn.Close()
 		sl.conn = nil
@@ -422,18 +381,15 @@ func (r *Router) sendEdges(rc rctx, sl *slot, id int, edges []pair) (int64, erro
 	var merged int64
 	for len(edges) > 0 {
 		k := min(len(edges), edgeBatch)
-		resp, sp, err := r.rpcTo(rc, sl, id, 0, opEdges, encodePairs(nil, edges[:k]))
+		var m int64
+		err := r.call(rc, sl.conn, id, 0, opEdges, encodePairs(nil, edges[:k]), func(c *cursor) (int64, int64, error) {
+			m = int64(c.u32())
+			return int64(k), m, nil
+		})
 		if err != nil {
 			return merged, err
 		}
-		c := &cursor{b: resp}
-		m := c.u32()
-		if err := c.done(); err != nil {
-			r.endRPC(sp, int64(k), 0, err)
-			return merged, err
-		}
-		r.endRPC(sp, int64(k), int64(m), nil)
-		merged += int64(m)
+		merged += m
 		edges = edges[k:]
 	}
 	return merged, nil
@@ -657,8 +613,7 @@ func (r *Router) exchangeLocked(rc rctx) (err error) {
 	round := 0
 	defer func() {
 		err = errors.Join(err, r.forEachActive(func(id int, sl *slot) error {
-			_, err := sl.conn.rpc(opEndExchange, nil)
-			return err
+			return r.call(exc, sl.conn, id, round, opEndExchange, nil, nil)
 		}))
 		r.exchanges.Inc()
 		r.exchangeNS.ObserveDuration(time.Since(start))
@@ -681,17 +636,13 @@ func (r *Router) exchangeLocked(rc rctx) (err error) {
 		if round == 1 {
 			err := r.forEachActive(func(id int, sl *slot) error {
 				return timed(id, func() error {
-					resp, sp, err := r.rpcTo(rnd, sl, id, round, opOutbox, nil)
+					err := r.call(rnd, sl.conn, id, round, opOutbox, nil, func(c *cursor) (int64, int64, error) {
+						opinions[id] = c.pairs()
+						return int64(len(opinions[id])), 0, nil
+					})
 					if err != nil {
 						return err
 					}
-					c := &cursor{b: resp}
-					opinions[id] = c.pairs()
-					if err := c.done(); err != nil {
-						r.endRPC(sp, 0, 0, err)
-						return err
-					}
-					r.endRPC(sp, int64(len(opinions[id])), 0, nil)
 					sl.msgs.Add(int64(len(opinions[id])))
 					r.opinions.Add(int64(len(opinions[id])))
 					return nil
@@ -722,25 +673,19 @@ func (r *Router) exchangeLocked(rc rctx) (err error) {
 				return nil
 			}
 			return timed(id, func() error {
-				resp, sp, err := r.rpcTo(rnd, sl, id, round, opIngest, encodePairs(nil, ingest[id]))
-				if err != nil {
-					return err
-				}
-				c := &cursor{b: resp}
-				merged := c.u32()
-				replies[id] = c.pairs()
-				err = c.done()
-				for _, rep := range replies[id] {
-					if err == nil && int(rep.V) >= len(ingest[id]) {
-						err = fmt.Errorf("cluster: shard %d replied to opinion %d of %d", id, rep.V, len(ingest[id]))
+				err := r.call(rnd, sl.conn, id, round, opIngest, encodePairs(nil, ingest[id]), func(c *cursor) (int64, int64, error) {
+					ingestMerged[id] = int64(c.u32())
+					replies[id] = c.pairs()
+					for _, rep := range replies[id] {
+						if int(rep.V) >= len(ingest[id]) {
+							return 0, 0, fmt.Errorf("cluster: shard %d replied to opinion %d of %d", id, rep.V, len(ingest[id]))
+						}
 					}
-				}
+					return int64(len(ingest[id]) + len(replies[id])), ingestMerged[id], nil
+				})
 				if err != nil {
-					r.endRPC(sp, 0, 0, err)
 					return err
 				}
-				r.endRPC(sp, int64(len(ingest[id])+len(replies[id])), int64(merged), nil)
-				ingestMerged[id] = int64(merged)
 				sl.msgs.Add(int64(len(ingest[id])) + int64(len(replies[id])))
 				return nil
 			})
@@ -769,19 +714,16 @@ func (r *Router) exchangeLocked(rc rctx) (err error) {
 				return nil
 			}
 			return timed(id, func() error {
-				resp, sp, err := r.rpcTo(rnd, sl, id, round, opAbsorb, encodePairs(nil, absorbs[id]))
+				var merged int64
+				err := r.call(rnd, sl.conn, id, round, opAbsorb, encodePairs(nil, absorbs[id]), func(c *cursor) (int64, int64, error) {
+					merged = int64(c.u32())
+					opinions[id] = c.pairs()
+					return int64(len(absorbs[id]) + len(opinions[id])), merged, nil
+				})
 				if err != nil {
 					return err
 				}
-				c := &cursor{b: resp}
-				merged := c.u32()
-				opinions[id] = c.pairs()
-				if err := c.done(); err != nil {
-					r.endRPC(sp, 0, 0, err)
-					return err
-				}
-				r.endRPC(sp, int64(len(absorbs[id])+len(opinions[id])), int64(merged), nil)
-				absorbMerged.Add(int64(merged))
+				absorbMerged.Add(merged)
 				pending.Add(int64(len(opinions[id])))
 				sl.msgs.Add(int64(len(absorbs[id]) + len(opinions[id])))
 				r.opinions.Add(int64(len(opinions[id])))
@@ -822,22 +764,12 @@ func (r *Router) ownerLabel(rc rctx, v graph.V) (graph.V, error) {
 	if sl.conn == nil {
 		return sl.snap[int(v)-sl.lo], nil
 	}
-	resp, sp, err := r.rpcTo(rc, sl, id, 0, opQuery, putU32(nil, uint32(v)))
-	if err != nil {
-		return 0, err
-	}
-	c := &cursor{b: resp}
-	l := graph.V(c.u32())
-	err = c.done()
-	if err == nil {
-		err = checkLabels(id, int(v), []graph.V{l})
-	}
-	if err != nil {
-		r.endRPC(sp, 0, 0, err)
-		return 0, err
-	}
-	r.endRPC(sp, 1, 0, nil)
-	return l, nil
+	var l graph.V
+	err := r.call(rc, sl.conn, id, 0, opQuery, putU32(nil, uint32(v)), func(c *cursor) (int64, int64, error) {
+		l = graph.V(c.u32())
+		return 1, 0, checkLabels(id, int(v), []graph.V{l})
+	})
+	return l, err
 }
 
 // Resolve translates v to its globally canonical component label by
@@ -904,17 +836,15 @@ func (r *Router) explainAt(rc rctx, x, y graph.V) (bool, []provenance.Hop, error
 	if sl.conn == nil {
 		return false, nil, fmt.Errorf("cluster: owner shard %d of vertex %d is vacant; witness unavailable", id, x)
 	}
-	resp, sp, err := r.rpcTo(rc, sl, id, 0, opExplain, putU32(putU32(nil, uint32(x)), uint32(y)))
+	var status byte
+	var hops []provenance.Hop
+	err := r.call(rc, sl.conn, id, 0, opExplain, putU32(putU32(nil, uint32(x)), uint32(y)), func(c *cursor) (int64, int64, error) {
+		status, hops = c.hops(id)
+		return int64(len(hops)), 0, nil
+	})
 	if err != nil {
 		return false, nil, err
 	}
-	c := &cursor{b: resp}
-	status, hops := c.hops(id)
-	if err := c.done(); err != nil {
-		r.endRPC(sp, 0, 0, err)
-		return false, nil, err
-	}
-	r.endRPC(sp, int64(len(hops)), 0, nil)
 	if status == explainDisabled {
 		return false, nil, serve.ErrNoProvenance
 	}
@@ -1033,24 +963,11 @@ func (r *Router) globalLabelsLocked(rc rctx) ([]graph.V, error) {
 					return
 				}
 				payload := putU32(putU32(nil, uint32(sl.lo)), uint32(sl.hi))
-				resp, sp, err := r.rpcTo(rc, sl, id, 0, opLabels, payload)
-				if err != nil {
-					errs[id] = err
-					return
-				}
-				c := &cursor{b: resp}
-				got := c.labels(sl.hi - sl.lo)
-				err = c.done()
-				if err == nil {
-					err = checkLabels(id, sl.lo, got)
-				}
-				if err != nil {
-					r.endRPC(sp, 0, 0, err)
-					errs[id] = err
-					return
-				}
-				r.endRPC(sp, int64(len(got)), 0, nil)
-				copy(labels[sl.lo:sl.hi], got)
+				errs[id] = r.call(rc, sl.conn, id, 0, opLabels, payload, func(c *cursor) (int64, int64, error) {
+					got := c.labels(sl.hi - sl.lo)
+					copy(labels[sl.lo:sl.hi], got)
+					return int64(len(got)), 0, checkLabels(id, sl.lo, got)
+				})
 			}(id, sl)
 		}
 		wg.Wait()
@@ -1117,24 +1034,21 @@ func (r *Router) Leave(id int) error {
 	if sl.conn == nil {
 		return fmt.Errorf("cluster: shard slot %d already vacant", id)
 	}
-	resp, err := sl.conn.rpc(opSnapshot, nil)
+	var snap []graph.V
+	var snapEdges int64
+	err := r.call(rctx{}, sl.conn, id, 0, opSnapshot, nil, func(c *cursor) (int64, int64, error) {
+		lo, hi := int(c.u32()), int(c.u32())
+		snapEdges = int64(c.u64())
+		snap = c.labels(hi - lo)
+		if lo != sl.lo || hi != sl.hi {
+			return 0, 0, fmt.Errorf("cluster: shard %d snapshot range [%d,%d), want [%d,%d)", id, lo, hi, sl.lo, sl.hi)
+		}
+		return int64(len(snap)), 0, checkLabels(id, lo, snap)
+	})
 	if err != nil {
 		return fmt.Errorf("cluster: snapshot handoff from shard %d: %w", id, err)
 	}
-	c := &cursor{b: resp}
-	lo, hi := int(c.u32()), int(c.u32())
-	snapEdges := int64(c.u64())
-	snap := c.labels(hi - lo)
-	if err := c.done(); err != nil {
-		return err
-	}
-	if lo != sl.lo || hi != sl.hi {
-		return fmt.Errorf("cluster: shard %d snapshot range [%d,%d), want [%d,%d)", id, lo, hi, sl.lo, sl.hi)
-	}
-	if err := checkLabels(id, lo, snap); err != nil {
-		return err
-	}
-	sl.conn.rpc(opShutdown, nil) // best-effort: member may already be dying
+	r.call(rctx{}, sl.conn, id, 0, opShutdown, nil, nil) // best-effort: member may already be dying
 	sl.conn.conn.Close()
 	sl.conn = nil
 	sl.snap = snap
@@ -1167,7 +1081,7 @@ func (r *Router) Join(id int, addr string) error {
 	payload = putU32(payload, uint32(sl.hi))
 	payload = putU64(payload, uint64(sl.snapEdges))
 	payload = encodeLabels(payload, sl.snap)
-	if _, err := conn.rpc(opRestore, payload); err != nil {
+	if err := r.call(rctx{}, conn, id, 0, opRestore, payload, nil); err != nil {
 		conn.conn.Close()
 		return fmt.Errorf("cluster: restoring snapshot into shard %d: %w", id, err)
 	}
@@ -1318,15 +1232,12 @@ func (r *Router) pullFlight() ([]shardDump, error) {
 	dumps := make([]shardDump, 0, len(r.slots))
 	var mu sync.Mutex
 	err := r.forEachActive(func(id int, sl *slot) error {
-		resp, _, err := r.rpcTo(rctx{}, sl, id, 0, opFlight, nil)
+		var flight, phases, spansRaw []byte
+		err := r.call(rctx{}, sl.conn, id, 0, opFlight, nil, func(c *cursor) (int64, int64, error) {
+			flight, phases, spansRaw = c.block(), c.block(), c.block()
+			return 0, 0, nil
+		})
 		if err != nil {
-			return err
-		}
-		c := &cursor{b: resp}
-		flight := c.block()
-		phases := c.block()
-		spansRaw := c.block()
-		if err := c.done(); err != nil {
 			return err
 		}
 		var spans []obs.WireSpan

@@ -154,11 +154,12 @@ func (sh *Shard) serveConn(conn net.Conn) error {
 		if err != nil {
 			return err
 		}
-		sp := sh.beginSrv(tc, op, len(payload))
-		respOp, resp, err := sh.handle(op, payload, sp)
+		sp := sh.beginSrv(tc, op)
+		respOp := op
+		resp, err := sh.handle(op, payload, sp)
 		if err != nil {
 			err = fmt.Errorf("shard %d: %s: %w", sh.shardID(), opName(op), err)
-			respOp, resp = errorFrame(err)
+			respOp, resp = opError, []byte(err.Error())
 		}
 		werr := writeFrame(conn, respOp, resp)
 		sp.finish(len(payload), len(resp), err)
@@ -174,7 +175,7 @@ func (sh *Shard) serveConn(conn net.Conn) error {
 // srvSpan tracks one traced request's server-side spans: an op span
 // parented (remotely) to the router's client span, with decode → work →
 // encode stage children. The nil receiver is the untraced fast path —
-// every method is a no-op, so handle() needs no branching.
+// every method is a no-op, so handle needs no branching.
 type srvSpan struct {
 	w     *obs.WireTrace
 	trace uint64
@@ -185,7 +186,7 @@ type srvSpan struct {
 
 // beginSrv opens the server span chain when the request carries an
 // active trace context and the op is a traced one.
-func (sh *Shard) beginSrv(tc traceCtx, op byte, reqBytes int) *srvSpan {
+func (sh *Shard) beginSrv(tc traceCtx, op byte) *srvSpan {
 	if !tc.active() {
 		return nil
 	}
@@ -196,11 +197,10 @@ func (sh *Shard) beginSrv(tc traceCtx, op byte, reqBytes int) *srvSpan {
 	s := &srvSpan{w: sh.wire, trace: tc.trace, shard: sh.shardID()}
 	s.opID = s.w.Begin(tc.trace, tc.parent, true, name, s.shard, 0)
 	s.cur = s.w.Begin(tc.trace, s.opID, false, obs.WireDecode, s.shard, 0)
-	_ = reqBytes // recorded at finish, alongside the response size
 	return s
 }
 
-// decoded closes the decode stage and opens the work stage; handle()
+// decoded closes the decode stage and opens the work stage; handle
 // calls it once the cursor has fully parsed the payload.
 func (s *srvSpan) decoded() {
 	if s == nil {
@@ -237,16 +237,14 @@ func (s *srvSpan) finish(reqBytes, respBytes int, err error) {
 // under: its spans go to the shard's retained phase ring when the
 // request is traced and to the flight recorder when one is attached.
 // With neither it returns nil — the zero-cost path core expects.
+// Caller holds mu.
 func (sh *Shard) tracer(s *srvSpan) *obs.Tracer {
-	sh.mu.Lock()
-	fl := sh.flight
-	sh.mu.Unlock()
 	var sinks []obs.Sink
 	if s != nil {
 		sinks = append(sinks, sh.phases)
 	}
-	if fl != nil {
-		sinks = append(sinks, fl)
+	if sh.flight != nil {
+		sinks = append(sinks, sh.flight)
 	}
 	if len(sinks) == 0 {
 		return nil
@@ -254,160 +252,104 @@ func (sh *Shard) tracer(s *srvSpan) *obs.Tracer {
 	return obs.NewTracer(sinks...)
 }
 
-// handle dispatches one RPC. It returns the response op and payload, or
-// an error to be sent as opError. sp (nil when untraced) marks the
-// decode → work → encode stage boundaries as each case crosses them.
-func (sh *Shard) handle(op byte, payload []byte, sp *srvSpan) (byte, []byte, error) {
+// handle is the shard's one dispatcher. It decodes the request, takes
+// mu, checks that the shard is initialized unless the op is answered
+// before opInit, runs the op and encodes its reply; sp (nil when
+// untraced) marks the decode → work → encode stages in between. It
+// returns the reply payload, or an error to be sent as opError.
+func (sh *Shard) handle(op byte, payload []byte, sp *srvSpan) ([]byte, error) {
 	c := &cursor{b: payload}
+	var merged int64
+	var work func() error   // the op, run under mu
+	var reply func() []byte // encodes the answer; nil for an empty one
 	switch op {
 	case opPing, opShutdown:
-		return op, nil, c.done()
-
 	case opInit:
-		n := c.u64()
-		numShards := c.u32()
-		id := c.u32()
-		if err := c.done(); err != nil {
-			return 0, nil, err
-		}
-		return op, nil, sh.initialize(int(n), int(numShards), int(id))
-
+		n, numShards, id := c.u64(), int(c.u32()), int(c.u32())
+		work = func() error { return sh.initialize(int(n), numShards, id) }
 	case opEdges:
 		pairs := c.pairs()
-		if err := c.done(); err != nil {
-			return 0, nil, err
-		}
-		sp.decoded()
-		merged, err := sh.applyEdges(pairs, sh.tracer(sp))
-		if err != nil {
-			return 0, nil, err
-		}
-		sp.worked(merged)
-		return op, putU32(nil, uint32(merged)), nil
-
+		work = func() (err error) { merged, err = sh.applyEdges(pairs, sh.tracer(sp)); return err }
+		reply = func() []byte { return putU32(nil, uint32(merged)) }
 	case opOutbox:
-		if err := c.done(); err != nil {
-			return 0, nil, err
-		}
-		sp.decoded()
-		out, err := sh.outbox()
-		if err != nil {
-			return 0, nil, err
-		}
-		sp.worked(0)
-		return op, encodePairs(nil, out), nil
-
+		var out []pair
+		work = func() error { out = sh.outbox(); return nil }
+		reply = func() []byte { return encodePairs(nil, out) }
 	case opIngest:
 		pairs := c.pairs()
-		if err := c.done(); err != nil {
-			return 0, nil, err
-		}
-		sp.decoded()
-		merged, replies, err := sh.ingest(pairs)
-		if err != nil {
-			return 0, nil, err
-		}
-		sp.worked(merged)
-		return op, encodePairs(putU32(nil, uint32(merged)), replies), nil
-
+		var replies []pair
+		work = func() (err error) { merged, replies, err = sh.ingest(pairs); return err }
+		reply = func() []byte { return encodePairs(putU32(nil, uint32(merged)), replies) }
 	case opAbsorb:
 		pairs := c.pairs()
-		if err := c.done(); err != nil {
-			return 0, nil, err
-		}
-		sp.decoded()
-		merged, next, err := sh.absorb(pairs)
-		if err != nil {
-			return 0, nil, err
-		}
-		sp.worked(merged)
-		return op, encodePairs(putU32(nil, uint32(merged)), next), nil
-
+		var next []pair
+		work = func() (err error) { merged, next, err = sh.absorb(pairs); return err }
+		reply = func() []byte { return encodePairs(putU32(nil, uint32(merged)), next) }
 	case opEndExchange:
-		return op, nil, errors.Join(c.done(), sh.endExchange())
-
+		work = func() error { sh.xch = nil; return nil }
 	case opQuery:
 		v := graph.V(c.u32())
-		if err := c.done(); err != nil {
-			return 0, nil, err
-		}
-		sp.decoded()
-		label, err := sh.query(v)
-		if err != nil {
-			return 0, nil, err
-		}
-		sp.worked(0)
-		return op, putU32(nil, uint32(label)), nil
-
+		var label graph.V
+		work = func() (err error) { label, err = sh.query(v); return err }
+		reply = func() []byte { return putU32(nil, uint32(label)) }
 	case opLabels:
 		lo, hi := int(c.u32()), int(c.u32())
-		if err := c.done(); err != nil {
-			return 0, nil, err
-		}
-		sp.decoded()
-		labels, err := sh.labelRange(lo, hi)
-		if err != nil {
-			return 0, nil, err
-		}
-		sp.worked(0)
-		return op, encodeLabels(nil, labels), nil
-
-	case opFlight:
-		if err := c.done(); err != nil {
-			return 0, nil, err
-		}
-		sp.decoded()
-		b, err := sh.flightDump()
-		if err != nil {
-			return 0, nil, err
-		}
-		sp.worked(0)
-		return op, b, nil
-
+		var labels []graph.V
+		work = func() (err error) { labels, err = sh.labelRange(lo, hi); return err }
+		reply = func() []byte { return encodeLabels(nil, labels) }
 	case opSnapshot:
-		if err := c.done(); err != nil {
-			return 0, nil, err
+		var labels []graph.V
+		work = func() (err error) { labels, err = sh.labelRange(sh.lo, sh.hi); return err }
+		reply = func() []byte {
+			return encodeLabels(putU64(putU32(putU32(nil, uint32(sh.lo)), uint32(sh.hi)), uint64(sh.edges)), labels)
 		}
-		lo, hi, edges, labels, err := sh.snapshot()
-		if err != nil {
-			return 0, nil, err
-		}
-		b := putU32(nil, uint32(lo))
-		b = putU32(b, uint32(hi))
-		b = putU64(b, uint64(edges))
-		return op, encodeLabels(b, labels), nil
-
-	case opExplain:
-		u := graph.V(c.u32())
-		v := graph.V(c.u32())
-		if err := c.done(); err != nil {
-			return 0, nil, err
-		}
-		status, hops, err := sh.explain(u, v)
-		if err != nil {
-			return 0, nil, err
-		}
-		return op, encodeHops(nil, status, hops), nil
-
 	case opRestore:
 		lo, hi := int(c.u32()), int(c.u32())
 		edges := int64(c.u64())
 		labels := c.labels(hi - lo)
-		if err := c.done(); err != nil {
-			return 0, nil, err
-		}
-		return op, nil, sh.restore(lo, hi, edges, labels)
-
+		work = func() error { return sh.restore(lo, hi, edges, labels) }
+	case opExplain:
+		u, v := graph.V(c.u32()), graph.V(c.u32())
+		var status byte
+		var hops []provenance.Hop
+		work = func() (err error) { status, hops, err = sh.explain(u, v); return err }
+		reply = func() []byte { return encodeHops(nil, status, hops) }
+	case opFlight:
+		var dump []byte
+		work = func() (err error) { dump, err = sh.flightDump(); return err }
+		reply = func() []byte { return dump }
 	default:
-		return 0, nil, fmt.Errorf("cluster: unknown op %d", op)
+		return nil, fmt.Errorf("cluster: unknown op %d", op)
 	}
+	if err := c.done(); err != nil {
+		return nil, err
+	}
+	sp.decoded()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if !sh.init && !ops[op].beforeInit {
+		return nil, errors.New("cluster: shard not initialized")
+	}
+	if work != nil {
+		if err := work(); err != nil {
+			return nil, err
+		}
+	}
+	sp.worked(merged)
+	if reply == nil {
+		return nil, nil
+	}
+	return reply(), nil
 }
 
 // initialize (re)creates the shard's state. Re-initialization is legal:
 // a replacement shard process is initialized and then restored from the
-// departed member's snapshot.
+// departed member's snapshot. n is bounded by the vertex id width
+// (graph.V is 32 bits), so a corrupt opInit cannot make the shard
+// allocate π and the ref set past what any graph needs. Caller holds
+// mu.
 func (sh *Shard) initialize(n, numShards, id int) error {
-	if n < 0 || numShards < 1 || id < 0 || id >= numShards {
+	if n < 0 || n > 1<<32 || numShards < 1 || id < 0 || id >= numShards {
 		return fmt.Errorf("cluster: bad init n=%d shards=%d id=%d", n, numShards, id)
 	}
 	part := dist.NewPartitioning(n, numShards)
@@ -415,8 +357,6 @@ func (sh *Shard) initialize(n, numShards, id int) error {
 		return fmt.Errorf("cluster: %d shards for %d vertices (partition supports %d)",
 			numShards, n, part.NumNodes)
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	sh.init = true
 	sh.n = n
 	sh.id = id
@@ -433,13 +373,6 @@ func (sh *Shard) initialize(n, numShards, id int) error {
 		sh.ghost = sh.prov.GhostRecorder()
 	} else {
 		sh.prov, sh.ghost = nil, nil
-	}
-	return nil
-}
-
-func (sh *Shard) requireInit() error {
-	if !sh.init {
-		return errors.New("cluster: shard not initialized")
 	}
 	return nil
 }
@@ -477,13 +410,8 @@ func (sh *Shard) noteRemote(v graph.V) {
 // entries) become refs. The link pass itself runs in parallel on the
 // worker pool: Theorem 1 makes the interleaving irrelevant. With
 // provenance on, ApplyBatch names the merging edges and the forest
-// records them in edge order.
+// records them in edge order. Caller holds mu.
 func (sh *Shard) applyEdges(pairs []pair, tr *obs.Tracer) (int64, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.requireInit(); err != nil {
-		return 0, err
-	}
 	edges := make([]graph.Edge, len(pairs))
 	for i, p := range pairs {
 		if int(p.V) >= sh.n || int(p.Label) >= sh.n {
@@ -515,14 +443,11 @@ func (sh *Shard) applyEdges(pairs []pair, tr *obs.Tracer) (int64, error) {
 // when no recorder is attached), the retained Afforest phase spans of
 // traced edge batches (JSON array), and the drained wire spans (JSON
 // array — draining means each span reaches the router's merged view
-// exactly once).
+// exactly once). Caller holds mu.
 func (sh *Shard) flightDump() ([]byte, error) {
-	sh.mu.Lock()
-	fl := sh.flight
-	sh.mu.Unlock()
 	var flight []byte
-	if fl != nil {
-		flight = fl.Snapshot(obs.DumpOptions{})
+	if sh.flight != nil {
+		flight = sh.flight.Snapshot(obs.DumpOptions{})
 	}
 	phases, err := json.Marshal(sh.phases.Spans())
 	if err != nil {
@@ -593,13 +518,8 @@ func (x *exchange) ack(v graph.V) *graph.V {
 // sorted by vertex id, so the wire traffic is deterministic for a given
 // state. Labels that are themselves new remote vertices join refs only
 // after the walk, which is how label chains across three or more shards
-// get resolved.
-func (sh *Shard) outbox() ([]pair, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.requireInit(); err != nil {
-		return nil, err
-	}
+// get resolved. Caller holds mu.
+func (sh *Shard) outbox() []pair {
 	out := make([]pair, 0, sh.numRefs)
 	for w, word := range sh.refs {
 		for word != 0 {
@@ -612,19 +532,14 @@ func (sh *Shard) outbox() ([]pair, error) {
 	for _, p := range out {
 		sh.noteRemote(p.Label)
 	}
-	return out, nil
+	return out
 }
 
 // ingest links remote opinions about owned vertices, then answers only
 // the opinions whose owner label g after the whole batch differs from
 // the label sent, each as (index into pairs, g) in request order.
-// Silence acknowledges the label sent.
+// Silence acknowledges the label sent. Caller holds mu.
 func (sh *Shard) ingest(pairs []pair) (int64, []pair, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.requireInit(); err != nil {
-		return 0, nil, err
-	}
 	var merged int64
 	for _, p := range pairs {
 		if !sh.owned(p.V) {
@@ -652,13 +567,8 @@ func (sh *Shard) ingest(pairs []pair) (int64, []pair, error) {
 // in ref order. When π has merged nothing since the outbox or the last
 // scan it returns nothing without walking the refs: no find moved, no
 // ref joined, and a reply that merged nothing repeats the ack it
-// answered (DESIGN.md §13).
+// answered (DESIGN.md §13). Caller holds mu.
 func (sh *Shard) absorb(pairs []pair) (int64, []pair, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.requireInit(); err != nil {
-		return 0, nil, err
-	}
 	for _, p := range pairs {
 		if int(p.V) >= sh.n || int(p.Label) >= sh.n {
 			return 0, nil, fmt.Errorf("cluster: absorb pair {%d,%d} out of range", p.V, p.Label)
@@ -695,17 +605,6 @@ func (sh *Shard) absorb(pairs []pair) (int64, []pair, error) {
 	return merged, next, nil
 }
 
-// endExchange frees the exchange state (opEndExchange).
-func (sh *Shard) endExchange() error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.requireInit(); err != nil {
-		return err
-	}
-	sh.xch = nil
-	return nil
-}
-
 // linkLabel links one exchange-protocol pair (vertex, label) into π
 // and returns 1 if that merged two trees. The pair is connectivity
 // learned from a peer, not a client edge, so the forest records it
@@ -722,13 +621,8 @@ func (sh *Shard) linkLabel(p pair) int64 {
 }
 
 // explain answers opExplain: the local forest's witness path for (u,v),
-// with the reply status that says whether it is one.
+// with the reply status that says whether it is one. Caller holds mu.
 func (sh *Shard) explain(u, v graph.V) (byte, []provenance.Hop, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.requireInit(); err != nil {
-		return 0, nil, err
-	}
 	if int(u) >= sh.n || int(v) >= sh.n {
 		return 0, nil, fmt.Errorf("cluster: explain pair {%d,%d} out of range (|V|=%d)", u, v, sh.n)
 	}
@@ -744,12 +638,8 @@ func (sh *Shard) explain(u, v graph.V) (byte, []provenance.Hop, error) {
 
 // query returns find(v). The router asks the owner, so v is usually
 // owned, but any vertex the shard knows about answers consistently.
+// Caller holds mu.
 func (sh *Shard) query(v graph.V) (graph.V, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.requireInit(); err != nil {
-		return 0, err
-	}
 	if int(v) >= sh.n {
 		return 0, fmt.Errorf("cluster: query vertex %d out of range (|V|=%d)", v, sh.n)
 	}
@@ -759,12 +649,9 @@ func (sh *Shard) query(v graph.V) (graph.V, error) {
 // labelRange returns find(v) for every v in [lo, hi). It compresses π
 // first (Fig 5's compress step): shards link without compressing, so a
 // load leaves deep trees, and after the compress each find is one hop.
+// opSnapshot reads the owned range through it: the π handoff a
+// departing member leaves with the router. Caller holds mu.
 func (sh *Shard) labelRange(lo, hi int) ([]graph.V, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.requireInit(); err != nil {
-		return nil, err
-	}
 	if lo < 0 || hi < lo || hi > sh.n {
 		return nil, fmt.Errorf("cluster: label range [%d,%d) out of bounds", lo, hi)
 	}
@@ -776,27 +663,12 @@ func (sh *Shard) labelRange(lo, hi int) ([]graph.V, error) {
 	return out, nil
 }
 
-// snapshot returns the owned range's resolved labels plus the applied
-// arc count — the π handoff a departing member leaves with the router.
-func (sh *Shard) snapshot() (lo, hi int, edges int64, labels []graph.V, err error) {
-	sh.mu.Lock()
-	lo, hi, edges = sh.lo, sh.hi, sh.edges
-	sh.mu.Unlock()
-	labels, err = sh.labelRange(lo, hi)
-	return lo, hi, edges, labels, err
-}
-
 // restore installs a snapshot handed off from a departed member. The
 // shard must have been initialized with the same partition; refs are
 // rebuilt from the remote labels in the snapshot (ghost adjacency that
 // no longer shows up in labels is already merged into them, so nothing
-// is lost by not persisting the ghost set itself).
+// is lost by not persisting the ghost set itself). Caller holds mu.
 func (sh *Shard) restore(lo, hi int, edges int64, labels []graph.V) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.requireInit(); err != nil {
-		return err
-	}
 	if lo != sh.lo || hi != sh.hi {
 		return fmt.Errorf("cluster: snapshot range [%d,%d) does not match shard %d's [%d,%d)",
 			lo, hi, sh.id, sh.lo, sh.hi)

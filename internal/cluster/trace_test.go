@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -360,6 +361,55 @@ func TestShardErrorAttribution(t *testing.T) {
 	if msg := string(payload); !strings.HasPrefix(msg, "shard 1: opQuery: ") {
 		t.Fatalf("error %q does not carry the shard/op prefix", msg)
 	}
+}
+
+// TestLeaveFailuresFireWireErrorBurst: a member that answers opSnapshot
+// with opError fails each Leave, and three failed handoffs inside one
+// second fire wire_error_burst on the router's /stats. Membership calls
+// go through the router's one call path, so their failures reach the
+// wire-error rule like an exchange RPC's do.
+func TestLeaveFailuresFireWireErrorBurst(t *testing.T) {
+	addr := stubShard(t, func(op byte, payload []byte) (byte, []byte) {
+		if op == opSnapshot {
+			return opError, []byte("shard 0: opSnapshot: refused")
+		}
+		return op, nil
+	})
+	r, err := NewRouter([]string{addr}, 10, Config{})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	defer r.Close(false)
+	start := time.Now()
+	for i := 0; i < 3; i++ {
+		if err := r.Leave(0); err == nil || !strings.Contains(err.Error(), "opSnapshot: refused") {
+			t.Fatalf("Leave %d: err = %v, want the shard's opSnapshot error", i, err)
+		}
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Skipf("three Leave calls took %v, past the rule's one-second window", d)
+	}
+	srv := httptest.NewServer(r)
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatalf("GET /stats: %v", err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Anomalies struct {
+			Recent []obs.AnomalyRecord `json:"recent"`
+		} `json:"anomalies"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatalf("decoding /stats: %v", err)
+	}
+	for _, rec := range stats.Anomalies.Recent {
+		if rec.Rule == obs.RuleWireErrorBurst {
+			return
+		}
+	}
+	t.Fatalf("wire_error_burst did not fire; /stats anomalies.recent = %+v", stats.Anomalies.Recent)
 }
 
 // TestDebugClusterHTTP exercises the /debug/cluster surface: the merged

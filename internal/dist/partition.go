@@ -53,13 +53,6 @@ func NewPartitioning(n, numNodes int) Partitioning {
 	return Partitioning{NumNodes: numNodes, n: n, block: block}
 }
 
-// NumVertices returns n, the size of the partitioned vertex space.
-func (p Partitioning) NumVertices() int { return p.n }
-
-// BlockSize returns the width of a full block (the last block may be
-// narrower).
-func (p Partitioning) BlockSize() int { return p.block }
-
 // Owner returns the node owning vertex v. v must be in [0, n).
 func (p Partitioning) Owner(v graph.V) int {
 	o := int(v) / p.block
@@ -71,7 +64,7 @@ func (p Partitioning) Owner(v graph.V) int {
 
 // Range returns the [lo, hi) vertex range owned by node id. Ranges of
 // successive ids tile [0, n) without gaps or overlap; a range may be
-// empty when n < NumNodes·BlockSize leaves nothing for the tail.
+// empty when n < NumNodes·block leaves nothing for the tail.
 func (p Partitioning) Range(id int) (lo, hi int) {
 	lo = id * p.block
 	hi = lo + p.block

@@ -23,12 +23,6 @@ func TestPartitioningProperties(t *testing.T) {
 			if n > 0 && p.NumNodes > n {
 				t.Fatalf("n=%d nodes=%d: NumNodes=%d exceeds vertex count", n, numNodes, p.NumNodes)
 			}
-			if p.NumVertices() != n {
-				t.Fatalf("n=%d nodes=%d: NumVertices=%d", n, numNodes, p.NumVertices())
-			}
-			if p.BlockSize() < 1 {
-				t.Fatalf("n=%d nodes=%d: BlockSize=%d < 1", n, numNodes, p.BlockSize())
-			}
 
 			// Contiguous + exhaustive: ranges tile [0, n) in id order.
 			prev := 0

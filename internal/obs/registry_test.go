@@ -50,9 +50,8 @@ func TestCounterShards(t *testing.T) {
 func TestGauge(t *testing.T) {
 	var g obs.Gauge
 	g.Set(1.5)
-	g.Add(-0.5)
-	if got := g.Value(); got != 1.0 {
-		t.Errorf("Value = %v, want 1.0", got)
+	if got := g.Value(); got != 1.5 {
+		t.Errorf("Value = %v, want 1.5", got)
 	}
 }
 

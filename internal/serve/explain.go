@@ -41,7 +41,7 @@ func (s *Server) Explain(u, v graph.V) (bool, []provenance.Hop, bool, error) {
 	connected := s.inc.Connected(u, v)
 	if ok {
 		s.provDepth.Set(float64(len(hops)))
-		s.cfg.Anomaly.ObserveWitnessDepth(len(hops))
+		s.cfg.anom.ObserveWitnessDepth(len(hops))
 	}
 	return connected, hops, connected && !ok, nil
 }

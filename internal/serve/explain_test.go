@@ -270,14 +270,10 @@ func TestExplainSurvivesWALRestart(t *testing.T) {
 }
 
 // TestExplainDepthBlowupRule: feeding many shallow witnesses then one
-// deep one through the /explain path fires explain_depth_blowup.
+// deep one through the /explain path fires explain_depth_blowup, and
+// /stats lists the firing.
 func TestExplainDepthBlowupRule(t *testing.T) {
-	reg := obs.NewRegistry()
-	det := obs.NewAnomalyDetector(reg)
-	srv, err := Open(core.NewIncremental(1024), 0, Config{
-		BatchWindow: -1, Provenance: true,
-		Registry: reg, Anomaly: det,
-	})
+	srv, err := Open(core.NewIncremental(1024), 0, Config{BatchWindow: -1, Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,14 +289,15 @@ func TestExplainDepthBlowupRule(t *testing.T) {
 		getMap(t, ts.URL+"/explain?u="+itoa(i)+"&v="+itoa(i+1), http.StatusOK)
 	}
 	getMap(t, ts.URL+"/explain?u=0&v=512", http.StatusOK)
+	recent := getMap(t, ts.URL+"/stats", http.StatusOK)["anomalies"].(map[string]any)["recent"].([]any)
 	fired := false
-	for _, rec := range det.Recent() {
-		if rec.Rule == obs.RuleExplainDepthBlowup {
+	for _, rec := range recent {
+		if rec.(map[string]any)["rule"] == obs.RuleExplainDepthBlowup {
 			fired = true
 		}
 	}
 	if !fired {
-		t.Fatalf("explain_depth_blowup did not fire; recent: %+v", det.Recent())
+		t.Fatalf("explain_depth_blowup did not fire; recent: %+v", recent)
 	}
 }
 

@@ -565,7 +565,7 @@ func TestServeReadsAreFresh(t *testing.T) {
 func TestConfigKnobBudget(t *testing.T) {
 	want := []string{
 		"BatchWindow", "MaxBatch", "Parallelism",
-		"Registry", "Anomaly", "Flight", "WALDir", "WALSegmentBytes",
+		"Flight", "WALDir", "WALSegmentBytes",
 		"WALNoSync", "WAL", "Provenance",
 	}
 	var got []string

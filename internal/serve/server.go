@@ -52,15 +52,6 @@ type Config struct {
 	// Parallelism bounds worker goroutines for the bootstrap run, batch
 	// links and label exports (0 = GOMAXPROCS).
 	Parallelism int
-	// Registry receives the server's metrics and backs GET /metrics.
-	// nil means a fresh private registry; share one to aggregate
-	// several servers into a single exposition.
-	Registry *obs.Registry
-	// Anomaly watches the bootstrap run, every edge batch, pool
-	// imbalance, and write latency for the streaming anomaly rules.
-	// nil means a detector bound to Registry; pass one to share a
-	// detector across servers.
-	Anomaly *obs.AnomalyDetector
 	// Flight, when set, is installed on the worker pool and among the
 	// phase-span sinks, and every anomaly firing snapshots it. nil means
 	// no flight recording.
@@ -89,6 +80,12 @@ type Config struct {
 	// prov carries a forest created before New runs (Open builds it ahead
 	// of WAL replay so replayed merges are recorded). Internal hand-off.
 	prov *provenance.Forest
+	// reg backs GET /metrics, and anom watches the bootstrap run, every
+	// edge batch, pool imbalance, write latency and the WAL for the
+	// streaming anomaly rules. withDefaults builds both, so Bootstrap's
+	// run and the server it hands off to share them.
+	reg  *obs.Registry
+	anom *obs.AnomalyDetector
 }
 
 func (c Config) withDefaults() Config {
@@ -98,11 +95,9 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 8192
 	}
-	if c.Registry == nil {
-		c.Registry = obs.NewRegistry()
-	}
-	if c.Anomaly == nil {
-		c.Anomaly = obs.NewAnomalyDetector(c.Registry)
+	if c.reg == nil {
+		c.reg = obs.NewRegistry()
+		c.anom = obs.NewAnomalyDetector(c.reg)
 	}
 	return c
 }
@@ -111,7 +106,7 @@ func (c Config) withDefaults() Config {
 // metrics, the anomaly detector and, when configured, the flight
 // recorder. Call it on a config that has been through withDefaults.
 func (c Config) sinks() []obs.Sink {
-	sinks := []obs.Sink{obs.NewRunMetrics(c.Registry), c.Anomaly}
+	sinks := []obs.Sink{obs.NewRunMetrics(c.reg), c.anom}
 	if c.Flight != nil {
 		sinks = append(sinks, c.Flight)
 	}
@@ -152,27 +147,27 @@ type Server struct {
 // accepted-edge counter (the number of edges already reflected in inc).
 func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	reg := cfg.Registry
+	reg := cfg.reg
 	s := &Server{
 		cfg:       cfg,
 		inc:       inc,
 		snapshots: reg.Counter("afforest_snapshots_total", "Label exports cut on demand by Refresh."),
 	}
-	s.api = NewSurface(s, reg, cfg.Anomaly)
+	s.api = NewSurface(s, reg, cfg.anom)
 	s.edges.Store(bootEdges)
 	// Anomaly feeds: write latency (spike rule) and per-job pool
 	// imbalance; flight snapshots on every firing when a recorder is
 	// configured.
-	s.api.writeLat.Tap(cfg.Anomaly.ObserveLatency)
+	s.api.writeLat.Tap(cfg.anom.ObserveLatency)
 	if cfg.Flight != nil {
-		cfg.Anomaly.AttachFlight(cfg.Flight)
+		cfg.anom.AttachFlight(cfg.Flight)
 		concurrent.DefaultPool().SetFlight(cfg.Flight)
 	}
 	// The worker pool that executes batch flushes and label exports is
 	// process-wide; report its utilization here. Deliberately global:
 	// with several servers the last one wins, matching the pool itself.
 	pm := obs.NewPoolMetrics(reg)
-	pm.OnJob = cfg.Anomaly.ObserveImbalance
+	pm.OnJob = cfg.anom.ObserveImbalance
 	concurrent.DefaultPool().SetMetrics(pm)
 	// Provenance: create the merge-forest (or adopt the one Open built
 	// so WAL replay recorded into it). The batcher records each flush's
@@ -222,7 +217,7 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 		s.batcher.onWALLag = func(lsnDelta, byteDelta int64, appended, durable uint64) {
 			s.walLSN.Set(float64(appended))
 			s.walDur.Set(float64(durable))
-			cfg.Anomaly.ObserveWALLag(lsnDelta, byteDelta)
+			cfg.anom.ObserveWALLag(lsnDelta, byteDelta)
 		}
 	}
 	go s.batcher.run()
@@ -234,7 +229,7 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 }
 
 // Registry returns the registry backing this server's /metrics.
-func (s *Server) Registry() *obs.Registry { return s.cfg.Registry }
+func (s *Server) Registry() *obs.Registry { return s.cfg.reg }
 
 // WALReplay returns the startup replay outcome, or nil when the server
 // runs without a write-ahead log.
@@ -285,7 +280,7 @@ func Open(inc *core.Incremental, bootEdges int64, cfg Config) (*Server, error) {
 	if cfg.WALDir != "" || cfg.WAL != nil {
 		s.walReplay = &st
 		if st.Diverged {
-			cfg.Anomaly.ObserveReplayDivergence(st.Divergence)
+			cfg.anom.ObserveReplayDivergence(st.Divergence)
 		}
 	}
 	return s, nil
@@ -303,11 +298,11 @@ func Bootstrap(g *graph.CSR, cfg Config) (*Server, error) {
 	// Observe the bootstrap run itself: its phase tree becomes the
 	// /stats "last_run" section and its counters land in the registry.
 	// Installed before Run so the pool work it schedules is counted.
-	pm := obs.NewPoolMetrics(cfg.Registry)
-	pm.OnJob = cfg.Anomaly.ObserveImbalance
+	pm := obs.NewPoolMetrics(cfg.reg)
+	pm.OnJob = cfg.anom.ObserveImbalance
 	concurrent.DefaultPool().SetMetrics(pm)
 	if cfg.Flight != nil {
-		cfg.Anomaly.AttachFlight(cfg.Flight)
+		cfg.anom.AttachFlight(cfg.Flight)
 		concurrent.DefaultPool().SetFlight(cfg.Flight)
 	}
 	opt.Observer = obs.NewTracer(cfg.sinks()...)
