@@ -23,8 +23,6 @@ var singleNodeFlags = []struct{ name, instead string }{
 	{"wal-fsync", "the cluster router keeps no write-ahead log"},
 	{"wal-segment-bytes", "the cluster router keeps no write-ahead log"},
 	{"provenance", "start each shard with ccshard -provenance instead"},
-	{"batch-window", "the cluster router does not coalesce writes"},
-	{"max-batch", "the cluster router does not coalesce writes"},
 	{"flight", "each shard keeps its own flight recorder, served at /debug/cluster?view=flight&shard=N"},
 	{"loadtest", "start the router, then load-test it with ccserve -loadtest -target http://ROUTER"},
 }

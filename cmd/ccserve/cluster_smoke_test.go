@@ -308,8 +308,6 @@ func TestClusterMainFlagValidation(t *testing.T) {
 		{"wal-fsync", "write-ahead log"},
 		{"wal-segment-bytes", "write-ahead log"},
 		{"provenance", "ccshard -provenance"},
-		{"batch-window", "coalesce"},
-		{"max-batch", "coalesce"},
 		{"flight", "/debug/cluster"},
 		{"loadtest", "-target"},
 	} {

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,24 +17,61 @@ import (
 	"afforest/internal/wal"
 )
 
+// gatedFS is the real filesystem with every segment fsync held until
+// release closes; parked receives when a flush first waits.
+type gatedFS struct {
+	wal.FS
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (fs gatedFS) Create(name string) (wal.File, error) {
+	f, err := fs.FS.Create(name)
+	return gatedFile{f, fs}, err
+}
+
+func (fs gatedFS) OpenAppend(name string, size int64) (wal.File, error) {
+	f, err := fs.FS.OpenAppend(name, size)
+	return gatedFile{f, fs}, err
+}
+
+type gatedFile struct {
+	wal.File
+	fs gatedFS
+}
+
+func (f gatedFile) Sync() error {
+	select {
+	case f.fs.parked <- struct{}{}:
+	default:
+	}
+	<-f.fs.release
+	return f.File.Sync()
+}
+
 // TestDrainFlushesPendingWrites pins the shutdown ordering: a write
-// parked in a long coalescing window when the drain starts must be
-// flushed and acknowledged promptly (the serve layer closes before the
-// HTTP listener, cutting the window short), and the edge it carried
-// must survive into the shutdown snapshot and be queryable after a
-// restore. With the reverse ordering this test takes the full
-// 10-second batch window and the write is abandoned at the Shutdown
-// deadline without an acknowledgement.
+// whose flush is parked in its WAL fsync when the drain starts must be
+// acknowledged once the fsync completes during the drain (the serve
+// layer closes before the HTTP listener, which stays up and refuses new
+// writes with 503 meanwhile), and the edge it carried must survive into
+// the shutdown snapshot and be queryable after a restore. With the
+// reverse ordering the listener closes at once, and Shutdown waits out
+// its deadline on the parked write.
 func TestDrainFlushesPendingWrites(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
-	srv, err := buildServer("", "urand", "", 500, 0, 1, 1, serve.Config{
-		BatchWindow: 10 * time.Second, // far longer than the whole test should take
-		MaxBatch:    1 << 20,          // never flush on size
-		WALDir:      walDir,
-	})
+	fs := gatedFS{FS: wal.OSFS, parked: make(chan struct{}, 1), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(fs.release) }) }
+	walLog, _, err := wal.Open(walDir, 0, nil, wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv, err := buildServer("", "urand", "", 500, 0, 1, 1, serve.Config{WAL: walLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer open() // before Close: Close waits on the parked flush
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -57,15 +96,15 @@ func TestDrainFlushesPendingWrites(t *testing.T) {
 		t.Skip("bootstrap graph fully connected")
 	}
 
-	// Fire the write; it blocks in the batcher's 10s coalescing window.
+	// Fire the write; its flush parks in the held fsync.
 	type postResult struct {
 		status int
 		err    error
 	}
 	posted := make(chan postResult, 1)
 	go func() {
-		resp, err := http.Post(fmt.Sprintf("%s/edges?u=%d&v=%d", url, u, v),
-			"application/json", strings.NewReader(fmt.Sprintf(`{"u":%d,"v":%d}`, u, v)))
+		resp, err := http.Post(url+"/edges", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"u":%d,"v":%d}`, u, v)))
 		if err != nil {
 			posted <- postResult{err: err}
 			return
@@ -73,21 +112,51 @@ func TestDrainFlushesPendingWrites(t *testing.T) {
 		resp.Body.Close()
 		posted <- postResult{status: resp.StatusCode}
 	}()
-
-	// Wait until the submission is actually enqueued (accepted counter
-	// only moves on flush, so poll briefly and then trust the handler is
-	// parked — worst case the drain races a not-yet-enqueued write and
-	// the 503 branch below catches it).
-	time.Sleep(100 * time.Millisecond)
+	select {
+	case <-fs.parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the write's flush never reached fsync")
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	start := time.Now()
-	if err := drainServer(ctx, httpSrv, srv); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- drainServer(ctx, httpSrv, srv) }()
+
+	// The drain has begun once a new write is refused. A probe that
+	// beats the drain to the queue waits behind the parked flush, so it
+	// times out and the next probe asks again; a refused connection
+	// means the listener closed first.
+	probe := &http.Client{Timeout: 200 * time.Millisecond}
+	for refused := false; !refused; {
+		resp, err := probe.Post(url+"/edges", "application/json", strings.NewReader(`{"u":0,"v":0}`))
+		if err != nil {
+			if !os.IsTimeout(err) {
+				t.Fatalf("write during the drain: %v; want a 503 from a listener still up", err)
+			}
+			if time.Since(start) > 3*time.Second {
+				t.Fatal("writes still accepted 3s into the drain")
+			}
+			continue
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("write during the drain: status %d, want 503", resp.StatusCode)
+		}
+		refused = true
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("drain returned (%v) while the write's fsync was still held", err)
+	default:
+	}
+	open()
+	if err := <-drained; err != nil {
 		t.Fatalf("drainServer: %v", err)
 	}
 	if took := time.Since(start); took > 3*time.Second {
-		t.Fatalf("drain took %v; the pending batch window was not cut short", took)
+		t.Fatalf("drain took %v; the parked write was not answered promptly", took)
 	}
 
 	res := <-posted

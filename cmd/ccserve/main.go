@@ -49,8 +49,6 @@ func main() {
 		restore  = flag.String("restore", "", "restore a label snapshot written by -save (restart without rebuild)")
 		save     = flag.String("save", "", "persist a label snapshot to this path on shutdown")
 		par      = flag.Int("p", 0, "parallelism (0 = GOMAXPROCS)")
-		window   = flag.Duration("batch-window", time.Millisecond, "write-coalescing window (negative = no waiting)")
-		maxBatch = flag.Int("max-batch", 8192, "max edges per coalesced batch")
 
 		walDir      = flag.String("wal-dir", "", "write-ahead log directory: every acknowledged write batch is logged and fsynced before it is applied, and replayed on restart (empty = no durability)")
 		walSegBytes = flag.Int64("wal-segment-bytes", 64<<20, "WAL segment rotation threshold in bytes")
@@ -79,12 +77,7 @@ func main() {
 		return
 	}
 
-	cfg := serve.Config{
-		BatchWindow: *window,
-		MaxBatch:    *maxBatch,
-		Parallelism: *par,
-		Provenance:  *provenance,
-	}
+	cfg := serve.Config{Parallelism: *par, Provenance: *provenance}
 	switch *walFsync {
 	case "group":
 	case "none":
@@ -194,16 +187,15 @@ func serveUntilSignal(ln net.Listener, h http.Handler, drain func(context.Contex
 }
 
 // drainServer stops a ccserve service in an order that cannot strand
-// accepted writes: the serve layer closes first — cutting any pending
-// write-coalescing window short, flushing the batcher's queued batch,
-// and delivering acknowledgements to every write handler already
-// blocked on a reply, while new submissions start seeing 503s — and
-// only then does the HTTP listener drain its connections, which by
-// that point carry only short-lived reads or already-answered writes.
-// The reverse order (Shutdown first) parks in-flight write handlers on
-// the full -batch-window, which is user-tunable up to seconds, against
-// Shutdown's deadline: the drain stalls for the whole window, and a
-// window longer than the deadline abandons those handlers without acks.
+// accepted writes: the serve layer closes first — new submissions start
+// seeing 503s, and Close returns only once the batcher has flushed every
+// queued write and answered each write handler blocked on a reply — and
+// only then does the HTTP listener drain its connections, which by that
+// point carry only short-lived reads or already-answered writes. The
+// reverse order (Shutdown first) would put the flush in flight under
+// Shutdown's deadline: a write held up in its fsync past that deadline
+// is still logged and applied by the Close that follows, but its
+// handler is abandoned without a reply.
 func drainServer(ctx context.Context, httpSrv *http.Server, srv *serve.Server) error {
 	srv.Close()
 	return httpSrv.Shutdown(ctx)

@@ -62,8 +62,7 @@ func TestBuildServerErrors(t *testing.T) {
 // -loadtest: a live in-process server sustains a mixed read/write
 // workload with zero errors and nonzero throughput in both classes.
 func TestLoadtestAgainstInProcessServer(t *testing.T) {
-	srv, err := buildServer("", "urand", "", 2000, 0, 8, 3,
-		serve.Config{BatchWindow: 500 * time.Microsecond})
+	srv, err := buildServer("", "urand", "", 2000, 0, 8, 3, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

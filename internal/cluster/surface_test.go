@@ -34,7 +34,7 @@ func answer(h http.Handler, method, target, body string) *httptest.ResponseRecor
 func TestHTTPSurfaceMatchesSingleNode(t *testing.T) {
 	g := gen.URandComponents(600, 4, 0.1, 5)
 	n := g.NumVertices()
-	single, err := serve.Bootstrap(g, serve.Config{BatchWindow: -1})
+	single, err := serve.Bootstrap(g, serve.Config{})
 	if err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}

@@ -15,16 +15,17 @@ import (
 // edgeBatcher coalesces concurrent POST /edges bodies into batches
 // executed as one parallel pass on the concurrent worker pool. Handler
 // goroutines enqueue a submission and block on its reply; the batcher
-// goroutine collects submissions for up to `window` (or until
-// `maxBatch` edges are pending) and links the whole batch at once —
-// under load, per-request overhead (pool submission, cache re-warming
-// of π) amortizes across every request in the batch, which is exactly
-// the regime Theorem 1 permits: edges from different requests can be
-// linked in any interleaving, in parallel, without coordination.
+// goroutine takes the first submission plus everything already queued
+// (up to maxBatchEdges) and flushes it at once. The batch is
+// self-clocked group commit: nothing waits on a timer, so a batch is
+// whatever queued while the previous flush ran. An idle server flushes
+// each write alone; under load, batches grow with the flush time and
+// per-request overhead (the fsync, pool submission, cache re-warming of
+// π) amortizes across every request in the batch, which is exactly the
+// regime Theorem 1 permits: edges from different requests can be linked
+// in any interleaving, in parallel, without coordination.
 type edgeBatcher struct {
 	inc         *core.Incremental
-	window      time.Duration
-	maxBatch    int
 	parallelism int
 	accepted    *atomic.Int64  // server's accepted-edge counter
 	sinks       []obs.Sink     // receive each flush's edge_batch_apply span
@@ -71,10 +72,12 @@ type submitResult struct {
 	err      error  // WAL append failure: nothing was applied or acked
 }
 
-func newEdgeBatcher(inc *core.Incremental, window time.Duration, maxBatch, parallelism int, accepted *atomic.Int64, sinks []obs.Sink, applyHist *obs.Histogram) *edgeBatcher {
-	if maxBatch <= 0 {
-		maxBatch = 8192
-	}
+// maxBatchEdges bounds a flush: collect stops taking queued submissions
+// once the batch holds this many edges (the last one taken may carry it
+// past). It binds only when that many edges queue behind one flush.
+const maxBatchEdges = 8192
+
+func newEdgeBatcher(inc *core.Incremental, parallelism int, accepted *atomic.Int64, sinks []obs.Sink, applyHist *obs.Histogram) *edgeBatcher {
 	// Seed the size table once from the compressed labeling; from here
 	// on every flush folds its own merges into it.
 	labels := inc.Labels(parallelism)
@@ -84,8 +87,6 @@ func newEdgeBatcher(inc *core.Incremental, window time.Duration, maxBatch, paral
 	}
 	return &edgeBatcher{
 		inc:         inc,
-		window:      window,
-		maxBatch:    maxBatch,
 		parallelism: parallelism,
 		accepted:    accepted,
 		sinks:       sinks,
@@ -130,30 +131,13 @@ func (b *edgeBatcher) run() {
 	}
 }
 
-// collect gathers submissions after `first` until the batch window
-// expires or maxBatch edges are pending. A non-positive window means
-// "no waiting": take only what is already queued.
+// collect takes `first` plus every submission already queued behind
+// it, stopping once maxBatchEdges edges are pending. It never waits: the
+// only wait a write sees is for the flush in flight.
 func (b *edgeBatcher) collect(first *submission) (batch []*submission, open bool) {
 	batch = []*submission{first}
 	total := len(first.edges)
-	if b.window <= 0 {
-		for total < b.maxBatch {
-			select {
-			case s, ok := <-b.submit:
-				if !ok {
-					return batch, false
-				}
-				batch = append(batch, s)
-				total += len(s.edges)
-			default:
-				return batch, true
-			}
-		}
-		return batch, true
-	}
-	timer := time.NewTimer(b.window)
-	defer timer.Stop()
-	for total < b.maxBatch {
+	for total < maxBatchEdges {
 		select {
 		case s, ok := <-b.submit:
 			if !ok {
@@ -161,7 +145,7 @@ func (b *edgeBatcher) collect(first *submission) (batch []*submission, open bool
 			}
 			batch = append(batch, s)
 			total += len(s.edges)
-		case <-timer.C:
+		default:
 			return batch, true
 		}
 	}
@@ -175,6 +159,8 @@ func (b *edgeBatcher) collect(first *submission) (batch []*submission, open bool
 //     one fsync covers every request riding in the batch). A failed
 //     append refuses the batch — nothing is applied, every submission
 //     gets the error, the durability contract "ack ⇒ replayable" holds.
+//     The log is fail-stop, so every later batch is refused the same
+//     way.
 //  2. Under the view lock, link every edge in one pass (applyBatch),
 //     fold its merges into the per-root size table, and advance the
 //     applied-LSN watermark. Readers holding the lock shared see the

@@ -88,10 +88,7 @@ func sseClient(t *testing.T, url string, lastID string, maxEvents int) (events [
 // the write path arrives on an open /events stream with winner < loser
 // (roots are component minima) and the WAL's LSN attached.
 func TestEventsStreamDeliversMerges(t *testing.T) {
-	srv, err := Open(core.NewIncremental(64), 0, Config{
-		BatchWindow: -1,
-		WALDir:      t.TempDir() + "/wal",
-	})
+	srv, err := Open(core.NewIncremental(64), 0, Config{WALDir: t.TempDir() + "/wal"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +142,7 @@ func TestEventsStreamDeliversMerges(t *testing.T) {
 // TestEventsResumeFromLastID: a client that disconnects and reconnects
 // with Last-Event-ID receives every merge it missed from the ring.
 func TestEventsResumeFromLastID(t *testing.T) {
-	srv, err := Open(core.NewIncremental(256), 0, Config{
-		BatchWindow: -1,
-		WALDir:      t.TempDir() + "/wal",
-	})
+	srv, err := Open(core.NewIncremental(256), 0, Config{WALDir: t.TempDir() + "/wal"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +195,7 @@ func TestEventsResumeFromLastID(t *testing.T) {
 // evicted once its queue fills — the write path never blocks on it —
 // and the eviction is visible in /stats.
 func TestEventsSlowClientEviction(t *testing.T) {
-	srv, err := Open(core.NewIncremental(1<<14), 0, Config{
-		BatchWindow: -1,
-		WALDir:      t.TempDir() + "/wal",
-	})
+	srv, err := Open(core.NewIncremental(1<<14), 0, Config{WALDir: t.TempDir() + "/wal"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,10 +251,7 @@ func drainUntilClosed(ch chan MergeEvent) chan struct{} {
 // streams end cleanly when the server drains, after the last flushed
 // batch's events.
 func TestEventsCloseDuringDrain(t *testing.T) {
-	srv, err := Open(core.NewIncremental(64), 0, Config{
-		BatchWindow: -1,
-		WALDir:      t.TempDir() + "/wal",
-	})
+	srv, err := Open(core.NewIncremental(64), 0, Config{WALDir: t.TempDir() + "/wal"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +296,7 @@ func TestEventsCloseDuringDrain(t *testing.T) {
 func TestWALSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	walDir := dir + "/wal"
-	cfg := Config{BatchWindow: -1, WALDir: walDir}
+	cfg := Config{WALDir: walDir}
 
 	srv, err := Open(core.NewIncremental(100), 0, cfg)
 	if err != nil {

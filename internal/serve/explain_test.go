@@ -54,8 +54,8 @@ func explainHops(t *testing.T, body map[string]any) [][2]uint64 {
 // depth gauge moves.
 func TestExplainEndpoint(t *testing.T) {
 	srv, err := Open(core.NewIncremental(64), 0, Config{
-		BatchWindow: -1, Provenance: true,
-		WALDir: t.TempDir() + "/wal",
+		Provenance: true,
+		WALDir:     t.TempDir() + "/wal",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,10 +124,7 @@ func TestExplainEndpoint(t *testing.T) {
 // TestExplainDisabled: without cfg.Provenance the three endpoints
 // answer 404 with a hint, and the write path carries no forest.
 func TestExplainDisabled(t *testing.T) {
-	srv, err := Open(core.NewIncremental(16), 0, Config{
-		BatchWindow: -1,
-		WALDir:      t.TempDir() + "/wal",
-	})
+	srv, err := Open(core.NewIncremental(16), 0, Config{WALDir: t.TempDir() + "/wal"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +150,7 @@ func TestExplainBootstrapGap(t *testing.T) {
 	pre := core.NewIncremental(16)
 	pre.AddEdge(0, 1) // merged before any forest exists
 	srv, err := Open(pre, 1, Config{
-		BatchWindow: -1, Provenance: true,
+		Provenance: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +183,7 @@ func TestExplainSurvivesWALRestart(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := Config{BatchWindow: -1, Provenance: true, WALDir: dir + "/wal", Parallelism: tc.parallelism}
+			cfg := Config{Provenance: true, WALDir: dir + "/wal", Parallelism: tc.parallelism}
 			srv, err := Open(core.NewIncremental(tc.n), 0, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -273,7 +270,7 @@ func TestExplainSurvivesWALRestart(t *testing.T) {
 // deep one through the /explain path fires explain_depth_blowup, and
 // /stats lists the firing.
 func TestExplainDepthBlowupRule(t *testing.T) {
-	srv, err := Open(core.NewIncremental(1024), 0, Config{BatchWindow: -1, Provenance: true})
+	srv, err := Open(core.NewIncremental(1024), 0, Config{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}

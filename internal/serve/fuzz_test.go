@@ -18,7 +18,7 @@ import (
 // fuzzServer is shared across fuzz iterations: the service is a
 // long-lived stateful index, so hammering one instance with arbitrary
 // requests — mutating writes included — is exactly its production
-// shape. Negative BatchWindow flushes writes immediately.
+// shape.
 var (
 	fuzzOnce sync.Once
 	fuzzSrv  *Server
@@ -29,7 +29,7 @@ func fuzzServer() *Server {
 		g := graph.Build([]graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 4, V: 5}},
 			graph.BuildOptions{NumVertices: 8})
 		var err error
-		fuzzSrv, err = Bootstrap(g, Config{BatchWindow: -1})
+		fuzzSrv, err = Bootstrap(g, Config{})
 		if err != nil {
 			panic(err)
 		}

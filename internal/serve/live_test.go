@@ -112,7 +112,7 @@ type componentAnswer struct {
 func TestLiveReadsMatchSerialOracle(t *testing.T) {
 	const n = 255 // at most 254 merges: the subscriber's queue never fills
 	walDir := t.TempDir() + "/wal"
-	srv, err := Open(core.NewIncremental(n), 0, Config{BatchWindow: 300 * time.Microsecond, WALDir: walDir})
+	srv, err := Open(core.NewIncremental(n), 0, Config{WALDir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}

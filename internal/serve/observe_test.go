@@ -52,7 +52,7 @@ func scrapeSample(t *testing.T, url, sample string) (float64, bool) {
 // request counters, and the latency histograms.
 func TestMetricsEndpoint(t *testing.T) {
 	g := gen.Kronecker(10, 8, gen.Graph500, 17)
-	srv, err := Bootstrap(g, Config{BatchWindow: -1})
+	srv, err := Bootstrap(g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // breakdown and reports it on /stats.
 func TestStatsLastRun(t *testing.T) {
 	g := gen.Kronecker(10, 8, gen.Graph500, 23)
-	srv, err := Bootstrap(g, Config{BatchWindow: -1})
+	srv, err := Bootstrap(g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestStatsLastRun(t *testing.T) {
 	}
 
 	// A non-bootstrapped server has no run to report.
-	bare := New(core.NewIncremental(100), 0, Config{BatchWindow: -1})
+	bare := New(core.NewIncremental(100), 0, Config{})
 	defer bare.Close()
 	ts2 := httptest.NewServer(bare)
 	defer ts2.Close()
@@ -161,7 +161,7 @@ func TestStatsLastRun(t *testing.T) {
 // and asserts the edge-request counter is monotone across scrapes and
 // exact once the writers drain.
 func TestMetricsScrapeUnderLoad(t *testing.T) {
-	srv := New(core.NewIncremental(1000), 0, Config{BatchWindow: -1})
+	srv := New(core.NewIncremental(1000), 0, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -220,9 +220,9 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 // independent registries; their request counters do not bleed into each
 // other even though both meter the shared default pool.
 func TestDistinctRegistries(t *testing.T) {
-	a := New(core.NewIncremental(10), 0, Config{BatchWindow: -1})
+	a := New(core.NewIncremental(10), 0, Config{})
 	defer a.Close()
-	b := New(core.NewIncremental(10), 0, Config{BatchWindow: -1})
+	b := New(core.NewIncremental(10), 0, Config{})
 	defer b.Close()
 	if a.Registry() == b.Registry() {
 		t.Fatal("servers share a default registry")

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -15,12 +16,14 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"afforest/internal/core"
 	"afforest/internal/gen"
 	"afforest/internal/graph"
+	"afforest/internal/wal"
 )
 
 // postEdges POSTs a bulk edge body and decodes the response.
@@ -103,7 +106,7 @@ func (u *unionFind) union(a, b int) {
 func TestServeEndToEnd(t *testing.T) {
 	g := gen.Kronecker(10, 8, gen.Graph500, 99)
 	n := g.NumVertices()
-	srv, err := Bootstrap(g, Config{BatchWindow: 500 * time.Microsecond})
+	srv, err := Bootstrap(g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +236,7 @@ func TestServeEndToEnd(t *testing.T) {
 // races the stream; late writes get 503, never silent loss.
 func TestServeGracefulDrain(t *testing.T) {
 	const n = 5000
-	srv := New(core.NewIncremental(n), 0, Config{BatchWindow: 2 * time.Millisecond})
+	srv := New(core.NewIncremental(n), 0, Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -391,24 +394,124 @@ func TestServeErrorPaths(t *testing.T) {
 	}
 }
 
-// TestServeStatsAndBatching checks the /stats counter set and that
-// concurrent single-edge posts actually coalesce into fewer batches.
+// syncHookFS is the real filesystem with hook run before every segment
+// fsync; an error from hook fails that fsync.
+type syncHookFS struct {
+	wal.FS
+	hook func() error
+}
+
+func (fs syncHookFS) Create(name string) (wal.File, error) {
+	f, err := fs.FS.Create(name)
+	return hookFile{f, fs.hook}, err
+}
+
+func (fs syncHookFS) OpenAppend(name string, size int64) (wal.File, error) {
+	f, err := fs.FS.OpenAppend(name, size)
+	return hookFile{f, fs.hook}, err
+}
+
+type hookFile struct {
+	wal.File
+	hook func() error
+}
+
+func (f hookFile) Sync() error {
+	if err := f.hook(); err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+// openHookedWAL opens a fresh log in a temporary directory whose
+// segment fsyncs run hook first.
+func openHookedWAL(t *testing.T, hook func() error) (*wal.Log, string) {
+	t.Helper()
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, 0, nil, wal.Options{FS: syncHookFS{wal.OSFS, hook}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, dir
+}
+
+// edgeAck is one POST /edges outcome.
+type edgeAck struct {
+	status int
+	lsn    uint64
+	err    error
+}
+
+// postAck POSTs one edge and reports the status and the ack's LSN. It
+// calls no t method, so any goroutine may use it.
+func postAck(url string, u, v int) edgeAck {
+	resp, err := http.Post(url+"/edges", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"u":%d,"v":%d}`, u, v)))
+	if err != nil {
+		return edgeAck{err: err}
+	}
+	defer resp.Body.Close()
+	var body struct {
+		LSN uint64 `json:"lsn"`
+	}
+	if resp.StatusCode == http.StatusOK {
+		err = json.NewDecoder(resp.Body).Decode(&body)
+	}
+	return edgeAck{status: resp.StatusCode, lsn: body.LSN, err: err}
+}
+
+// TestServeStatsAndBatching checks the /stats counter set and that the
+// write coalescer is group commit without a timer: posts that arrive
+// while a flush is in its fsync queue up and go out together in the
+// next flush, and no post is answered before the fsync that covers it.
 func TestServeStatsAndBatching(t *testing.T) {
-	srv := New(core.NewIncremental(1000), 0, Config{BatchWindow: 30 * time.Millisecond})
+	parked := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	l, _ := openHookedWAL(t, func() error {
+		select {
+		case parked <- struct{}{}:
+		default:
+		}
+		<-release
+		return nil
+	})
+	srv := New(core.NewIncremental(1000), 0, Config{WAL: l})
 	defer srv.Close()
+	defer open() // before Close: Close waits on the parked flush
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	const posts = 16
-	var wg sync.WaitGroup
-	for i := 0; i < posts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			postEdges(t, &http.Client{}, ts.URL, []graph.Edge{{U: graph.V(i), V: graph.V(i + 1)}})
-		}(i)
+	acks := make(chan edgeAck, posts)
+	go func() { acks <- postAck(ts.URL, 0, 1) }()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first post's flush never reached fsync")
 	}
-	wg.Wait()
+	for i := 1; i < posts; i++ {
+		go func(i int) { acks <- postAck(ts.URL, i, i+1) }(i)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(srv.batcher.submit) < posts-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d posts queued behind the parked flush", len(srv.batcher.submit), posts-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if len(acks) != 0 {
+		t.Fatalf("%d posts answered while the fsync covering them was held", len(acks))
+	}
+	open()
+	var lsns []uint64
+	for i := 0; i < posts; i++ {
+		a := <-acks
+		if a.err != nil || a.status != http.StatusOK || a.lsn == 0 {
+			t.Fatalf("post: status %d lsn %d err %v", a.status, a.lsn, a.err)
+		}
+		lsns = append(lsns, a.lsn)
+	}
 
 	var out struct {
 		EdgesAccepted int64 `json:"edges_accepted"`
@@ -424,6 +527,9 @@ func TestServeStatsAndBatching(t *testing.T) {
 		WriteLatency struct {
 			Count int64 `json:"count"`
 		} `json:"write_latency"`
+		WAL struct {
+			DurableLSN uint64 `json:"durable_lsn"`
+		} `json:"wal"`
 	}
 	if code := getJSON(t, ts.URL+"/stats", &out); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
@@ -437,15 +543,95 @@ func TestServeStatsAndBatching(t *testing.T) {
 	if out.Batching.Merges != posts { // a path: every edge merges
 		t.Fatalf("merges = %d, want %d", out.Batching.Merges, posts)
 	}
-	if out.Batching.Batches >= posts {
-		t.Fatalf("batches = %d for %d concurrent posts: no coalescing", out.Batching.Batches, posts)
+	if out.Batching.Batches != 2 {
+		t.Fatalf("batches = %d, want 2: the first post alone, then the %d queued behind its fsync",
+			out.Batching.Batches, posts-1)
+	}
+	for _, lsn := range lsns {
+		if lsn > out.WAL.DurableLSN {
+			t.Fatalf("ack at lsn %d, but the durable lsn is %d", lsn, out.WAL.DurableLSN)
+		}
+	}
+}
+
+// TestWALFailureStopsWrites: once a WAL fsync fails, the server is
+// fail-stop. The failed batch and every later write answer 500 although
+// the filesystem works again, none of their edges is applied, /stats
+// and /healthz report the failure, and a restart from the log replays
+// exactly the acknowledged edges.
+func TestWALFailureStopsWrites(t *testing.T) {
+	var failNext atomic.Bool
+	l, dir := openHookedWAL(t, func() error {
+		if failNext.CompareAndSwap(true, false) {
+			return errors.New("injected fsync failure")
+		}
+		return nil
+	})
+	srv := New(core.NewIncremental(100), 0, Config{WAL: l})
+	ts := httptest.NewServer(srv)
+
+	if a := postAck(ts.URL, 0, 1); a.err != nil || a.status != http.StatusOK || a.lsn != 1 {
+		t.Fatalf("first post: status %d lsn %d err %v", a.status, a.lsn, a.err)
+	}
+	failNext.Store(true)
+	refused := [][2]int{{2, 3}, {4, 5}, {6, 7}}
+	for _, e := range refused {
+		if a := postAck(ts.URL, e[0], e[1]); a.err != nil || a.status != http.StatusInternalServerError {
+			t.Fatalf("post %v after the failed fsync: status %d err %v, want 500", e, a.status, a.err)
+		}
+	}
+	for _, e := range append([][2]int{{0, 1}}, refused...) {
+		var out struct {
+			Connected bool `json:"connected"`
+		}
+		getJSON(t, fmt.Sprintf("%s/connected?u=%d&v=%d", ts.URL, e[0], e[1]), &out)
+		if want := e[0] == 0; out.Connected != want {
+			t.Fatalf("/connected %v = %v, want %v", e, out.Connected, want)
+		}
+	}
+	var stats struct {
+		EdgesAccepted int64 `json:"edges_accepted"`
+		WAL           struct {
+			FailedBatches int64   `json:"failed_batches"`
+			Error         *string `json:"error"`
+		} `json:"wal"`
+	}
+	getJSON(t, ts.URL+"/stats", &stats)
+	if stats.EdgesAccepted != 1 || stats.WAL.FailedBatches != int64(len(refused)) ||
+		stats.WAL.Error == nil || !strings.Contains(*stats.WAL.Error, "injected fsync failure") {
+		t.Fatalf("/stats after the failure: %+v", stats)
+	}
+	var health struct {
+		Status string `json:"status"`
+	}
+	if getJSON(t, ts.URL+"/healthz", &health); health.Status != "degraded" {
+		t.Fatalf("/healthz status %q, want degraded", health.Status)
+	}
+	ts.Close()
+	srv.Close()
+
+	restarted, err := Open(core.NewIncremental(100), 0, Config{WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if st := restarted.WALReplay(); st.Records != 1 || st.Tail != "" || st.Diverged {
+		t.Fatalf("restart replayed %+v, want exactly the acked record", st)
+	}
+	if !restarted.inc.Connected(0, 1) {
+		t.Fatal("acked edge {0,1} lost across restart")
+	}
+	for _, e := range refused {
+		if restarted.inc.Connected(graph.V(e[0]), graph.V(e[1])) {
+			t.Fatalf("refused edge %v applied after restart", e)
+		}
 	}
 }
 
 // TestServeEdgesBodyLimit: a POST /edges body past maxEdgesBody is
 // refused with 413 and a JSON error before anything is enqueued.
 func TestServeEdgesBodyLimit(t *testing.T) {
-	srv := New(core.NewIncremental(16), 0, Config{BatchWindow: -1})
+	srv := New(core.NewIncremental(16), 0, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -471,7 +657,7 @@ func TestServeEdgesBodyLimit(t *testing.T) {
 // TestStatsRequestsMatchMetrics: /stats "requests" lists every handler
 // label of afforest_http_requests_total with the value /metrics shows.
 func TestStatsRequestsMatchMetrics(t *testing.T) {
-	srv := New(core.NewIncremental(16), 0, Config{BatchWindow: -1, Provenance: true})
+	srv := New(core.NewIncremental(16), 0, Config{Provenance: true})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -564,9 +750,9 @@ func TestServeReadsAreFresh(t *testing.T) {
 // visible in review.
 func TestConfigKnobBudget(t *testing.T) {
 	want := []string{
-		"BatchWindow", "MaxBatch", "Parallelism",
-		"Flight", "WALDir", "WALSegmentBytes",
-		"WALNoSync", "WAL", "Provenance",
+		"Parallelism", "Flight", "WALDir",
+		"WALSegmentBytes", "WALNoSync", "WAL",
+		"Provenance",
 	}
 	var got []string
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {

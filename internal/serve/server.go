@@ -43,12 +43,6 @@ import (
 
 // Config tunes a Server. The zero value is production-reasonable.
 type Config struct {
-	// BatchWindow is how long the write coalescer waits for more edges
-	// after the first pending submission (0 = default 1ms; negative =
-	// no waiting, flush whatever is queued).
-	BatchWindow time.Duration
-	// MaxBatch caps edges per coalesced batch (0 = default 8192).
-	MaxBatch int
 	// Parallelism bounds worker goroutines for the bootstrap run, batch
 	// links and label exports (0 = GOMAXPROCS).
 	Parallelism int
@@ -89,12 +83,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.BatchWindow == 0 {
-		c.BatchWindow = time.Millisecond
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 8192
-	}
 	if c.reg == nil {
 		c.reg = obs.NewRegistry()
 		c.anom = obs.NewAnomalyDetector(c.reg)
@@ -206,7 +194,7 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 	// once here. With a WAL it appends and fsyncs each coalesced batch
 	// before applying it (write-ahead), then reports the durability gap
 	// to the gauges and the wal_lag rule.
-	s.batcher = newEdgeBatcher(inc, cfg.BatchWindow, cfg.MaxBatch, cfg.Parallelism, &s.edges,
+	s.batcher = newEdgeBatcher(inc, cfg.Parallelism, &s.edges,
 		cfg.sinks(),
 		reg.Histogram("afforest_edge_apply_ns",
 			"Wall time of one coalesced edge-batch parallel apply.", obs.DefaultLatencyBuckets))
@@ -463,9 +451,14 @@ func (s *Server) SubmitEdges(edges []graph.Edge) (Ack, error) {
 	return Ack{Accepted: res.accepted, Merged: int64(res.merged), LSN: res.lsn}, nil
 }
 
-// Health adds the component count to /healthz.
+// Health adds the component count to /healthz; the status is
+// "degraded" once the write-ahead log has stopped, since every write is
+// then refused.
 func (s *Server) Health(body map[string]any) string {
 	body["components"] = s.inc.NumComponents()
+	if s.wal != nil && s.wal.Err() != nil {
+		return "degraded"
+	}
 	return "ok"
 }
 
@@ -502,6 +495,10 @@ func (s *Server) StatsSections(body map[string]any) {
 	}
 	if s.wal != nil {
 		ws := s.wal.Stats()
+		var walErr any // null while the log is healthy
+		if err := s.wal.Err(); err != nil {
+			walErr = err.Error()
+		}
 		walBody := map[string]any{
 			"dir":            s.wal.Dir(),
 			"appended_lsn":   uint64(ws.AppendedLSN),
@@ -511,6 +508,8 @@ func (s *Server) StatsSections(body map[string]any) {
 			"segments":       ws.Segments,
 			"applied_lsn":    s.inc.AppliedLSN(),
 			"appended_bytes": ws.AppendedBytes,
+			"failed_batches": s.batcher.walFailed.Load(),
+			"error":          walErr,
 		}
 		if s.walReplay != nil {
 			walBody["replay"] = s.walReplay

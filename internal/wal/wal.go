@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -54,17 +55,25 @@ type Stats struct {
 
 // Log is an append-only segment-rotating write-ahead log of edge
 // batches. One goroutine appends at a time (the serve layer's batcher);
-// Stats and the LSN accessors are safe from any goroutine.
+// Stats, Err and the LSN accessors are safe from any goroutine.
+//
+// The log is fail-stop: the first write, fsync or segment error is
+// sticky. The record that hit it is cut back out of the segment (a cut
+// that fails too is joined to the error), and every later Append
+// returns that error without touching the files. The log on disk then
+// holds exactly the records whose Append returned nil.
 type Log struct {
 	dir string
 	opt Options
 
 	mu      sync.Mutex
 	cur     File
+	curPath string
 	curSize int64
 	nextLSN LSN
 	buf     []byte
 	closed  bool
+	failure atomic.Pointer[error] // first I/O error; set once, never cleared
 
 	appendedLSN   atomic.Uint64
 	durableLSN    atomic.Uint64
@@ -112,7 +121,7 @@ func Open(dir string, after LSN, apply func(lsn LSN, edges []graph.Edge) error, 
 			if err != nil {
 				return nil, st, err
 			}
-			l.cur, l.curSize = f, st.TailValidBytes
+			l.cur, l.curPath, l.curSize = f, tail.path, st.TailValidBytes
 		default:
 			// A watermark jump (snapshot newer than the readable log)
 			// would break the tail's LSN continuity. Cut the torn bytes
@@ -154,10 +163,27 @@ func (l *Log) Stats() Stats {
 	}
 }
 
+// Err returns the error that stopped the log, or nil while it is
+// healthy.
+func (l *Log) Err() error {
+	if p := l.failure.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// stop records err as the log's failure unless one is already recorded,
+// and returns err.
+func (l *Log) stop(err error) error {
+	l.failure.CompareAndSwap(nil, &err)
+	return err
+}
+
 // Append writes one batch as a single record and, unless NoSync is set,
 // fsyncs before returning — the group-commit point: when Append
 // returns, the batch is durable and every request coalesced into it may
-// be acknowledged. Returns the record's LSN.
+// be acknowledged. Returns the record's LSN. After any I/O error Append
+// fails with that error for good (see Log).
 func (l *Log) Append(edges []graph.Edge) (LSN, error) {
 	if len(edges) > maxRecordEdges {
 		return 0, fmt.Errorf("wal: batch of %d edges exceeds the %d-edge record bound", len(edges), maxRecordEdges)
@@ -167,32 +193,58 @@ func (l *Log) Append(edges []graph.Edge) (LSN, error) {
 	if l.closed {
 		return 0, fmt.Errorf("wal: log is closed")
 	}
+	if err := l.Err(); err != nil {
+		return 0, err
+	}
 	lsn := l.nextLSN
 	l.buf = appendRecord(l.buf[:0], lsn, edges)
 	if l.cur != nil && l.curSize > int64(headerLen) && l.curSize+int64(len(l.buf)) > l.opt.SegmentBytes {
 		if err := l.closeCurLocked(); err != nil {
-			return 0, err
+			return 0, l.stop(err)
 		}
 	}
 	if l.cur == nil {
 		if err := l.openSegmentLocked(lsn); err != nil {
-			return 0, err
+			return 0, l.stop(err)
 		}
 	}
 	n, err := l.cur.Write(l.buf)
-	l.curSize += int64(n)
-	l.appendedBytes.Add(int64(n))
-	if err != nil {
-		return 0, fmt.Errorf("wal: appending lsn %d: %w", lsn, err)
+	if err == nil && !l.opt.NoSync {
+		err = l.cur.Sync()
 	}
+	if err != nil {
+		// Cut the record out: a torn one would end replay at the tear,
+		// and one the fsync refused would replay a batch that was
+		// answered with an error.
+		return 0, l.stop(errors.Join(fmt.Errorf("wal: appending lsn %d: %w", lsn, err), l.cutLocked()))
+	}
+	l.curSize += int64(n)
 	l.nextLSN++
 	l.appendedLSN.Store(uint64(lsn))
+	l.appendedBytes.Add(int64(n))
 	if !l.opt.NoSync {
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
+		l.durableLSN.Store(uint64(lsn))
+		l.durableBytes.Store(l.appendedBytes.Load())
 	}
 	return lsn, nil
+}
+
+// cutLocked closes the active segment and truncates it back to its last
+// whole record (curSize), dropping whatever a failed append wrote.
+func (l *Log) cutLocked() error {
+	_ = l.cur.Close() // abandoned: the reopen below decides what survives
+	f, err := l.opt.FS.OpenAppend(l.curPath, l.curSize)
+	l.cur, l.curSize = nil, 0
+	if err == nil {
+		err = f.Sync()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("wal: cutting the failed record: %w", err)
+	}
+	return nil
 }
 
 // Sync fsyncs the active segment, advancing the durable markers. A
@@ -200,15 +252,15 @@ func (l *Log) Append(edges []graph.Edge) (LSN, error) {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.cur == nil {
-		return nil
+	if l.cur == nil || l.Err() != nil {
+		return l.Err()
 	}
 	return l.syncLocked()
 }
 
 func (l *Log) syncLocked() error {
 	if err := l.cur.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+		return l.stop(fmt.Errorf("wal: fsync: %w", err))
 	}
 	l.durableLSN.Store(l.appendedLSN.Load())
 	l.durableBytes.Store(l.appendedBytes.Load())
@@ -216,6 +268,7 @@ func (l *Log) syncLocked() error {
 }
 
 // Close fsyncs and closes the active segment. Further appends fail.
+// A stopped log is closed without an fsync and returns its failure.
 // Idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
@@ -224,10 +277,13 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	err := l.Err()
 	if l.cur == nil {
-		return nil
+		return err
 	}
-	err := l.syncLocked()
+	if err == nil {
+		err = l.syncLocked()
+	}
 	if cerr := l.closeCurNoCreate(); err == nil {
 		err = cerr
 	}
@@ -266,7 +322,7 @@ func (l *Log) openSegmentLocked(base LSN) error {
 		f.Close()
 		return fmt.Errorf("wal: writing segment header: %w", err)
 	}
-	l.cur, l.curSize = f, int64(n)
+	l.cur, l.curPath, l.curSize = f, path, int64(n)
 	l.appendedBytes.Add(int64(n))
 	l.segments.Add(1)
 	if err := l.opt.FS.SyncDir(l.dir); err != nil {

@@ -416,3 +416,110 @@ func TestSegmentNameRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+var errInjected = errors.New("injected fault")
+
+// faultFS is the real filesystem with one-shot faults: when armed, the
+// next segment write writes half its bytes and fails (a torn write), or
+// the next fsync fails. Either fault disarms itself, so the filesystem
+// works again right after it.
+type faultFS struct {
+	FS
+	tearNextWrite, failNextSync bool
+}
+
+func (fs *faultFS) Create(name string) (File, error) {
+	f, err := fs.FS.Create(name)
+	return faultFile{f, fs}, err
+}
+
+func (fs *faultFS) OpenAppend(name string, size int64) (File, error) {
+	f, err := fs.FS.OpenAppend(name, size)
+	return faultFile{f, fs}, err
+}
+
+type faultFile struct {
+	File
+	fs *faultFS
+}
+
+func (f faultFile) Write(p []byte) (int, error) {
+	if f.fs.tearNextWrite {
+		f.fs.tearNextWrite = false
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errInjected
+	}
+	return f.File.Write(p)
+}
+
+func (f faultFile) Sync() error {
+	if f.fs.failNextSync {
+		f.fs.failNextSync = false
+		return errInjected
+	}
+	return f.File.Sync()
+}
+
+// TestAppendFailStops: after a torn write or a failed fsync the log is
+// stopped. The failed record is cut out of the segment, every later
+// Append returns the first error without touching the files (although
+// the filesystem works again), and a reopen replays exactly the records
+// whose Append succeeded.
+func TestAppendFailStops(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		arm  func(*faultFS)
+	}{
+		{"torn write", func(fs *faultFS) { fs.tearNextWrite = true }},
+		{"failed fsync", func(fs *faultFS) { fs.failNextSync = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fs := &faultFS{FS: OSFS}
+			l, _, err := Open(dir, 0, nil, Options{FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Append(testBatch(1, 3)); err != nil {
+				t.Fatal(err)
+			}
+			tc.arm(fs)
+			if _, err := l.Append(testBatch(2, 3)); !errors.Is(err, errInjected) {
+				t.Fatalf("faulted append: err %v, want the injected fault", err)
+			}
+			segs, err := listSegments(OSFS, dir)
+			if err != nil || len(segs) != 1 {
+				t.Fatalf("segments %v, err %v", segs, err)
+			}
+			image, err := os.ReadFile(segs[0].path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 3; k <= 4; k++ {
+				if lsn, err := l.Append(testBatch(k, 3)); !errors.Is(err, errInjected) {
+					t.Fatalf("append %d after the fault: lsn %d err %v, want the first error", k, lsn, err)
+				}
+			}
+			if !errors.Is(l.Err(), errInjected) {
+				t.Fatalf("Err() = %v, want the injected fault", l.Err())
+			}
+			if s := l.Stats(); s.AppendedLSN != 1 || s.DurableLSN != 1 {
+				t.Fatalf("stats %+v, want appended=durable=1", s)
+			}
+			if after, err := os.ReadFile(segs[0].path); err != nil || string(after) != string(image) {
+				t.Fatalf("a stopped log changed its segment (%d → %d bytes, err %v)", len(image), len(after), err)
+			}
+			if err := l.Close(); !errors.Is(err, errInjected) {
+				t.Fatalf("Close of a stopped log: %v, want its failure", err)
+			}
+
+			got, st := collectReplay(t, nil, dir, 0)
+			if st.Records != 1 || st.Tail != "" || st.Diverged {
+				t.Fatalf("replay after the fault %+v, want exactly the one acked record", st)
+			}
+			if len(got[1]) != 3 {
+				t.Fatalf("acked record 1 replayed as %v", got[1])
+			}
+		})
+	}
+}
