@@ -130,13 +130,15 @@ NPROC := $(shell nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
 # perfgate-smoke is the short-mode gate check inside `make check`: a
 # fresh small-scale measurement appended to a throwaway history must
 # pass a gate run against itself (run-vs-self) at GOMAXPROCS 1 and at
-# NPROC (one cell when they are equal), proving the gate machinery works
-# end-to-end. A GOMAXPROCS above the CPU count would measure
-# oversubscription, not this machine; the race matrix still covers 8.
-# Scale-14 cells run in well under a millisecond, so back-to-back noise
-# on a shared VM routinely exceeds the production 35% tolerance — the
-# smoke widens it to 75%, which still fails loudly on a 2x injected
-# slowdown.
+# NPROC (one cell when they are equal). It proves the gate machinery
+# runs end to end, measurement, history and verdict, at both settings.
+# A GOMAXPROCS above the CPU count would measure oversubscription, not
+# this machine; the race matrix still covers 8. Scale-14 cells run in
+# well under a millisecond, so back-to-back noise on a shared VM
+# routinely exceeds the production 35% tolerance, and the smoke widens
+# it to 75%. At that width it does not reliably catch a real slowdown:
+# an injected 2x afforest/kron passed it in 6 of 20 drills. Detecting
+# regressions is ROADMAP item 2's job, not this smoke's.
 perfgate-smoke:
 	@for p in $$(printf '%s\n' 1 $(NPROC) | sort -nu); do \
 		echo "== perfgate-smoke: GOMAXPROCS=$$p =="; \

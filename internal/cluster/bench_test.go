@@ -13,7 +13,7 @@ import (
 // (routing, shard link, outbox, exchange, wire codec). Besides the time
 // it reports the exchange's pairs per load, wire bytes per edge and
 // exchange rounds per load, which are exact for a given graph and
-// width. Profile one case with
+// width, and the allocations per load. Profile one case with
 //
 //	go test -run '^$' -bench 'LocalLoad/urand-18/shards=3' -benchtime 10x -cpuprofile cpu.out ./internal/cluster
 func BenchmarkLocalLoad(b *testing.B) {
@@ -24,11 +24,13 @@ func BenchmarkLocalLoad(b *testing.B) {
 	}{
 		{"urand-18", func() *graph.CSR { return gen.URandDegree(1<<18, 16, 1) }, 3},
 		{"urand-18", func() *graph.CSR { return gen.URandDegree(1<<18, 16, 1) }, 8},
+		{"kron-18", func() *graph.CSR { return gen.Kronecker(18, 16, gen.Graph500, 1) }, 3},
 		{"road-16", func() *graph.CSR { return gen.Road(1<<16, 42) }, 16},
 	} {
 		b.Run(fmt.Sprintf("%s/shards=%d", bc.name, bc.shards), func(b *testing.B) {
 			g := bc.build()
 			var st RouterStats
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				l, err := StartLocal(g.NumVertices(), bc.shards, Config{})

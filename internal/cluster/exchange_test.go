@@ -6,9 +6,11 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"afforest/internal/dist"
 	"afforest/internal/graph"
+	"afforest/internal/obs"
 )
 
 // settleArcs ships per[id] to shard id through sendEdges, then settles
@@ -267,6 +269,75 @@ func TestRouterRejectsReplyPastRequest(t *testing.T) {
 	_, err = r.AddEdges([]graph.Edge{{U: 0, V: n - 1}})
 	if err == nil || !strings.Contains(err.Error(), "shard 1 replied to opinion 5 of 1") {
 		t.Fatalf("AddEdges with an out-of-range reply: err = %v", err)
+	}
+}
+
+// TestRouterRejectsUnsortedOpinions: the router regroups opinions by
+// per-owner runs and routes replies by walking those runs, so an
+// opOutbox or opAbsorb answer whose refs do not strictly increase, and
+// an opIngest answer whose indices do not, fail the write with an error
+// naming the shard, and three such failures inside a second fire
+// wire_error_burst.
+func TestRouterRejectsUnsortedOpinions(t *testing.T) {
+	const n = 30 // shards own [0,10), [10,20) and [20,30)
+	for _, tc := range []struct {
+		name    string
+		outbox  [3][]pair
+		ingest  []pair // shard 1's replies
+		absorb  []pair // shard 0's next opinions
+		wantErr string
+	}{
+		{name: "outbox", outbox: [3][]pair{{{V: 25, Label: 0}, {V: 15, Label: 0}}},
+			wantErr: "shard 0 sent ref 15 after ref 25"},
+		{name: "absorb", outbox: [3][]pair{{{V: 15, Label: 0}}}, ingest: []pair{{V: 0, Label: 10}},
+			absorb: []pair{{V: 25, Label: 0}, {V: 25, Label: 0}}, wantErr: "shard 0 sent ref 25 after ref 25"},
+		{name: "ingest", outbox: [3][]pair{{{V: 15, Label: 0}}, nil, {{V: 12, Label: 20}}},
+			ingest: []pair{{V: 1, Label: 10}, {V: 0, Label: 10}}, wantErr: "shard 1 replied to opinion 0 after opinion 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stub := func(id int) string {
+				return stubShard(t, func(op byte, payload []byte) (byte, []byte) {
+					switch op {
+					case opEdges:
+						return op, putU32(nil, 1)
+					case opOutbox:
+						return op, encodePairs(nil, tc.outbox[id])
+					case opIngest:
+						if id == 1 {
+							return op, encodePairs(putU32(nil, 0), tc.ingest)
+						}
+						return op, encodePairs(putU32(nil, 0), nil)
+					case opAbsorb:
+						if id == 0 {
+							return op, encodePairs(putU32(nil, 0), tc.absorb)
+						}
+						return op, encodePairs(putU32(nil, 0), nil)
+					}
+					return op, nil
+				})
+			}
+			r, err := NewRouter([]string{stub(0), stub(1), stub(2)}, n, Config{})
+			if err != nil {
+				t.Fatalf("NewRouter: %v", err)
+			}
+			defer r.Close(false)
+			start := time.Now()
+			for i := 0; i < 3; i++ {
+				_, err = r.AddEdges([]graph.Edge{{U: 0, V: n - 1}})
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("AddEdges %d: err = %v, want %q", i, err, tc.wantErr)
+				}
+			}
+			if d := time.Since(start); d >= time.Second {
+				t.Skipf("three writes took %v, past the rule's one-second window", d)
+			}
+			for _, rec := range r.anom.Recent() {
+				if rec.Rule == obs.RuleWireErrorBurst && strings.Contains(rec.Detail, tc.wantErr) {
+					return
+				}
+			}
+			t.Fatalf("no wire_error_burst naming %q; recent anomalies = %+v", tc.wantErr, r.anom.Recent())
+		})
 	}
 }
 

@@ -66,6 +66,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		// parsers ask of it; each script mirrors one op's decode shape.
 		for _, script := range []func(c *cursor){
 			func(c *cursor) { c.pairs() },
+			func(c *cursor) { c.edges() },
 			func(c *cursor) { c.u32(); c.pairs() },
 			func(c *cursor) { c.u64(); c.u32(); c.u32() },
 			func(c *cursor) { lo, hi := c.u32(), c.u32(); c.u64(); c.labels(int(hi) - int(lo)) },

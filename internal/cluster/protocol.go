@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 
 	"afforest/internal/graph"
@@ -284,18 +285,29 @@ type pair struct {
 	V, Label graph.V
 }
 
-// encodePairs serializes count + pairs.
-func encodePairs(b []byte, pairs []pair) []byte {
-	b = putU32(b, uint32(len(pairs)))
-	for _, p := range pairs {
-		b = putU32(b, uint32(p.V))
-		b = putU32(b, uint32(p.Label))
+// encodePairs appends count + pairs, where the pairs are the lists'
+// concatenation, to b, growing it once for the whole list.
+func encodePairs(b []byte, lists ...[]pair) []byte {
+	count := 0
+	for _, l := range lists {
+		count += len(l)
+	}
+	off := len(b) + 4
+	b = slices.Grow(b, 4+8*count)[:off+8*count]
+	binary.LittleEndian.PutUint32(b[off-4:], uint32(count))
+	for _, l := range lists {
+		for _, p := range l {
+			binary.LittleEndian.PutUint32(b[off:], p.V)
+			binary.LittleEndian.PutUint32(b[off+4:], p.Label)
+			off += 8
+		}
 	}
 	return b
 }
 
-// decodePairs reads count + pairs from the cursor.
-func (c *cursor) pairs() []pair {
+// list reads a pair count and returns the 8-byte records that follow,
+// checking once that the payload holds them all.
+func (c *cursor) list() []byte {
 	count := c.u32()
 	if c.err != nil {
 		return nil
@@ -304,9 +316,36 @@ func (c *cursor) pairs() []pair {
 		c.err = fmt.Errorf("cluster: pair count %d exceeds payload", count)
 		return nil
 	}
-	out := make([]pair, count)
+	b := c.b[c.off : c.off+8*int(count)]
+	c.off += len(b)
+	return b
+}
+
+// pairs reads count + pairs from the cursor.
+func (c *cursor) pairs() []pair {
+	b := c.list()
+	if c.err != nil {
+		return nil
+	}
+	out := make([]pair, len(b)/8)
 	for i := range out {
-		out[i] = pair{V: graph.V(c.u32()), Label: graph.V(c.u32())}
+		r := b[8*i : 8*i+8]
+		out[i] = pair{V: binary.LittleEndian.Uint32(r), Label: binary.LittleEndian.Uint32(r[4:])}
+	}
+	return out
+}
+
+// edges reads the same layout as pairs straight into edges, (U, V) =
+// (V, Label): opEdges links them without a copy.
+func (c *cursor) edges() []graph.Edge {
+	b := c.list()
+	if c.err != nil {
+		return nil
+	}
+	out := make([]graph.Edge, len(b)/8)
+	for i := range out {
+		r := b[8*i : 8*i+8]
+		out[i] = graph.Edge{U: binary.LittleEndian.Uint32(r), V: binary.LittleEndian.Uint32(r[4:])}
 	}
 	return out
 }

@@ -3,11 +3,13 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -571,7 +573,7 @@ func (r *Router) shipRows(rc rctx, g *graph.CSR, span func(u int, lo, hi int64) 
 		for u := sl.lo; u < min(sl.hi, n); u++ {
 			lo, hi := span(u, offsets[u], offsets[u+1])
 			for _, v := range targets[lo:hi] {
-				if r.part.Owner(v) != id {
+				if int(v) < sl.lo || int(v) >= sl.hi {
 					cut++
 				}
 				batch = append(batch, pair{V: graph.V(u), Label: v})
@@ -596,7 +598,11 @@ func (r *Router) shipRows(rc rctx, g *graph.CSR, span func(u int, lo, hi int64) 
 // absorb returns the shard's opinions for the next round: the refs
 // whose label moved off the one their owner is known to hold. A shard
 // whose ingest merged nothing and that got no reply has no such ref, so
-// its absorb is skipped. One round's RPCs fan out concurrently across
+// its absorb is skipped. Shards send their opinions in strictly
+// increasing ref order (checked on receipt), so an owner's share of a
+// sender's list is one run: the router slices each list at the
+// partition boundaries, and an ingest request is the senders' runs in
+// sender order. One round's RPCs fan out concurrently across
 // shards with a barrier between phases, so each round is one
 // superstep. Every pair on every leg (outbox, ingest, reply, absorb,
 // next opinions) counts as a message, and each opinion a shard sends
@@ -638,7 +644,7 @@ func (r *Router) exchangeLocked(rc rctx) (err error) {
 				return timed(id, func() error {
 					err := r.call(rnd, sl.conn, id, round, opOutbox, nil, func(c *cursor) (int64, int64, error) {
 						opinions[id] = c.pairs()
-						return int64(len(opinions[id])), 0, nil
+						return int64(len(opinions[id])), 0, checkRefOrder(id, opinions[id])
 					})
 					if err != nil {
 						return err
@@ -654,39 +660,52 @@ func (r *Router) exchangeLocked(rc rctx) (err error) {
 			}
 		}
 
-		// Group opinions by owner, remembering which shard sent each.
-		ingest := make([][]pair, r.numShards)
-		origins := make([][]int, r.numShards)
+		// Slice each sender's opinions into per-owner runs:
+		// runs[dest][src] holds src's opinions about dest's vertices,
+		// and sizes[dest] counts dest's ingest request. The last owner
+		// takes the rest of each list, as Partitioning.Owner clamps.
+		runs := make([][][]pair, r.numShards)
+		sizes := make([]int, r.numShards)
+		for dest := range runs {
+			runs[dest] = make([][]pair, r.numShards)
+		}
 		for src, out := range opinions {
-			for _, p := range out {
-				dest := r.part.Owner(p.V)
-				ingest[dest] = append(ingest[dest], p)
-				origins[dest] = append(origins[dest], src)
+			for dest, sl := range r.slots {
+				k := len(out)
+				if dest < r.numShards-1 {
+					k, _ = slices.BinarySearchFunc(out, graph.V(sl.hi), func(p pair, v graph.V) int { return cmp.Compare(p.V, v) })
+				}
+				runs[dest][src], out = out[:k], out[k:]
+				sizes[dest] += k
 			}
 		}
 
-		// Owners ingest and answer only with news: (request index, label).
+		// Owners ingest and answer only with news: (request index,
+		// label), in increasing index order.
 		replies := make([][]pair, r.numShards)
 		ingestMerged := make([]int64, r.numShards)
 		err := r.forEachActive(func(id int, sl *slot) error {
-			if len(ingest[id]) == 0 {
+			if sizes[id] == 0 {
 				return nil
 			}
 			return timed(id, func() error {
-				err := r.call(rnd, sl.conn, id, round, opIngest, encodePairs(nil, ingest[id]), func(c *cursor) (int64, int64, error) {
+				err := r.call(rnd, sl.conn, id, round, opIngest, encodePairs(nil, runs[id]...), func(c *cursor) (int64, int64, error) {
 					ingestMerged[id] = int64(c.u32())
 					replies[id] = c.pairs()
-					for _, rep := range replies[id] {
-						if int(rep.V) >= len(ingest[id]) {
-							return 0, 0, fmt.Errorf("cluster: shard %d replied to opinion %d of %d", id, rep.V, len(ingest[id]))
+					for i, rep := range replies[id] {
+						if int(rep.V) >= sizes[id] {
+							return 0, 0, fmt.Errorf("cluster: shard %d replied to opinion %d of %d", id, rep.V, sizes[id])
+						}
+						if i > 0 && rep.V <= replies[id][i-1].V {
+							return 0, 0, fmt.Errorf("cluster: shard %d replied to opinion %d after opinion %d", id, rep.V, replies[id][i-1].V)
 						}
 					}
-					return int64(len(ingest[id]) + len(replies[id])), ingestMerged[id], nil
+					return int64(sizes[id] + len(replies[id])), ingestMerged[id], nil
 				})
 				if err != nil {
 					return err
 				}
-				sl.msgs.Add(int64(len(ingest[id])) + int64(len(replies[id])))
+				sl.msgs.Add(int64(sizes[id] + len(replies[id])))
 				return nil
 			})
 		})
@@ -695,12 +714,18 @@ func (r *Router) exchangeLocked(rc rctx) (err error) {
 			return err
 		}
 
-		// Route each reply back to the shard that sent the opinion.
+		// Route each reply back to the shard that sent the opinion: the
+		// replies run in request order, so walk the senders' runs with
+		// them.
 		absorbs := make([][]pair, r.numShards)
-		for dest := range replies {
-			for _, rep := range replies[dest] {
-				src := origins[dest][rep.V]
-				absorbs[src] = append(absorbs[src], pair{V: ingest[dest][rep.V].V, Label: rep.Label})
+		for dest, reps := range replies {
+			src, base := 0, 0 // runs[dest][src] holds request indices [base, base+len)
+			for _, rep := range reps {
+				for int(rep.V) >= base+len(runs[dest][src]) {
+					base += len(runs[dest][src])
+					src++
+				}
+				absorbs[src] = append(absorbs[src], pair{V: runs[dest][src][int(rep.V)-base].V, Label: rep.Label})
 			}
 		}
 
@@ -718,7 +743,7 @@ func (r *Router) exchangeLocked(rc rctx) (err error) {
 				err := r.call(rnd, sl.conn, id, round, opAbsorb, encodePairs(nil, absorbs[id]), func(c *cursor) (int64, int64, error) {
 					merged = int64(c.u32())
 					opinions[id] = c.pairs()
-					return int64(len(absorbs[id]) + len(opinions[id])), merged, nil
+					return int64(len(absorbs[id]) + len(opinions[id])), merged, checkRefOrder(id, opinions[id])
 				})
 				if err != nil {
 					return err
@@ -983,6 +1008,18 @@ func (r *Router) globalLabelsLocked(rc rctx) ([]graph.V, error) {
 		labels[u] = labels[l]
 	}
 	return labels, nil
+}
+
+// checkRefOrder rejects an opOutbox or opAbsorb answer from shard id
+// unless its refs strictly increase, the order exchangeLocked's
+// per-owner runs rely on.
+func checkRefOrder(id int, opinions []pair) error {
+	for i := 1; i < len(opinions); i++ {
+		if opinions[i].V <= opinions[i-1].V {
+			return fmt.Errorf("cluster: shard %d sent ref %d after ref %d", id, opinions[i].V, opinions[i-1].V)
+		}
+	}
+	return nil
 }
 
 // checkLabels rejects a shard's owned-range labels (an opLabels or

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"cmp"
 	"encoding/json"
 	"errors"
@@ -144,13 +145,15 @@ func (sh *Shard) Serve(ln net.Listener) error {
 	}
 }
 
-// serveConn answers frames on one connection until EOF or shutdown.
-// Shard-side errors go back wrapped with the shard's identity and the
-// op that failed ("shard 2: opIngest: ...") so router-side logs and
-// HTTP errors are attributable without guessing.
+// serveConn answers frames on one connection until EOF or shutdown,
+// reading them through a buffer so a small frame's header and payload
+// cost one read. Shard-side errors go back wrapped with the shard's
+// identity and the op that failed ("shard 2: opIngest: ...") so
+// router-side logs and HTTP errors are attributable without guessing.
 func (sh *Shard) serveConn(conn net.Conn) error {
+	br := bufio.NewReader(conn)
 	for {
-		op, tc, payload, err := readFrame(conn)
+		op, tc, payload, err := readFrame(br)
 		if err != nil {
 			return err
 		}
@@ -268,8 +271,8 @@ func (sh *Shard) handle(op byte, payload []byte, sp *srvSpan) ([]byte, error) {
 		n, numShards, id := c.u64(), int(c.u32()), int(c.u32())
 		work = func() error { return sh.initialize(int(n), numShards, id) }
 	case opEdges:
-		pairs := c.pairs()
-		work = func() (err error) { merged, err = sh.applyEdges(pairs, sh.tracer(sp)); return err }
+		edges := c.edges()
+		work = func() (err error) { merged, err = sh.applyEdges(edges, sh.tracer(sp)); return err }
 		reply = func() []byte { return putU32(nil, uint32(merged)) }
 	case opOutbox:
 		var out []pair
@@ -408,22 +411,25 @@ func (sh *Shard) noteRemote(v graph.V) {
 // applyEdges links a batch of edges into the local π. Ghost endpoints
 // (and nothing else here — labels produced by the links are existing π
 // entries) become refs. The link pass itself runs in parallel on the
-// worker pool: Theorem 1 makes the interleaving irrelevant. With
-// provenance on, ApplyBatch names the merging edges and the forest
-// records them in edge order. Caller holds mu.
-func (sh *Shard) applyEdges(pairs []pair, tr *obs.Tracer) (int64, error) {
-	edges := make([]graph.Edge, len(pairs))
-	for i, p := range pairs {
-		if int(p.V) >= sh.n || int(p.Label) >= sh.n {
-			return 0, fmt.Errorf("cluster: edge {%d,%d} out of range (|V|=%d)", p.V, p.Label, sh.n)
+// worker pool: Theorem 1 makes the interleaving irrelevant. Then every
+// endpoint is pointed at its root, Fig 5's compress restricted to the
+// batch at O(batch) cost, so the exchange's finds and links and the
+// label reads walk shallow trees. With provenance on, ApplyBatch names
+// the merging edges and compresses the same endpoints, and the forest
+// records the merges in edge order. Caller holds mu.
+func (sh *Shard) applyEdges(edges []graph.Edge, tr *obs.Tracer) (int64, error) {
+	for _, e := range edges {
+		if int(e.U) >= sh.n || int(e.V) >= sh.n {
+			return 0, fmt.Errorf("cluster: edge {%d,%d} out of range (|V|=%d)", e.U, e.V, sh.n)
 		}
-		sh.noteRemote(p.V)
-		sh.noteRemote(p.Label)
-		edges[i] = graph.Edge{U: p.V, V: p.Label}
+		sh.noteRemote(e.U)
+		sh.noteRemote(e.V)
 	}
 	sh.edges += int64(len(edges))
 	if sh.prov == nil {
-		return sh.inc.AddEdges(edges, sh.parallelism, tr), nil
+		merged := sh.inc.AddEdges(edges, sh.parallelism, tr)
+		sh.inc.CompressEndpoints(edges, sh.parallelism)
+		return merged, nil
 	}
 	var span obs.SpanID
 	if tr != nil {
@@ -646,16 +652,14 @@ func (sh *Shard) query(v graph.V) (graph.V, error) {
 	return sh.inc.Find(v), nil
 }
 
-// labelRange returns find(v) for every v in [lo, hi). It compresses π
-// first (Fig 5's compress step): shards link without compressing, so a
-// load leaves deep trees, and after the compress each find is one hop.
-// opSnapshot reads the owned range through it: the π handoff a
+// labelRange returns find(v) for every v in [lo, hi), in O(hi − lo)
+// finds: applyEdges keeps the trees shallow, so the read compresses
+// nothing. opSnapshot reads the owned range through it: the π handoff a
 // departing member leaves with the router. Caller holds mu.
 func (sh *Shard) labelRange(lo, hi int) ([]graph.V, error) {
 	if lo < 0 || hi < lo || hi > sh.n {
 		return nil, fmt.Errorf("cluster: label range [%d,%d) out of bounds", lo, hi)
 	}
-	sh.inc.Compress(sh.parallelism)
 	out := make([]graph.V, hi-lo)
 	for v := lo; v < hi; v++ {
 		out[v-lo] = sh.inc.Find(graph.V(v))

@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"fmt"
+	mathrand "math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 
 	"afforest/internal/gen"
@@ -72,5 +76,58 @@ func TestExplainStatusWire(t *testing.T) {
 	c.hops(0)
 	if c.done() == nil {
 		t.Fatal("unknown opExplain status decoded without error")
+	}
+}
+
+// TestPairCodec: random pair lists, encoded whole or split into runs
+// after a prefix, decode to the same list through pairs and, as
+// (U, V) = (V, Label), through edges. A count past the payload, a list
+// cut short and a cut count are refused by both decoders with the same
+// errors.
+func TestPairCodec(t *testing.T) {
+	rng := mathrand.New(mathrand.NewPCG(1, 0))
+	decoders := map[string]func(c *cursor) []pair{
+		"pairs": func(c *cursor) []pair { return c.pairs() },
+		"edges": func(c *cursor) []pair {
+			var out []pair
+			for _, e := range c.edges() {
+				out = append(out, pair{V: e.U, Label: e.V})
+			}
+			return out
+		},
+	}
+	for trial := 0; trial < 200; trial++ {
+		ps := make([]pair, rng.IntN(300))
+		for i := range ps {
+			ps[i] = pair{V: rng.Uint32(), Label: rng.Uint32()}
+		}
+		cut := rng.IntN(len(ps) + 1)
+		whole := encodePairs(nil, ps)
+		if split := encodePairs(nil, ps[:cut], nil, ps[cut:]); !slices.Equal(split, whole) {
+			t.Fatalf("trial %d: runs split at %d encode differently from the whole list", trial, cut)
+		}
+		prefixed := encodePairs(putU32(nil, 7), ps)
+		for name, decode := range decoders {
+			c := &cursor{b: whole}
+			if got := decode(c); !slices.Equal(got, ps) || c.done() != nil {
+				t.Fatalf("trial %d: %s decoded %d pairs (err %v), want %d", trial, name, len(got), c.done(), len(ps))
+			}
+			c = &cursor{b: prefixed}
+			if c.u32() != 7 || !slices.Equal(decode(c), ps) || c.done() != nil {
+				t.Fatalf("trial %d: %s after a prefix: err %v", trial, name, c.done())
+			}
+			refuse := func(b []byte, want string) {
+				t.Helper()
+				c := &cursor{b: b}
+				if got := decode(c); got != nil || c.done() == nil || !strings.Contains(c.done().Error(), want) {
+					t.Fatalf("trial %d: %s of %d bytes: got %d pairs, err %v, want %q", trial, name, len(b), len(got), c.done(), want)
+				}
+			}
+			refuse(append(putU32(nil, uint32(len(ps)+1)), whole[4:]...), fmt.Sprintf("pair count %d exceeds payload", len(ps)+1))
+			if len(ps) > 0 {
+				refuse(whole[:len(whole)-1-rng.IntN(8)], fmt.Sprintf("pair count %d exceeds payload", len(ps)))
+			}
+			refuse(whole[:rng.IntN(4)], "truncated payload at offset 0")
+		}
 	}
 }

@@ -127,8 +127,9 @@ type Merge struct {
 // if it has one, has a smaller Loser and comes later. A serial consumer
 // can therefore fold exact per-root sizes from the list alone.
 //
-// Finally every hooked loser and every edge endpoint is pointed at its
-// root, so streaming keeps trees shallow without an O(n) compress pass.
+// Finally every hooked loser and, through CompressEndpoints, every edge
+// endpoint is pointed at its root, so streaming keeps trees shallow
+// without an O(n) compress pass.
 //
 // Winner resolution walks π as the link pass left it, so it is exact
 // only when nothing else links or compresses π during the call; the
@@ -174,13 +175,23 @@ func (inc *Incremental) ApplyBatch(edges []graph.Edge, parallelism int) []Merge 
 	for _, m := range merges {
 		Compress(p, m.Loser)
 	}
+	inc.CompressEndpoints(edges, parallelism)
+	return merges
+}
+
+// CompressEndpoints points both endpoints of every edge at its root, in
+// parallel: Fig 5's compress step restricted to the vertices a batch
+// touched, so it costs O(batch), not O(n). ApplyBatch ends with it, and
+// a caller of the count-only AddEdges runs it after the links to keep
+// streamed trees shallow. Safe concurrently with links and finds.
+func (inc *Incremental) CompressEndpoints(edges []graph.Edge, parallelism int) {
+	p := inc.p
 	concurrent.ForRange(len(edges), parallelism, 256, func(lo, hi, _ int) {
 		for _, e := range edges[lo:hi] {
 			Compress(p, e.U)
 			Compress(p, e.V)
 		}
 	})
-	return merges
 }
 
 // MarkApplied advances the applied-LSN watermark to lsn if it is
@@ -224,13 +235,6 @@ func (inc *Incremental) Find(v graph.V) graph.V { return inc.p.Find(v) }
 
 // NumComponents returns the current number of components.
 func (inc *Incremental) NumComponents() int { return int(inc.components.Load()) }
-
-// Compress flattens all trees to depth one (an O(n) maintenance pass
-// that speeds up subsequent operations; semantics are unchanged). Safe
-// concurrently with AddEdge/Connected.
-func (inc *Incremental) Compress(parallelism int) {
-	CompressAll(inc.p, parallelism)
-}
 
 // Labels compresses and returns the canonical labeling, like a batch
 // run's result. The returned slice aliases the live structure; copy it

@@ -127,7 +127,7 @@ func TestIncrementalCompressKeepsSemantics(t *testing.T) {
 	for v := graph.V(1); v < 100; v++ {
 		inc.AddEdge(v-1, v)
 	}
-	inc.Compress(2)
+	inc.Labels(2)
 	if inc.NumComponents() != 1 || !inc.Connected(0, 99) {
 		t.Fatal("compress broke connectivity")
 	}
@@ -377,6 +377,49 @@ func TestApplyBatchFoldIsExact(t *testing.T) {
 		}
 		if inc.NumComponents() != n-total {
 			t.Fatalf("p=%d: components = %d, want %d", p, inc.NumComponents(), n-total)
+		}
+	}
+}
+
+// TestCompressEndpoints: after the count-only AddEdges of a seeded
+// random batch, CompressEndpoints leaves every endpoint of the batch at
+// depth ≤ 1 and moves no vertex's root. The links leave some endpoint
+// deeper than that, so the check is not vacuous.
+func TestCompressEndpoints(t *testing.T) {
+	const n = 3000
+	for _, p := range []int{1, 2, 8} {
+		rng := rand.New(rand.NewSource(int64(p)))
+		inc := NewIncremental(n)
+		deep := 0
+		for batch := 0; batch < 60; batch++ {
+			edges := make([]graph.Edge, 1+rng.Intn(600))
+			for i := range edges {
+				edges[i] = graph.Edge{U: graph.V(rng.Intn(n)), V: graph.V(rng.Intn(n))}
+			}
+			inc.AddEdges(edges, p, nil)
+			roots := make([]graph.V, n)
+			for v := range roots {
+				roots[v] = inc.Find(graph.V(v))
+			}
+			for _, e := range edges {
+				if inc.p.Depth(e.U) > 1 || inc.p.Depth(e.V) > 1 {
+					deep++
+				}
+			}
+			inc.CompressEndpoints(edges, p)
+			for _, e := range edges {
+				if du, dv := inc.p.Depth(e.U), inc.p.Depth(e.V); du > 1 || dv > 1 {
+					t.Fatalf("p=%d batch %d: edge %v left at depths %d and %d", p, batch, e, du, dv)
+				}
+			}
+			for v, want := range roots {
+				if got := inc.Find(graph.V(v)); got != want {
+					t.Fatalf("p=%d batch %d: vertex %d moved from root %d to %d", p, batch, v, want, got)
+				}
+			}
+		}
+		if deep == 0 {
+			t.Fatalf("p=%d: no endpoint was deeper than 1 before CompressEndpoints", p)
 		}
 	}
 }
