@@ -70,7 +70,8 @@ race-matrix:
 # external input formats (text edge list, binary CSR, MatrixMarket),
 # the HTTP surface behind both deployments (a single node and a
 # loopback cluster router), the cluster wire-frame decoder, the shard's
-# request dispatcher, and the WAL record decoder. CI keeps corpora warm; real exploration is
+# request dispatcher, the WAL record decoder, and the provenance forest
+# against a reference model. CI keeps corpora warm; real exploration is
 # `go test -fuzz=<target> -fuzztime=10m <pkg>`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=10s ./internal/graph
@@ -81,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzShardHandle -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzForest -fuzztime=10s ./internal/provenance
 
 # wal-smoke is the crash-recovery e2e: a durable ccserve under a
 # concurrent write workload, the WAL directory copied mid-append as a

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"afforest/internal/core"
 	"afforest/internal/graph"
@@ -71,15 +72,16 @@ type MergeRecord struct {
 	Shard      int  `json:"shard"` // recording shard; -1 outside a cluster
 }
 
-// ann annotates the forest tree edge {x, fparent[x]} with the recording
-// metadata (the edge's endpoints are implicit — tree edges ARE input
-// edges, so reversal during rerooting just moves the annotation to the
-// other endpoint).
-type ann struct {
-	lsn   uint64
-	ord   uint64
-	ghost bool
-	shard int32
+// rec is one MergeRecord as the forest stores it. The ordinal is the
+// record's index + 1 and the shard is the forest's, so neither is kept.
+// next links the record into its component's circular record list; it
+// takes padding that ghost would leave, so a rec is 40 B.
+type rec struct {
+	lsn                   uint64
+	u, v, winner, loser   graph.V
+	winnerSize, loserSize int32
+	next                  int32 // index of the next record in its component's circular list
+	ghost                 bool
 }
 
 // Forest is the concurrent merge forest. One mutex guards everything:
@@ -88,11 +90,15 @@ type ann struct {
 // queries that also compress the internal DSU, so they take the same
 // lock. With provenance off no forest exists and nothing calls into
 // this package.
+//
+// It holds six 4-byte words per vertex (24 B) and one rec per record
+// (40 B). A tree edge names its record by index; its LSN, ordinal and
+// ghost flag are read from the record.
 type Forest struct {
 	mu sync.Mutex
 
 	fparent []graph.V // forest parent; fparent[v]==v means root
-	fedge   []ann     // annotation of edge {v, fparent[v]}
+	fedge   []int32   // record index + 1 of edge {v, fparent[v]}; 0 at a root
 
 	// Union-by-size DSU over forest trees, with path compression. It
 	// decides which side reroots on Record (smaller tree reroots, giving
@@ -100,8 +106,12 @@ type Forest struct {
 	dsu  []graph.V
 	size []int32
 	min  []graph.V // min vertex id per DSU root (Winner/Loser reporting)
+	// last is, at a DSU root, the index + 1 of the newest record in the
+	// component's circular record list; 0 while the list is empty.
+	last []int32
 
-	records []MergeRecord
+	records []rec
+	ghosts  int   // records with ghost set
 	dropped int64 // defensive: Record calls whose endpoints were already joined
 
 	shard int // stamped on records/hops; -1 single-node
@@ -111,10 +121,11 @@ type Forest struct {
 func NewForest(n int) *Forest {
 	f := &Forest{
 		fparent: make([]graph.V, n),
-		fedge:   make([]ann, n),
+		fedge:   make([]int32, n),
 		dsu:     make([]graph.V, n),
 		size:    make([]int32, n),
 		min:     make([]graph.V, n),
+		last:    make([]int32, n),
 		shard:   -1,
 	}
 	for i := range f.fparent {
@@ -178,8 +189,9 @@ func (f *Forest) find(v graph.V) graph.V {
 
 // record inserts one merge edge. The smaller forest tree is rerooted at
 // its endpoint of the edge and attached under the other endpoint; the
-// tree edge {u→v or v→u} carries the annotation. See the package
-// comment for why ru == rv cannot occur for genuine CAS edges.
+// tree edge {u→v or v→u} names the new record. The new record and both
+// trees' record lists are spliced into one list in O(1). See the
+// package comment for why ru == rv cannot occur for genuine CAS edges.
 func (f *Forest) record(u, v graph.V, lsn uint64, ghost bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -193,23 +205,34 @@ func (f *Forest) record(u, v graph.V, lsn uint64, ghost bool) {
 	if f.size[ru] > f.size[rv] {
 		a, b, ra, rb = v, u, rv, ru
 	}
-	ord := uint64(len(f.records)) + 1
+	i := int32(len(f.records))
 	smallMin, largeMin := f.min[ra], f.min[rb]
 	winner, loser := largeMin, smallMin
 	if smallMin < largeMin {
 		winner, loser = smallMin, largeMin
 	}
-	f.records = append(f.records, MergeRecord{
-		Ordinal: ord, LSN: lsn, U: u, V: v,
-		Winner: winner, Loser: loser,
-		WinnerSize: int(f.size[rb]), LoserSize: int(f.size[ra]),
-		Ghost: ghost, Shard: f.shard,
+	f.records = append(f.records, rec{
+		lsn: lsn, u: u, v: v, winner: winner, loser: loser,
+		winnerSize: f.size[rb], loserSize: f.size[ra],
+		next: i, ghost: ghost,
 	})
+	if ghost {
+		f.ghosts++
+	}
+	// Swapping the next links of two records on disjoint circular lists
+	// joins the lists: fold both trees' lists into the new record's.
+	for _, l := range [2]int32{f.last[ra], f.last[rb]} {
+		if l != 0 {
+			r, o := &f.records[i], &f.records[l-1]
+			r.next, o.next = o.next, r.next
+		}
+	}
+	f.last[rb] = i + 1
 	f.reroot(a)
 	// a is now its tree's root; hang it (and with it the whole smaller
-	// tree) under b, annotated with the causal edge {a, b} = {u, v}.
+	// tree) under b, through the causal edge {a, b} = {u, v}.
 	f.fparent[a] = b
-	f.fedge[a] = ann{lsn: lsn, ord: ord, ghost: ghost, shard: int32(f.shard)}
+	f.fedge[a] = i + 1
 	f.dsu[ra] = rb
 	f.size[rb] += f.size[ra]
 	if smallMin < f.min[rb] {
@@ -218,27 +241,40 @@ func (f *Forest) record(u, v graph.V, lsn uint64, ghost bool) {
 }
 
 // reroot reverses the fparent chain from a to its forest root, making a
-// the root of its tree: the path is collected, then each edge flipped —
-// path[i] --ann@path[i]--> path[i+1] becomes path[i+1] --same ann-->
-// path[i] (a tree edge IS the input edge between its endpoints, so the
-// annotation just moves to the other endpoint). Rerooting always the
-// smaller tree bounds total reversal work at O(n log n) by the standard
-// union-by-size argument.
+// the root of its tree: walking up, each edge x --e--> parent becomes
+// parent --e--> x (a tree edge IS the input edge between its
+// endpoints, so its record index just moves to the other endpoint).
+// Rerooting always the smaller tree bounds total reversal work at
+// O(n log n) by the standard union-by-size argument.
 func (f *Forest) reroot(a graph.V) {
-	var path []graph.V
-	for x := a; ; x = f.fparent[x] {
-		path = append(path, x)
-		if f.fparent[x] == x {
-			break
+	x, prev, prevEdge := a, a, int32(0)
+	for {
+		p, e := f.fparent[x], f.fedge[x]
+		f.fparent[x], f.fedge[x] = prev, prevEdge
+		if p == x {
+			return
 		}
+		x, prev, prevEdge = p, x, e
 	}
-	for i := len(path) - 2; i >= 0; i-- {
-		child, parent := path[i], path[i+1]
-		f.fparent[parent] = child
-		f.fedge[parent] = f.fedge[child]
+}
+
+// expand returns record i as the MergeRecord the API reports. Caller
+// holds mu.
+func (f *Forest) expand(i int32) MergeRecord {
+	r := &f.records[i]
+	return MergeRecord{
+		Ordinal: uint64(i) + 1, LSN: r.lsn, U: r.u, V: r.v,
+		Winner: r.winner, Loser: r.loser,
+		WinnerSize: int(r.winnerSize), LoserSize: int(r.loserSize),
+		Ghost: r.ghost, Shard: f.shard,
 	}
-	f.fparent[a] = a
-	f.fedge[a] = ann{}
+}
+
+// hop returns the tree edge x→y, which record e-1 carries, as a Hop.
+// Caller holds mu.
+func (f *Forest) hop(x, y graph.V, e int32) Hop {
+	r := &f.records[e-1]
+	return Hop{U: x, V: y, LSN: r.lsn, Ordinal: uint64(e), Ghost: r.ghost, Shard: f.shard}
 }
 
 // Explain returns a witness path of recorded edges from u to v, or
@@ -259,7 +295,7 @@ func (f *Forest) Explain(u, v graph.V) (hops []Hop, ok bool) {
 		return nil, false
 	}
 	// Root paths of both endpoints (vertex sequences; edge i connects
-	// seq[i] and seq[i+1], annotated at seq[i]).
+	// seq[i] and seq[i+1], and fedge[seq[i]] names its record).
 	up := f.rootPath(u)
 	vp := f.rootPath(v)
 	// Find the lowest common ancestor: deepest suffix match.
@@ -270,15 +306,11 @@ func (f *Forest) Explain(u, v graph.V) (hops []Hop, ok bool) {
 	}
 	// u → lca: forward along up[0..iu].
 	for i := 0; i < iu; i++ {
-		x := up[i]
-		a := f.fedge[x]
-		hops = append(hops, Hop{U: x, V: up[i+1], LSN: a.lsn, Ordinal: a.ord, Ghost: a.ghost, Shard: int(a.shard)})
+		hops = append(hops, f.hop(up[i], up[i+1], f.fedge[up[i]]))
 	}
 	// lca → v: backward along vp[0..iv].
 	for i := iv; i > 0; i-- {
-		x := vp[i-1]
-		a := f.fedge[x]
-		hops = append(hops, Hop{U: vp[i], V: x, LSN: a.lsn, Ordinal: a.ord, Ghost: a.ghost, Shard: int(a.shard)})
+		hops = append(hops, f.hop(vp[i], vp[i-1], f.fedge[vp[i-1]]))
 	}
 	return hops, true
 }
@@ -297,19 +329,27 @@ func (f *Forest) rootPath(v graph.V) []graph.V {
 // History returns v's component merge timeline: every recorded merge
 // whose trees are now part of v's component, in ordinal (recording)
 // order. The earliest records are the component's oldest joins; each
-// entry's pre-merge sizes show how the component accreted.
+// entry's pre-merge sizes show how the component accreted. It walks the
+// component's record list and sorts it: O(k log k) for k records.
 func (f *Forest) History(v graph.V) []MergeRecord {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if int(v) >= len(f.fparent) {
 		return nil
 	}
-	root := f.find(v)
-	out := make([]MergeRecord, 0, 16)
-	for _, rec := range f.records {
-		if f.find(rec.U) == root {
-			out = append(out, rec)
+	var idx []int32
+	if l := f.last[f.find(v)]; l != 0 {
+		for i := l - 1; ; {
+			idx = append(idx, i)
+			if i = f.records[i].next; i == l-1 {
+				break
+			}
 		}
+	}
+	slices.Sort(idx)
+	out := make([]MergeRecord, len(idx))
+	for j, i := range idx {
+		out[j] = f.expand(i)
 	}
 	return out
 }
@@ -321,39 +361,38 @@ type Stats struct {
 	Ghost    int   `json:"ghost_records"`
 	Trees    int   `json:"trees"` // forest trees (== current components among recorded vertices)
 	Dropped  int64 `json:"dropped"`
-	// MemoryBytes estimates the forest's retained footprint: the three
-	// per-vertex arrays plus the record log.
+	// MemoryBytes is the forest's retained footprint: the capacities of
+	// its per-vertex arrays and of its record table.
 	MemoryBytes int64 `json:"memory_bytes"`
 }
 
-// StatsNow returns current stats.
+// StatsNow returns current stats in O(1).
 func (f *Forest) StatsNow() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ghost := 0
-	for _, r := range f.records {
-		if r.Ghost {
-			ghost++
-		}
-	}
 	n := len(f.fparent)
-	const perVertex = 4 + 24 + 4 + 4 + 4 // fparent + ann + dsu + size + min
-	const perRecord = 64                 // MergeRecord
 	return Stats{
-		Vertices:    n,
-		Records:     len(f.records),
-		Ghost:       ghost,
-		Trees:       n - len(f.records),
-		Dropped:     f.dropped,
-		MemoryBytes: int64(n)*perVertex + int64(len(f.records))*perRecord,
+		Vertices: n,
+		Records:  len(f.records),
+		Ghost:    f.ghosts,
+		Trees:    n - len(f.records),
+		Dropped:  f.dropped,
+		MemoryBytes: capBytes(f.fparent) + capBytes(f.fedge) + capBytes(f.dsu) +
+			capBytes(f.size) + capBytes(f.min) + capBytes(f.last) + capBytes(f.records),
 	}
+}
+
+// capBytes is the size of s's backing array.
+func capBytes[T any](s []T) int64 {
+	var z T
+	return int64(cap(s)) * int64(unsafe.Sizeof(z))
 }
 
 // Dump serializes the forest for /debug/provenance. Canonical mode is
 // for replay-stable golden comparisons: it contains only state that is
 // deterministic for a given serial record order (the full record log
 // and the tree-edge list sorted by child vertex), omitting the memory
-// estimate. Non-canonical adds Stats.
+// figure. Non-canonical adds Stats.
 func (f *Forest) Dump(canonical bool) []byte {
 	f.mu.Lock()
 	type treeEdge struct {
@@ -364,15 +403,18 @@ func (f *Forest) Dump(canonical bool) []byte {
 		Ghost   bool    `json:"ghost,omitempty"`
 	}
 	edges := make([]treeEdge, 0, len(f.records))
-	for v := range f.fparent {
-		p := f.fparent[v]
+	for v, p := range f.fparent {
 		if p == graph.V(v) {
 			continue
 		}
-		a := f.fedge[v]
-		edges = append(edges, treeEdge{Child: graph.V(v), Parent: p, LSN: a.lsn, Ordinal: a.ord, Ghost: a.ghost})
+		e := f.fedge[v]
+		r := &f.records[e-1]
+		edges = append(edges, treeEdge{Child: graph.V(v), Parent: p, LSN: r.lsn, Ordinal: uint64(e), Ghost: r.ghost})
 	}
-	records := append([]MergeRecord(nil), f.records...)
+	records := slices.Grow([]MergeRecord(nil), len(f.records)) // nil (JSON null) while empty
+	for i := range f.records {
+		records = append(records, f.expand(int32(i)))
+	}
 	f.mu.Unlock()
 
 	body := map[string]any{

@@ -46,6 +46,7 @@ type edgeBatcher struct {
 	wal      *wal.Log                                                  // nil = no write-ahead logging
 	hub      *eventHub                                                 // merge-event fan-out (may be nil)
 	prov     *provenance.Forest                                        // records each flush's merges (nil = off)
+	onProv   func()                                                    // after each flush's RecordMerges (with prov)
 	onWALLag func(lsnDelta, byteDelta int64, appended, durable uint64) // post-flush durability gap report
 
 	submit chan *submission
@@ -165,8 +166,9 @@ func (b *edgeBatcher) collect(first *submission) (batch []*submission, open bool
 //     fold its merges into the per-root size table, and advance the
 //     applied-LSN watermark. Readers holding the lock shared see the
 //     state after some whole batch.
-//  3. Record the merges in the provenance forest, publish them to the
-//     SSE hub, report the durability gap, and reply to each submission.
+//  3. Record the merges in the provenance forest and refresh its
+//     gauges, publish the merges to the SSE hub, report the durability
+//     gap, and reply to each submission.
 func (b *edgeBatcher) flush(batch []*submission) {
 	total := 0
 	for _, s := range batch {
@@ -222,6 +224,7 @@ func (b *edgeBatcher) flush(batch []*submission) {
 
 	if b.prov != nil {
 		b.prov.RecordMerges(all, merges, lsn)
+		b.onProv()
 	}
 	merged := int64(len(merges))
 	if b.applyHist != nil {

@@ -164,6 +164,31 @@ func TestExplainBootstrapGap(t *testing.T) {
 	}
 }
 
+// TestProvenanceGaugesTrackFlushes: each flush refreshes the forest's
+// two gauges, so a /metrics scrape that no /stats request preceded reads
+// the forest as it stands.
+func TestProvenanceGaugesTrackFlushes(t *testing.T) {
+	srv := New(core.NewIncremental(64), 0, Config{Provenance: true})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Close()
+	for i := 0; i < 3; i++ {
+		postEdge(t, ts.URL, i, i+1)
+	}
+	st := srv.Provenance().StatsNow()
+	if st.Records != 3 {
+		t.Fatalf("forest holds %d records after three merging POSTs, want 3", st.Records)
+	}
+	for sample, want := range map[string]float64{
+		"afforest_provenance_records":      3,
+		"afforest_provenance_memory_bytes": float64(st.MemoryBytes),
+	} {
+		if got, ok := scrapeSample(t, ts.URL, sample); !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", sample, got, ok, want)
+		}
+	}
+}
+
 // TestExplainSurvivesWALRestart: a server restarted purely from its WAL
 // rebuilds the same merge forest, so the canonical dump and every
 // /explain answer come back identical. Two inputs: 200 single-edge

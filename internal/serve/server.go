@@ -159,10 +159,9 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 	concurrent.DefaultPool().SetMetrics(pm)
 	// Provenance: create the merge-forest (or adopt the one Open built
 	// so WAL replay recorded into it). The batcher records each flush's
-	// merges after it releases the view lock: recording under that lock
-	// would hold every size reader behind the forest's lock, which
-	// /history holds for its whole scan. Gauges make forest growth
-	// visible without hitting /debug.
+	// merges after it releases the view lock, so no size reader waits on
+	// the forest's lock, then refreshes the forest gauges, which make its
+	// growth visible without hitting /debug.
 	if cfg.Provenance {
 		if cfg.prov == nil {
 			cfg.prov = provenance.NewForest(inc.NumVertices())
@@ -171,12 +170,10 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 		s.provDepth = reg.Gauge("afforest_witness_depth",
 			"Hop count of the most recent /explain witness path.")
 		s.provMem = reg.Gauge("afforest_provenance_memory_bytes",
-			"Estimated resident size of the provenance merge-forest.")
+			"Bytes the provenance merge-forest retains: the capacities of its arrays.")
 		s.provRecords = reg.Gauge("afforest_provenance_records",
 			"Merge records held by the provenance forest.")
-		st := s.prov.StatsNow()
-		s.provMem.Set(float64(st.MemoryBytes))
-		s.provRecords.Set(float64(st.Records))
+		s.provStats()
 	}
 	s.hub = newEventHub()
 	s.wal = cfg.WAL
@@ -201,6 +198,7 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 	s.batcher.wal = s.wal
 	s.batcher.hub = s.hub
 	s.batcher.prov = s.prov
+	s.batcher.onProv = func() { s.provStats() }
 	if s.wal != nil {
 		s.batcher.onWALLag = func(lsnDelta, byteDelta int64, appended, durable uint64) {
 			s.walLSN.Set(float64(appended))
@@ -214,6 +212,14 @@ func New(inc *core.Incremental, bootEdges int64, cfg Config) *Server {
 	s.api.Handle("GET /history", "history", s.handleHistory)
 	s.api.Handle("GET /debug/provenance", "", s.handleProvenanceDump)
 	return s
+}
+
+// provStats reads the forest's stats and sets its two gauges from them.
+func (s *Server) provStats() provenance.Stats {
+	st := s.prov.StatsNow()
+	s.provMem.Set(float64(st.MemoryBytes))
+	s.provRecords.Set(float64(st.Records))
+	return st
 }
 
 // Registry returns the registry backing this server's /metrics.
@@ -481,10 +487,7 @@ func (s *Server) StatsSections(body map[string]any) {
 	}
 	body["snapshots"] = s.snapshots.Value()
 	if s.prov != nil {
-		st := s.prov.StatsNow()
-		s.provMem.Set(float64(st.MemoryBytes))
-		s.provRecords.Set(float64(st.Records))
-		body["provenance"] = st
+		body["provenance"] = s.provStats()
 	}
 	published, evictions, live := s.hub.snapshot()
 	body["events"] = map[string]any{
