@@ -39,16 +39,20 @@ func placementRNG(seed uint64) *mathrand.Rand { return mathrand.New(mathrand.New
 // TestExchangeArcPlacements ships every edge's arcs through sendEdges
 // in random batches, each edge to owner(u), owner(v), both, or an
 // arbitrary shard — placements LoadGraph and AddEdges never make — and
-// settles each batch. After every batch GlobalLabels, Resolve and
-// Connected must match the canonical labeling of the edges so far, at
-// 2–16 shards. Some seeds lay a random path, whose labels chain across
-// many shards. A failure names its seed, and
+// settles each batch. Between batches, with probability ½ drawn from a
+// second seeded stream, a random slot leaves and a fresh shard joins it
+// with the snapshot, so the other members' acks outlive the membership
+// change. After every batch GlobalLabels and Resolve of every vertex,
+// and Connected of random pairs, must match the canonical labeling of
+// the edges so far, at 2–16 shards. Some seeds lay a random path, whose
+// labels chain across many shards. A failure names its seed, and
 // `go test -run 'TestExchangeArcPlacements/seed=N' ./internal/cluster`
 // replays it.
 func TestExchangeArcPlacements(t *testing.T) {
 	for seed := uint64(1); seed <= 150; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := placementRNG(seed)
+			members := mathrand.New(mathrand.NewPCG(seed, 1))
 			n := 2 + rng.IntN(160)
 			l, err := StartLocal(n, 2+rng.IntN(15), Config{Parallelism: 1})
 			if err != nil {
@@ -60,6 +64,19 @@ func TestExchangeArcPlacements(t *testing.T) {
 			order := rng.Perm(n)
 			var edges []graph.Edge
 			for batch, batches := 0, 1+rng.IntN(5); batch < batches; batch++ {
+				if batch > 0 && members.IntN(2) == 0 {
+					id := members.IntN(r.numShards)
+					if err := r.Leave(id); err != nil {
+						t.Fatalf("seed %d batch %d: Leave(%d): %v", seed, batch, id, err)
+					}
+					addr, err := l.SpawnShard(1)
+					if err != nil {
+						t.Fatalf("seed %d batch %d: SpawnShard: %v", seed, batch, err)
+					}
+					if err := r.Join(id, addr); err != nil {
+						t.Fatalf("seed %d batch %d: Join(%d): %v", seed, batch, id, err)
+					}
+				}
 				per := make([][]pair, r.numShards)
 				for k := rng.IntN(n); k > 0; k-- {
 					u, v := graph.V(rng.IntN(n)), graph.V(rng.IntN(n))
@@ -94,12 +111,12 @@ func TestExchangeArcPlacements(t *testing.T) {
 						t.Fatalf("seed %d (n=%d, %d shards) batch %d: label[%d] = %d, want %d",
 							seed, n, r.numShards, batch, v, got[v], want[v])
 					}
+					if res, err := r.Resolve(graph.V(v)); err != nil || res != want[v] {
+						t.Fatalf("seed %d batch %d: Resolve(%d) = %d, %v; want %d", seed, batch, v, res, err, want[v])
+					}
 				}
 				for i := 0; i < 8; i++ {
 					u, v := graph.V(rng.IntN(n)), graph.V(rng.IntN(n))
-					if l, err := r.Resolve(u); err != nil || l != want[u] {
-						t.Fatalf("seed %d batch %d: Resolve(%d) = %d, %v; want %d", seed, batch, u, l, err, want[u])
-					}
 					if c, err := r.Connected(u, v); err != nil || c != (want[u] == want[v]) {
 						t.Fatalf("seed %d batch %d: Connected(%d,%d) = %v, %v; want %v",
 							seed, batch, u, v, c, err, want[u] == want[v])
@@ -156,51 +173,6 @@ func TestExchangeStaleHolder(t *testing.T) {
 	}
 	if c, err := r.Connected(30, 31); err != nil || c {
 		t.Fatalf("Connected(30,31) = %v, %v; want false", c, err)
-	}
-}
-
-// TestShardRefusesAbsorbOutsideExchange: an absorb with no exchange
-// open (none started, or one already ended) is answered with opError,
-// and the shard keeps serving.
-func TestShardRefusesAbsorbOutsideExchange(t *testing.T) {
-	l, err := StartLocal(20, 2, Config{})
-	if err != nil {
-		t.Fatalf("StartLocal: %v", err)
-	}
-	defer l.Close()
-	conn, err := net.Dial("tcp", l.Addrs[0])
-	if err != nil {
-		t.Fatalf("dial shard 0: %v", err)
-	}
-	defer conn.Close()
-	call := func(op byte, payload []byte) (byte, []byte) {
-		t.Helper()
-		if err := writeFrame(conn, op, payload); err != nil {
-			t.Fatalf("%s: write: %v", opName(op), err)
-		}
-		rop, _, resp, err := readFrame(conn)
-		if err != nil {
-			t.Fatalf("%s: read: %v", opName(op), err)
-		}
-		return rop, resp
-	}
-	absorb := encodePairs(nil, []pair{{V: 15, Label: 3}})
-	if rop, resp := call(opAbsorb, absorb); rop != opError || !strings.Contains(string(resp), "outside an exchange") {
-		t.Fatalf("absorb before any exchange answered %s: %s", opName(rop), resp)
-	}
-	for _, req := range []struct {
-		op      byte
-		payload []byte
-	}{{opOutbox, nil}, {opAbsorb, absorb}, {opEndExchange, nil}} {
-		if rop, resp := call(req.op, req.payload); rop != req.op {
-			t.Fatalf("%s inside an exchange answered %s: %s", opName(req.op), opName(rop), resp)
-		}
-	}
-	if rop, resp := call(opAbsorb, absorb); rop != opError || !strings.Contains(string(resp), "outside an exchange") {
-		t.Fatalf("absorb after opEndExchange answered %s: %s", opName(rop), resp)
-	}
-	if rop, resp := call(opPing, nil); rop != opPing {
-		t.Fatalf("opPing afterwards answered %s: %s", opName(rop), resp)
 	}
 }
 

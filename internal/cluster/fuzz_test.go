@@ -87,8 +87,8 @@ func FuzzDecodeFrame(f *testing.F) {
 // with the high bit set goes out with a trace context, and opInit
 // records are skipped because opInit's allocation grows with n. The
 // invariants: no panic, every frame is answered with its own op or with
-// an opError naming the shard and the op, and opPing still answers
-// after the script. One dispatcher decodes every request, so this
+// an opError naming the shard and the op, opPing still answers after
+// the script, and the acks are still sorted refs. One dispatcher decodes every request, so this
 // covers every request decoder and every range check in front of the
 // ref bitset.
 func FuzzShardHandle(f *testing.F) {
@@ -98,12 +98,21 @@ func FuzzShardHandle(f *testing.F) {
 	f.Add(rec(opPing, nil))
 	f.Add(script(rec(opEdges, edges), rec(opOutbox, nil),
 		rec(opIngest, encodePairs(nil, []pair{{V: 30, Label: 0}, {V: 25, Label: 10}})),
-		rec(opAbsorb, encodePairs(nil, []pair{{V: 50, Label: 0}, {V: 63, Label: 5}})),
-		rec(opEndExchange, nil)))
+		rec(opAbsorb, encodePairs(nil, []pair{{V: 50, Label: 0}, {V: 63, Label: 5}}))))
 	f.Add(script(rec(opEdges|traceFlag, edges), rec(opOutbox|traceFlag, nil),
 		rec(opAbsorb|traceFlag, encodePairs(nil, []pair{{V: 0, Label: 0}})), rec(opFlight|traceFlag, nil)))
 	f.Add(script(rec(opQuery, putU32(nil, 64)), rec(opLabels, putU32(putU32(nil, 40), 10)),
 		rec(opLabels, putU32(putU32(nil, 22), 44)), rec(opExplain, putU32(putU32(nil, 0), 63))))
+	// A restore resets the acks to its own refs (5 and 10 here), and the
+	// absorb's new label 3 folds in between kept acks.
+	restored := make([]graph.V, 22)
+	for i := range restored {
+		restored[i] = graph.V(22 + i)
+	}
+	restored[0], restored[3], restored[5] = 5, 5, 10
+	f.Add(script(rec(opRestore, encodeLabels(putU64(putU32(putU32(nil, 22), 44), 0), restored)),
+		rec(opEdges, encodePairs(nil, []pair{{V: 30, Label: 60}, {V: 23, Label: 1}})), rec(opOutbox, nil),
+		rec(opAbsorb, encodePairs(nil, []pair{{V: 5, Label: 3}, {V: 60, Label: 40}})), rec(opOutbox, nil)))
 	f.Add(script(rec(opSnapshot, nil),
 		rec(opRestore, encodeLabels(putU64(putU32(putU32(nil, 22), 44), 7), make([]graph.V, 22))),
 		rec(opShutdown, nil), rec(opError, []byte("x")), rec(0, nil)))
@@ -161,6 +170,14 @@ func FuzzShardHandle(f *testing.F) {
 		}
 		if rop, resp := send(opPing, traceCtx{}, nil); rop != opPing {
 			t.Fatalf("opPing after the script answered %s: %s", opName(rop), resp)
+		}
+		// Every fold kept the acks sorted, one per ref.
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		for i, a := range sh.acks {
+			if sh.refs[a.V/64]&(1<<(a.V%64)) == 0 || i > 0 && a.V <= sh.acks[i-1].V {
+				t.Fatalf("acks %v are not sorted refs", sh.acks)
+			}
 		}
 	})
 }

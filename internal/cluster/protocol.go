@@ -35,54 +35,52 @@ import (
 // Protocol ops. Requests are router→shard; a response reuses the
 // request op on success or carries opError with a UTF-8 message.
 //
-// The exchange ops run as one exchange: opOutbox starts it and records
-// every opinion sent as that ref's ack, opIngest answers only the
-// opinions its owner labels differently (a reply reuses the pair layout
-// with the request index in the vertex slot), opAbsorb returns the
-// next round's opinions, and opEndExchange frees the shard's state.
+// The exchange ops run an exchange's rounds: opOutbox returns round 1's
+// opinions, opIngest answers only the opinions its owner labels
+// differently (a reply reuses the pair layout with the request index in
+// the vertex slot), and opAbsorb returns the next round's opinions. A
+// shard records every opinion it sends as that ref's ack and keeps the
+// acks across exchanges, so no op ends one.
 const (
-	opInit        byte = 1  // n u64 | numShards u32 | shardID u32 → (empty)
-	opEdges       byte = 2  // pairs (edges) → merged u32
-	opOutbox      byte = 3  // (empty) → pairs (remote ref, local label)
-	opIngest      byte = 4  // pairs (owned v, remote opinion) → merged u32 | pairs (request index, owner label)
-	opAbsorb      byte = 5  // pairs (remote ref, owner label) → merged u32 | pairs (remote ref, local label)
-	opQuery       byte = 6  // v u32 → label u32
-	opLabels      byte = 7  // lo u32 | hi u32 → labels [hi-lo]u32
-	opSnapshot    byte = 8  // (empty) → lo u32 | hi u32 | edges u64 | labels [hi-lo]u32
-	opRestore     byte = 9  // lo u32 | hi u32 | edges u64 | labels [hi-lo]u32 → (empty)
-	opPing        byte = 10 // (empty) → (empty)
-	opShutdown    byte = 11 // (empty) → (empty), then the shard exits its serve loop
-	opFlight      byte = 12 // (empty) → flightLen u32 | flight JSONL | phasesLen u32 | phase-span JSON | spansLen u32 | wire-span JSON
-	opExplain     byte = 13 // u u32 | v u32 → status u8 | count u32 | hops (u u32 | v u32 | lsn u64 | ordinal u64 | flags u8)
-	opEndExchange byte = 14 // (empty) → (empty)
-	opError       byte = 99 // message string (response only)
+	opInit     byte = 1  // n u64 | numShards u32 | shardID u32 → (empty)
+	opEdges    byte = 2  // pairs (edges) → merged u32
+	opOutbox   byte = 3  // (empty) → pairs (remote ref, local label)
+	opIngest   byte = 4  // pairs (owned v, remote opinion) → merged u32 | pairs (request index, owner label)
+	opAbsorb   byte = 5  // pairs (remote ref, owner label) → merged u32 | pairs (remote ref, local label)
+	opQuery    byte = 6  // v u32 → label u32
+	opLabels   byte = 7  // lo u32 | hi u32 → labels [hi-lo]u32
+	opSnapshot byte = 8  // (empty) → lo u32 | hi u32 | edges u64 | labels [hi-lo]u32
+	opRestore  byte = 9  // lo u32 | hi u32 | edges u64 | labels [hi-lo]u32 → (empty)
+	opPing     byte = 10 // (empty) → (empty)
+	opShutdown byte = 11 // (empty) → (empty), then the shard exits its serve loop
+	opFlight   byte = 12 // (empty) → flightLen u32 | flight JSONL | phasesLen u32 | phase-span JSON | spansLen u32 | wire-span JSON
+	opExplain  byte = 13 // u u32 | v u32 → status u8 | count u32 | hops (u u32 | v u32 | lsn u64 | ordinal u64 | flags u8)
+	opError    byte = 99 // message string (response only)
 )
 
 // ops is the op table: each op's name in errors and logs, and its
 // obs wire-span name. span is "" for ops not traced as spans: the rare
 // control-plane calls outside any request's critical path (init,
-// snapshot, restore, ping, shutdown), the empty end-of-exchange message
-// and opExplain. beforeInit marks the ops a shard answers before
-// opInit.
+// snapshot, restore, ping, shutdown) and opExplain. beforeInit marks
+// the ops a shard answers before opInit.
 var ops = map[byte]struct {
 	name, span string
 	beforeInit bool
 }{
-	opInit:        {"opInit", "", true},
-	opEdges:       {"opEdges", obs.WireEdges, false},
-	opOutbox:      {"opOutbox", obs.WireOutbox, false},
-	opIngest:      {"opIngest", obs.WireIngest, false},
-	opAbsorb:      {"opAbsorb", obs.WireAbsorb, false},
-	opQuery:       {"opQuery", obs.WireQuery, false},
-	opLabels:      {"opLabels", obs.WireLabels, false},
-	opSnapshot:    {"opSnapshot", "", false},
-	opRestore:     {"opRestore", "", false},
-	opPing:        {"opPing", "", true},
-	opShutdown:    {"opShutdown", "", true},
-	opFlight:      {"opFlight", obs.WireFlight, true},
-	opExplain:     {"opExplain", "", false},
-	opEndExchange: {"opEndExchange", "", false},
-	opError:       {"opError", "", false},
+	opInit:     {"opInit", "", true},
+	opEdges:    {"opEdges", obs.WireEdges, false},
+	opOutbox:   {"opOutbox", obs.WireOutbox, false},
+	opIngest:   {"opIngest", obs.WireIngest, false},
+	opAbsorb:   {"opAbsorb", obs.WireAbsorb, false},
+	opQuery:    {"opQuery", obs.WireQuery, false},
+	opLabels:   {"opLabels", obs.WireLabels, false},
+	opSnapshot: {"opSnapshot", "", false},
+	opRestore:  {"opRestore", "", false},
+	opPing:     {"opPing", "", true},
+	opShutdown: {"opShutdown", "", true},
+	opFlight:   {"opFlight", obs.WireFlight, true},
+	opExplain:  {"opExplain", "", false},
+	opError:    {"opError", "", false},
 }
 
 // opName renders an op byte for error messages (the trace flag is

@@ -13,17 +13,17 @@ import (
 )
 
 // refModel is the reference for a shard's ref set and exchange state: a
-// plain map of remote ids plus a sort on every outbox, next to a
-// min-root union-find standing in for π (every π link hooks the larger
-// root under the smaller, so a shard's find(v) is the minimum id of v's
-// local component), and a map of acks while an exchange is open.
+// plain map of remote ids next to a min-root union-find standing in for
+// π (every π link hooks the larger root under the smaller, so a shard's
+// find(v) is the minimum id of v's local component), and a map of acks
+// kept for as long as π, with a sort on every scan.
 type refModel struct {
 	n, lo, hi int
 	refs      map[graph.V]struct{}
 	parent    []graph.V
 	comps     int                 // components of parent
-	acks      map[graph.V]graph.V // ref → ack; nil outside an exchange
-	seen      int                 // comps when every find last matched its ack
+	acks      map[graph.V]graph.V // ref → ack
+	seen      int                 // comps at the last scan
 }
 
 func newRefModel(n, lo, hi int) *refModel {
@@ -39,13 +39,14 @@ func (m *refModel) reset() {
 		m.parent[v] = graph.V(v)
 	}
 	m.comps = m.n
-	m.acks = nil
+	m.acks = map[graph.V]graph.V{}
+	m.seen = m.comps
 }
 
 func (m *refModel) owned(v graph.V) bool { return int(v) >= m.lo && int(v) < m.hi }
 
-// note records a remote id as a ref. A ref that joins during an
-// exchange starts unsent, so the next scan sends it whatever its find.
+// note records a remote id as a ref. A new ref starts unsent, so the
+// next scan sends it whatever its find.
 func (m *refModel) note(v graph.V) {
 	if m.owned(v) {
 		return
@@ -54,9 +55,7 @@ func (m *refModel) note(v graph.V) {
 		return
 	}
 	m.refs[v] = struct{}{}
-	if m.acks != nil {
-		m.acks[v] = unsent
-	}
+	m.acks[v] = unsent
 }
 
 func (m *refModel) find(v graph.V) graph.V {
@@ -79,22 +78,23 @@ func (m *refModel) union(u, v graph.V) {
 	m.comps--
 }
 
-// outbox is the pre-bitset algorithm: every ref with its label, sorted
-// by vertex id, and the labels noted as refs only after the walk. It
-// opens an exchange with each label sent as its ref's ack.
-func (m *refModel) outbox() []pair {
-	out := make([]pair, 0, len(m.refs))
-	m.acks = map[graph.V]graph.V{}
-	for r := range m.refs {
-		out = append(out, pair{V: r, Label: m.find(r)})
-		m.acks[r] = m.find(r)
+// scan returns nothing when nothing merged since the last scan; else it
+// returns, in ref order, every ref whose find differs from its ack and
+// moves the ack there. An outbox is a scan.
+func (m *refModel) scan() []pair {
+	if m.comps == m.seen {
+		return nil
 	}
 	m.seen = m.comps
-	for _, p := range out {
-		m.note(p.Label)
+	var next []pair
+	for r, a := range m.acks {
+		if f := m.find(r); f != a {
+			m.acks[r] = f
+			next = append(next, pair{V: r, Label: f})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].V < out[j].V })
-	return out
+	sort.Slice(next, func(i, j int) bool { return next[i].V < next[j].V })
+	return next
 }
 
 // ingest links every opinion, then answers (index, find) for each whose
@@ -113,10 +113,8 @@ func (m *refModel) ingest(ps []pair) []pair {
 	return replies
 }
 
-// absorb links the replies and sets each replied ref's ack to the
-// reply. With no merge since the last scan it returns nothing; else it
-// returns, in ref order, every ref whose find differs from its ack and
-// moves the ack there.
+// absorb links the replies, sets each replied ref's ack to the reply
+// and returns the next scan.
 func (m *refModel) absorb(ps []pair) []pair {
 	for _, p := range ps {
 		m.note(p.V)
@@ -128,37 +126,24 @@ func (m *refModel) absorb(ps []pair) []pair {
 			m.acks[p.V] = p.Label
 		}
 	}
-	if m.comps == m.seen {
-		return nil
-	}
-	m.seen = m.comps
-	var next []pair
-	for r, a := range m.acks {
-		if f := m.find(r); f != a {
-			m.acks[r] = f
-			next = append(next, pair{V: r, Label: f})
-		}
-	}
-	sort.Slice(next, func(i, j int) bool { return next[i].V < next[j].V })
-	return next
+	return m.scan()
 }
 
 // TestShardRefsMatchModel drives a Shard's dispatcher directly through
 // seeded random sequences of opEdges / opIngest / opAbsorb / opOutbox /
-// opRestore / opEndExchange beside refModel. Every outbox must carry the model's
-// pairs in the model's order, never an owned id, and labels first seen
-// during one outbox only from the next outbox on. Every ingest must
-// answer exactly the opinions the model labels differently, and every
-// absorb must return exactly the model's next opinions, or fail when no
-// exchange is open.
+// opRestore beside refModel, whose acks persist across outboxes as the
+// shard's do. Every outbox must carry the model's pairs in the model's
+// order, never an owned id. Every ingest must answer exactly the
+// opinions the model labels differently, and every absorb must return
+// exactly the model's next opinions.
 //
 // Every protocol op notes the ids it puts into π, so a ref's label is
 // normally a ref already. The sixth op links two ids straight into π
-// without noting them — the case outbox's post-walk noting exists for —
-// so the "next outbox on" rule is exercised, not vacuous.
+// without noting them, so the shard and the model must also agree on a
+// π whose labels include ids that are not refs.
 func TestShardRefsMatchModel(t *testing.T) {
 	sizes := []int{1, 2, 63, 64, 65, 130, 257}
-	var freshSeen, scans, quiet, refused int
+	var scans, quiet int
 	for seed := uint64(1); seed <= 60; seed++ {
 		rng := mathrand.New(mathrand.NewPCG(seed, 0))
 		n := sizes[rng.IntN(len(sizes))]
@@ -181,9 +166,15 @@ func TestShardRefsMatchModel(t *testing.T) {
 			}
 			return ps
 		}
-		var fresh []graph.V // remote labels first seen by the last outbox
+		scanned := func(before int) {
+			if m.seen == before {
+				quiet++
+			} else {
+				scans++
+			}
+		}
 		for step := 0; step < 200; step++ {
-			switch op := rng.IntN(7); op {
+			switch op := rng.IntN(6); op {
 			case 0:
 				ps := randPairs(randV)
 				if _, err := do(opEdges, encodePairs(nil, ps)); err != nil {
@@ -224,13 +215,6 @@ func TestShardRefsMatchModel(t *testing.T) {
 				c, err := do(opAbsorb, encodePairs(nil, ps))
 				c.u32()
 				next := c.pairs()
-				if m.acks == nil {
-					if err == nil {
-						t.Fatalf("seed %d step %d: absorb outside an exchange succeeded", seed, step)
-					}
-					refused++
-					continue
-				}
 				if err != nil {
 					t.Fatalf("seed %d step %d: absorb: %v", seed, step, err)
 				}
@@ -238,17 +222,10 @@ func TestShardRefsMatchModel(t *testing.T) {
 				if want := m.absorb(ps); !slices.Equal(next, want) {
 					t.Fatalf("seed %d step %d: absorb of %v returned\n got %v\nwant %v", seed, step, ps, next, want)
 				}
-				if m.seen == before {
-					quiet++
-				} else {
-					scans++
-				}
+				scanned(before)
 			case 3:
-				before := make(map[graph.V]struct{}, len(m.refs))
-				for r := range m.refs {
-					before[r] = struct{}{}
-				}
-				want := m.outbox()
+				before := m.seen
+				want := m.scan()
 				c, err := do(opOutbox, nil)
 				got := c.pairs()
 				if err != nil {
@@ -257,28 +234,12 @@ func TestShardRefsMatchModel(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d: outbox\n got %v\nwant %v", seed, step, got, want)
 				}
-				reported := make(map[graph.V]bool, len(got))
 				for _, p := range got {
 					if m.owned(p.V) {
 						t.Fatalf("seed %d step %d: outbox reports owned id %d", seed, step, p.V)
 					}
-					reported[p.V] = true
 				}
-				for _, r := range fresh {
-					if !reported[r] {
-						t.Fatalf("seed %d step %d: label %d first seen by the previous outbox is missing", seed, step, r)
-					}
-				}
-				fresh = fresh[:0]
-				for _, p := range got {
-					if _, ok := before[p.Label]; !ok && !m.owned(p.Label) {
-						if reported[p.Label] {
-							t.Fatalf("seed %d step %d: label %d reported by the outbox that first saw it", seed, step, p.Label)
-						}
-						fresh = append(fresh, p.Label)
-					}
-				}
-				freshSeen += len(fresh)
+				scanned(before)
 			case 4:
 				labels := make([]graph.V, sh.hi-sh.lo)
 				for i := range labels {
@@ -293,26 +254,18 @@ func TestShardRefsMatchModel(t *testing.T) {
 					m.note(l)
 					m.union(graph.V(sh.lo+i), l)
 				}
-				fresh = fresh[:0]
+				m.seen = m.comps
 			case 5:
 				u, v := randV(), randV()
 				sh.inc.AddEdge(u, v)
 				m.union(u, v)
-			case 6:
-				if _, err := do(opEndExchange, nil); err != nil {
-					t.Fatalf("seed %d step %d: endExchange: %v", seed, step, err)
-				}
-				m.acks = nil
 			}
 		}
 	}
-	if freshSeen == 0 {
-		t.Fatal("no outbox ever saw a new label; the next-outbox rule went unchecked")
+	if scans == 0 || quiet == 0 {
+		t.Fatalf("scan cases went unchecked: %d scans, %d without a merge", scans, quiet)
 	}
-	if scans == 0 || quiet == 0 || refused == 0 {
-		t.Fatalf("absorb cases went unchecked: %d scans, %d quiet, %d refused", scans, quiet, refused)
-	}
-	t.Logf("absorbs: %d scanned, %d without a merge, %d outside an exchange", scans, quiet, refused)
+	t.Logf("outboxes and absorbs: %d scanned, %d without a merge", scans, quiet)
 }
 
 // TestShardRejectsHostileIDs sends, over a real connection, frames whose

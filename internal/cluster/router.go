@@ -247,7 +247,7 @@ func NewRouter(addrs []string, n int, cfg Config) (*Router, error) {
 	r.opinions = reg.Counter("afforest_cluster_opinions_total",
 		"(ref, label) opinions shards sent toward the refs' owners.")
 	r.exchanges = reg.Counter("afforest_cluster_exchanges_total",
-		"Exchange-to-fixed-point invocations (one per write batch).")
+		"Exchange-to-fixed-point invocations (one per write batch that merged, one or two per load).")
 	r.exchangeNS = reg.Histogram("afforest_cluster_exchange_ns",
 		"Wall time of one exchange-to-fixed-point, ns.", obs.DefaultLatencyBuckets)
 	r.activeG = reg.Gauge("afforest_cluster_shards_active", "Shard slots currently connected.")
@@ -449,14 +449,10 @@ func (r *Router) applyEdgesLocked(rc rctx, edges []graph.Edge) (int64, error) {
 
 // settleLocked restores the global fixed point after a write whose
 // opEdges replies summed to merged. It skips the exchange when nothing
-// merged on any shard, which is sound: a link that merges nothing
-// leaves every shard's partition unchanged, so each outbox opinion
-// (ref, find(ref)) is the one the last fixed point already agreed on.
-// Nor can such a link add a ref: its endpoints already share a local
-// tree of two or more vertices, and a remote id in a non-singleton tree
-// is already a ref by the Shard invariant. The exchange would only
-// resend every ref to learn that nothing changed. Caller holds the
-// write lock with all slots active.
+// merged on any shard, which changes nothing: every shard's π would
+// then hold the component count of its last scan, so every outbox
+// would come back empty and the exchange would end after one silent
+// round. Caller holds the write lock with all slots active.
 func (r *Router) settleLocked(rc rctx, merged int64) error {
 	if merged == 0 {
 		return nil
@@ -592,13 +588,14 @@ func (r *Router) shipRows(rc rctx, g *graph.CSR, span func(u int, lo, hi int64) 
 
 // exchangeLocked drives BSP rounds until no shard has an opinion left
 // to send. Round 1 gathers every shard's outbox of (remote ref, local
-// label) opinions; each round then groups the opinions by owner and
-// ingests them there, and owners answer only the opinions they label
-// differently. The replies are routed back and absorbed, and each
-// absorb returns the shard's opinions for the next round: the refs
-// whose label moved off the one their owner is known to hold. A shard
-// whose ingest merged nothing and that got no reply has no such ref, so
-// its absorb is skipped. Shards send their opinions in strictly
+// label) opinions: the refs whose label moved off their ack since the
+// shard's last scan, and the refs noted since. Each round then groups
+// the opinions by owner and ingests them there, and owners answer only
+// the opinions they label differently. The replies are routed back and
+// absorbed, and each absorb returns the shard's opinions for the next
+// round: the refs whose label moved off the one their owner is known
+// to hold. A shard whose ingest merged nothing and that got no reply
+// has no such ref, so its absorb is skipped. Shards send their opinions in strictly
 // increasing ref order (checked on receipt), so an owner's share of a
 // sender's list is one run: the router slices each list at the
 // partition boundaries, and an ingest request is the senders' runs in
@@ -606,21 +603,18 @@ func (r *Router) shipRows(rc rctx, g *graph.CSR, span func(u int, lo, hi int64) 
 // shards with a barrier between phases, so each round is one
 // superstep. Every pair on every leg (outbox, ingest, reply, absorb,
 // next opinions) counts as a message, and each opinion a shard sends
-// counts once in Opinions. opEndExchange then frees the shards'
-// exchange state.
+// counts once in Opinions. The shards keep their acks for the next
+// exchange, so nothing ends this one.
 // When rc is traced, the exchange gets a grouping span with one child
 // span per round; every shard RPC hangs off its round. Each round also
 // feeds the cluster anomaly rules: per-shard lag, absorb churn, and —
 // on completion — the round-count blowup rule.
 // Caller holds the write lock with all slots active.
-func (r *Router) exchangeLocked(rc rctx) (err error) {
+func (r *Router) exchangeLocked(rc rctx) error {
 	start := time.Now()
 	exc := r.child(rc, obs.WireExchange, 0)
 	round := 0
 	defer func() {
-		err = errors.Join(err, r.forEachActive(func(id int, sl *slot) error {
-			return r.call(exc, sl.conn, id, round, opEndExchange, nil, nil)
-		}))
 		r.exchanges.Inc()
 		r.exchangeNS.ObserveDuration(time.Since(start))
 		r.endRoot(exc, nil)
@@ -638,7 +632,7 @@ func (r *Router) exchangeLocked(rc rctx) (err error) {
 			return err
 		}
 
-		// Round 1 only: gather every shard's full outbox.
+		// Round 1 only: gather every shard's outbox.
 		if round == 1 {
 			err := r.forEachActive(func(id int, sl *slot) error {
 				return timed(id, func() error {
@@ -1095,8 +1089,10 @@ func (r *Router) Leave(id int) error {
 }
 
 // Join fills vacant slot id with a fresh member at addr: the retained π
-// snapshot is restored into it, the slot reactivates, and one exchange
-// re-establishes the global fixed point.
+// snapshot is restored into it and the slot reactivates. It runs no
+// exchange, because no member has anything to send: the restored
+// member's last scan is its restored component count, and no other
+// member has merged since its own last scan (DESIGN.md §13).
 func (r *Router) Join(id int, addr string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -1127,10 +1123,7 @@ func (r *Router) Join(id int, addr string) error {
 	sl.snap = nil
 	sl.snapEdges = 0
 	r.activeG.Set(r.activeCount())
-	rc := r.newRoot("join_request")
-	err = r.exchangeLocked(rc)
-	r.endRoot(rc, err)
-	return err
+	return nil
 }
 
 func (r *Router) activeCount() float64 {

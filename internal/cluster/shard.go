@@ -24,10 +24,12 @@ import (
 // single-node serve layer uses). Non-owned vertices that the shard has
 // an opinion about — ghost endpoints of cut edges, plus every remote
 // label that ever entered its π through the exchange — are tracked in
-// refs, a dense bitset over [0, n). An exchange's first round sends a
-// (ref, local label) opinion for every ref to the ref's owner; later
-// rounds send only the refs whose label moved off the one the owner is
-// known to hold (the ref's ack), and owners answer only with news.
+// refs, a dense bitset over [0, n). Each ref keeps an ack for as long as
+// the shard keeps π: a label the ref's owner is known to hold for it.
+// Every exchange round, the first included, sends the ref's owner a
+// (ref, local label) opinion only for the refs whose label moved off
+// their ack and the refs noted since the last scan, and owners answer
+// only with news.
 //
 // Invariant: every remote vertex id appearing anywhere in the shard's π
 // is in refs. Remote ids enter π only through applyEdges endpoints,
@@ -49,9 +51,13 @@ type Shard struct {
 	edges       int64    // arcs applied here (includes ghost copies)
 	parallelism int
 
-	// xch is the exchange in progress: opOutbox creates it and
-	// opEndExchange frees it, so between exchanges it is nil.
-	xch *exchange
+	// The exchange state, which lives as long as π: acks holds each
+	// folded ref's ack, sorted by ref, and comps is π's component count
+	// at the last scan. The refs noted since the last fold are the
+	// numRefs − len(acks) refs missing from acks. Only initialize and
+	// restore reset it.
+	acks  []pair
+	comps int
 
 	// Observability. wire records server-side spans for requests that
 	// arrive with a trace-context extension (untraced requests record
@@ -276,7 +282,7 @@ func (sh *Shard) handle(op byte, payload []byte, sp *srvSpan) ([]byte, error) {
 		reply = func() []byte { return putU32(nil, uint32(merged)) }
 	case opOutbox:
 		var out []pair
-		work = func() error { out = sh.outbox(); return nil }
+		work = func() error { out = sh.scan(sh.fold()); return nil }
 		reply = func() []byte { return encodePairs(nil, out) }
 	case opIngest:
 		pairs := c.pairs()
@@ -288,8 +294,6 @@ func (sh *Shard) handle(op byte, payload []byte, sp *srvSpan) ([]byte, error) {
 		var next []pair
 		work = func() (err error) { merged, next, err = sh.absorb(pairs); return err }
 		reply = func() []byte { return encodePairs(putU32(nil, uint32(merged)), next) }
-	case opEndExchange:
-		work = func() error { sh.xch = nil; return nil }
 	case opQuery:
 		v := graph.V(c.u32())
 		var label graph.V
@@ -367,7 +371,6 @@ func (sh *Shard) initialize(n, numShards, id int) error {
 	sh.part = part
 	sh.lo, sh.hi = part.Range(id)
 	sh.inc = core.NewIncremental(n)
-	sh.xch = nil
 	sh.resetRefs()
 	sh.edges = 0
 	if sh.provenance {
@@ -382,18 +385,20 @@ func (sh *Shard) initialize(n, numShards, id int) error {
 
 func (sh *Shard) owned(v graph.V) bool { return int(v) >= sh.lo && int(v) < sh.hi }
 
-// resetRefs empties the ref set, sized for the current n. Caller holds
-// mu.
+// resetRefs empties the ref set, sized for the current n, and the
+// exchange state, taking the current π's component count as the last
+// scan's. Caller holds mu.
 func (sh *Shard) resetRefs() {
 	sh.refs = make([]uint64, (sh.n+63)/64)
 	sh.numRefs = 0
+	sh.acks = nil
+	sh.comps = sh.inc.NumComponents()
 }
 
-// noteRemote records a remote vertex id as a ref; during an exchange a
-// new ref also joins the exchange's acks. v must be < n: an id past the
-// bitset panics, and serveConn does not recover, so it would take the
-// whole shard process down. Every caller range-checks wire input first.
-// Caller holds mu.
+// noteRemote records a remote vertex id as a ref; the next fold gives it
+// an ack. v must be < n: an id past the bitset panics, and serveConn
+// does not recover, so it would take the whole shard process down.
+// Every caller range-checks wire input first. Caller holds mu.
 func (sh *Shard) noteRemote(v graph.V) {
 	if sh.owned(v) {
 		return
@@ -402,9 +407,6 @@ func (sh *Shard) noteRemote(v graph.V) {
 	if sh.refs[w]&bit == 0 {
 		sh.refs[w] |= bit
 		sh.numRefs++
-		if sh.xch != nil {
-			sh.xch.joined = append(sh.xch.joined, v)
-		}
 	}
 }
 
@@ -472,73 +474,64 @@ func (sh *Shard) flightDump() ([]byte, error) {
 	return b, nil
 }
 
-// exchange is a shard's state for one exchange, from the round-1
-// outbox to opEndExchange. It holds each ref's ack: a label the ref's
-// owner is known to hold for it. A ref goes out again only when its
-// find moves off its ack. The state is sized by refs, not by n.
-type exchange struct {
-	acks   []pair    // (ref, ack) sorted by ref
-	joined []graph.V // refs noted since the last fold, not yet in acks
-	comps  int       // π's component count at the outbox or the last scan
-}
-
-// unsent is the ack of a ref that joined during the exchange and has not
-// gone to its owner yet. It equals no find, so the next scan sends the
-// ref even when it is its own root: the owner's reply to (ref, ref) is
-// how a label chain across three or more shards shortens each round.
+// unsent is the ack a fold gives a newly noted ref, which has not gone
+// to its owner yet. It equals no find, so the next scan sends the ref
+// even when it is its own root: the owner's reply to (ref, ref) is how a
+// label chain across three or more shards shortens each round.
 const unsent = ^graph.V(0)
 
-// fold moves the refs that joined since the last fold into acks,
-// keeping acks sorted, each with the ack unsent.
-func (x *exchange) fold() {
-	if len(x.joined) == 0 {
-		return
+// fold moves the refs noted since the last fold into acks, each with
+// the ack unsent, and returns how many joined. Walking the ref bitset
+// from the top yields ids in decreasing order, so the joined refs merge
+// into acks from the back, in place and without a sort: an id equal to
+// the last ack not yet moved is that ack, any other id is new. The walk
+// stops once every new ref is placed, because the acks below it are
+// already where they belong. Caller holds mu.
+func (sh *Shard) fold() int {
+	joined := sh.numRefs - len(sh.acks)
+	if joined == 0 {
+		return 0
 	}
-	slices.Sort(x.joined)
-	i, j := len(x.acks)-1, len(x.joined)-1
-	x.acks = slices.Grow(x.acks, len(x.joined))[:len(x.acks)+len(x.joined)]
-	for k := len(x.acks) - 1; j >= 0; k-- {
-		if i >= 0 && x.acks[i].V > x.joined[j] {
-			x.acks[k] = x.acks[i]
-			i--
-		} else {
-			x.acks[k] = pair{V: x.joined[j], Label: unsent}
-			j--
+	i := len(sh.acks) - 1 // last ack not yet moved
+	sh.acks = slices.Grow(sh.acks, joined)[:sh.numRefs]
+	k := len(sh.acks) - 1 // next slot to fill
+	for w := len(sh.refs) - 1; k > i; w-- {
+		for word := sh.refs[w]; word != 0 && k > i; k-- {
+			b := 63 - bits.LeadingZeros64(word)
+			word &^= 1 << b
+			r := graph.V(w*64 + b)
+			if i >= 0 && sh.acks[i].V == r {
+				sh.acks[k] = sh.acks[i]
+				i--
+			} else {
+				sh.acks[k] = pair{V: r, Label: unsent}
+			}
 		}
 	}
-	x.joined = x.joined[:0]
+	return joined
 }
 
-// ack returns ref v's ack, or nil when v is not in acks.
-func (x *exchange) ack(v graph.V) *graph.V {
-	i, ok := slices.BinarySearchFunc(x.acks, v, func(p pair, v graph.V) int { return cmp.Compare(p.V, v) })
-	if !ok {
+// scan returns the shard's next opinions: every ref whose find differs
+// from its ack, in ref order, with the ack moved to that find. joined
+// refs just got the ack unsent, so they all go out and size the result.
+// When π has merged nothing since the last scan it returns nothing
+// without walking the refs: no find moved, and a ref noted without a
+// merge is its own root and waits for the next one (DESIGN.md §13).
+// opOutbox is a scan; absorb ends with one. Caller holds mu.
+func (sh *Shard) scan(joined int) []pair {
+	comps := sh.inc.NumComponents()
+	if comps == sh.comps {
 		return nil
 	}
-	return &x.acks[i].Label
-}
-
-// outbox starts an exchange: it returns the shard's current opinion
-// (ref, find(ref)) for every tracked remote vertex and records each as
-// that ref's ack. Walking the bitset word by word yields the pairs
-// sorted by vertex id, so the wire traffic is deterministic for a given
-// state. Labels that are themselves new remote vertices join refs only
-// after the walk, which is how label chains across three or more shards
-// get resolved. Caller holds mu.
-func (sh *Shard) outbox() []pair {
-	out := make([]pair, 0, sh.numRefs)
-	for w, word := range sh.refs {
-		for word != 0 {
-			r := graph.V(w*64 + bits.TrailingZeros64(word))
-			word &= word - 1
-			out = append(out, pair{V: r, Label: sh.inc.Find(r)})
+	sh.comps = comps
+	next := make([]pair, 0, joined)
+	for i := range sh.acks {
+		if f := sh.inc.Find(sh.acks[i].V); f != sh.acks[i].Label {
+			sh.acks[i].Label = f
+			next = append(next, sh.acks[i])
 		}
 	}
-	sh.xch = &exchange{acks: slices.Clone(out), comps: sh.inc.NumComponents()}
-	for _, p := range out {
-		sh.noteRemote(p.Label)
-	}
-	return out
+	return next
 }
 
 // ingest links remote opinions about owned vertices, then answers only
@@ -566,23 +559,16 @@ func (sh *Shard) ingest(pairs []pair) (int64, []pair, error) {
 	return merged, replies, nil
 }
 
-// absorb links the owners' replies to this shard's opinions, moves each
-// replied ref's ack to the owner's label, and returns the next round's
-// opinions: every ref whose find now differs from its ack (refs that
-// joined during the round included), with the ack moved to that find,
-// in ref order. When π has merged nothing since the outbox or the last
-// scan it returns nothing without walking the refs: no find moved, no
-// ref joined, and a reply that merged nothing repeats the ack it
-// answered (DESIGN.md §13). Caller holds mu.
+// absorb links the owners' replies to this shard's opinions, folds the
+// refs they noted, moves each replied ref's ack to the owner's label,
+// and returns the next scan. A reply absorbed without a merge repeats
+// the ack it answered (DESIGN.md §13), so a scan it skips misses
+// nothing. Caller holds mu.
 func (sh *Shard) absorb(pairs []pair) (int64, []pair, error) {
 	for _, p := range pairs {
 		if int(p.V) >= sh.n || int(p.Label) >= sh.n {
 			return 0, nil, fmt.Errorf("cluster: absorb pair {%d,%d} out of range", p.V, p.Label)
 		}
-	}
-	x := sh.xch
-	if x == nil {
-		return 0, nil, errors.New("cluster: absorb outside an exchange")
 	}
 	var merged int64
 	for _, p := range pairs {
@@ -590,25 +576,13 @@ func (sh *Shard) absorb(pairs []pair) (int64, []pair, error) {
 		sh.noteRemote(p.Label)
 		merged += sh.linkLabel(p)
 	}
-	x.fold()
+	joined := sh.fold()
 	for _, p := range pairs {
-		if a := x.ack(p.V); a != nil {
-			*a = p.Label
+		if i, ok := slices.BinarySearchFunc(sh.acks, p.V, func(a pair, v graph.V) int { return cmp.Compare(a.V, v) }); ok {
+			sh.acks[i].Label = p.Label
 		}
 	}
-	comps := sh.inc.NumComponents()
-	if comps == x.comps {
-		return merged, nil, nil
-	}
-	x.comps = comps
-	var next []pair
-	for i := range x.acks {
-		if f := sh.inc.Find(x.acks[i].V); f != x.acks[i].Label {
-			x.acks[i].Label = f
-			next = append(next, x.acks[i])
-		}
-	}
-	return merged, next, nil
+	return merged, sh.scan(joined), nil
 }
 
 // linkLabel links one exchange-protocol pair (vertex, label) into π
@@ -671,7 +645,10 @@ func (sh *Shard) labelRange(lo, hi int) ([]graph.V, error) {
 // shard must have been initialized with the same partition; refs are
 // rebuilt from the remote labels in the snapshot (ghost adjacency that
 // no longer shows up in labels is already merged into them, so nothing
-// is lost by not persisting the ghost set itself). Caller holds mu.
+// is lost by not persisting the ghost set itself). The exchange state
+// starts over with the restored π's component count as its last scan:
+// the remote labels are refs that are their own roots, and they go out
+// with the member's next merge. Caller holds mu.
 func (sh *Shard) restore(lo, hi int, edges int64, labels []graph.V) error {
 	if lo != sh.lo || hi != sh.hi {
 		return fmt.Errorf("cluster: snapshot range [%d,%d) does not match shard %d's [%d,%d)",
@@ -700,7 +677,6 @@ func (sh *Shard) restore(lo, hi int, edges int64, labels []graph.V) error {
 	// documented bootstrap gap.
 	sh.inc = inc
 	sh.edges = edges
-	sh.xch = nil
 	sh.resetRefs()
 	for _, l := range labels {
 		sh.noteRemote(l)

@@ -12,18 +12,22 @@ import (
 )
 
 // TestLoadWireTrafficGolden pins the exact wire traffic of fixed loads
-// into a 3-shard loopback cluster. Shard bookkeeping changes (how refs
-// are stored, how outboxes are built) must not move a byte; exchange
-// protocol changes update these values and say why in their commit.
+// into a 3-shard loopback cluster, and of seeded merging single-edge
+// writes from one writer after a load, whose case pins the writes'
+// traffic alone. Shard bookkeeping changes (how refs are stored, how
+// outboxes are built) must not move a byte; exchange protocol changes
+// update these values and say why in their commit.
 func TestLoadWireTrafficGolden(t *testing.T) {
 	cases := []struct {
-		name string
-		g    *graph.CSR
-		want RouterStats
+		name   string
+		g      *graph.CSR
+		writes int         // merging single-edge AddEdges after the load
+		want   RouterStats // of the load, or of the writes when there are any
 	}{
-		{"urand-2^14x16", gen.URandDegree(1<<14, 16, 1), RouterStats{Rounds: 2, Opinions: 7752, Messages: 17248, BytesSent: 331412, BytesRecv: 134772}},
-		{"kron-12", gen.Kronecker(12, 8, gen.Graph500, 42), RouterStats{Rounds: 3, Opinions: 908, Messages: 2342, BytesSent: 52210, BytesRecv: 25994}},
-		{"zigzag-path-3000", zigzagPath(3000), RouterStats{Rounds: 2, Opinions: 7997, Messages: 23988, BytesSent: 144158, BytesRecv: 108142}},
+		{"urand-2^14x16", gen.URandDegree(1<<14, 16, 1), 0, RouterStats{Rounds: 2, Opinions: 7752, Messages: 17248, BytesSent: 331397, BytesRecv: 134757}},
+		{"kron-12", gen.Kronecker(12, 8, gen.Graph500, 42), 0, RouterStats{Rounds: 3, Opinions: 908, Messages: 2342, BytesSent: 52195, BytesRecv: 25979}},
+		{"zigzag-path-3000", zigzagPath(3000), 0, RouterStats{Rounds: 2, Opinions: 7997, Messages: 23988, BytesSent: 144143, BytesRecv: 108127}},
+		{"urand-components-2^16/writes=64", gen.URandComponents(1<<16, 4, 0.01, 7), 64, RouterStats{Rounds: 110, Opinions: 1965, Messages: 4706, BytesSent: 23698, BytesRecv: 24510}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -36,6 +40,15 @@ func TestLoadWireTrafficGolden(t *testing.T) {
 				t.Fatalf("LoadGraph: %v", err)
 			}
 			got, want := l.Router.Stats(), tc.want
+			if tc.writes > 0 {
+				base := got
+				for _, e := range mergingEdges(tc.g, tc.writes, 1) {
+					if _, err := l.Router.AddEdges([]graph.Edge{e}); err != nil {
+						t.Fatalf("AddEdges(%v): %v", e, err)
+					}
+				}
+				got = trafficSince(l.Router, base)
+			}
 			if got.Rounds != want.Rounds || got.Opinions != want.Opinions || got.Messages != want.Messages ||
 				got.BytesSent != want.BytesSent || got.BytesRecv != want.BytesRecv {
 				t.Fatalf("wire traffic moved:\n got rounds=%d opinions=%d messages=%d sent=%d recv=%d\nwant rounds=%d opinions=%d messages=%d sent=%d recv=%d",
@@ -44,6 +57,46 @@ func TestLoadWireTrafficGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// trafficSince returns r's wire traffic since the tallies read base.
+func trafficSince(r *Router, base RouterStats) RouterStats {
+	st := r.Stats()
+	st.Rounds -= base.Rounds
+	st.Exchanges -= base.Exchanges
+	st.Opinions -= base.Opinions
+	st.Messages -= base.Messages
+	st.BytesSent -= base.BytesSent
+	st.BytesRecv -= base.BytesRecv
+	return st
+}
+
+// mergingEdges returns count seeded random edges over g's vertices, each
+// joining two components of g plus the edges before it. They form a
+// forest over g's components, so each one merges in any order, however
+// concurrent writers interleave them. g must have more than count
+// components.
+func mergingEdges(g *graph.CSR, count int, seed uint64) []graph.Edge {
+	rng := mathrand.New(mathrand.NewPCG(seed, 0))
+	parent := canonical(g)
+	find := func(v graph.V) graph.V {
+		for parent[v] != v {
+			parent[v] = parent[parent[v]]
+			v = parent[v]
+		}
+		return v
+	}
+	edges := make([]graph.Edge, 0, count)
+	for len(edges) < count {
+		u, v := graph.V(rng.IntN(g.NumVertices())), graph.V(rng.IntN(g.NumVertices()))
+		ru, rv := find(u), find(v)
+		if ru == rv {
+			continue
+		}
+		parent[max(ru, rv)] = min(ru, rv)
+		edges = append(edges, graph.Edge{U: u, V: v})
+	}
+	return edges
 }
 
 // zigzagPath is one path over n vertices that hops between the three

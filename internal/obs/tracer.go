@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sync"
 	"time"
 )
@@ -133,29 +134,19 @@ func (j *JSONLSink) Emit(s Span) {
 // RingSink retains the most recent spans in memory — the test and
 // /stats-shaped sink.
 type RingSink struct {
-	mu      sync.Mutex
-	buf     []Span
-	next    int
-	wrapped bool
+	mu    sync.Mutex
+	spans ring[Span]
 }
 
 // NewRingSink retains the last capacity spans (minimum 1).
 func NewRingSink(capacity int) *RingSink {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &RingSink{buf: make([]Span, capacity)}
+	return &RingSink{spans: ring[Span]{max: max(capacity, 1)}}
 }
 
 // Emit stores s, evicting the oldest span when full.
 func (r *RingSink) Emit(s Span) {
 	r.mu.Lock()
-	r.buf[r.next] = s
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrapped = true
-	}
+	r.spans.push(s)
 	r.mu.Unlock()
 }
 
@@ -163,11 +154,34 @@ func (r *RingSink) Emit(s Span) {
 func (r *RingSink) Spans() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.wrapped {
-		return append([]Span(nil), r.buf[:r.next]...)
+	return r.spans.items()
+}
+
+// ring retains the last max items pushed. Its storage grows by append
+// up to max items and then wraps, so a recorder that never records
+// holds none. Its owner locks it.
+type ring[T any] struct {
+	buf  []T
+	max  int
+	next int // the oldest item's index once buf is full
+}
+
+func (r *ring[T]) push(x T) {
+	if len(r.buf) < r.max {
+		r.buf = append(r.buf, x)
+		return
 	}
-	out := make([]Span, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	r.buf[r.next] = x
+	r.next = (r.next + 1) % len(r.buf)
+}
+
+// items returns a copy of the retained items, oldest first (nil when
+// there are none).
+func (r *ring[T]) items() []T { return slices.Concat(r.buf[r.next:], r.buf[:r.next]) }
+
+// reset empties the ring and keeps its backing array for the next
+// pushes.
+func (r *ring[T]) reset() {
+	clear(r.buf)
+	r.buf, r.next = r.buf[:0], 0
 }

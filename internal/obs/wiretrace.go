@@ -87,23 +87,22 @@ const DefaultWireCapacity = 4096
 type WireTrace struct {
 	mu       sync.Mutex
 	epoch    time.Time
-	buf      []WireSpan
-	next     int
-	wrapped  bool
+	done     ring[WireSpan]
 	open     map[uint32]WireSpan
 	spanSeq  uint32
 	traceSeq uint64
 }
 
 // NewWireTrace returns a recorder retaining the last capacity completed
-// spans (<= 0 means DefaultWireCapacity).
+// spans (<= 0 means DefaultWireCapacity). The ring's storage grows with
+// the spans recorded, so an idle recorder costs almost nothing.
 func NewWireTrace(capacity int) *WireTrace {
 	if capacity <= 0 {
 		capacity = DefaultWireCapacity
 	}
 	return &WireTrace{
 		epoch: time.Now(),
-		buf:   make([]WireSpan, capacity),
+		done:  ring[WireSpan]{max: capacity},
 		open:  make(map[uint32]WireSpan),
 	}
 }
@@ -151,7 +150,7 @@ func (w *WireTrace) End(id uint32, e WireEnd) {
 	sp.ReqBytes, sp.RespBytes = e.ReqBytes, e.RespBytes
 	sp.Pairs, sp.Merged = e.Pairs, e.Merged
 	sp.Err = e.Err
-	w.add(sp)
+	w.done.push(sp)
 }
 
 // Add installs an externally completed span (the router uses it to fold
@@ -159,17 +158,7 @@ func (w *WireTrace) End(id uint32, e WireEnd) {
 func (w *WireTrace) Add(sp WireSpan) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.add(sp)
-}
-
-// add appends to the ring. Caller holds mu.
-func (w *WireTrace) add(sp WireSpan) {
-	w.buf[w.next] = sp
-	w.next++
-	if w.next == len(w.buf) {
-		w.next = 0
-		w.wrapped = true
-	}
+	w.done.push(sp)
 }
 
 // Spans returns the retained completed spans, oldest first. Within one
@@ -180,31 +169,18 @@ func (w *WireTrace) add(sp WireSpan) {
 func (w *WireTrace) Spans() []WireSpan {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.wrapped {
-		return append([]WireSpan(nil), w.buf[:w.next]...)
-	}
-	out := make([]WireSpan, 0, len(w.buf))
-	out = append(out, w.buf[w.next:]...)
-	out = append(out, w.buf[:w.next]...)
-	return out
+	return w.done.items()
 }
 
 // Drain returns the retained completed spans, oldest first, and clears
-// the ring; open spans are untouched. A shard's opFlight handler drains
-// so each span reaches the router's merged view exactly once.
+// the ring, keeping its storage; open spans are untouched. A shard's
+// opFlight handler drains so each span reaches the router's merged view
+// exactly once.
 func (w *WireTrace) Drain() []WireSpan {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var out []WireSpan
-	if !w.wrapped {
-		out = append([]WireSpan(nil), w.buf[:w.next]...)
-	} else {
-		out = make([]WireSpan, 0, len(w.buf))
-		out = append(out, w.buf[w.next:]...)
-		out = append(out, w.buf[:w.next]...)
-	}
-	clear(w.buf)
-	w.next, w.wrapped = 0, false
+	out := w.done.items()
+	w.done.reset()
 	return out
 }
 

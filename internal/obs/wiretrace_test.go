@@ -47,19 +47,42 @@ func TestWireTraceSpanLifecycle(t *testing.T) {
 	}
 }
 
+// TestWireTraceRingEviction: a fresh recorder holds no span storage; at
+// capacity + k completed spans it keeps the last capacity, oldest first,
+// for every k; and Drain empties it but keeps its storage for the spans
+// that follow.
 func TestWireTraceRingEviction(t *testing.T) {
-	w := NewWireTrace(3)
-	for i := 0; i < 5; i++ {
-		w.End(w.Begin(1, 0, false, WireEdges, i, 0), WireEnd{})
+	if w := NewWireTrace(0); cap(w.done.buf) != 0 {
+		t.Fatalf("a fresh recorder holds storage for %d spans", cap(w.done.buf))
 	}
-	spans := w.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("ring kept %d spans, want 3", len(spans))
-	}
-	for i, sp := range spans {
-		if sp.Shard != i+2 {
-			t.Fatalf("span %d shard = %d, want %d (oldest-first after eviction)", i, sp.Shard, i+2)
+	const capacity = 3
+	record := func(w *WireTrace, from, to int) {
+		for i := from; i < to; i++ {
+			w.End(w.Begin(1, 0, false, WireEdges, i, 0), WireEnd{})
 		}
+	}
+	check := func(k int, spans []WireSpan, first int) {
+		t.Helper()
+		if len(spans) != min(k, capacity) {
+			t.Fatalf("%d spans recorded: ring kept %d, want %d", k, len(spans), min(k, capacity))
+		}
+		for i, sp := range spans {
+			if sp.Shard != first+i {
+				t.Fatalf("%d spans recorded: span %d shard = %d, want %d (oldest first)", k, i, sp.Shard, first+i)
+			}
+		}
+	}
+	for k := 0; k <= 2*capacity+1; k++ {
+		w := NewWireTrace(capacity)
+		record(w, 0, k)
+		check(k, w.Spans(), max(k-capacity, 0))
+		grown := cap(w.done.buf)
+		check(k, w.Drain(), max(k-capacity, 0))
+		if n := len(w.Spans()); n != 0 || cap(w.done.buf) != grown {
+			t.Fatalf("after Drain: %d spans, storage %d, want 0 and %d", n, cap(w.done.buf), grown)
+		}
+		record(w, 100, 100+capacity+1)
+		check(capacity+1, w.Spans(), 101)
 	}
 }
 
