@@ -69,15 +69,17 @@ race-matrix:
 # 10-second smoke of each native fuzz target: the parsers for the
 # external input formats (text edge list, binary CSR, MatrixMarket),
 # the HTTP surface behind both deployments (a single node and a
-# loopback cluster router), the cluster wire-frame decoder, the shard's
-# request dispatcher, the WAL record decoder, and the provenance forest
-# against a reference model. CI keeps corpora warm; real exploration is
-# `go test -fuzz=<target> -fuzztime=10m <pkg>`.
+# loopback cluster router), the POST /edges body scanner against the
+# encoding/json decoder it replaced, the cluster wire-frame decoder,
+# the shard's request dispatcher, the WAL record decoder, and the
+# provenance forest against a reference model. CI keeps corpora warm;
+# real exploration is `go test -fuzz=<target> -fuzztime=10m <pkg>`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzReadBinary -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzReadMatrixMarket -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzServeHandlers -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzEdgesBody -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzRouterHandlers -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzShardHandle -fuzztime=10s ./internal/cluster

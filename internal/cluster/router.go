@@ -76,6 +76,16 @@ type slot struct {
 	snapEdges int64
 	msgs      *obs.Counter
 	lag       *obs.Gauge
+
+	// unscanned marks a member whose π may have merged since its last
+	// scan, so round 1 of the next exchange asks it for its outbox; any
+	// other member would answer with nothing. An opEdges reply with
+	// merges sets it, as does a failed opEdges call, and a failed
+	// exchange sets it on every slot, since it can leave an ingest's
+	// merges without their absorb. A round-1 outbox clears it, and a
+	// fresh or restored member starts clear. Only the router's write
+	// lock holder touches it, from at most one goroutine per slot.
+	unscanned bool
 }
 
 // Router coordinates N shard processes into one connectivity service.
@@ -388,6 +398,9 @@ func (r *Router) sendEdges(rc rctx, sl *slot, id int, edges []pair) (int64, erro
 			m = int64(c.u32())
 			return int64(k), m, nil
 		})
+		if err != nil || m > 0 {
+			sl.unscanned = true
+		}
 		if err != nil {
 			return merged, err
 		}
@@ -587,9 +600,11 @@ func (r *Router) shipRows(rc rctx, g *graph.CSR, span func(u int, lo, hi int64) 
 }
 
 // exchangeLocked drives BSP rounds until no shard has an opinion left
-// to send. Round 1 gathers every shard's outbox of (remote ref, local
-// label) opinions: the refs whose label moved off their ack since the
-// shard's last scan, and the refs noted since. Each round then groups
+// to send. Round 1 gathers the outbox of (remote ref, local label)
+// opinions of every shard whose π may have merged since its last scan
+// (slot.unscanned): the refs whose label moved off their ack since that
+// scan, and the refs noted since. Any other shard's outbox is empty, so
+// it is not asked. Each round then groups
 // the opinions by owner and ingests them there, and owners answer only
 // the opinions they label differently. The replies are routed back and
 // absorbed, and each absorb returns the shard's opinions for the next
@@ -610,11 +625,16 @@ func (r *Router) shipRows(rc rctx, g *graph.CSR, span func(u int, lo, hi int64) 
 // feeds the cluster anomaly rules: per-shard lag, absorb churn, and —
 // on completion — the round-count blowup rule.
 // Caller holds the write lock with all slots active.
-func (r *Router) exchangeLocked(rc rctx) error {
+func (r *Router) exchangeLocked(rc rctx) (err error) {
 	start := time.Now()
 	exc := r.child(rc, obs.WireExchange, 0)
 	round := 0
 	defer func() {
+		if err != nil {
+			for _, sl := range r.slots {
+				sl.unscanned = true
+			}
+		}
 		r.exchanges.Inc()
 		r.exchangeNS.ObserveDuration(time.Since(start))
 		r.endRoot(exc, nil)
@@ -632,9 +652,12 @@ func (r *Router) exchangeLocked(rc rctx) error {
 			return err
 		}
 
-		// Round 1 only: gather every shard's outbox.
+		// Round 1 only: gather the outboxes that may hold opinions.
 		if round == 1 {
 			err := r.forEachActive(func(id int, sl *slot) error {
+				if !sl.unscanned {
+					return nil
+				}
 				return timed(id, func() error {
 					err := r.call(rnd, sl.conn, id, round, opOutbox, nil, func(c *cursor) (int64, int64, error) {
 						opinions[id] = c.pairs()
@@ -643,6 +666,7 @@ func (r *Router) exchangeLocked(rc rctx) error {
 					if err != nil {
 						return err
 					}
+					sl.unscanned = false
 					sl.msgs.Add(int64(len(opinions[id])))
 					r.opinions.Add(int64(len(opinions[id])))
 					return nil
@@ -1091,8 +1115,9 @@ func (r *Router) Leave(id int) error {
 // Join fills vacant slot id with a fresh member at addr: the retained π
 // snapshot is restored into it and the slot reactivates. It runs no
 // exchange, because no member has anything to send: the restored
-// member's last scan is its restored component count, and no other
-// member has merged since its own last scan (DESIGN.md §13).
+// member's last scan is its restored component count, and any other
+// member that may have merged since its own last scan stays marked
+// unscanned for the next exchange (DESIGN.md §13).
 func (r *Router) Join(id int, addr string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -1122,6 +1147,7 @@ func (r *Router) Join(id int, addr string) error {
 	sl.addr = addr
 	sl.snap = nil
 	sl.snapEdges = 0
+	sl.unscanned = false
 	r.activeG.Set(r.activeCount())
 	return nil
 }

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -478,5 +480,122 @@ func TestDebugClusterHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 404 {
 		t.Fatalf("untraced /debug/cluster = %d, want 404", resp.StatusCode)
+	}
+}
+
+// faultProxy relays frames between the router and the shard at addr,
+// answering a request with opError instead of relaying it whenever
+// fail(op) says so. It stops when the test ends.
+func faultProxy(t *testing.T, addr string, fail func(op byte) bool) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				up, err := net.Dial("tcp", addr)
+				if err != nil {
+					return
+				}
+				defer up.Close()
+				for {
+					op, tc, payload, err := readFrame(conn)
+					if err != nil {
+						return
+					}
+					if fail(op) {
+						if writeFrame(conn, opError, []byte("injected failure")) != nil {
+							return
+						}
+						continue
+					}
+					if writeFrameCtx(up, op, tc, payload) != nil {
+						return
+					}
+					rop, rtc, resp, err := readFrame(up)
+					if err != nil || writeFrameCtx(conn, rop, rtc, resp) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestRoundOneAsksOnlyUnscannedShards: in a traced 3-shard cluster, a
+// write that merges on one shard opens exactly one round-1 outbox span,
+// on that shard: no other member has merged since its last scan. An
+// exchange that fails (here an injected opIngest error) can leave a
+// member's merges unscanned, so the next exchange asks every shard in
+// round 1, and the one after that is back to the merging shard alone.
+func TestRoundOneAsksOnlyUnscannedShards(t *testing.T) {
+	const n = 30 // the shards own [0,10), [10,20) and [20,30)
+	tr := obs.NewWireTrace(0)
+	l := &Local{}
+	defer l.Close()
+	addrs := make([]string, 3)
+	for i := range addrs {
+		addr, err := l.SpawnShard(1)
+		if err != nil {
+			t.Fatalf("SpawnShard: %v", err)
+		}
+		addrs[i] = addr
+	}
+	var failIngest atomic.Bool
+	addrs[1] = faultProxy(t, addrs[1], func(op byte) bool { return op == opIngest && failIngest.Swap(false) })
+	r, err := NewRouter(addrs, n, Config{Trace: tr, Parallelism: 1})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	l.Router = r
+
+	// asked writes e and returns the shards its exchange asked in round 1.
+	asked := func(e graph.Edge) ([]int, error) {
+		before := len(tr.Spans())
+		_, err := r.AddEdges([]graph.Edge{e})
+		var shards []int
+		for _, sp := range tr.Spans()[before:] {
+			if sp.Name == obs.WireOutbox && sp.Round == 1 {
+				shards = append(shards, sp.Shard)
+			}
+		}
+		slices.Sort(shards)
+		return shards, err
+	}
+	if got, err := asked(graph.Edge{U: 0, V: 1}); err != nil || !slices.Equal(got, []int{0}) {
+		t.Fatalf("write merging on shard 0 asked %v (err %v), want [0]", got, err)
+	}
+	// {2,15} is cut: shard 0 sends its opinion of 15 to shard 1, whose
+	// ingest fails.
+	failIngest.Store(true)
+	if _, err := asked(graph.Edge{U: 2, V: 15}); err == nil || !strings.Contains(err.Error(), "injected failure") {
+		t.Fatalf("write across the failing ingest: err = %v, want the injected failure", err)
+	}
+	if got, err := asked(graph.Edge{U: 3, V: 4}); err != nil || !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("first write after a failed exchange asked %v (err %v), want [0 1 2]", got, err)
+	}
+	if got, err := asked(graph.Edge{U: 5, V: 6}); err != nil || !slices.Equal(got, []int{0}) {
+		t.Fatalf("second write after a failed exchange asked %v (err %v), want [0]", got, err)
+	}
+	labels, err := r.GlobalLabels()
+	if err != nil {
+		t.Fatalf("GlobalLabels: %v", err)
+	}
+	want := make([]graph.V, n)
+	for v := range want {
+		want[v] = graph.V(v)
+	}
+	want[1], want[4], want[6], want[15] = 0, 3, 5, 2
+	if !slices.Equal(labels, want) {
+		t.Fatalf("labels %v, want %v", labels, want)
 	}
 }

@@ -135,18 +135,18 @@ func (j *JSONLSink) Emit(s Span) {
 // /stats-shaped sink.
 type RingSink struct {
 	mu    sync.Mutex
-	spans ring[Span]
+	spans Ring[Span]
 }
 
 // NewRingSink retains the last capacity spans (minimum 1).
 func NewRingSink(capacity int) *RingSink {
-	return &RingSink{spans: ring[Span]{max: max(capacity, 1)}}
+	return &RingSink{spans: NewRing[Span](capacity)}
 }
 
 // Emit stores s, evicting the oldest span when full.
 func (r *RingSink) Emit(s Span) {
 	r.mu.Lock()
-	r.spans.push(s)
+	r.spans.Push(s)
 	r.mu.Unlock()
 }
 
@@ -154,19 +154,26 @@ func (r *RingSink) Emit(s Span) {
 func (r *RingSink) Spans() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.spans.items()
+	return r.spans.Items()
 }
 
-// ring retains the last max items pushed. Its storage grows by append
-// up to max items and then wraps, so a recorder that never records
-// holds none. Its owner locks it.
-type ring[T any] struct {
+// Ring retains the last items pushed, up to its capacity. Its storage
+// grows by append up to the capacity and then wraps, overwriting the
+// oldest item in place, so a recorder that never records holds none
+// and a full one allocates nothing per push. It is not safe for
+// concurrent use: its owner locks it.
+type Ring[T any] struct {
 	buf  []T
 	max  int
 	next int // the oldest item's index once buf is full
 }
 
-func (r *ring[T]) push(x T) {
+// NewRing returns an empty ring retaining the last capacity items
+// (minimum 1).
+func NewRing[T any](capacity int) Ring[T] { return Ring[T]{max: max(capacity, 1)} }
+
+// Push appends x, overwriting the oldest item once the ring is full.
+func (r *Ring[T]) Push(x T) {
 	if len(r.buf) < r.max {
 		r.buf = append(r.buf, x)
 		return
@@ -175,13 +182,13 @@ func (r *ring[T]) push(x T) {
 	r.next = (r.next + 1) % len(r.buf)
 }
 
-// items returns a copy of the retained items, oldest first (nil when
+// Items returns a copy of the retained items, oldest first (nil when
 // there are none).
-func (r *ring[T]) items() []T { return slices.Concat(r.buf[r.next:], r.buf[:r.next]) }
+func (r *Ring[T]) Items() []T { return slices.Concat(r.buf[r.next:], r.buf[:r.next]) }
 
-// reset empties the ring and keeps its backing array for the next
+// Reset empties the ring and keeps its backing array for the next
 // pushes.
-func (r *ring[T]) reset() {
+func (r *Ring[T]) Reset() {
 	clear(r.buf)
 	r.buf, r.next = r.buf[:0], 0
 }

@@ -87,7 +87,7 @@ const DefaultWireCapacity = 4096
 type WireTrace struct {
 	mu       sync.Mutex
 	epoch    time.Time
-	done     ring[WireSpan]
+	done     Ring[WireSpan]
 	open     map[uint32]WireSpan
 	spanSeq  uint32
 	traceSeq uint64
@@ -102,7 +102,7 @@ func NewWireTrace(capacity int) *WireTrace {
 	}
 	return &WireTrace{
 		epoch: time.Now(),
-		done:  ring[WireSpan]{max: capacity},
+		done:  NewRing[WireSpan](capacity),
 		open:  make(map[uint32]WireSpan),
 	}
 }
@@ -150,7 +150,7 @@ func (w *WireTrace) End(id uint32, e WireEnd) {
 	sp.ReqBytes, sp.RespBytes = e.ReqBytes, e.RespBytes
 	sp.Pairs, sp.Merged = e.Pairs, e.Merged
 	sp.Err = e.Err
-	w.done.push(sp)
+	w.done.Push(sp)
 }
 
 // Add installs an externally completed span (the router uses it to fold
@@ -158,7 +158,7 @@ func (w *WireTrace) End(id uint32, e WireEnd) {
 func (w *WireTrace) Add(sp WireSpan) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.done.push(sp)
+	w.done.Push(sp)
 }
 
 // Spans returns the retained completed spans, oldest first. Within one
@@ -169,7 +169,7 @@ func (w *WireTrace) Add(sp WireSpan) {
 func (w *WireTrace) Spans() []WireSpan {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.done.items()
+	return w.done.Items()
 }
 
 // Drain returns the retained completed spans, oldest first, and clears
@@ -179,8 +179,8 @@ func (w *WireTrace) Spans() []WireSpan {
 func (w *WireTrace) Drain() []WireSpan {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := w.done.items()
-	w.done.reset()
+	out := w.done.Items()
+	w.done.Reset()
 	return out
 }
 

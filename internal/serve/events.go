@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"afforest/internal/graph"
+	"afforest/internal/obs"
 )
 
 // MergeEvent is one component merge as observed by the write path:
@@ -55,7 +56,7 @@ const subscriberQueue = 256
 // cursor per client.
 type eventHub struct {
 	mu       sync.Mutex
-	ring     []MergeEvent // oldest first, bounded by eventRingCap
+	ring     obs.Ring[MergeEvent] // the last eventRingCap events
 	queueLen int
 	seq      uint64
 	subs     map[*eventSubscriber]struct{}
@@ -67,6 +68,7 @@ type eventHub struct {
 
 func newEventHub() *eventHub {
 	return &eventHub{
+		ring:     obs.NewRing[MergeEvent](eventRingCap),
 		queueLen: subscriberQueue,
 		subs:     map[*eventSubscriber]struct{}{},
 	}
@@ -74,7 +76,10 @@ func newEventHub() *eventHub {
 
 // publish assigns sequence numbers, records the events in the ring, and
 // delivers to every live subscriber. A subscriber whose queue is full
-// is evicted on the spot: publish never blocks the write path.
+// is evicted on the spot: publish never blocks the write path. It runs
+// on the batcher goroutine before the flush acks; once the ring is
+// full it allocates nothing, since each event overwrites the oldest in
+// place.
 func (h *eventHub) publish(events []MergeEvent) {
 	if len(events) == 0 {
 		return
@@ -87,10 +92,7 @@ func (h *eventHub) publish(events []MergeEvent) {
 	for i := range events {
 		h.seq++
 		events[i].Seq = h.seq
-	}
-	h.ring = append(h.ring, events...)
-	if len(h.ring) > eventRingCap {
-		h.ring = append(h.ring[:0:0], h.ring[len(h.ring)-eventRingCap:]...)
+		h.ring.Push(events[i])
 	}
 	h.published += int64(len(events))
 	for sub := range h.subs {
@@ -123,7 +125,7 @@ func (h *eventHub) subscribe(afterLSN uint64) (*eventSubscriber, []MergeEvent) {
 	}
 	var backlog []MergeEvent
 	if afterLSN > 0 {
-		for _, ev := range h.ring {
+		for _, ev := range h.ring.Items() {
 			if ev.LSN > afterLSN {
 				backlog = append(backlog, ev)
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -188,6 +189,57 @@ func TestEventsResumeFromLastID(t *testing.T) {
 		if ev.V != ev.U+1 || ev.U%2 != 0 || ev.U < 10 {
 			t.Fatalf("resumed event carries wrong causal edge {%d,%d}", ev.U, ev.V)
 		}
+	}
+}
+
+// TestEventsResumeAcrossRingWrap publishes 3×eventRingCap+7 events in
+// LSN runs of one to three, so the ring has wrapped three times and its
+// oldest event sits mid-buffer. A resume from an LSN inside the ring
+// gets exactly the later events, in seq order across the wrap point,
+// and one from an LSN older than the ring gets the whole ring, oldest
+// first.
+func TestEventsResumeAcrossRingWrap(t *testing.T) {
+	h := newEventHub()
+	var all []MergeEvent
+	for lsn := uint64(1); len(all) < 3*eventRingCap+7; lsn++ {
+		run := make([]MergeEvent, min(1+int(lsn%3), 3*eventRingCap+7-len(all)))
+		for i := range run {
+			run[i] = MergeEvent{LSN: lsn, U: graph.V(len(all) + i), V: graph.V(lsn)}
+		}
+		h.publish(run)
+		all = append(all, run...)
+	}
+	// publish numbered the events, so kept is in seq order.
+	kept := all[len(all)-eventRingCap:]
+	check := func(after uint64, want []MergeEvent) {
+		t.Helper()
+		sub, backlog := h.subscribe(after)
+		defer h.unsubscribe(sub)
+		if !slices.Equal(backlog, want) {
+			t.Fatalf("resume after lsn %d: %d events, want %d from seq %d to %d",
+				after, len(backlog), len(want), want[0].Seq, want[len(want)-1].Seq)
+		}
+	}
+	// Everything past the run of the event 100 into the ring: the ring's
+	// oldest event sits at index 7 of its storage, so this backlog
+	// crosses the point where the storage wraps.
+	mid := kept[100].LSN
+	from := slices.IndexFunc(kept, func(ev MergeEvent) bool { return ev.LSN > mid })
+	check(mid, kept[from:])
+	check(kept[0].LSN-1, kept)
+	check(1, kept)
+}
+
+// TestEventsPublishAllocatesNothing: once the ring is full, a publish
+// with no subscriber overwrites the oldest events in place.
+func TestEventsPublishAllocatesNothing(t *testing.T) {
+	h := newEventHub()
+	batch := make([]MergeEvent, 9)
+	for i := 0; i < eventRingCap; i += len(batch) {
+		h.publish(batch)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { h.publish(batch) }); allocs != 0 {
+		t.Fatalf("publish of %d events into a full ring: %v allocations, want 0", len(batch), allocs)
 	}
 }
 

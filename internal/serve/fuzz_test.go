@@ -3,16 +3,22 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"afforest/internal/core"
 	"afforest/internal/graph"
+	"afforest/internal/obs"
+	"afforest/internal/provenance"
 )
 
 // fuzzServer is shared across fuzz iterations: the service is a
@@ -183,4 +189,233 @@ func TestFuzzSeedsPass(t *testing.T) {
 	if _, err := core.RestoreIncremental(srv.inc.Snapshot(0)); err != nil {
 		t.Fatalf("post-fuzz labels are not a valid incremental state: %v", err)
 	}
+}
+
+// edgesRequest is the POST /edges body as encoding/json decoded it
+// before the hand-written scanner: either a single edge {"u":1,"v":2}
+// or a bulk batch {"edges":[[1,2],[3,4],...]}. A bulk edge decodes
+// into a slice so a pair of the wrong length is caught.
+type edgesRequest struct {
+	U     *uint32    `json:"u"`
+	V     *uint32    `json:"v"`
+	Edges [][]uint32 `json:"edges"`
+}
+
+// referenceEdges is the body half of the encoding/json handler the
+// scanner replaced, over n vertices: the status, the 400 or 413
+// message, whether that message is one of the fixed ones rather than
+// the decoder's, and on 200 the edges it would submit.
+func referenceEdges(body []byte, n uint32) (code int, msg string, fixed bool, edges []graph.Edge) {
+	var req edgesRequest
+	dec := json.NewDecoder(http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)), maxEdgesBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		return code, "bad body: " + err.Error(), false, nil
+	}
+	switch {
+	case req.Edges != nil:
+		if req.U != nil || req.V != nil {
+			return http.StatusBadRequest, `provide either "u"/"v" or "edges", not both`, true, nil
+		}
+		edges = make([]graph.Edge, len(req.Edges))
+		for i, e := range req.Edges {
+			if len(e) != 2 {
+				return http.StatusBadRequest, fmt.Sprintf("bad body: edges[%d] must be a [u,v] pair, got length %d", i, len(e)), true, nil
+			}
+			edges[i] = graph.Edge{U: e[0], V: e[1]}
+		}
+	case req.U != nil && req.V != nil:
+		edges = []graph.Edge{{U: *req.U, V: *req.V}}
+	default:
+		return http.StatusBadRequest, `provide "u" and "v", or "edges"`, true, nil
+	}
+	for _, e := range edges {
+		if e.U >= n || e.V >= n {
+			return http.StatusBadRequest, fmt.Sprintf("edge {%d,%d} out of range (|V|=%d)", e.U, e.V, n), true, nil
+		}
+	}
+	return http.StatusOK, "", false, edges
+}
+
+// foldedKey reports whether body's top-level object has a key that
+// encoding/json matches to "u", "v" or "edges" only after unescaping
+// it or folding its case (bytes.EqualFold is its folding). The scanner
+// refuses such keys with 400 by design.
+func foldedKey(body []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return false
+	}
+	for dec.More() {
+		from := dec.InputOffset()
+		tok, err := dec.Token()
+		key, ok := tok.(string)
+		if err != nil || !ok {
+			return false
+		}
+		raw := bytes.TrimLeft(body[from:dec.InputOffset()], " \t\r\n,")
+		raw = raw[1 : len(raw)-1] // the key between its quotes, as sent
+		for _, name := range []string{"u", "v", "edges"} {
+			if strings.EqualFold(key, name) && string(raw) != name {
+				return true
+			}
+		}
+		var value json.RawMessage
+		if dec.Decode(&value) != nil {
+			return false
+		}
+	}
+	return false
+}
+
+// recordingBackend accepts every write over the widest vertex range a
+// 32-bit id allows and keeps the last edge list submitted.
+type recordingBackend struct {
+	submits int
+	last    []graph.Edge
+}
+
+func (b *recordingBackend) NumVertices() int     { return math.MaxUint32 }
+func (b *recordingBackend) EdgesAccepted() int64 { return 0 }
+func (b *recordingBackend) Connected(u, v graph.V) (bool, error) {
+	return u == v, nil
+}
+func (b *recordingBackend) Explain(u, v graph.V) (bool, []provenance.Hop, bool, error) {
+	return u == v, nil, false, nil
+}
+func (b *recordingBackend) ComponentSizes(fn func(sizes []int32, edges int64)) error { return nil }
+func (b *recordingBackend) StatsSections(body map[string]any)                        {}
+func (b *recordingBackend) Health(body map[string]any) string                        { return "ok" }
+
+func (b *recordingBackend) SubmitEdges(edges []graph.Edge) (Ack, error) {
+	b.submits++
+	b.last = edges
+	return Ack{Accepted: len(edges), Merged: int64(len(edges) / 2), LSN: ackLSN(b.submits)}, nil
+}
+
+// ackLSN is the LSN recordingBackend acks its nth submission with: n on
+// odd calls and 0 on even ones, so both ack shapes are checked.
+func ackLSN(n int) uint64 { return uint64(n % 2 * n) }
+
+// edgesBodySeeds are FuzzEdgesBody's seeds: the bad bodies of
+// TestServeErrorPaths and cluster's TestHTTPSurfaceMatchesSingleNode,
+// their writes, whitespace variants, null and repeated members, the
+// coordinate bounds 2^32−1 and 2^32, numbers outside 0|[1-9][0-9]*,
+// trailing bytes, and keys encoding/json folds (which are skipped).
+var edgesBodySeeds = []string{
+	`{"u":1}`,
+	`{"u":1,"v":2,"edges":[[1,2]]}`,
+	`{"edges":[[1,99]]}`,
+	`not json`,
+	`{"bogus":true}`,
+	`{}`,
+	`{"edges":[[1,600]]}`,
+	`{"u":600,"v":0}`,
+	`{"edges":[[5]]}`,
+	`{"edges":[[1,2,3]]}`,
+	`{"edges":[[]]}`,
+	`{"u":0,"v":599}`,
+	`{"edges":[[1,300],[2,400],[3,3],[61,122]]}`,
+	`{"edges":[]}`,
+	"",
+	" \t\r\n{ \"u\" : 1 ,\n\"v\"\t:\r2 } \n",
+	"{\"edges\" :[ [ 1 , 2 ] ,\n[3,4] ] }",
+	"{\"edges\":[[1,2]\v]}",
+	`null`,
+	`{"u":null,"v":2}`,
+	`{"u":1,"v":2,"edges":null}`,
+	`{"edges":[null]}`,
+	`{"edges":[[null,2]]}`,
+	`{"u":1,"u":2,"v":3}`,
+	`{"u":1,"u":null,"v":2}`,
+	`{"edges":[[1,2]],"edges":[[3,4],[5,6]]}`,
+	`{"edges":[[1,2],[3,4]],"edges":[[5,6]],"edges":[[7,8],[null,null]]}`,
+	`{"edges":[[1,2,3]],"edges":[[null]],"edges":[[null,null]]}`,
+	`{"edges":[[1,2]],"edges":[],"edges":[[null,null]]}`,
+	`{"u":4294967295,"v":0}`,
+	`{"u":4294967294,"v":4294967294}`,
+	`{"u":4294967296,"v":0}`,
+	`{"edges":[[0,4294967296]]}`,
+	`{"edges":[[0,1,99999999999]]}`,
+	`{"u":1,"v":2} trailing`,
+	`{"u":1,"v":2}}`,
+	`{"edges":[[1,2]]}[`,
+	`null{"u":1,"v":2}`,
+	`{"u":01,"v":2}`,
+	`{"u":1.0,"v":2}`,
+	`{"u":-1,"v":2}`,
+	`{"u":1e2,"v":2}`,
+	`{"u":"1","v":2}`,
+	`{"u":1,"v":2,}`,
+	`{"u":1 "v":2}`,
+	`{"U":1,"v":2}`,
+	`{"\u0075":1,"v":2}`,
+	`{"edgeſ":[[1,2]]}`,
+}
+
+var (
+	edgesFuzzOnce    sync.Once
+	edgesFuzzBackend *recordingBackend
+	edgesFuzzSurface *Surface
+)
+
+// FuzzEdgesBody holds POST /edges to the encoding/json decoder it
+// replaced (referenceEdges). For every body the handler must answer
+// the reference's status, submit exactly the reference's edge list on
+// 200 and ack with json.Encoder's bytes for the ack map, and answer a
+// fixed 400 with the reference's exact message (any other 400 keeps the
+// "bad body: " prefix). The only bodies skipped have a key encoding/json
+// matches only after unescaping or case folding (foldedKey).
+func FuzzEdgesBody(f *testing.F) {
+	for _, body := range edgesBodySeeds {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if foldedKey(body) {
+			t.Skip()
+		}
+		edgesFuzzOnce.Do(func() {
+			edgesFuzzBackend = &recordingBackend{}
+			reg := obs.NewRegistry()
+			edgesFuzzSurface = NewSurface(edgesFuzzBackend, reg, obs.NewAnomalyDetector(reg))
+		})
+		be := edgesFuzzBackend
+		code, msg, fixed, edges := referenceEdges(body, math.MaxUint32)
+		submits := be.submits
+		rec := httptest.NewRecorder()
+		edgesFuzzSurface.ServeHTTP(rec, httptest.NewRequest("POST", "/edges", bytes.NewReader(body)))
+		if rec.Code != code {
+			t.Fatalf("body %q: status %d (%s), encoding/json %d (%s)", body, rec.Code, rec.Body, code, msg)
+		}
+		if code != http.StatusOK {
+			var e map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+				t.Fatalf("body %q: error body %q: %v", body, rec.Body, err)
+			}
+			if fixed && e["error"] != msg || !fixed && !strings.HasPrefix(e["error"], "bad body: ") {
+				t.Fatalf("body %q: error %q, encoding/json %q", body, e["error"], msg)
+			}
+			if be.submits != submits {
+				t.Fatalf("body %q: answered %d but submitted %v", body, code, be.last)
+			}
+			return
+		}
+		if be.submits != submits+1 || !slices.Equal(be.last, edges) {
+			t.Fatalf("body %q: submitted %v, encoding/json %v", body, be.last, edges)
+		}
+		want := map[string]any{"accepted": len(edges), "merged": int64(len(edges) / 2)}
+		if lsn := ackLSN(be.submits); lsn > 0 {
+			want["lsn"] = lsn
+		}
+		var ack bytes.Buffer
+		json.NewEncoder(&ack).Encode(want)
+		if rec.Body.String() != ack.String() {
+			t.Fatalf("body %q: ack %q, json.Encoder %q", body, rec.Body, ack.String())
+		}
+	})
 }

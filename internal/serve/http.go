@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -68,16 +70,6 @@ const noWitness = "connected, but no witness recorded: the connection predates p
 // (a bulk edge costs about 20 bytes of JSON) and only stops a request
 // from making the server buffer an edge list of any size.
 const maxEdgesBody = 4 << 20
-
-// edgesRequest is the POST /edges body: either a single edge
-// {"u":1,"v":2} or a bulk batch {"edges":[[1,2],[3,4],...]}. A bulk
-// edge decodes into a slice so handleEdges can reject one of the wrong
-// length: a [2]uint32 would read [5] as {5,0} and [1,2,3] as {1,2}.
-type edgesRequest struct {
-	U     *uint32    `json:"u"`
-	V     *uint32    `json:"v"`
-	Edges [][]uint32 `json:"edges"`
-}
 
 // Surface is the HTTP contract both deployments answer. It owns request
 // parsing and limits, the mapping of errors to statuses, the JSON
@@ -291,10 +283,8 @@ func (h *Surface) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 func (h *Surface) handleEdges(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req edgesRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEdgesBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEdgesBody))
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -303,26 +293,9 @@ func (h *Surface) handleEdges(w http.ResponseWriter, r *http.Request) {
 		h.Error(w, code, "bad body: "+err.Error())
 		return
 	}
-	var edges []graph.Edge
-	switch {
-	case req.Edges != nil:
-		if req.U != nil || req.V != nil {
-			h.Error(w, http.StatusBadRequest, `provide either "u"/"v" or "edges", not both`)
-			return
-		}
-		edges = make([]graph.Edge, len(req.Edges))
-		for i, e := range req.Edges {
-			if len(e) != 2 {
-				h.Error(w, http.StatusBadRequest,
-					fmt.Sprintf("bad body: edges[%d] must be a [u,v] pair, got length %d", i, len(e)))
-				return
-			}
-			edges[i] = graph.Edge{U: e[0], V: e[1]}
-		}
-	case req.U != nil && req.V != nil:
-		edges = []graph.Edge{{U: *req.U, V: *req.V}}
-	default:
-		h.Error(w, http.StatusBadRequest, `provide "u" and "v", or "edges"`)
+	edges, err := scanEdges(body)
+	if err != nil {
+		h.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	n := uint32(h.b.NumVertices())
@@ -338,12 +311,251 @@ func (h *Surface) handleEdges(w http.ResponseWriter, r *http.Request) {
 		h.fail(w, err)
 		return
 	}
-	body := map[string]any{"accepted": ack.Accepted, "merged": ack.Merged}
-	if ack.LSN > 0 {
-		body["lsn"] = ack.LSN
-	}
-	WriteJSON(w, body)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(appendAck(body[:0], ack))
 	h.writeLat.Observe(time.Since(start))
+}
+
+// appendAck appends the POST /edges ack {"accepted":A,"lsn":L,"merged":M}
+// and a newline to b, leaving lsn out when it is 0: the bytes
+// json.Encoder writes for the same map, without reflection.
+func appendAck(b []byte, ack Ack) []byte {
+	b = append(b, `{"accepted":`...)
+	b = strconv.AppendInt(b, int64(ack.Accepted), 10)
+	if ack.LSN > 0 {
+		b = append(b, `,"lsn":`...)
+		b = strconv.AppendUint(b, ack.LSN, 10)
+	}
+	b = append(b, `,"merged":`...)
+	b = strconv.AppendInt(b, ack.Merged, 10)
+	return append(b, "}\n"...)
+}
+
+// errBothForms and errNeitherForm answer a body that names both edge
+// forms, or neither.
+var (
+	errBothForms   = errors.New(`provide either "u"/"v" or "edges", not both`)
+	errNeitherForm = errors.New(`provide "u" and "v", or "edges"`)
+)
+
+// scanEdges reads a POST /edges body, either a single edge
+// {"u":1,"v":2} or a bulk batch {"edges":[[1,2],[3,4],...]}, and returns
+// its edges or the error to answer with 400.
+//
+// A body is JSON (RFC 8259), read in one pass without reflection. It
+// accepts exactly the bodies encoding/json decoded into the request
+// struct this replaced, with two differences: a key must be
+// byte-exactly "u", "v" or "edges" (encoding/json also matched keys
+// after unescaping or case folding), and a body over maxEdgesBody is
+// refused whole. Like encoding/json it reads one value and ignores the
+// bytes after it, reads a null member as absent, and lets a repeated
+// member's last occurrence win. A coordinate is an integer
+// 0|[1-9][0-9]* of at most 2^32−1, or null. A null coordinate keeps the
+// value encoding/json's [][]uint32 held at that position: zero, unless
+// an earlier "edges" member of the same body set it.
+func scanEdges(body []byte) ([]graph.Edge, error) {
+	s := &edgeScanner{b: body, bad: -1}
+	var u, v uint32
+	var haveU, haveV, haveEdges bool
+	s.space()
+	_, null, err := s.seq('{', '}', func(int) error {
+		key, err := s.key()
+		if err != nil {
+			return err
+		}
+		s.space()
+		if !s.take(':') {
+			return s.fail(`':'`)
+		}
+		s.space()
+		switch key {
+		case `"u"`:
+			haveU, err = s.coordinate(&u)
+		case `"v"`:
+			haveV, err = s.coordinate(&v)
+		default:
+			haveEdges, err = s.edges()
+		}
+		return err
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case null:
+		// encoding/json decodes a null body into the empty request.
+		return nil, errNeitherForm
+	case haveEdges && (haveU || haveV):
+		return nil, errBothForms
+	case haveEdges && s.bad >= 0:
+		return nil, fmt.Errorf("bad body: edges[%d] must be a [u,v] pair, got length %d", s.bad, s.badLen)
+	case haveEdges:
+		return s.mem[:s.n], nil
+	case haveU && haveV:
+		return []graph.Edge{{U: u, V: v}}, nil
+	}
+	return nil, errNeitherForm
+}
+
+// edgeScanner is scanEdges' cursor over one body.
+type edgeScanner struct {
+	b []byte
+	i int
+	// mem holds, at each index any "edges" member reached since the
+	// last null or [] one, the first two coordinates encoding/json's
+	// [][]uint32 held there. n is the last member's length, bad its first
+	// pair that is not [u,v] (-1 for none) and badLen that pair's length.
+	mem         []graph.Edge
+	n           int
+	bad, badLen int
+}
+
+// space skips RFC 8259 whitespace.
+func (s *edgeScanner) space() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// take consumes c if it is the next byte.
+func (s *edgeScanner) take(c byte) bool {
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// lit consumes word if the body continues with it.
+func (s *edgeScanner) lit(word string) bool {
+	if len(s.b)-s.i >= len(word) && string(s.b[s.i:s.i+len(word)]) == word {
+		s.i += len(word)
+		return true
+	}
+	return false
+}
+
+// fail reports the byte at the cursor where want was expected.
+func (s *edgeScanner) fail(want string) error {
+	if s.i >= len(s.b) {
+		return fmt.Errorf("bad body: unexpected end at byte %d, want %s", s.i, want)
+	}
+	return fmt.Errorf("bad body: unexpected %q at byte %d, want %s", s.b[s.i], s.i, want)
+}
+
+// seq reads null, or an array or object from open to its matching
+// close, calling elem with each element's index. It returns the element
+// count and whether it read null.
+func (s *edgeScanner) seq(open, close byte, elem func(i int) error) (n int, null bool, err error) {
+	if s.lit("null") {
+		return 0, true, nil
+	}
+	if !s.take(open) {
+		return 0, false, s.fail(fmt.Sprintf("%q or null", open))
+	}
+	s.space()
+	if s.take(close) {
+		return 0, false, nil
+	}
+	for ; ; n++ {
+		if err := elem(n); err != nil {
+			return 0, false, err
+		}
+		s.space()
+		if s.take(close) {
+			return n + 1, false, nil
+		}
+		if !s.take(',') {
+			return 0, false, s.fail(fmt.Sprintf("',' or %q", close))
+		}
+		s.space()
+	}
+}
+
+// key reads an object key, which must be "u", "v" or "edges", and
+// returns it with its quotes.
+func (s *edgeScanner) key() (string, error) {
+	for _, k := range [...]string{`"u"`, `"v"`, `"edges"`} {
+		if s.lit(k) {
+			return k, nil
+		}
+	}
+	if s.i < len(s.b) && s.b[s.i] == '"' {
+		return "", fmt.Errorf(`bad body: unknown key at byte %d (keys are exactly "u", "v" and "edges")`, s.i)
+	}
+	return "", s.fail("a key")
+}
+
+// coordinate reads an integer into *dst, or null, which leaves *dst as
+// it was. It reports whether it read an integer.
+func (s *edgeScanner) coordinate(dst *uint32) (bool, error) {
+	if s.lit("null") {
+		return false, nil
+	}
+	start := s.i
+	if s.take('0') {
+		*dst = 0
+		return true, nil
+	}
+	var x uint64
+	for ; s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9'; s.i++ {
+		if x = x*10 + uint64(s.b[s.i]-'0'); x > math.MaxUint32 {
+			return false, fmt.Errorf("bad body: number at byte %d is above %d", start, uint32(math.MaxUint32))
+		}
+	}
+	if s.i == start {
+		return false, s.fail("an integer or null")
+	}
+	*dst = uint32(x)
+	return true, nil
+}
+
+// edges reads an "edges" value, null or an array of pairs, into s.mem
+// and s.n, and reports whether it was an array. A null or empty array
+// starts the memory over, as encoding/json's fresh slice did.
+func (s *edgeScanner) edges() (bool, error) {
+	s.bad = -1
+	n, null, err := s.seq('[', ']', func(i int) error {
+		if i == len(s.mem) {
+			s.mem = append(s.mem, graph.Edge{})
+		}
+		k, err := s.pair(&s.mem[i])
+		if k != 2 && s.bad < 0 {
+			s.bad, s.badLen = i, k
+		}
+		return err
+	})
+	if n == 0 {
+		s.mem = s.mem[:0]
+	}
+	s.n = n
+	return !null, err
+}
+
+// pair reads one element of "edges", null or an array of coordinates,
+// into e's first two coordinates and returns its length. A null or
+// empty array zeroes e, as encoding/json's fresh inner slice did.
+func (s *edgeScanner) pair(e *graph.Edge) (int, error) {
+	var rest uint32
+	k, _, err := s.seq('[', ']', func(k int) error {
+		dst := &rest
+		switch k {
+		case 0:
+			dst = &e.U
+		case 1:
+			dst = &e.V
+		}
+		_, err := s.coordinate(dst)
+		return err
+	})
+	if k == 0 {
+		*e = graph.Edge{}
+	}
+	return k, err
 }
 
 func (h *Surface) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -654,6 +654,54 @@ func TestServeEdgesBodyLimit(t *testing.T) {
 	}
 }
 
+// TestAckMatchesEncoder: the POST /edges ack is written without
+// reflection, byte for byte what json.Encoder wrote for the ack map,
+// with and without an LSN.
+func TestAckMatchesEncoder(t *testing.T) {
+	for _, ack := range []Ack{
+		{},
+		{Accepted: 8, Merged: 3},
+		{Accepted: 1, Merged: 1, LSN: 1},
+		{Accepted: 8192, Merged: 8192, LSN: 1<<64 - 1},
+	} {
+		body := map[string]any{"accepted": ack.Accepted, "merged": ack.Merged}
+		if ack.LSN > 0 {
+			body["lsn"] = ack.LSN
+		}
+		var want bytes.Buffer
+		json.NewEncoder(&want).Encode(body)
+		if got := appendAck(nil, ack); string(got) != want.String() {
+			t.Fatalf("ack %+v: %q, json.Encoder %q", ack, got, want.String())
+		}
+	}
+}
+
+// TestEdgesBodyContract pins the two places POST /edges parts from the
+// encoding/json decoder it replaced, which FuzzEdgesBody skips: keys
+// are exact (the decoder also matched "U" and the escaped "\u0075"),
+// and a body over maxEdgesBody is a 413 even when a whole object comes
+// first (the decoder stopped reading after it and answered 200).
+func TestEdgesBodyContract(t *testing.T) {
+	srv := New(core.NewIncremental(16), 0, Config{})
+	defer srv.Close()
+	for _, tc := range []struct {
+		body string
+		code int
+	}{
+		{`{"u":0,"v":1}`, http.StatusOK},
+		{`{"U":0,"v":1}`, http.StatusBadRequest},
+		{`{"\u0075":0,"v":1}`, http.StatusBadRequest},
+		{`{"u":0,"v":1} trailing`, http.StatusOK},
+		{`{"u":0,"v":1}` + strings.Repeat(" ", maxEdgesBody), http.StatusRequestEntityTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/edges", strings.NewReader(tc.body)))
+		if rec.Code != tc.code {
+			t.Fatalf("POST /edges %.40q: status %d, want %d (%s)", tc.body, rec.Code, tc.code, rec.Body)
+		}
+	}
+}
+
 // TestStatsRequestsMatchMetrics: /stats "requests" lists every handler
 // label of afforest_http_requests_total with the value /metrics shows.
 func TestStatsRequestsMatchMetrics(t *testing.T) {
