@@ -6,8 +6,11 @@ all: check
 build:
 	$(GO) build ./...
 
+# cmd/ccperf is its own module, so the root `go vet ./...` never
+# reaches it.
 vet:
 	$(GO) vet ./...
+	cd cmd/ccperf && $(GO) vet ./...
 
 # fmt fails when any Go file is not gofmt-clean, listing the offenders.
 fmt:

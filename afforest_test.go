@@ -3,6 +3,7 @@ package afforest
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -38,6 +39,19 @@ func TestAllPublicAlgorithmsAgree(t *testing.T) {
 		if err := Validate(g, res); err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
+	}
+}
+
+// TestAlgorithmsFollowRoster pins the public names to the internal
+// roster that runs them: Algorithms() lists the roster in order, and
+// that list is exactly the Algo* constants.
+func TestAlgorithmsFollowRoster(t *testing.T) {
+	want := []Algorithm{
+		AlgoAfforest, AlgoAfforestNoSkip, AlgoSV, AlgoSVEdgeList,
+		AlgoLP, AlgoLPDataDriven, AlgoBFS, AlgoDOBFS, AlgoSerial,
+	}
+	if got := Algorithms(); !slices.Equal(got, want) {
+		t.Fatalf("Algorithms() = %v, want %v", got, want)
 	}
 }
 

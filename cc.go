@@ -27,12 +27,14 @@ const (
 	AlgoSerial         Algorithm = "serial-uf"
 )
 
-// Algorithms lists every available Algorithm.
+// Algorithms lists every available Algorithm, in the order of the
+// internal roster that runs them.
 func Algorithms() []Algorithm {
-	return []Algorithm{
-		AlgoAfforest, AlgoAfforestNoSkip, AlgoSV, AlgoSVEdgeList,
-		AlgoLP, AlgoLPDataDriven, AlgoBFS, AlgoDOBFS, AlgoSerial,
+	var algos []Algorithm
+	for _, name := range baselines.Names() {
+		algos = append(algos, Algorithm(name))
 	}
+	return algos
 }
 
 // Options configures ConnectedComponents. The zero value runs Afforest
@@ -92,31 +94,16 @@ func runAlgorithm(g *Graph, opt Options) ([]V, error) {
 	if algo == "" {
 		algo = AlgoAfforest
 	}
-	switch algo {
-	case AlgoAfforest, AlgoAfforestNoSkip:
-		copt := core.DefaultOptions()
-		copt.NeighborRounds = opt.NeighborRounds
-		copt.SkipLargest = algo == AlgoAfforest
-		copt.Parallelism = opt.Parallelism
-		copt.EdgeGrain = opt.EdgeGrain
-		copt.Seed = opt.Seed
-		return core.Run(g.csr, copt).Labels(), nil
-	case AlgoSV:
-		return baselines.SV(g.csr, opt.Parallelism), nil
-	case AlgoSVEdgeList:
-		return baselines.SVEdgeList(g.csr, opt.Parallelism), nil
-	case AlgoLP:
-		return baselines.LP(g.csr, opt.Parallelism), nil
-	case AlgoLPDataDriven:
-		return baselines.LPDataDriven(g.csr, opt.Parallelism), nil
-	case AlgoBFS:
-		return baselines.BFSCC(g.csr, opt.Parallelism), nil
-	case AlgoDOBFS:
-		return baselines.DOBFSCC(g.csr, opt.Parallelism), nil
-	case AlgoSerial:
-		return baselines.SerialUnionFind(g.csr, opt.Parallelism), nil
+	e, err := baselines.Lookup(string(algo))
+	if err != nil {
+		return nil, fmt.Errorf("afforest: %w", err)
 	}
-	return nil, fmt.Errorf("afforest: unknown algorithm %q (have %v)", algo, Algorithms())
+	return e.Run(g.csr, core.Options{
+		NeighborRounds: opt.NeighborRounds,
+		Parallelism:    opt.Parallelism,
+		EdgeGrain:      opt.EdgeGrain,
+		Seed:           opt.Seed,
+	}), nil
 }
 
 // newResult builds the component census from a labeling. Every

@@ -14,30 +14,32 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
-	"afforest"
+	"afforest/internal/baselines"
 	"afforest/internal/concurrent"
 	"afforest/internal/core"
 	"afforest/internal/gen"
 	"afforest/internal/graph"
 	"afforest/internal/memtrace"
 	"afforest/internal/obs"
+	"afforest/internal/validate"
 )
 
 func main() {
 	var (
 		in       = flag.String("in", "", "input graph file (.csr binary or text edge list); mutually exclusive with -gen")
-		genName  = flag.String("gen", "", "generate a graph: urand | kron | road | twitter | web | regular")
+		genName  = flag.String("gen", "", "generate a graph: "+strings.Join(gen.Generators(), " | "))
 		n        = flag.Int("n", 1<<16, "vertices for -gen (urand/road/twitter/web/regular)")
 		scale    = flag.Int("scale", 16, "log2 vertices for -gen kron")
 		deg      = flag.Int("deg", 16, "average degree / edge factor / attach count for -gen")
 		seed     = flag.Uint64("seed", 42, "generator seed")
-		algoName = flag.String("algo", "afforest", "algorithm: afforest | afforest-noskip | sv | sv-edgelist | lp | lp-datadriven | bfs | dobfs | serial-uf")
+		algoName = flag.String("algo", "afforest", "algorithm: "+strings.Join(baselines.Names(), " | "))
 		rounds   = flag.Int("rounds", 0, "Afforest neighbor rounds (0 = paper default of 2)")
 		par      = flag.Int("p", 0, "parallelism (0 = GOMAXPROCS)")
 		repeat   = flag.Int("repeat", 1, "timed repetitions (reports each)")
-		validate = flag.Bool("validate", false, "validate the labeling against a sequential oracle")
+		check    = flag.Bool("validate", false, "validate the labeling against a sequential oracle")
 		topK     = flag.Int("top", 5, "print the K largest component sizes")
 		memTrace = flag.String("memtrace", "", "write a Fig 7-style π access trace (TSV) to this path and print the heat-map (afforest algorithms only)")
 		trace    = flag.String("trace", "", "write the run's phase tree as JSON lines to this path and print the per-phase breakdown (afforest algorithms only)")
@@ -45,76 +47,70 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := loadOrGenerate(*in, *genName, *n, *scale, *deg, *seed)
+	g, err := gen.LoadOrGenerate(*in, *genName, *n, *scale, *deg, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "afforest:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 
-	if *memTrace != "" {
-		if err := writeTrace(*in, *genName, *n, *scale, *deg, *seed, *algoName, *rounds, *memTrace); err != nil {
-			fmt.Fprintln(os.Stderr, "afforest:", err)
-			os.Exit(1)
-		}
-		return
+	opt := core.Options{NeighborRounds: *rounds, Parallelism: *par, Seed: *seed}
+	switch {
+	case *memTrace != "":
+		err = writeTrace(g, *algoName, *rounds, *memTrace)
+	case *trace != "":
+		err = writePhaseTrace(g, *algoName, opt, *trace)
+	case *flight != "":
+		err = writeFlight(g, *algoName, opt, *flight)
+	default:
+		err = run(g, *algoName, opt, *repeat, *topK, *check)
 	}
-	if *trace != "" {
-		if err := writePhaseTrace(*in, *genName, *n, *scale, *deg, *seed, *algoName, *rounds, *par, *trace); err != nil {
-			fmt.Fprintln(os.Stderr, "afforest:", err)
-			os.Exit(1)
-		}
-		return
+	if err != nil {
+		fail(err)
 	}
-	if *flight != "" {
-		if err := writeFlight(*in, *genName, *n, *scale, *deg, *seed, *algoName, *rounds, *par, *flight); err != nil {
-			fmt.Fprintln(os.Stderr, "afforest:", err)
-			os.Exit(1)
-		}
-		return
-	}
+}
 
-	opt := afforest.Options{
-		Algorithm:      afforest.Algorithm(*algoName),
-		NeighborRounds: *rounds,
-		Parallelism:    *par,
-		Seed:           *seed,
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "afforest:", err)
+	os.Exit(1)
+}
+
+// run times repeat runs of the named roster algorithm on g, then prints
+// the census of the last one and, with check, validates it against the
+// sequential oracle.
+func run(g *graph.CSR, algoName string, opt core.Options, repeat, topK int, check bool) error {
+	algo, err := baselines.Lookup(algoName)
+	if err != nil {
+		return fmt.Errorf("afforest: %w", err)
 	}
-	var res *afforest.Result
-	for i := 0; i < *repeat; i++ {
+	if repeat < 1 {
+		return fmt.Errorf("-repeat must be at least 1, got %d", repeat)
+	}
+	var labels []graph.V
+	for i := 0; i < repeat; i++ {
 		start := time.Now()
-		r, err := afforest.ConnectedComponentsChecked(g, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "afforest:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("run %d: %v (%s)\n", i+1, time.Since(start).Round(time.Microsecond), *algoName)
-		res = r
+		labels = algo.Run(g, opt)
+		fmt.Printf("run %d: %v (%s)\n", i+1, time.Since(start).Round(time.Microsecond), algoName)
 	}
-
-	fmt.Printf("components: %d\n", res.NumComponents())
-	sizes := res.ComponentSizes()
-	if len(sizes) > *topK {
-		sizes = sizes[:*topK]
+	census := validate.ComputeCensus(labels)
+	fmt.Printf("components: %d\n", census.Components)
+	sizes := census.Sizes
+	if len(sizes) > topK {
+		sizes = sizes[:topK]
 	}
 	fmt.Printf("largest components: %v\n", sizes)
-
-	if *validate {
-		if err := afforest.Validate(g, res); err != nil {
+	if check {
+		if err := validate.Labeling(g, labels); err != nil {
 			fmt.Fprintln(os.Stderr, "VALIDATION FAILED:", err)
 			os.Exit(1)
 		}
 		fmt.Println("validation: ok")
 	}
+	return nil
 }
 
 // writeTrace records every π access of a traced run and writes the
 // full-resolution TSV, printing the binned heat-map to stdout.
-func writeTrace(in, genName string, n, scale, deg int, seed uint64, algoName string, rounds int, path string) error {
-	g, err := loadOrGenerateCSR(in, genName, n, scale, deg, seed)
-	if err != nil {
-		return err
-	}
+func writeTrace(g *graph.CSR, algoName string, rounds int, path string) error {
 	if rounds == 0 {
 		rounds = 2
 	}
@@ -148,19 +144,10 @@ func writeTrace(in, genName string, n, scale, deg int, seed uint64, algoName str
 // writePhaseTrace runs the core algorithm with a span tracer attached,
 // writes the phase tree as JSON lines, and prints the per-phase
 // breakdown table.
-func writePhaseTrace(in, genName string, n, scale, deg int, seed uint64, algoName string, rounds, par int, path string) error {
-	g, err := loadOrGenerateCSR(in, genName, n, scale, deg, seed)
+func writePhaseTrace(g *graph.CSR, algoName string, opt core.Options, path string) error {
+	algo, err := phased("-trace", algoName)
 	if err != nil {
 		return err
-	}
-	var skip bool
-	switch algoName {
-	case "afforest":
-		skip = true
-	case "afforest-noskip":
-		skip = false
-	default:
-		return fmt.Errorf("-trace supports afforest | afforest-noskip, not %q", algoName)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -170,14 +157,9 @@ func writePhaseTrace(in, genName string, n, scale, deg int, seed uint64, algoNam
 	// syscall on the run's critical path.
 	bw := bufio.NewWriter(f)
 	tracer := obs.NewTracer(obs.NewJSONLSink(bw))
+	opt.Observer = tracer
 	start := time.Now()
-	core.Run(g, core.Options{
-		NeighborRounds: rounds,
-		SkipLargest:    skip,
-		Parallelism:    par,
-		Seed:           seed,
-		Observer:       tracer,
-	})
+	algo.Run(g, opt)
 	elapsed := time.Since(start)
 	if err := bw.Flush(); err != nil {
 		f.Close()
@@ -196,31 +178,17 @@ func writePhaseTrace(in, genName string, n, scale, deg int, seed uint64, algoNam
 // the worker pool (chunk events) and the run's tracer (phase events),
 // dumps the per-worker event stream as JSON lines, and prints the
 // worker utilization timeline.
-func writeFlight(in, genName string, n, scale, deg int, seed uint64, algoName string, rounds, par int, path string) error {
-	g, err := loadOrGenerateCSR(in, genName, n, scale, deg, seed)
+func writeFlight(g *graph.CSR, algoName string, opt core.Options, path string) error {
+	algo, err := phased("-flight", algoName)
 	if err != nil {
 		return err
-	}
-	var skip bool
-	switch algoName {
-	case "afforest":
-		skip = true
-	case "afforest-noskip":
-		skip = false
-	default:
-		return fmt.Errorf("-flight supports afforest | afforest-noskip, not %q", algoName)
 	}
 	fr := obs.NewFlightRecorder(concurrent.DefaultPool().Size(), 0)
 	concurrent.DefaultPool().SetFlight(fr)
 	defer concurrent.DefaultPool().SetFlight(nil)
+	opt.Observer = obs.NewTracer(fr)
 	start := time.Now()
-	core.Run(g, core.Options{
-		NeighborRounds: rounds,
-		SkipLargest:    skip,
-		Parallelism:    par,
-		Seed:           seed,
-		Observer:       obs.NewTracer(fr),
-	})
+	algo.Run(g, opt)
 	elapsed := time.Since(start)
 	f, err := os.Create(path)
 	if err != nil {
@@ -237,58 +205,13 @@ func writeFlight(in, genName string, n, scale, deg int, seed uint64, algoName st
 	return fr.WriteTimeline(os.Stdout, 0)
 }
 
-func loadOrGenerate(in, genName string, n, scale, deg int, seed uint64) (*afforest.Graph, error) {
-	switch {
-	case in != "" && genName != "":
-		return nil, fmt.Errorf("-in and -gen are mutually exclusive")
-	case in != "":
-		return afforest.LoadGraph(in)
-	case genName != "":
-		switch genName {
-		case "urand":
-			return afforest.GenerateURand(n, deg, seed), nil
-		case "kron":
-			return afforest.GenerateKronecker(scale, deg, seed), nil
-		case "road":
-			return afforest.GenerateRoad(n, seed), nil
-		case "twitter":
-			return afforest.GenerateTwitterLike(n, deg, seed), nil
-		case "web":
-			return afforest.GenerateWebLike(n, deg, seed), nil
-		case "regular":
-			return afforest.GenerateRegular(n, deg, seed), nil
-		}
-		return nil, fmt.Errorf("unknown generator %q", genName)
-	default:
-		return nil, fmt.Errorf("provide -in FILE or -gen NAME (try -gen urand)")
+// phased returns the roster entry called name when it is an Afforest
+// variant: the entries with phases (Audited is set), whose runs report
+// them to opt.Observer.
+func phased(mode, name string) (baselines.Entry, error) {
+	algo, err := baselines.Lookup(name)
+	if err != nil || algo.Audited == nil {
+		return algo, fmt.Errorf("%s supports afforest | afforest-noskip, not %q", mode, name)
 	}
-}
-
-// loadOrGenerateCSR mirrors loadOrGenerate at the internal CSR level
-// for the trace mode, which needs the raw representation.
-func loadOrGenerateCSR(in, genName string, n, scale, deg int, seed uint64) (*graph.CSR, error) {
-	switch {
-	case in != "" && genName != "":
-		return nil, fmt.Errorf("-in and -gen are mutually exclusive")
-	case in != "":
-		return graph.LoadFile(in)
-	case genName != "":
-		switch genName {
-		case "urand":
-			return gen.URandDegree(n, deg, seed), nil
-		case "kron":
-			return gen.Kronecker(scale, deg, gen.Graph500, seed), nil
-		case "road":
-			return gen.Road(n, seed), nil
-		case "twitter":
-			return gen.TwitterLike(n, deg, seed), nil
-		case "web":
-			return gen.WebLike(n, deg, seed), nil
-		case "regular":
-			return gen.Regular(n, deg, seed), nil
-		}
-		return nil, fmt.Errorf("unknown generator %q", genName)
-	default:
-		return nil, fmt.Errorf("provide -in FILE or -gen NAME (try -gen urand)")
-	}
+	return algo, nil
 }

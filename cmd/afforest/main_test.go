@@ -3,108 +3,34 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"afforest"
+	"afforest/internal/core"
+	"afforest/internal/gen"
 	"afforest/internal/obs"
 )
 
-func TestLoadOrGenerateGenerators(t *testing.T) {
-	for _, gen := range []string{"urand", "kron", "road", "twitter", "web", "regular"} {
-		g, err := loadOrGenerate("", gen, 500, 9, 8, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", gen, err)
-		}
-		if g.NumVertices() == 0 {
-			t.Fatalf("%s: empty graph", gen)
-		}
+// TestRunErrors: an unknown -algo and a -repeat below 1 are errors,
+// not a census of no run.
+func TestRunErrors(t *testing.T) {
+	g := gen.URandDegree(100, 4, 1)
+	if err := run(g, "nope", core.Options{}, 1, 5, false); err == nil {
+		t.Fatal("unknown algorithm accepted")
 	}
-}
-
-func TestLoadOrGenerateFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.csr")
-	g := afforest.GenerateURand(300, 6, 1)
-	if err := afforest.SaveGraph(path, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := loadOrGenerate(path, "", 0, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumVertices() != g.NumVertices() {
-		t.Fatal("loaded graph differs")
-	}
-}
-
-func TestLoadOrGenerateErrors(t *testing.T) {
-	if _, err := loadOrGenerate("x.el", "urand", 10, 9, 4, 1); err == nil {
-		t.Fatal("-in with -gen accepted")
-	}
-	if _, err := loadOrGenerate("", "", 10, 9, 4, 1); err == nil {
-		t.Fatal("neither -in nor -gen accepted")
-	}
-	if _, err := loadOrGenerate("", "bogus", 10, 9, 4, 1); err == nil {
-		t.Fatal("unknown generator accepted")
-	}
-	if _, err := loadOrGenerate("/nonexistent/file.csr", "", 0, 0, 0, 0); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
-// TestLoadOrGenerateTruncatedFile: corrupt or truncated inputs must
-// surface as clean errors. The historical failure was a truncated .csr
-// whose header claimed huge (but sub-cap) array sizes: the reader
-// allocated terabytes upfront and the process died with
-// `fatal error: runtime: out of memory` and a stack trace instead of
-// the one-line error the CLI prints for every other bad input.
-func TestLoadOrGenerateTruncatedFile(t *testing.T) {
-	dir := t.TempDir()
-
-	write := func(name string, blob []byte) string {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	var hugeHeader bytes.Buffer
-	hugeHeader.WriteString("AFCSR\x01")
-	binary.Write(&hugeHeader, binary.LittleEndian, [2]uint64{1 << 38, 1 << 38})
-
-	var midTruncated bytes.Buffer
-	midTruncated.WriteString("AFCSR\x01")
-	binary.Write(&midTruncated, binary.LittleEndian, [2]uint64{100, 200})
-	midTruncated.Write(make([]byte, 32)) // a fragment of the offsets array
-
-	for _, tc := range []struct {
-		name string
-		blob []byte
-	}{
-		{"empty.csr", nil},
-		{"magic-only.csr", []byte("AFCSR\x01")},
-		{"bad-magic.csr", make([]byte, 64)},
-		{"huge-header.csr", hugeHeader.Bytes()},
-		{"mid-truncated.csr", midTruncated.Bytes()},
-	} {
-		path := write(tc.name, tc.blob)
-		if _, err := loadOrGenerate(path, "", 0, 0, 0, 0); err == nil {
-			t.Errorf("%s: truncated/corrupt file accepted", tc.name)
-		}
+	if err := run(g, "afforest", core.Options{}, 0, 5, false); err == nil {
+		t.Fatal("-repeat 0 accepted")
 	}
 }
 
 func TestWriteTraceModes(t *testing.T) {
 	dir := t.TempDir()
+	g := gen.URandDegree(300, 6, 1)
 	for _, algo := range []string{"afforest", "afforest-noskip", "sv"} {
 		path := filepath.Join(dir, algo+".tsv")
-		if err := writeTrace("", "urand", 300, 0, 6, 1, algo, 0, path); err != nil {
+		if err := writeTrace(g, algo, 0, path); err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
 		info, err := os.Stat(path)
@@ -112,11 +38,8 @@ func TestWriteTraceModes(t *testing.T) {
 			t.Fatalf("%s: trace file missing or empty", algo)
 		}
 	}
-	if err := writeTrace("", "urand", 100, 0, 4, 1, "dobfs", 0, filepath.Join(dir, "x.tsv")); err == nil {
+	if err := writeTrace(gen.URandDegree(100, 4, 1), "dobfs", 0, filepath.Join(dir, "x.tsv")); err == nil {
 		t.Fatal("untraceable algorithm accepted")
-	}
-	if err := writeTrace("", "", 100, 0, 4, 1, "sv", 0, filepath.Join(dir, "y.tsv")); err == nil {
-		t.Fatal("missing graph source accepted")
 	}
 }
 
@@ -129,7 +52,7 @@ func TestWriteTraceModes(t *testing.T) {
 func TestWritePhaseTrace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.jsonl")
-	if err := writePhaseTrace("", "kron", 0, 12, 8, 7, "afforest", 0, 0, path); err != nil {
+	if err := writePhaseTrace(gen.Kronecker(12, 8, gen.Graph500, 7), "afforest", core.Options{Seed: 7}, path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -176,10 +99,7 @@ func TestWritePhaseTrace(t *testing.T) {
 		t.Errorf("leaf coverage = %.1f%% of root wall time, want within (50%%, 100%%]", cover*100)
 	}
 
-	if err := writePhaseTrace("", "urand", 200, 0, 4, 1, "sv", 0, 0, filepath.Join(dir, "z.jsonl")); err == nil {
+	if err := writePhaseTrace(gen.URandDegree(200, 4, 1), "sv", core.Options{Seed: 1}, filepath.Join(dir, "z.jsonl")); err == nil {
 		t.Fatal("phase trace accepted an algorithm without phase hooks")
-	}
-	if err := writePhaseTrace("", "", 200, 0, 4, 1, "afforest", 0, 0, filepath.Join(dir, "w.jsonl")); err == nil {
-		t.Fatal("phase trace accepted a missing graph source")
 	}
 }

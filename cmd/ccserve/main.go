@@ -25,6 +25,7 @@ import (
 	_ "net/http/pprof" // profiling handlers on DefaultServeMux, served only on -debug-addr
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -41,7 +42,7 @@ func main() {
 		debug    = flag.String("debug-addr", "", "serve net/http/pprof and /debug/flight on this address (empty = disabled; keep it loopback-only)")
 		flightSz = flag.Int("flight", 0, "flight-recorder ring capacity per worker (0 = default; recorder is always on when -debug-addr is set)")
 		in       = flag.String("in", "", "input graph file (.csr binary or text edge list); mutually exclusive with -gen/-restore")
-		genName  = flag.String("gen", "", "generate a graph: urand | kron | road | twitter | web | regular")
+		genName  = flag.String("gen", "", "generate a graph: "+strings.Join(gen.Generators(), " | "))
 		n        = flag.Int("n", 1<<16, "vertices for -gen (urand/road/twitter/web/regular)")
 		scale    = flag.Int("scale", 16, "log2 vertices for -gen kron")
 		deg      = flag.Int("deg", 16, "average degree / edge factor / attach count for -gen")
@@ -216,36 +217,14 @@ func buildServer(in, genName, restore string, n, scale, deg int, seed uint64, cf
 	return serve.Bootstrap(g, cfg)
 }
 
-// loadGraph resolves -in or -gen into the graph to bootstrap from, in
-// either deployment.
+// loadGraph is gen.LoadOrGenerate for either deployment. A single node
+// also boots from -restore, so the missing-source error names it.
 func loadGraph(in, genName string, n, scale, deg int, seed uint64) (*graph.CSR, error) {
-	switch {
-	case in != "" && genName != "":
-		return nil, errors.New("-in and -gen are mutually exclusive")
-	case in != "":
-		return graph.LoadFile(in)
-	case genName != "":
-		return generate(genName, n, scale, deg, seed)
+	g, err := gen.LoadOrGenerate(in, genName, n, scale, deg, seed)
+	if errors.Is(err, gen.ErrNoSource) {
+		err = fmt.Errorf("%w; a single node also takes -restore SNAPSHOT", err)
 	}
-	return nil, errors.New("provide -in FILE or -gen NAME (try -gen urand); a single node also takes -restore SNAPSHOT")
-}
-
-func generate(genName string, n, scale, deg int, seed uint64) (*graph.CSR, error) {
-	switch genName {
-	case "urand":
-		return gen.URandDegree(n, deg, seed), nil
-	case "kron":
-		return gen.Kronecker(scale, deg, gen.Graph500, seed), nil
-	case "road":
-		return gen.Road(n, seed), nil
-	case "twitter":
-		return gen.TwitterLike(n, deg, seed), nil
-	case "web":
-		return gen.WebLike(n, deg, seed), nil
-	case "regular":
-		return gen.Regular(n, deg, seed), nil
-	}
-	return nil, fmt.Errorf("unknown generator %q", genName)
+	return g, err
 }
 
 // startInProcess serves srv on a loopback listener and returns its base

@@ -13,6 +13,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"afforest/internal/gen"
 	"afforest/internal/graph"
@@ -20,8 +22,8 @@ import (
 
 func main() {
 	var (
-		suite   = flag.String("suite", "", "suite graph: road | twitter | web | kron | urand | osm-eur")
-		genName = flag.String("gen", "", "free generator: urand | urand-f | kron | road | twitter | web | regular")
+		suite   = flag.String("suite", "", "suite graph: "+strings.Join(gen.SuiteNames(), " | "))
+		genName = flag.String("gen", "", "free generator: "+strings.Join(slices.Insert(gen.Generators(), 1, "urand-f"), " | "))
 		scale   = flag.Int("scale", 16, "log2 vertices for -suite / -gen kron")
 		n       = flag.Int("n", 1<<16, "vertices for free generators")
 		deg     = flag.Int("deg", 16, "degree parameter")
@@ -64,24 +66,10 @@ func build(suite, genName string, scale, n, deg int, f float64, seed uint64) (*g
 			return nil, err
 		}
 		return sg.Build(scale, seed), nil
+	case genName == "urand-f":
+		return gen.URandComponents(n, deg, f, seed), nil
 	case genName != "":
-		switch genName {
-		case "urand":
-			return gen.URandDegree(n, deg, seed), nil
-		case "urand-f":
-			return gen.URandComponents(n, deg, f, seed), nil
-		case "kron":
-			return gen.Kronecker(scale, deg, gen.Graph500, seed), nil
-		case "road":
-			return gen.Road(n, seed), nil
-		case "twitter":
-			return gen.TwitterLike(n, deg, seed), nil
-		case "web":
-			return gen.WebLike(n, deg, seed), nil
-		case "regular":
-			return gen.Regular(n, deg, seed), nil
-		}
-		return nil, fmt.Errorf("unknown generator %q", genName)
+		return gen.Generate(genName, n, scale, deg, seed)
 	default:
 		return nil, fmt.Errorf("provide -suite NAME or -gen NAME")
 	}

@@ -117,12 +117,12 @@ func AblationRelabel(cfg Config) *stats.Table {
 		name string
 		g    *graph.CSR
 	}{{"original", raw}, {"degree-sorted", relabeled}} {
-		aff := Afforest()
+		algos := algorithms("afforest", "sv")
+		opt := core.Options{Parallelism: cfg.Parallelism}
 		var labels []graph.V
-		tmA := stats.MeasureFunc(cfg.Runs, func() { labels = aff.Run(row.g, cfg.Parallelism) })
+		tmA := stats.MeasureFunc(cfg.Runs, func() { labels = algos[0].Run(row.g, opt) })
 		checkLabeling(cfg, row.g, "afforest/"+row.name, labels)
-		sv, _ := AlgorithmByName("sv")
-		tmS := stats.MeasureFunc(cfg.Runs, func() { labels = sv.Run(row.g, cfg.Parallelism) })
+		tmS := stats.MeasureFunc(cfg.Runs, func() { labels = algos[1].Run(row.g, opt) })
 		checkLabeling(cfg, row.g, "sv/"+row.name, labels)
 		t.AddRow(row.name,
 			fmt.Sprintf("%.2f", tmA.Median.Seconds()*1000),

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,19 +150,20 @@ func TestFig8cShape(t *testing.T) {
 }
 
 func TestAlgorithmsRoster(t *testing.T) {
-	algs := Algorithms()
-	if algs[0].Name != "afforest" || algs[1].Name != "afforest-noskip" {
-		t.Fatalf("roster head: %v %v", algs[0].Name, algs[1].Name)
+	want := []string{"dobfs", "afforest-noskip", "afforest"}
+	var got []string
+	for _, a := range algorithms(want...) {
+		got = append(got, a.Name)
 	}
-	if len(algs) != 9 {
-		t.Fatalf("roster size = %d", len(algs))
+	if !slices.Equal(got, want) {
+		t.Fatalf("picked %v, want %v", got, want)
 	}
-	if _, err := AlgorithmByName("dobfs"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AlgorithmByName("nope"); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unknown algorithm accepted")
+		}
+	}()
+	algorithms("nope")
 }
 
 func TestCheckLabelingPanicsOnBadLabels(t *testing.T) {

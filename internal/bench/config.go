@@ -10,7 +10,6 @@ import (
 	"runtime"
 
 	"afforest/internal/baselines"
-	"afforest/internal/core"
 	"afforest/internal/graph"
 	"afforest/internal/validate"
 )
@@ -51,46 +50,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Afforest wraps core.Run with the paper's default configuration as a
-// baselines.Algorithm, plus the no-skip ablation used in Figs 7b/8b.
-func Afforest() baselines.Algorithm {
-	return baselines.Algorithm{
-		Name: "afforest",
-		Run: func(g *graph.CSR, parallelism int) []graph.V {
-			opt := core.DefaultOptions()
-			opt.Parallelism = parallelism
-			return core.Run(g, opt).Labels()
-		},
-	}
-}
-
-// AfforestNoSkip is Afforest with large-component skipping disabled.
-func AfforestNoSkip() baselines.Algorithm {
-	return baselines.Algorithm{
-		Name: "afforest-noskip",
-		Run: func(g *graph.CSR, parallelism int) []graph.V {
-			opt := core.DefaultOptions()
-			opt.SkipLargest = false
-			opt.Parallelism = parallelism
-			return core.Run(g, opt).Labels()
-		},
-	}
-}
-
-// Algorithms returns the full roster: Afforest (+ablation) first, then
-// every baseline.
-func Algorithms() []baselines.Algorithm {
-	return append([]baselines.Algorithm{Afforest(), AfforestNoSkip()}, baselines.All()...)
-}
-
-// AlgorithmByName finds an algorithm in the roster.
-func AlgorithmByName(name string) (baselines.Algorithm, error) {
-	for _, a := range Algorithms() {
-		if a.Name == name {
-			return a, nil
+// algorithms returns the named roster entries, in order. Figures name
+// their algorithms in code, so an unknown name is a bug and panics.
+func algorithms(names ...string) []baselines.Entry {
+	algos := make([]baselines.Entry, len(names))
+	for i, name := range names {
+		e, err := baselines.Lookup(name)
+		if err != nil {
+			panic("bench: " + err.Error())
 		}
+		algos[i] = e
 	}
-	return baselines.Algorithm{}, fmt.Errorf("bench: unknown algorithm %q", name)
+	return algos
 }
 
 // checkLabeling validates labels when cfg.Validate is set, panicking on

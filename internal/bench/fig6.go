@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"afforest/internal/baselines"
 	"afforest/internal/core"
 	"afforest/internal/gen"
 	"afforest/internal/stats"
@@ -63,16 +62,10 @@ func Fig6c(cfg Config) *stats.Table {
 	for _, deg := range []int{4, 8, 16, 32, 64} {
 		g := gen.Kronecker(cfg.Scale, deg, gen.Graph500, cfg.Seed)
 		row := []any{deg}
-		for _, alg := range []baselines.Algorithm{
-			{Name: "sv", Run: baselines.SV},
-			{Name: "lp", Run: baselines.LP},
-			{Name: "dobfs", Run: baselines.DOBFSCC},
-			Afforest(),
-		} {
-			alg := alg
+		for _, alg := range algorithms("sv", "lp", "dobfs", "afforest") {
 			var labels []uint32
 			tm := stats.MeasureFunc(cfg.Runs, func() {
-				labels = alg.Run(g, cfg.Parallelism)
+				labels = alg.Run(g, core.Options{Parallelism: cfg.Parallelism})
 			})
 			checkLabeling(cfg, g, alg.Name, labels)
 			row = append(row, fmt.Sprintf("%.2f", tm.Median.Seconds()*1000))

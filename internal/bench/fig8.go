@@ -20,14 +20,7 @@ import (
 // represented by the sv-edgelist baseline.
 func Fig8a(cfg Config) *stats.Table {
 	cfg = cfg.withDefaults()
-	roster := []baselines.Algorithm{
-		Afforest(),
-		{Name: "sv", Run: baselines.SV},
-		{Name: "sv-edgelist", Run: baselines.SVEdgeList},
-		{Name: "lp", Run: baselines.LP},
-		{Name: "bfs", Run: baselines.BFSCC},
-		{Name: "dobfs", Run: baselines.DOBFSCC},
-	}
+	roster := algorithms("afforest", "sv", "sv-edgelist", "lp", "bfs", "dobfs")
 	headers := []string{"graph"}
 	for _, a := range roster {
 		headers = append(headers, a.Name+"_ms")
@@ -42,10 +35,9 @@ func Fig8a(cfg Config) *stats.Table {
 		g := sg.Build(cfg.Scale, cfg.Seed)
 		times := make([]stats.Timing, len(roster))
 		for i, alg := range roster {
-			alg := alg
 			var labels []graph.V
 			times[i] = stats.MeasureFunc(cfg.Runs, func() {
-				labels = alg.Run(g, cfg.Parallelism)
+				labels = alg.Run(g, core.Options{Parallelism: cfg.Parallelism})
 			})
 			checkLabeling(cfg, g, alg.Name+"/"+sg.Name, labels)
 		}
@@ -98,12 +90,7 @@ func Fig8b(cfg Config, threadCounts []int) *stats.Table {
 		}
 	}
 	g := gen.WebLike(1<<uint(cfg.Scale), 20, cfg.Seed)
-	roster := []baselines.Algorithm{
-		{Name: "sv", Run: baselines.SV},
-		{Name: "dobfs", Run: baselines.DOBFSCC},
-		AfforestNoSkip(),
-		Afforest(),
-	}
+	roster := algorithms("sv", "dobfs", "afforest-noskip", "afforest")
 	headers := []string{"threads"}
 	for _, a := range roster {
 		headers = append(headers, a.Name+"_ms", a.Name+"_wallx")
@@ -120,10 +107,9 @@ func Fig8b(cfg Config, threadCounts []int) *stats.Table {
 	for _, threads := range threadCounts {
 		row := []any{threads}
 		for i, alg := range roster {
-			alg := alg
 			var labels []graph.V
 			tm := stats.MeasureFunc(cfg.Runs, func() {
-				labels = alg.Run(g, threads)
+				labels = alg.Run(g, core.Options{Parallelism: threads})
 			})
 			checkLabeling(cfg, g, alg.Name, labels)
 			if threads == threadCounts[0] {
@@ -148,13 +134,7 @@ func Fig8b(cfg Config, threadCounts []int) *stats.Table {
 // (bottom-up dominance) with Afforest+skip competitive.
 func Fig8c(cfg Config) *stats.Table {
 	cfg = cfg.withDefaults()
-	roster := []baselines.Algorithm{
-		{Name: "dobfs", Run: baselines.DOBFSCC},
-		{Name: "bfs", Run: baselines.BFSCC},
-		{Name: "sv", Run: baselines.SV},
-		AfforestNoSkip(),
-		Afforest(),
-	}
+	roster := algorithms("dobfs", "bfs", "sv", "afforest-noskip", "afforest")
 	headers := []string{"f"}
 	for _, a := range roster {
 		headers = append(headers, a.Name+"_ms")
@@ -179,10 +159,9 @@ func Fig8c(cfg Config) *stats.Table {
 		g := gen.URandComponents(n, 16, f, cfg.Seed)
 		row := []any{label}
 		for _, alg := range roster {
-			alg := alg
 			var labels []graph.V
 			tm := stats.MeasureFunc(cfg.Runs, func() {
-				labels = alg.Run(g, cfg.Parallelism)
+				labels = alg.Run(g, core.Options{Parallelism: cfg.Parallelism})
 			})
 			checkLabeling(cfg, g, alg.Name, labels)
 			row = append(row, fmt.Sprintf("%.2f", tm.Median.Seconds()*1000))

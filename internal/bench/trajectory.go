@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"afforest/internal/baselines"
+	"afforest/internal/core"
 	"afforest/internal/gen"
 	"afforest/internal/graph"
 	"afforest/internal/stats"
@@ -45,13 +46,8 @@ type TrajectoryReport struct {
 // trajectory: the paper's contribution plus the two baselines most
 // sensitive to link-phase throughput, on the two synthetic topologies
 // that bracket degree skew (urand: uniform; kron: power law).
-func trajectoryRoster() ([]baselines.Algorithm, []string) {
-	algos := []baselines.Algorithm{
-		Afforest(),
-		{Name: "sv", Run: baselines.SV},
-		{Name: "lp", Run: baselines.LP},
-	}
-	return algos, []string{"urand", "kron"}
+func trajectoryRoster() ([]baselines.Entry, []string) {
+	return algorithms("afforest", "sv", "lp"), []string{"urand", "kron"}
 }
 
 // Trajectory measures the trajectory grid and returns the report.
@@ -77,7 +73,7 @@ func Trajectory(cfg Config) *TrajectoryReport {
 		for _, alg := range algos {
 			var labels []graph.V
 			tm := stats.MeasureFunc(cfg.Runs, func() {
-				labels = alg.Run(g, cfg.Parallelism)
+				labels = alg.Run(g, core.Options{Parallelism: cfg.Parallelism})
 			})
 			checkLabeling(cfg, g, alg.Name+"/"+name, labels)
 			edges := g.NumEdges()

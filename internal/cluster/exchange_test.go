@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"afforest/internal/dist"
 	"afforest/internal/graph"
 	"afforest/internal/obs"
 )
@@ -313,13 +312,11 @@ func TestRouterRejectsUnsortedOpinions(t *testing.T) {
 	}
 }
 
-// labelStub returns stub shards over table: each answers opLabels,
-// opQuery and opSnapshot for its owned range straight from table.
+// labelStub returns stub shards over table: each answers opLabels and
+// opQuery straight from table.
 func labelStub(t *testing.T, table []graph.V, numShards int) []string {
-	part := dist.NewPartitioning(len(table), numShards)
 	addrs := make([]string, numShards)
 	for id := range addrs {
-		lo, hi := part.Range(id)
 		addrs[id] = stubShard(t, func(op byte, payload []byte) (byte, []byte) {
 			c := &cursor{b: payload}
 			switch op {
@@ -328,9 +325,6 @@ func labelStub(t *testing.T, table []graph.V, numShards int) []string {
 				return op, encodeLabels(nil, table[a:b])
 			case opQuery:
 				return op, putU32(nil, uint32(table[c.u32()]))
-			case opSnapshot:
-				b := putU64(putU32(putU32(nil, uint32(lo)), uint32(hi)), 0)
-				return op, encodeLabels(b, table[lo:hi])
 			}
 			return op, nil
 		})

@@ -10,6 +10,7 @@ import (
 
 	"afforest/internal/gen"
 	"afforest/internal/graph"
+	"afforest/internal/obs"
 	"afforest/internal/provenance"
 	"afforest/internal/serve"
 )
@@ -103,7 +104,8 @@ func TestClusterExplainCrossShard(t *testing.T) {
 // from more than one shard's forest, with ghost hops honestly tagged.
 func TestClusterExplainShardStitching(t *testing.T) {
 	const n = 90 // 3 shards × 30 vertices
-	l, err := StartLocal(n, 3, Config{Provenance: true})
+	tr := obs.NewWireTrace(0)
+	l, err := StartLocal(n, 3, Config{Provenance: true, Trace: tr})
 	if err != nil {
 		t.Fatalf("StartLocal: %v", err)
 	}
@@ -123,9 +125,22 @@ func TestClusterExplainShardStitching(t *testing.T) {
 	// chain bottoms out at the component root (vertex 0), so the witness
 	// must splice shard 0's segment with the far owner's segment.
 	const qu, qv = 5, 85
+	before := len(tr.Spans())
 	conn, hops, gap, err := l.Router.Explain(qu, qv)
 	if err != nil || !conn || gap {
 		t.Fatalf("Explain(%d,%d): conn=%v gap=%v err=%v", qu, qv, conn, gap, err)
+	}
+	// Explain walks each side's label chain once, with one opQuery per
+	// chain vertex, and reuses it for the witness segments: here both
+	// chains are two vertices long.
+	queries := 0
+	for _, sp := range tr.Spans()[before:] {
+		if sp.Name == obs.WireQuery {
+			queries++
+		}
+	}
+	if queries != 4 {
+		t.Fatalf("Explain(%d,%d) issued %d opQuery RPCs, want 4", qu, qv, queries)
 	}
 	checkClusterWitness(t, qu, qv, hops, posted, same)
 	shardsSeen := map[int]bool{}

@@ -110,12 +110,15 @@ func FuzzShardHandle(f *testing.F) {
 		restored[i] = graph.V(22 + i)
 	}
 	restored[0], restored[3], restored[5] = 5, 5, 10
-	f.Add(script(rec(opRestore, encodeLabels(putU64(putU32(putU32(nil, 22), 44), 0), restored)),
+	f.Add(script(rec(opRestore, encodeLabels(putU32(putU32(nil, 22), 44), restored)),
 		rec(opEdges, encodePairs(nil, []pair{{V: 30, Label: 60}, {V: 23, Label: 1}})), rec(opOutbox, nil),
 		rec(opAbsorb, encodePairs(nil, []pair{{V: 5, Label: 3}, {V: 60, Label: 40}})), rec(opOutbox, nil)))
-	f.Add(script(rec(opSnapshot, nil),
-		rec(opRestore, encodeLabels(putU64(putU32(putU32(nil, 22), 44), 7), make([]graph.V, 22))),
+	f.Add(script(rec(opLabels, putU32(putU32(nil, 22), 44)),
+		rec(opRestore, encodeLabels(putU32(putU32(nil, 22), 44), make([]graph.V, 22))),
 		rec(opShutdown, nil), rec(opError, []byte("x")), rec(0, nil)))
+	// A resend outbox sends every ref again; any other payload is refused.
+	f.Add(script(rec(opEdges, edges), rec(opOutbox, nil), rec(opOutbox, []byte{outboxResend}),
+		rec(opOutbox, []byte{outboxResend}), rec(opOutbox, []byte{2}), rec(opOutbox, []byte{outboxResend, 0})))
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		sh := NewShard(1)

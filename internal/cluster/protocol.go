@@ -40,17 +40,20 @@ import (
 // differently (a reply reuses the pair layout with the request index in
 // the vertex slot), and opAbsorb returns the next round's opinions. A
 // shard records every opinion it sends as that ref's ack and keeps the
-// acks across exchanges, so no op ends one.
+// acks across exchanges, so no op ends one. An opOutbox carrying the
+// byte outboxResend first resets every ack to unsent, so the shard
+// sends every ref: the repair after a failed write. Byte 8 stays
+// unassigned, so a peer that still sends the retired snapshot op gets
+// an unknown-op error rather than another op's answer.
 const (
 	opInit     byte = 1  // n u64 | numShards u32 | shardID u32 → (empty)
 	opEdges    byte = 2  // pairs (edges) → merged u32
-	opOutbox   byte = 3  // (empty) → pairs (remote ref, local label)
+	opOutbox   byte = 3  // (empty) or outboxResend u8 → pairs (remote ref, local label)
 	opIngest   byte = 4  // pairs (owned v, remote opinion) → merged u32 | pairs (request index, owner label)
 	opAbsorb   byte = 5  // pairs (remote ref, owner label) → merged u32 | pairs (remote ref, local label)
 	opQuery    byte = 6  // v u32 → label u32
 	opLabels   byte = 7  // lo u32 | hi u32 → labels [hi-lo]u32
-	opSnapshot byte = 8  // (empty) → lo u32 | hi u32 | edges u64 | labels [hi-lo]u32
-	opRestore  byte = 9  // lo u32 | hi u32 | edges u64 | labels [hi-lo]u32 → (empty)
+	opRestore  byte = 9  // lo u32 | hi u32 | labels [hi-lo]u32 → (empty)
 	opPing     byte = 10 // (empty) → (empty)
 	opShutdown byte = 11 // (empty) → (empty), then the shard exits its serve loop
 	opFlight   byte = 12 // (empty) → flightLen u32 | flight JSONL | phasesLen u32 | phase-span JSON | spansLen u32 | wire-span JSON
@@ -58,11 +61,14 @@ const (
 	opError    byte = 99 // message string (response only)
 )
 
+// outboxResend is the opOutbox payload that asks for every ref.
+const outboxResend byte = 1
+
 // ops is the op table: each op's name in errors and logs, and its
 // obs wire-span name. span is "" for ops not traced as spans: the rare
 // control-plane calls outside any request's critical path (init,
-// snapshot, restore, ping, shutdown) and opExplain. beforeInit marks
-// the ops a shard answers before opInit.
+// restore, ping, shutdown) and opExplain. beforeInit marks the ops a
+// shard answers before opInit.
 var ops = map[byte]struct {
 	name, span string
 	beforeInit bool
@@ -74,7 +80,6 @@ var ops = map[byte]struct {
 	opAbsorb:   {"opAbsorb", obs.WireAbsorb, false},
 	opQuery:    {"opQuery", obs.WireQuery, false},
 	opLabels:   {"opLabels", obs.WireLabels, false},
-	opSnapshot: {"opSnapshot", "", false},
 	opRestore:  {"opRestore", "", false},
 	opPing:     {"opPing", "", true},
 	opShutdown: {"opShutdown", "", true},

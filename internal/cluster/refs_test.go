@@ -245,7 +245,7 @@ func TestShardRefsMatchModel(t *testing.T) {
 				for i := range labels {
 					labels[i] = graph.V(rng.IntN(sh.lo + i + 1))
 				}
-				restore := encodeLabels(putU64(putU32(putU32(nil, uint32(sh.lo)), uint32(sh.hi)), 0), labels)
+				restore := encodeLabels(putU32(putU32(nil, uint32(sh.lo)), uint32(sh.hi)), labels)
 				if _, err := do(opRestore, restore); err != nil {
 					t.Fatalf("seed %d step %d: restore: %v", seed, step, err)
 				}
@@ -319,7 +319,7 @@ func TestShardRejectsHostileIDs(t *testing.T) {
 		restoreLabels[i] = graph.V(lo + i)
 	}
 	restoreLabels[0] = n
-	restore := encodeLabels(putU64(putU32(putU32(nil, uint32(lo)), uint32(hi)), 0), restoreLabels)
+	restore := encodeLabels(putU32(putU32(nil, uint32(lo)), uint32(hi)), restoreLabels)
 	cases := []struct {
 		name    string
 		op      byte

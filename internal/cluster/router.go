@@ -26,8 +26,9 @@ import (
 
 // Config tunes a Router. The zero value is reasonable.
 type Config struct {
-	// Parallelism bounds worker goroutines for census assembly
-	// (0 = GOMAXPROCS); shards control their own link parallelism.
+	// Parallelism bounds the link workers of each shard the local
+	// harness boots (StartLocal, SpawnShard; 0 = GOMAXPROCS). The router
+	// itself does not read it; out-of-process shards take ccshard -p.
 	Parallelism int
 	// Trace enables distributed tracing: every request becomes a trace
 	// whose shard RPCs carry the trace-context frame extension, and
@@ -36,9 +37,10 @@ type Config struct {
 	// untraced protocol.
 	Trace *obs.WireTrace
 	// Provenance arms merge-forest recording on shards booted by the
-	// local harness (StartLocal/SpawnShard) and enables the router's
-	// GET /explain to stitch cross-shard witnesses. Out-of-process
-	// shards arm themselves via `ccshard -provenance`.
+	// local harness (StartLocal/SpawnShard). The router itself does not
+	// read it: GET /explain stitches witnesses from whichever shards
+	// record them. Out-of-process shards arm themselves via
+	// `ccshard -provenance`.
 	Provenance bool
 }
 
@@ -56,6 +58,13 @@ const (
 var ErrDegraded error = &serve.StatusError{Code: http.StatusServiceUnavailable,
 	Err: errors.New("cluster: degraded (shard slot vacant), writes refused")}
 
+// ErrUnsettled is returned for reads after a write or load failed part
+// way: some member may hold connectivity its peers never learned, so
+// labels could answer a connected pair as disconnected. Reads answer 503
+// until the next write or load, merging or not, repairs the exchange.
+var ErrUnsettled error = &serve.StatusError{Code: http.StatusServiceUnavailable,
+	Err: errors.New("cluster: unsettled (a write failed part way), reads refused until the next write repairs it")}
+
 // shardConn is one persistent RPC connection with request/response
 // framing serialized by a mutex and every byte counted.
 type shardConn struct {
@@ -69,22 +78,20 @@ type shardConn struct {
 // active shard connection, or — after a leave — the departed member's
 // retained π snapshot, served read-only until a replacement joins.
 type slot struct {
-	addr      string
-	conn      *shardConn // nil when vacant
-	lo, hi    int
-	snap      []graph.V // retained owned-range labels while vacant
-	snapEdges int64
-	msgs      *obs.Counter
-	lag       *obs.Gauge
+	addr   string
+	conn   *shardConn // nil when vacant
+	lo, hi int
+	snap   []graph.V // retained owned-range labels while vacant
+	msgs   *obs.Counter
+	lag    *obs.Gauge
 
 	// unscanned marks a member whose π may have merged since its last
 	// scan, so round 1 of the next exchange asks it for its outbox; any
 	// other member would answer with nothing. An opEdges reply with
-	// merges sets it, as does a failed opEdges call, and a failed
-	// exchange sets it on every slot, since it can leave an ingest's
-	// merges without their absorb. A round-1 outbox clears it, and a
-	// fresh or restored member starts clear. Only the router's write
-	// lock holder touches it, from at most one goroutine per slot.
+	// merges sets it. A round-1 outbox clears it, and a fresh or
+	// restored member starts clear. A failed write is the router's
+	// unsettled state instead. Only the router's write lock holder
+	// touches it, from at most one goroutine per slot.
 	unscanned bool
 }
 
@@ -109,6 +116,15 @@ type Router struct {
 	// Exchange runs under the write lock, so reads always observe a
 	// converged fixed point.
 	mu sync.RWMutex
+
+	// unsettled marks a write or load that failed part way: a member may
+	// have applied edges or linked opinions its peers never learned, and
+	// round 1 may have acked opinions whose owner never ingested them.
+	// Reads answer ErrUnsettled while it is set. The next write or load
+	// runs an exchange even when nothing merged, and its round 1 asks
+	// every member to resend every ref (outboxResend); that exchange's
+	// success clears it. Guarded by mu.
+	unsettled bool
 
 	edges    atomic.Int64
 	cutEdges atomic.Int64
@@ -398,7 +414,7 @@ func (r *Router) sendEdges(rc rctx, sl *slot, id int, edges []pair) (int64, erro
 			m = int64(c.u32())
 			return int64(k), m, nil
 		})
-		if err != nil || m > 0 {
+		if m > 0 {
 			sl.unscanned = true
 		}
 		if err != nil {
@@ -461,13 +477,14 @@ func (r *Router) applyEdgesLocked(rc rctx, edges []graph.Edge) (int64, error) {
 }
 
 // settleLocked restores the global fixed point after a write whose
-// opEdges replies summed to merged. It skips the exchange when nothing
-// merged on any shard, which changes nothing: every shard's π would
-// then hold the component count of its last scan, so every outbox
-// would come back empty and the exchange would end after one silent
-// round. Caller holds the write lock with all slots active.
+// opEdges replies summed to merged. A settled router skips the exchange
+// when nothing merged on any shard, which changes nothing: every
+// shard's π would then hold the component count of its last scan, so
+// every outbox would come back empty and the exchange would end after
+// one silent round. An unsettled one always runs it: that exchange is
+// the repair. Caller holds the write lock with all slots active.
 func (r *Router) settleLocked(rc rctx, merged int64) error {
-	if merged == 0 {
+	if merged == 0 && !r.unsettled {
 		return nil
 	}
 	return r.exchangeLocked(rc)
@@ -490,6 +507,9 @@ func (r *Router) AddEdges(edges []graph.Edge) (int64, error) {
 	}
 	rc := r.newRoot("edges_request")
 	merged, err := r.applyEdgesLocked(rc, edges)
+	if err != nil {
+		r.unsettled = true
+	}
 	r.endRoot(rc, err)
 	return merged, err
 }
@@ -523,6 +543,9 @@ func (r *Router) LoadGraph(g *graph.CSR) error {
 	}
 	rc := r.newRoot("load_graph")
 	err := r.loadLocked(rc, g)
+	if err != nil {
+		r.unsettled = true
+	}
 	r.endRoot(rc, err)
 	return err
 }
@@ -604,22 +627,23 @@ func (r *Router) shipRows(rc rctx, g *graph.CSR, span func(u int, lo, hi int64) 
 // opinions of every shard whose π may have merged since its last scan
 // (slot.unscanned): the refs whose label moved off their ack since that
 // scan, and the refs noted since. Any other shard's outbox is empty, so
-// it is not asked. Each round then groups
-// the opinions by owner and ingests them there, and owners answer only
-// the opinions they label differently. The replies are routed back and
-// absorbed, and each absorb returns the shard's opinions for the next
-// round: the refs whose label moved off the one their owner is known
-// to hold. A shard whose ingest merged nothing and that got no reply
-// has no such ref, so its absorb is skipped. Shards send their opinions in strictly
-// increasing ref order (checked on receipt), so an owner's share of a
-// sender's list is one run: the router slices each list at the
-// partition boundaries, and an ingest request is the senders' runs in
-// sender order. One round's RPCs fan out concurrently across
-// shards with a barrier between phases, so each round is one
-// superstep. Every pair on every leg (outbox, ingest, reply, absorb,
-// next opinions) counts as a message, and each opinion a shard sends
-// counts once in Opinions. The shards keep their acks for the next
-// exchange, so nothing ends this one.
+// it is not asked. An unsettled router instead asks every shard to
+// resend every ref, and the exchange's success settles it. Each round
+// then groups the opinions by owner and ingests them there, and owners
+// answer only the opinions they label differently. The replies are
+// routed back and absorbed, and each absorb returns the shard's
+// opinions for the next round: the refs whose label moved off the one
+// their owner is known to hold. A shard whose ingest merged nothing and
+// that got no reply has no such ref, so its absorb is skipped. Shards
+// send their opinions in strictly increasing ref order (checked on
+// receipt), so an owner's share of a sender's list is one run: the
+// router slices each list at the partition boundaries, and an ingest
+// request is the senders' runs in sender order. One round's RPCs fan
+// out concurrently across shards with a barrier between phases, so
+// each round is one superstep. Every pair on every leg (outbox, ingest,
+// reply, absorb, next opinions) counts as a message, and each opinion a
+// shard sends counts once in Opinions. The shards keep their acks for
+// the next exchange, so nothing ends this one.
 // When rc is traced, the exchange gets a grouping span with one child
 // span per round; every shard RPC hangs off its round. Each round also
 // feeds the cluster anomaly rules: per-shard lag, absorb churn, and —
@@ -630,10 +654,8 @@ func (r *Router) exchangeLocked(rc rctx) (err error) {
 	exc := r.child(rc, obs.WireExchange, 0)
 	round := 0
 	defer func() {
-		if err != nil {
-			for _, sl := range r.slots {
-				sl.unscanned = true
-			}
+		if err == nil {
+			r.unsettled = false
 		}
 		r.exchanges.Inc()
 		r.exchangeNS.ObserveDuration(time.Since(start))
@@ -654,12 +676,16 @@ func (r *Router) exchangeLocked(rc rctx) (err error) {
 
 		// Round 1 only: gather the outboxes that may hold opinions.
 		if round == 1 {
+			var payload []byte
+			if r.unsettled {
+				payload = []byte{outboxResend}
+			}
 			err := r.forEachActive(func(id int, sl *slot) error {
-				if !sl.unscanned {
+				if !sl.unscanned && !r.unsettled {
 					return nil
 				}
 				return timed(id, func() error {
-					err := r.call(rnd, sl.conn, id, round, opOutbox, nil, func(c *cursor) (int64, int64, error) {
+					err := r.call(rnd, sl.conn, id, round, opOutbox, payload, func(c *cursor) (int64, int64, error) {
 						opinions[id] = c.pairs()
 						return int64(len(opinions[id])), 0, checkRefOrder(id, opinions[id])
 					})
@@ -826,6 +852,9 @@ func (r *Router) Resolve(v graph.V) (graph.V, error) {
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	if r.unsettled {
+		return 0, ErrUnsettled
+	}
 	rc := r.newRoot("resolve_request")
 	l, err := r.resolveLocked(rc, v)
 	r.endRoot(rc, err)
@@ -852,6 +881,9 @@ func (r *Router) Connected(u, v graph.V) (bool, error) {
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	if r.unsettled {
+		return false, ErrUnsettled
+	}
 	rc := r.newRoot("connected_request")
 	conn, err := r.connectedLocked(rc, u, v)
 	r.endRoot(rc, err)
@@ -896,7 +928,8 @@ func (r *Router) explainAt(rc rctx, x, y graph.V) (bool, []provenance.Hop, error
 
 // Explain stitches a cluster-wide witness for (u, v) out of per-shard
 // merge-forest segments. Each side's label chain u → l₁ → … → L (the
-// same owner-label walk Resolve does) is expanded step by step: the
+// owner-label walk Resolve does, collected once) is expanded step by
+// step: the
 // owner of xᵢ explains (xᵢ, xᵢ₊₁) from its local forest — it applied
 // the merge that produced that label, so its forest connects the pair.
 // Concatenating the u-side segments and the reversed v-side segments
@@ -912,6 +945,9 @@ func (r *Router) Explain(u, v graph.V) (connected bool, hops []provenance.Hop, g
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	if r.unsettled {
+		return false, nil, false, ErrUnsettled
+	}
 	rc := r.newRoot("explain_request")
 	connected, hops, gap, err = r.explainLocked(rc, u, v)
 	r.endRoot(rc, err)
@@ -919,33 +955,26 @@ func (r *Router) Explain(u, v graph.V) (connected bool, hops []provenance.Hop, g
 }
 
 func (r *Router) explainLocked(rc rctx, u, v graph.V) (bool, []provenance.Hop, bool, error) {
-	lu, err := r.resolveLocked(rc, u)
+	cu, err := r.chainLocked(rc, u)
 	if err != nil {
 		return false, nil, false, err
 	}
-	lv, err := r.resolveLocked(rc, v)
+	cv, err := r.chainLocked(rc, v)
 	if err != nil {
 		return false, nil, false, err
 	}
-	if lu != lv {
+	if cu[len(cu)-1] != cv[len(cv)-1] {
 		return false, nil, false, nil
 	}
 	if u == v {
 		return true, []provenance.Hop{}, false, nil
 	}
 	// Expand one side's label chain into witness segments.
-	walk := func(x graph.V) ([]provenance.Hop, bool, error) {
+	walk := func(chain []graph.V) ([]provenance.Hop, bool, error) {
 		var out []provenance.Hop
 		gap := false
-		for {
-			l, err := r.ownerLabel(rc, x)
-			if err != nil {
-				return nil, false, err
-			}
-			if l == x {
-				return out, gap, nil
-			}
-			found, seg, err := r.explainAt(rc, x, l)
+		for i := 0; i+1 < len(chain); i++ {
+			found, seg, err := r.explainAt(rc, chain[i], chain[i+1])
 			if err != nil {
 				return nil, false, err
 			}
@@ -954,14 +983,14 @@ func (r *Router) explainLocked(rc rctx, u, v graph.V) (bool, []provenance.Hop, b
 			} else {
 				out = append(out, seg...)
 			}
-			x = l
 		}
+		return out, gap, nil
 	}
-	up, ugap, err := walk(u)
+	up, ugap, err := walk(cu)
 	if err != nil {
 		return true, nil, false, err
 	}
-	vp, vgap, err := walk(v)
+	vp, vgap, err := walk(cv)
 	if err != nil {
 		return true, nil, false, err
 	}
@@ -980,12 +1009,32 @@ func (r *Router) explainLocked(rc rctx, u, v graph.V) (bool, []provenance.Hop, b
 	return true, hops, false, nil
 }
 
+// chainLocked returns x's label chain x → l₁ → … → L, the owner-label
+// walk Resolve does, ending at the component's canonical label.
+func (r *Router) chainLocked(rc rctx, x graph.V) ([]graph.V, error) {
+	chain := []graph.V{x}
+	for {
+		l, err := r.ownerLabel(rc, x)
+		if err != nil {
+			return nil, err
+		}
+		if l == x {
+			return chain, nil
+		}
+		chain = append(chain, l)
+		x = l
+	}
+}
+
 // GlobalLabels fans out to every slot for its owned-range labels and
 // shortcuts cross-shard label chains to roots — the canonical min-id
 // labeling a single-node run would produce.
 func (r *Router) GlobalLabels() ([]graph.V, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	if r.unsettled {
+		return nil, ErrUnsettled
+	}
 	rc := r.newRoot("census_request")
 	labels, err := r.globalLabelsLocked(rc)
 	r.endRoot(rc, err)
@@ -1005,12 +1054,9 @@ func (r *Router) globalLabelsLocked(rc rctx) ([]graph.V, error) {
 					copy(labels[sl.lo:sl.hi], sl.snap)
 					return
 				}
-				payload := putU32(putU32(nil, uint32(sl.lo)), uint32(sl.hi))
-				errs[id] = r.call(rc, sl.conn, id, 0, opLabels, payload, func(c *cursor) (int64, int64, error) {
-					got := c.labels(sl.hi - sl.lo)
-					copy(labels[sl.lo:sl.hi], got)
-					return int64(len(got)), 0, checkLabels(id, sl.lo, got)
-				})
+				got, err := r.ownedLabels(rc, id, sl)
+				copy(labels[sl.lo:sl.hi], got)
+				errs[id] = err
 			}(id, sl)
 		}
 		wg.Wait()
@@ -1028,6 +1074,17 @@ func (r *Router) globalLabelsLocked(rc rctx) ([]graph.V, error) {
 	return labels, nil
 }
 
+// ownedLabels reads slot id's owned-range labels with opLabels.
+func (r *Router) ownedLabels(rc rctx, id int, sl *slot) ([]graph.V, error) {
+	var labels []graph.V
+	payload := putU32(putU32(nil, uint32(sl.lo)), uint32(sl.hi))
+	err := r.call(rc, sl.conn, id, 0, opLabels, payload, func(c *cursor) (int64, int64, error) {
+		labels = c.labels(sl.hi - sl.lo)
+		return int64(len(labels)), 0, checkLabels(id, sl.lo, labels)
+	})
+	return labels, err
+}
+
 // checkRefOrder rejects an opOutbox or opAbsorb answer from shard id
 // unless its refs strictly increase, the order exchangeLocked's
 // per-owner runs rely on.
@@ -1040,9 +1097,9 @@ func checkRefOrder(id int, opinions []pair) error {
 	return nil
 }
 
-// checkLabels rejects a shard's owned-range labels (an opLabels or
-// opSnapshot answer from shard id, starting at vertex lo) unless every
-// label is at most its vertex — the π(x) ≤ x invariant the label-chain
+// checkLabels rejects a shard's owned-range labels (an opLabels
+// answer from shard id, starting at vertex lo) unless every label is at
+// most its vertex — the π(x) ≤ x invariant the label-chain
 // walks rely on to end.
 func checkLabels(id, lo int, labels []graph.V) error {
 	for i, l := range labels {
@@ -1059,6 +1116,10 @@ func checkLabels(id, lo int, labels []graph.V) error {
 // read lock: O(n) with no map and no sort.
 func (r *Router) ComponentSizes(fn func(sizes []int32, edges int64)) error {
 	r.mu.RLock()
+	if r.unsettled {
+		r.mu.RUnlock()
+		return ErrUnsettled
+	}
 	rc := r.newRoot("census_request")
 	labels, err := r.globalLabelsLocked(rc)
 	r.endRoot(rc, err)
@@ -1075,9 +1136,10 @@ func (r *Router) ComponentSizes(fn func(sizes []int32, edges int64)) error {
 	return nil
 }
 
-// Leave removes shard id from the cluster: its π snapshot is pulled and
-// retained at the router (handoff custody), the member is sent
-// opShutdown, and the slot goes vacant. Reads keep answering from the
+// Leave removes shard id from the cluster: its owned-range labels, the
+// π snapshot, are read with opLabels and retained at the router
+// (handoff custody), the member is sent opShutdown, and the slot goes
+// vacant. Reads keep answering from the
 // snapshot; writes are refused until a replacement joins.
 func (r *Router) Leave(id int) error {
 	r.mu.Lock()
@@ -1089,17 +1151,7 @@ func (r *Router) Leave(id int) error {
 	if sl.conn == nil {
 		return fmt.Errorf("cluster: shard slot %d already vacant", id)
 	}
-	var snap []graph.V
-	var snapEdges int64
-	err := r.call(rctx{}, sl.conn, id, 0, opSnapshot, nil, func(c *cursor) (int64, int64, error) {
-		lo, hi := int(c.u32()), int(c.u32())
-		snapEdges = int64(c.u64())
-		snap = c.labels(hi - lo)
-		if lo != sl.lo || hi != sl.hi {
-			return 0, 0, fmt.Errorf("cluster: shard %d snapshot range [%d,%d), want [%d,%d)", id, lo, hi, sl.lo, sl.hi)
-		}
-		return int64(len(snap)), 0, checkLabels(id, lo, snap)
-	})
+	snap, err := r.ownedLabels(rctx{}, id, sl)
 	if err != nil {
 		return fmt.Errorf("cluster: snapshot handoff from shard %d: %w", id, err)
 	}
@@ -1107,7 +1159,6 @@ func (r *Router) Leave(id int) error {
 	sl.conn.conn.Close()
 	sl.conn = nil
 	sl.snap = snap
-	sl.snapEdges = snapEdges
 	r.activeG.Set(r.activeCount())
 	return nil
 }
@@ -1135,10 +1186,7 @@ func (r *Router) Join(id int, addr string) error {
 	if err != nil {
 		return err
 	}
-	payload := putU32(nil, uint32(sl.lo))
-	payload = putU32(payload, uint32(sl.hi))
-	payload = putU64(payload, uint64(sl.snapEdges))
-	payload = encodeLabels(payload, sl.snap)
+	payload := encodeLabels(putU32(putU32(nil, uint32(sl.lo)), uint32(sl.hi)), sl.snap)
 	if err := r.call(rctx{}, conn, id, 0, opRestore, payload, nil); err != nil {
 		conn.conn.Close()
 		return fmt.Errorf("cluster: restoring snapshot into shard %d: %w", id, err)
@@ -1146,7 +1194,6 @@ func (r *Router) Join(id int, addr string) error {
 	sl.conn = conn
 	sl.addr = addr
 	sl.snap = nil
-	sl.snapEdges = 0
 	sl.unscanned = false
 	r.activeG.Set(r.activeCount())
 	return nil
@@ -1226,12 +1273,12 @@ func (r *Router) StatsSections(body map[string]any) {
 }
 
 // Health adds the partition width to /healthz; the status is
-// "degraded" while a slot is vacant.
+// "degraded" while a slot is vacant or the router is unsettled.
 func (r *Router) Health(body map[string]any) string {
 	body["shards"] = r.numShards
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if r.degradedLocked() {
+	if r.degradedLocked() || r.unsettled {
 		return "degraded"
 	}
 	return "ok"

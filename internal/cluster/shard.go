@@ -281,8 +281,19 @@ func (sh *Shard) handle(op byte, payload []byte, sp *srvSpan) ([]byte, error) {
 		work = func() (err error) { merged, err = sh.applyEdges(edges, sh.tracer(sp)); return err }
 		reply = func() []byte { return putU32(nil, uint32(merged)) }
 	case opOutbox:
+		resend := len(payload) > 0
+		if resend && c.u8() != outboxResend {
+			return nil, errors.New("cluster: unknown outbox payload")
+		}
 		var out []pair
-		work = func() error { out = sh.scan(sh.fold()); return nil }
+		work = func() error {
+			joined := sh.fold()
+			if resend {
+				sh.unack()
+			}
+			out = sh.scan(joined)
+			return nil
+		}
 		reply = func() []byte { return encodePairs(nil, out) }
 	case opIngest:
 		pairs := c.pairs()
@@ -304,17 +315,10 @@ func (sh *Shard) handle(op byte, payload []byte, sp *srvSpan) ([]byte, error) {
 		var labels []graph.V
 		work = func() (err error) { labels, err = sh.labelRange(lo, hi); return err }
 		reply = func() []byte { return encodeLabels(nil, labels) }
-	case opSnapshot:
-		var labels []graph.V
-		work = func() (err error) { labels, err = sh.labelRange(sh.lo, sh.hi); return err }
-		reply = func() []byte {
-			return encodeLabels(putU64(putU32(putU32(nil, uint32(sh.lo)), uint32(sh.hi)), uint64(sh.edges)), labels)
-		}
 	case opRestore:
 		lo, hi := int(c.u32()), int(c.u32())
-		edges := int64(c.u64())
 		labels := c.labels(hi - lo)
-		work = func() error { return sh.restore(lo, hi, edges, labels) }
+		work = func() error { return sh.restore(lo, hi, labels) }
 	case opExplain:
 		u, v := graph.V(c.u32()), graph.V(c.u32())
 		var status byte
@@ -511,6 +515,17 @@ func (sh *Shard) fold() int {
 	return joined
 }
 
+// unack resets every ack to unsent and forgets the last scan's
+// component count, so the next scan sends every ref. It is the shard's
+// half of the repair after a failed write, which may have lost opinions
+// a scan had already acked. Caller holds mu.
+func (sh *Shard) unack() {
+	for i := range sh.acks {
+		sh.acks[i].Label = unsent
+	}
+	sh.comps = -1
+}
+
 // scan returns the shard's next opinions: every ref whose find differs
 // from its ack, in ref order, with the ack moved to that find. joined
 // refs just got the ack unsent, so they all go out and size the result.
@@ -628,8 +643,8 @@ func (sh *Shard) query(v graph.V) (graph.V, error) {
 
 // labelRange returns find(v) for every v in [lo, hi), in O(hi − lo)
 // finds: applyEdges keeps the trees shallow, so the read compresses
-// nothing. opSnapshot reads the owned range through it: the π handoff a
-// departing member leaves with the router. Caller holds mu.
+// nothing. The router's census and a departing member's π handoff read
+// the owned range through it. Caller holds mu.
 func (sh *Shard) labelRange(lo, hi int) ([]graph.V, error) {
 	if lo < 0 || hi < lo || hi > sh.n {
 		return nil, fmt.Errorf("cluster: label range [%d,%d) out of bounds", lo, hi)
@@ -649,7 +664,7 @@ func (sh *Shard) labelRange(lo, hi int) ([]graph.V, error) {
 // starts over with the restored π's component count as its last scan:
 // the remote labels are refs that are their own roots, and they go out
 // with the member's next merge. Caller holds mu.
-func (sh *Shard) restore(lo, hi int, edges int64, labels []graph.V) error {
+func (sh *Shard) restore(lo, hi int, labels []graph.V) error {
 	if lo != sh.lo || hi != sh.hi {
 		return fmt.Errorf("cluster: snapshot range [%d,%d) does not match shard %d's [%d,%d)",
 			lo, hi, sh.id, sh.lo, sh.hi)
@@ -676,7 +691,6 @@ func (sh *Shard) restore(lo, hi int, edges int64, labels []graph.V) error {
 	// so pre-handoff witnesses are gone. Explain reports them as the
 	// documented bootstrap gap.
 	sh.inc = inc
-	sh.edges = edges
 	sh.resetRefs()
 	for _, l := range labels {
 		sh.noteRemote(l)

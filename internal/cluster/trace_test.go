@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
@@ -15,6 +17,7 @@ import (
 
 	"afforest/internal/graph"
 	"afforest/internal/obs"
+	"afforest/internal/serve"
 )
 
 // pathEdges returns a deterministic 100-vertex path — the pinned
@@ -365,15 +368,15 @@ func TestShardErrorAttribution(t *testing.T) {
 	}
 }
 
-// TestLeaveFailuresFireWireErrorBurst: a member that answers opSnapshot
-// with opError fails each Leave, and three failed handoffs inside one
-// second fire wire_error_burst on the router's /stats. Membership calls
-// go through the router's one call path, so their failures reach the
-// wire-error rule like an exchange RPC's do.
+// TestLeaveFailuresFireWireErrorBurst: a member that answers Leave's
+// opLabels with opError fails each Leave, and three failed handoffs
+// inside one second fire wire_error_burst on the router's /stats.
+// Membership calls go through the router's one call path, so their
+// failures reach the wire-error rule like an exchange RPC's do.
 func TestLeaveFailuresFireWireErrorBurst(t *testing.T) {
 	addr := stubShard(t, func(op byte, payload []byte) (byte, []byte) {
-		if op == opSnapshot {
-			return opError, []byte("shard 0: opSnapshot: refused")
+		if op == opLabels {
+			return opError, []byte("shard 0: opLabels: refused")
 		}
 		return op, nil
 	})
@@ -384,8 +387,8 @@ func TestLeaveFailuresFireWireErrorBurst(t *testing.T) {
 	defer r.Close(false)
 	start := time.Now()
 	for i := 0; i < 3; i++ {
-		if err := r.Leave(0); err == nil || !strings.Contains(err.Error(), "opSnapshot: refused") {
-			t.Fatalf("Leave %d: err = %v, want the shard's opSnapshot error", i, err)
+		if err := r.Leave(0); err == nil || !strings.Contains(err.Error(), "opLabels: refused") {
+			t.Fatalf("Leave %d: err = %v, want the shard's opLabels error", i, err)
 		}
 	}
 	if d := time.Since(start); d >= time.Second {
@@ -597,5 +600,114 @@ func TestRoundOneAsksOnlyUnscannedShards(t *testing.T) {
 	want[1], want[4], want[6], want[15] = 0, 3, 5, 2
 	if !slices.Equal(labels, want) {
 		t.Fatalf("labels %v, want %v", labels, want)
+	}
+}
+
+// TestFailedWriteNeverAnswersWrong: on a traced 3-shard cluster of 30
+// vertices, {15,25} is acknowledged, then a write of {5,25} fails part
+// way: shard 1's opIngest fails after round 1 has acked the opinion it
+// carried, or shard 0's opEdges fails while shard 2 applies its ghost
+// copy. Either way shard 2 holds 15 ~ 5 and its owner does not, so a
+// read would answer the acknowledged pair as disconnected. Instead
+// every read refuses with ErrUnsettled, /healthz reads degraded, and the
+// next write, merging or not, runs a repair exchange whose round 1 asks
+// every shard to resend every ref. After it the labels are exact: a
+// serial oracle over every edge some shard applied.
+func TestFailedWriteNeverAnswersWrong(t *testing.T) {
+	const n = 30 // the shards own [0,10), [10,20) and [20,30)
+	for _, fault := range []struct {
+		name  string
+		shard int
+		op    byte
+	}{
+		{"ingest", 1, opIngest},
+		{"edges", 0, opEdges},
+	} {
+		for _, repair := range []struct {
+			name string
+			edge graph.Edge
+		}{
+			{"merging", graph.Edge{U: 7, V: 8}},
+			{"non-merging", graph.Edge{U: 15, V: 25}},
+		} {
+			t.Run(fault.name+"/"+repair.name, func(t *testing.T) {
+				tr := obs.NewWireTrace(0)
+				l := &Local{}
+				defer l.Close()
+				addrs := make([]string, 3)
+				for i := range addrs {
+					addr, err := l.SpawnShard(1)
+					if err != nil {
+						t.Fatalf("SpawnShard: %v", err)
+					}
+					addrs[i] = addr
+				}
+				var armed atomic.Bool
+				addrs[fault.shard] = faultProxy(t, addrs[fault.shard], func(op byte) bool {
+					return op == fault.op && armed.Swap(false)
+				})
+				r, err := NewRouter(addrs, n, Config{Trace: tr, Parallelism: 1})
+				if err != nil {
+					t.Fatalf("NewRouter: %v", err)
+				}
+				l.Router = r
+
+				if _, err := r.AddEdges([]graph.Edge{{U: 15, V: 25}}); err != nil {
+					t.Fatalf("AddEdges({15,25}): %v", err)
+				}
+				armed.Store(true)
+				if _, err := r.AddEdges([]graph.Edge{{U: 5, V: 25}}); err == nil || !strings.Contains(err.Error(), "injected failure") {
+					t.Fatalf("AddEdges({5,25}): err = %v, want the injected failure", err)
+				}
+				if c, err := r.Connected(15, 25); !errors.Is(err, ErrUnsettled) {
+					t.Fatalf("Connected(15,25) after the failed write = %v, %v; want ErrUnsettled", c, err)
+				}
+				var se *serve.StatusError
+				if _, err := r.Resolve(25); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+					t.Fatalf("Resolve(25): err = %v, want a 503", err)
+				}
+				if _, _, _, err := r.Explain(15, 25); !errors.Is(err, ErrUnsettled) {
+					t.Fatalf("Explain(15,25): err = %v, want ErrUnsettled", err)
+				}
+				if _, err := r.GlobalLabels(); !errors.Is(err, ErrUnsettled) {
+					t.Fatalf("GlobalLabels: err = %v, want ErrUnsettled", err)
+				}
+				if err := r.ComponentSizes(func([]int32, int64) {}); !errors.Is(err, ErrUnsettled) {
+					t.Fatalf("ComponentSizes: err = %v, want ErrUnsettled", err)
+				}
+				if status := r.Health(map[string]any{}); status != "degraded" {
+					t.Fatalf("health while unsettled = %q, want degraded", status)
+				}
+
+				before := len(tr.Spans())
+				if _, err := r.AddEdges([]graph.Edge{repair.edge}); err != nil {
+					t.Fatalf("repair write %v: %v", repair.edge, err)
+				}
+				var asked []int
+				for _, sp := range tr.Spans()[before:] {
+					if sp.Name == obs.WireOutbox && sp.Round == 1 {
+						asked = append(asked, sp.Shard)
+					}
+				}
+				slices.Sort(asked)
+				if !slices.Equal(asked, []int{0, 1, 2}) {
+					t.Fatalf("repair round 1 asked shards %v, want [0 1 2]", asked)
+				}
+				if c, err := r.Connected(15, 25); err != nil || !c {
+					t.Fatalf("Connected(15,25) after the repair = %v, %v; want true", c, err)
+				}
+				labels, err := r.GlobalLabels()
+				if err != nil {
+					t.Fatalf("GlobalLabels after the repair: %v", err)
+				}
+				applied := []graph.Edge{{U: 15, V: 25}, {U: 5, V: 25}, repair.edge}
+				if want := canonical(graph.Build(applied, graph.BuildOptions{NumVertices: n})); !slices.Equal(labels, want) {
+					t.Fatalf("labels after the repair\n got %v\nwant %v", labels, want)
+				}
+				if status := r.Health(map[string]any{}); status != "ok" {
+					t.Fatalf("health after the repair = %q, want ok", status)
+				}
+			})
+		}
 	}
 }

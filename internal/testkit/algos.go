@@ -12,14 +12,10 @@ import (
 )
 
 // Algo is one registered connected-components implementation the
-// differential matrix can sweep. Run must return per-vertex labels;
-// Audited, when non-nil, is the same run with a phase-boundary hook
-// (only the Afforest variants expose phases).
-type Algo struct {
-	Name    string
-	Run     func(g *graph.CSR, workers int, seed uint64) []graph.V
-	Audited func(g *graph.CSR, workers int, seed uint64, audit func(core.Parent, string)) []graph.V
-}
+// differential matrix can sweep: a roster entry (baselines.Roster), or
+// a variant a test registers. Audited, when non-nil, is the same run
+// with a phase-boundary hook (only the Afforest variants expose phases).
+type Algo = baselines.Entry
 
 var (
 	algoMu sync.Mutex
@@ -44,38 +40,6 @@ func LookupAlgo(name string) (Algo, error) {
 		return Algo{}, fmt.Errorf("testkit: unknown algorithm %q", name)
 	}
 	return a, nil
-}
-
-func afforestAlgo(name string, mod func(*core.Options)) Algo {
-	opts := func(workers int, seed uint64) core.Options {
-		o := core.DefaultOptions()
-		o.Parallelism = workers
-		o.Seed = seed
-		if mod != nil {
-			mod(&o)
-		}
-		return o
-	}
-	return Algo{
-		Name: name,
-		Run: func(g *graph.CSR, workers int, seed uint64) []graph.V {
-			return core.Run(g, opts(workers, seed)).Labels()
-		},
-		Audited: func(g *graph.CSR, workers int, seed uint64, audit func(core.Parent, string)) []graph.V {
-			return core.RunAudited(g, opts(workers, seed), audit).Labels()
-		},
-	}
-}
-
-func baselineAlgo(name string, run func(g *graph.CSR, parallelism int) []graph.V) Algo {
-	return Algo{
-		Name: name,
-		// Baselines take no seed: under deterministic scheduling the
-		// seed still matters — it drives their chunk permutations.
-		Run: func(g *graph.CSR, workers int, _ uint64) []graph.V {
-			return run(g, workers)
-		},
-	}
 }
 
 // StalledAfforest is a deliberately broken Afforest whose neighbor
@@ -133,16 +97,14 @@ func StalledAfforest(g *graph.CSR, workers, rounds int, tr *obs.Tracer) []graph.
 	return p.Labels()
 }
 
+// The registry starts as the roster plus Afforest with sampling off,
+// a variant only the harness sweeps.
 func init() {
-	RegisterAlgo(afforestAlgo("afforest", nil))
-	RegisterAlgo(afforestAlgo("afforest-noskip", func(o *core.Options) { o.SkipLargest = false }))
-	RegisterAlgo(afforestAlgo("afforest-nosample", func(o *core.Options) {
+	for _, e := range baselines.Roster() {
+		RegisterAlgo(e)
+	}
+	RegisterAlgo(baselines.AfforestEntry("afforest-nosample", func(o *core.Options) {
 		o.NeighborRounds = -1
 		o.SkipLargest = false
 	}))
-	RegisterAlgo(baselineAlgo("sv", baselines.SV))
-	RegisterAlgo(baselineAlgo("sv-edgelist", baselines.SVEdgeList))
-	RegisterAlgo(baselineAlgo("lp", baselines.LP))
-	RegisterAlgo(baselineAlgo("lp-datadriven", baselines.LPDataDriven))
-	RegisterAlgo(baselineAlgo("bfs", baselines.BFSCC))
 }

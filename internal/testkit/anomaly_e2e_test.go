@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"afforest/internal/concurrent"
+	"afforest/internal/core"
 	"afforest/internal/gen"
 	"afforest/internal/graph"
 	"afforest/internal/obs"
@@ -126,7 +127,7 @@ func TestStalledAfforestLabelsAreBroken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := afforest.Run(g, 1, 1)
+	want := afforest.Run(g, core.Options{Parallelism: 1, Seed: 1})
 	got := StalledAfforest(g, 1, 6, nil)
 	if err := SamePartition(want, got); err == nil {
 		t.Fatal("StalledAfforest produced a correct partition; the injection vehicle no longer injects a fault")

@@ -1,7 +1,10 @@
 package testkit
 
 import (
+	"slices"
 	"testing"
+
+	"afforest/internal/baselines"
 )
 
 // matrixSeeds is the acceptance seed set: eight seeds, alternating
@@ -9,6 +12,10 @@ import (
 // parallel dispatch), with a few far-apart values so chunk
 // permutations are not near-neighbors of each other.
 var matrixSeeds = []uint64{0, 1, 2, 3, 0xdead, 0xbeef, 0x5eed5eed, 0x9e3779b97f4a7c15}
+
+// matrixAlgos are the algorithms TestDifferentialMatrix sweeps in full;
+// TestDifferentialVariants sweeps the rest of the roster.
+var matrixAlgos = []string{"afforest", "sv", "lp"}
 
 // TestDifferentialMatrix is the acceptance sweep from the harness
 // design: every corpus graph × 8 seeds × {1, 2, 8} workers ×
@@ -18,7 +25,7 @@ var matrixSeeds = []uint64{0, 1, 2, 3, 0xdead, 0xbeef, 0x5eed5eed, 0x9e3779b97f4
 // string to ParseScheduleID + Replay to re-run the exact schedule.
 func TestDifferentialMatrix(t *testing.T) {
 	m := Matrix{
-		Algos:   []string{"afforest", "sv", "lp"},
+		Algos:   matrixAlgos,
 		Seeds:   matrixSeeds,
 		Workers: []int{1, 2, 8},
 	}
@@ -35,16 +42,19 @@ func TestDifferentialMatrix(t *testing.T) {
 	}
 }
 
-// TestDifferentialVariants sweeps the remaining registered
-// implementations — Afforest option variants and the secondary
-// baselines — over the whole corpus with a smaller seed set. Every
-// registered algorithm must agree with the oracle on every graph.
+// TestDifferentialVariants sweeps every other roster entry and the
+// harness's own afforest-nosample over the whole corpus with a smaller
+// seed set, so an entry added to the roster joins by default. Every
+// one must agree with the oracle on every graph.
 func TestDifferentialVariants(t *testing.T) {
+	algos := []string{"afforest-nosample"}
+	for _, name := range baselines.Names() {
+		if !slices.Contains(matrixAlgos, name) {
+			algos = append(algos, name)
+		}
+	}
 	m := Matrix{
-		Algos: []string{
-			"afforest-noskip", "afforest-nosample",
-			"sv-edgelist", "lp-datadriven", "bfs",
-		},
+		Algos:   algos,
 		Seeds:   []uint64{6, 7},
 		Workers: []int{1, 8},
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"afforest/internal/concurrent"
+	"afforest/internal/core"
 	"afforest/internal/graph"
 )
 
@@ -105,10 +106,11 @@ func runSchedule(g *graph.CSR, oracle []graph.V, id ScheduleID) error {
 	defer schedMu.Unlock()
 	concurrent.SetDeterministic(&concurrent.DetConfig{Seed: id.Seed, Serial: id.Serial})
 	defer concurrent.SetDeterministic(nil)
+	opt := core.Options{Parallelism: id.Workers, Seed: id.Seed}
 	var labels []graph.V
 	if algo.Audited != nil {
 		aud := &Auditor{oracle: oracle}
-		labels = algo.Audited(g, id.Workers, id.Seed, aud.Hook())
+		labels = algo.Audited(g, opt, aud.Hook())
 		if err := aud.Err(); err != nil {
 			return err
 		}
@@ -116,7 +118,7 @@ func runSchedule(g *graph.CSR, oracle []graph.V, id ScheduleID) error {
 			return fmt.Errorf("testkit: audited run of %q closed no phases", id.Algo)
 		}
 	} else {
-		labels = algo.Run(g, id.Workers, id.Seed)
+		labels = algo.Run(g, opt)
 	}
 	return CheckLabeling(g, labels, oracle)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"afforest/internal/concurrent"
+	"afforest/internal/core"
 	"afforest/internal/graph"
 )
 
@@ -16,13 +17,13 @@ import (
 func init() {
 	RegisterAlgo(Algo{
 		Name: "naive-hook",
-		Run: func(g *graph.CSR, workers int, _ uint64) []graph.V {
+		Run: func(g *graph.CSR, opt core.Options) []graph.V {
 			n := g.NumVertices()
 			labels := make([]graph.V, n)
 			for i := range labels {
 				labels[i] = graph.V(i)
 			}
-			concurrent.ForRange(n, workers, 16, func(lo, hi, _ int) {
+			concurrent.ForRange(n, opt.Parallelism, 16, func(lo, hi, _ int) {
 				for u := lo; u < hi; u++ {
 					for _, v := range g.Neighbors(graph.V(u)) {
 						lu, lv := labels[u], labels[v]
@@ -178,7 +179,7 @@ func runPinned(g *graph.CSR, algo Algo, seed uint64, serial bool) []graph.V {
 	defer schedMu.Unlock()
 	concurrent.SetDeterministic(&concurrent.DetConfig{Seed: seed, Serial: serial})
 	defer concurrent.SetDeterministic(nil)
-	labels := algo.Run(g, 2, seed)
+	labels := algo.Run(g, core.Options{Parallelism: 2, Seed: seed})
 	return append([]graph.V(nil), labels...)
 }
 
