@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -186,6 +187,26 @@ func TestAllGeneratorsProduceValidatableGraphs(t *testing.T) {
 		res := ConnectedComponents(g, Options{Seed: 3})
 		if err := Validate(g, res); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestValidateRejectsOtherGraphsResult: a Result from a graph with
+// another vertex count is an error, whether it is shorter (which used to
+// index past its labels and panic) or longer (which used to pass).
+func TestValidateRejectsOtherGraphsResult(t *testing.T) {
+	four, ten := GenerateRegular(4, 1, 1), GenerateRegular(10, 1, 1)
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		res  *Result
+	}{
+		{"4-vertex result, 10-vertex graph", ten, ConnectedComponents(four, Options{})},
+		{"10-vertex result, 4-vertex graph", four, ConnectedComponents(ten, Options{})},
+	} {
+		err := Validate(tc.g, tc.res)
+		if err == nil || !strings.HasPrefix(err.Error(), "afforest: ") || !strings.Contains(err.Error(), "label-length") {
+			t.Fatalf("%s: Validate = %v, want an afforest: label-length error", tc.name, err)
 		}
 	}
 }

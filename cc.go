@@ -7,7 +7,7 @@ import (
 	"afforest/internal/baselines"
 	"afforest/internal/concurrent"
 	"afforest/internal/core"
-	"afforest/internal/graph"
+	"afforest/internal/validate"
 )
 
 // Algorithm selects a connected-components implementation.
@@ -229,24 +229,13 @@ func SpanningForest(g *Graph, parallelism int) []Edge {
 	return core.SpanningForest(g.csr, parallelism)
 }
 
-// Validate checks a Result against g: every edge must join same-label
-// vertices and the partition must match a sequential BFS oracle. Meant
-// for tests and harnesses; it is much slower than the computation
-// itself.
+// Validate checks a Result against g: it must label every vertex, every
+// edge must join same-label vertices, and the partition must match a
+// sequential BFS oracle (validate.Labeling). Meant for tests and
+// harnesses; it is much slower than the computation itself.
 func Validate(g *Graph, r *Result) error {
-	oracle, _ := graph.SequentialCC(g.csr)
-	fwd := make(map[int32]V)
-	rev := make(map[V]int32)
-	for v := range oracle {
-		o, l := oracle[v], r.labels[v]
-		if want, ok := fwd[o]; ok && want != l {
-			return fmt.Errorf("afforest: vertex %d labeled %d, component already saw %d", v, l, want)
-		}
-		fwd[o] = l
-		if want, ok := rev[l]; ok && want != o {
-			return fmt.Errorf("afforest: label %d spans two components", l)
-		}
-		rev[l] = o
+	if err := validate.Labeling(g.csr, r.labels); err != nil {
+		return fmt.Errorf("afforest: %w", err)
 	}
 	return nil
 }

@@ -80,7 +80,7 @@ func fail(err error) {
 func run(g *graph.CSR, algoName string, opt core.Options, repeat, topK int, check bool) error {
 	algo, err := baselines.Lookup(algoName)
 	if err != nil {
-		return fmt.Errorf("afforest: %w", err)
+		return err
 	}
 	if repeat < 1 {
 		return fmt.Errorf("-repeat must be at least 1, got %d", repeat)

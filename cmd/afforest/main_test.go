@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"afforest/internal/core"
@@ -17,8 +18,10 @@ import (
 // not a census of no run.
 func TestRunErrors(t *testing.T) {
 	g := gen.URandDegree(100, 4, 1)
-	if err := run(g, "nope", core.Options{}, 1, 5, false); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	// main's fail adds the one "afforest: " prefix.
+	err := run(g, "nope", core.Options{}, 1, 5, false)
+	if err == nil || !strings.HasPrefix(err.Error(), `unknown algorithm "nope" (have [`) {
+		t.Fatalf("unknown algorithm: %v, want the roster's error unwrapped", err)
 	}
 	if err := run(g, "afforest", core.Options{}, 0, 5, false); err == nil {
 		t.Fatal("-repeat 0 accepted")

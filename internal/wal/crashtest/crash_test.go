@@ -2,6 +2,7 @@ package crashtest
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"afforest/internal/core"
@@ -351,5 +352,35 @@ func TestImageDeterminism(t *testing.T) {
 		if fmt.Sprint(a) != fmt.Sprint(b) {
 			t.Fatalf("cut %d: non-deterministic image", cut)
 		}
+	}
+}
+
+// TestImagesCarryUnwrittenSpace pins the harness's model of the grow:
+// an image cut at an ack point holds the final segment's zeros past its
+// last record, which replay reads as a crash tail naming the LSN it
+// follows, and the image after Close holds none.
+func TestImagesCarryUnwrittenSpace(t *testing.T) {
+	g := corpusCase(t, "path-1024").Build()
+	c := buildCase(t, g.NumVertices(), g.Edges()[:140], 7, 400)
+	replay := func(cut int64) (map[string][]byte, wal.ReplayStats) {
+		img := c.disk.Image(cut)
+		st, err := wal.Replay(FromImage(img), "wal", 0, func(wal.LSN, []graph.Edge) error { return nil })
+		if err != nil {
+			t.Fatalf("cut %d: replay error: %v", cut, err)
+		}
+		return img, st
+	}
+	img, st := replay(c.ackedAt[0])
+	seg := img["wal/wal-0000000000000001.seg"]
+	if int64(len(seg)) != 400 || st.TailValidBytes >= 400 {
+		t.Fatalf("first ack: segment of %d bytes, %d valid, want it grown to 400", len(seg), st.TailValidBytes)
+	}
+	if !strings.HasSuffix(st.Tail, "unwritten space after lsn 1") || st.Diverged || st.LastLSN != 1 {
+		t.Fatalf("first ack: replay %+v, want a tail of unwritten space after lsn 1", st)
+	}
+	img, st = replay(c.disk.WriteBytes())
+	names, _ := FromImage(img).ReadDir("wal")
+	if last := img["wal/"+names[len(names)-1]]; st.Tail != "" || int64(len(last)) != st.TailValidBytes {
+		t.Fatalf("after Close: final segment %d bytes, %d valid, tail %q", len(last), st.TailValidBytes, st.Tail)
 	}
 }

@@ -8,6 +8,10 @@
 // in-order prefix model covers every power-cut shape the format must
 // survive — a cut at a record boundary, a partial length prefix, a
 // partial CRC, a partial payload, or a half-written segment header.
+// Writes land at the file offset, and the log grows its active segment
+// ahead of its records, which the journal holds as a zero extension
+// carrying no written bytes; so images also end in unwritten space
+// after the last record, whole or torn.
 // Tests take images at every interesting offset (optionally flipping
 // bits to model media corruption), replay them through wal.Replay, and
 // compare the reconstructed π against an oracle over the durable
@@ -38,7 +42,8 @@ type op struct {
 	kind opKind
 	file string
 	data []byte // opWrite: the bytes (owned copy)
-	size int64  // opTruncate: the retained length
+	off  int64  // opWrite: the file offset they land at
+	size int64  // opTruncate: the new length (a cut, or a zero extension)
 }
 
 // Disk is an in-memory wal.FS that records a write journal. It is safe
@@ -76,7 +81,8 @@ func (d *Disk) WriteBytes() int64 {
 // offset cut: every journaled op whose bytes fall entirely below cut is
 // applied, the op straddling cut is applied as a torn prefix, and
 // everything after is lost. Metadata ops (create, remove, truncate,
-// sync) carry no bytes and apply up to the torn write.
+// sync) carry no bytes and apply up to the torn write; a truncate past
+// a file's end extends it with zeros.
 func (d *Disk) Image(cut int64) map[string][]byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -89,17 +95,14 @@ func (d *Disk) Image(cut int64) map[string][]byte {
 		case opRemove:
 			delete(img, o.file)
 		case opTruncate:
-			if b, ok := img[o.file]; ok && int64(len(b)) > o.size {
-				img[o.file] = b[:o.size]
+			if b, ok := img[o.file]; ok {
+				img[o.file] = resize(b, o.size)
 			}
 		case opSync:
 			// durability barrier; no bytes
 		case opWrite:
-			m := int64(len(o.data))
-			if m > remaining {
-				m = remaining
-			}
-			img[o.file] = append(img[o.file], o.data[:m]...)
+			m := min(int64(len(o.data)), remaining)
+			img[o.file] = writeAt(img[o.file], o.off, o.data[:m])
 			remaining -= m
 			if m < int64(len(o.data)) {
 				out := make(map[string][]byte, len(img))
@@ -115,6 +118,21 @@ func (d *Disk) Image(cut int64) map[string][]byte {
 		out[k] = append([]byte(nil), v...)
 	}
 	return out
+}
+
+// resize cuts b to size or extends it with zeros.
+func resize(b []byte, size int64) []byte {
+	if int64(len(b)) >= size {
+		return b[:size]
+	}
+	return append(b, make([]byte, size-int64(len(b)))...)
+}
+
+// writeAt copies p into b at off, extending b as far as p reaches.
+func writeAt(b []byte, off int64, p []byte) []byte {
+	b = resize(b, max(int64(len(b)), off+int64(len(p))))
+	copy(b[off:], p)
+	return b
 }
 
 // --- wal.FS ---
@@ -141,7 +159,7 @@ func (d *Disk) OpenAppend(name string, size int64) (wal.File, error) {
 	}
 	d.files[name] = b[:size:size]
 	d.journal = append(d.journal, op{kind: opTruncate, file: name, size: size})
-	return &memFile{d: d, name: name}, nil
+	return &memFile{d: d, name: name, off: size}, nil
 }
 
 func (d *Disk) Open(name string) (io.ReadCloser, error) {
@@ -181,20 +199,31 @@ func (d *Disk) Remove(name string) error {
 
 func (d *Disk) SyncDir(string) error { return nil }
 
-// memFile appends to its disk entry, journaling every write and sync.
+// memFile writes to its disk entry at its offset, journaling every
+// write, resize and sync.
 type memFile struct {
 	d    *Disk
 	name string
+	off  int64
 }
 
 func (f *memFile) Write(p []byte) (int, error) {
 	f.d.mu.Lock()
 	defer f.d.mu.Unlock()
 	cp := append([]byte(nil), p...)
-	f.d.files[f.name] = append(f.d.files[f.name], cp...)
-	f.d.journal = append(f.d.journal, op{kind: opWrite, file: f.name, data: cp})
+	f.d.files[f.name] = writeAt(f.d.files[f.name], f.off, cp)
+	f.d.journal = append(f.d.journal, op{kind: opWrite, file: f.name, data: cp, off: f.off})
 	f.d.written += int64(len(cp))
+	f.off += int64(len(cp))
 	return len(p), nil
+}
+
+func (f *memFile) Truncate(size int64) error {
+	f.d.mu.Lock()
+	defer f.d.mu.Unlock()
+	f.d.files[f.name] = resize(f.d.files[f.name], size)
+	f.d.journal = append(f.d.journal, op{kind: opTruncate, file: f.name, size: size})
+	return nil
 }
 
 func (f *memFile) Sync() error {

@@ -7,26 +7,32 @@
 // commit: the fsync is per coalesced batch, amortized over every
 // request riding in it). On restart, Open scans the segments, replays
 // every durable batch past the snapshot's watermark into the live
-// structure, truncates the torn tail a power cut left behind, and
-// resumes appending — union-find application is idempotent, so a fuzzy
-// snapshot watermark only ever causes harmless re-application, never
-// loss.
+// structure, truncates the torn tail or unwritten space a power cut
+// left behind, and resumes appending — union-find application is
+// idempotent, so a fuzzy snapshot watermark only ever causes harmless
+// re-application, never loss.
 //
 // On-disk layout (all integers little-endian):
 //
 //	segment file  wal-<baseLSN:016x>.seg
 //	  header  magic "AFWAL\x01" (6 bytes) | baseLSN uint64
 //	  record* payloadLen uint32 | crc uint32 | payload
+//	  zeros*  active segment only: unwritten space
 //	  payload lsn uint64 | count uint32 | count × (u uint32, v uint32)
 //
 // crc is CRC-32C (Castagnoli) over the payload bytes. Records within a
-// segment carry consecutive LSNs starting at baseLSN. A record that
-// fails any check — truncated frame, implausible length, count/length
+// segment carry consecutive LSNs starting at baseLSN. The active
+// segment's file runs ahead of its records: Append grows it 4MiB at a
+// time (never past SegmentBytes) and writes each record into the zeros
+// past the last one, so the fsync after it commits no new file size.
+// Close and rotation cut that space, so a closed segment ends at its
+// last record. A record that fails any check — truncated frame, a frame
+// prefix of zeros (unwritten space), implausible length, count/length
 // mismatch, CRC mismatch, LSN discontinuity — ends the scan of its
 // segment: in the final segment that is the expected signature of a
-// power cut (clean truncation point); in any earlier segment it is
-// corruption of supposedly-immutable history and is flagged as
-// divergence.
+// power cut (clean truncation point, which Open cuts back to); in any
+// earlier segment it is corruption of supposedly-immutable history and
+// is flagged as divergence.
 package wal
 
 import (
@@ -73,6 +79,11 @@ var (
 	// wrong: CRC mismatch, implausible length, count/length
 	// disagreement, or an LSN that breaks the segment's continuity.
 	ErrCorrupt = errors.New("wal: corrupt record")
+	// errUnwritten marks a frame prefix of zeros where the next record
+	// would begin. No record starts that way (its length would be 0):
+	// it is the space Append grows the active segment by, which a crash
+	// leaves past the last record. It wraps ErrTorn.
+	errUnwritten = fmt.Errorf("%w: unwritten space", ErrTorn)
 )
 
 // appendHeader encodes a segment header.

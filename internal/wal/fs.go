@@ -10,10 +10,13 @@ import (
 
 // File is the write side of one segment. Sync must not return until
 // every byte written so far is durable — it is the group-commit point
-// acknowledgements hang off.
+// acknowledgements hang off. Writes land at the file offset, which only
+// writes move; Truncate sets the file's size (growing it with zeros or
+// cutting it) and leaves the offset where it is, as ftruncate does.
 type File interface {
 	io.Writer
 	Sync() error
+	Truncate(size int64) error
 	Close() error
 }
 

@@ -25,6 +25,10 @@ func FuzzWALDecode(f *testing.F) {
 	seg = appendRecord(seg, 7, []graph.Edge{{U: 1, V: 2}})
 	seg = appendRecord(seg, 8, []graph.Edge{{U: 2, V: 3}, {U: 4, V: 5}})
 	f.Add(seg)
+	// The active segment as a crash leaves it: records, then the zeros
+	// Append grew the file by (a whole frame's worth, and less).
+	f.Add(append(append([]byte(nil), seg...), make([]byte, 64)...))
+	f.Add(append(append([]byte(nil), seg...), 0, 0, 0))
 	// Malformed seeds: truncations, a hostile length prefix claiming a
 	// huge payload, a flipped CRC.
 	f.Add(seg[:len(seg)-3])
@@ -97,6 +101,14 @@ func FuzzWALDecode(f *testing.F) {
 		for i, lsn := range visited {
 			if lsn != sc.firstLSN+LSN(i) {
 				t.Fatalf("record %d has lsn %d, want %d", i, lsn, sc.firstLSN+LSN(i))
+			}
+		}
+		// The scan calls what follows its last record unwritten space
+		// exactly when that frame prefix is all zeros.
+		if sc.validBytes >= int64(headerLen) && sc.validBytes < int64(len(data)) {
+			next := data[sc.validBytes:min(sc.validBytes+frameLen, int64(len(data)))]
+			if zero := bytes.Count(next, []byte{0}) == len(next); zero != errors.Is(sc.stop, errUnwritten) {
+				t.Fatalf("frame prefix %x after the last record, scan stopped with %v", next, sc.stop)
 			}
 		}
 	})

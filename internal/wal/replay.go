@@ -31,7 +31,8 @@ type ReplayStats struct {
 	// (0 = none).
 	LastLSN LSN `json:"last_lsn"`
 	// Tail is why the final segment's scan stopped before a clean EOF
-	// ("" = clean). A torn tail here is expected after a crash.
+	// ("" = clean). A torn record or unwritten space here is expected
+	// after a crash.
 	Tail string `json:"tail,omitempty"`
 	// TailValidBytes is the byte length of the final segment's valid
 	// prefix (header + intact records) — the truncation point recovery
@@ -46,7 +47,7 @@ type ReplayStats struct {
 // segScan is the outcome of scanning one segment.
 type segScan struct {
 	firstLSN   LSN   // base from the header
-	lastLSN    LSN   // last valid record (0 = none; header-only segment keeps base-1? no: 0 means no records)
+	lastLSN    LSN   // last valid record (0 = none)
 	records    int64 // valid records
 	validBytes int64 // header + intact records
 	stop       error // nil = clean EOF, else the ErrTorn/ErrCorrupt that ended the scan
@@ -78,18 +79,20 @@ func scanSegment(r io.Reader, visit func(lsn LSN, edges []graph.Edge) error) (se
 	frame := make([]byte, frameLen)
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(br, frame[:1]); err != nil {
-			if err == io.EOF {
-				return sc, nil // clean record boundary
-			}
+		n, err := io.ReadFull(br, frame)
+		if err == io.EOF {
+			return sc, nil // clean record boundary
+		}
+		if err != nil && err != io.ErrUnexpectedEOF {
 			return sc, err
 		}
-		if _, err := io.ReadFull(br, frame[1:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				sc.stop = fmt.Errorf("%w: partial frame prefix", ErrTorn)
-				return sc, nil
-			}
-			return sc, err
+		if allZero(frame[:n]) {
+			sc.stop = fmt.Errorf("%w after lsn %d", errUnwritten, expect-1)
+			return sc, nil
+		}
+		if err != nil {
+			sc.stop = fmt.Errorf("%w: partial frame prefix", ErrTorn)
+			return sc, nil
 		}
 		payloadLen := int(binary.LittleEndian.Uint32(frame))
 		sum := binary.LittleEndian.Uint32(frame[4:])
@@ -125,6 +128,16 @@ func scanSegment(r io.Reader, visit func(lsn LSN, edges []graph.Edge) error) (se
 		sc.validBytes += int64(frameLen + payloadLen)
 		expect++
 	}
+}
+
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Replay scans the log at dir and applies every record with LSN > after

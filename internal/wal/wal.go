@@ -53,9 +53,19 @@ type Stats struct {
 	Segments      int64 // live segment files
 }
 
+// growStep is how far Append extends the active segment's file when a
+// record would pass its end (see growLocked).
+const growStep = 4 << 20
+
 // Log is an append-only segment-rotating write-ahead log of edge
 // batches. One goroutine appends at a time (the serve layer's batcher);
 // Stats, Err and the LSN accessors are safe from any goroutine.
+//
+// The active segment's file runs ahead of its records: Append grows it
+// by growStep at a time and writes each record into the zeros past the
+// last one. Close, rotation and the fail-stop cut leave a segment at
+// exactly its last record; after a crash, Open cuts the unwritten space
+// with the torn tail.
 //
 // The log is fail-stop: the first write, fsync or segment error is
 // sticky. The record that hit it is cut back out of the segment (a cut
@@ -69,7 +79,8 @@ type Log struct {
 	mu      sync.Mutex
 	cur     File
 	curPath string
-	curSize int64
+	curSize int64 // end of the active segment's last record
+	curCap  int64 // the active segment's file size: [curSize, curCap) is unwritten
 	nextLSN LSN
 	buf     []byte
 	closed  bool
@@ -84,11 +95,12 @@ type Log struct {
 
 // Open recovers the log at dir and prepares it for appending: every
 // record with LSN > after is replayed through apply in order, the torn
-// tail a power cut left is truncated away, and the next append is
-// assigned max(lastLSN, after)+1. The returned ReplayStats carries the
-// crash/divergence verdict; Open succeeds even for a diverged log (the
-// snapshot already covers the damaged range or the caller wants the
-// service up regardless) — callers decide how loudly to alarm.
+// tail or unwritten space a power cut left is truncated away, and the
+// next append is assigned max(lastLSN, after)+1. The returned
+// ReplayStats carries the crash/divergence verdict; Open succeeds even
+// for a diverged log (the snapshot already covers the damaged range or
+// the caller wants the service up regardless) — callers decide how
+// loudly to alarm.
 func Open(dir string, after LSN, apply func(lsn LSN, edges []graph.Edge) error, opt Options) (*Log, ReplayStats, error) {
 	opt = opt.withDefaults()
 	if err := opt.FS.MkdirAll(dir); err != nil {
@@ -121,7 +133,8 @@ func Open(dir string, after LSN, apply func(lsn LSN, edges []graph.Edge) error, 
 			if err != nil {
 				return nil, st, err
 			}
-			l.cur, l.curPath, l.curSize = f, tail.path, st.TailValidBytes
+			l.cur, l.curPath = f, tail.path
+			l.curSize, l.curCap = st.TailValidBytes, st.TailValidBytes
 		default:
 			// A watermark jump (snapshot newer than the readable log)
 			// would break the tail's LSN continuity. Cut the torn bytes
@@ -208,7 +221,14 @@ func (l *Log) Append(edges []graph.Edge) (LSN, error) {
 			return 0, l.stop(err)
 		}
 	}
-	n, err := l.cur.Write(l.buf)
+	end := l.curSize + int64(len(l.buf))
+	var err error
+	if end > l.curCap {
+		err = l.growLocked(end)
+	}
+	if err == nil {
+		_, err = l.cur.Write(l.buf)
+	}
 	if err == nil && !l.opt.NoSync {
 		err = l.cur.Sync()
 	}
@@ -218,10 +238,10 @@ func (l *Log) Append(edges []graph.Edge) (LSN, error) {
 		// answered with an error.
 		return 0, l.stop(errors.Join(fmt.Errorf("wal: appending lsn %d: %w", lsn, err), l.cutLocked()))
 	}
-	l.curSize += int64(n)
+	l.curSize = end
 	l.nextLSN++
 	l.appendedLSN.Store(uint64(lsn))
-	l.appendedBytes.Add(int64(n))
+	l.appendedBytes.Add(int64(len(l.buf)))
 	if !l.opt.NoSync {
 		l.durableLSN.Store(uint64(lsn))
 		l.durableBytes.Store(l.appendedBytes.Load())
@@ -234,7 +254,7 @@ func (l *Log) Append(edges []graph.Edge) (LSN, error) {
 func (l *Log) cutLocked() error {
 	_ = l.cur.Close() // abandoned: the reopen below decides what survives
 	f, err := l.opt.FS.OpenAppend(l.curPath, l.curSize)
-	l.cur, l.curSize = nil, 0
+	l.cur, l.curSize, l.curCap = nil, 0, 0
 	if err == nil {
 		err = f.Sync()
 		if cerr := f.Close(); err == nil {
@@ -244,6 +264,33 @@ func (l *Log) cutLocked() error {
 	if err != nil {
 		return fmt.Errorf("wal: cutting the failed record: %w", err)
 	}
+	return nil
+}
+
+// growLocked extends the active segment's file so that a record ending
+// at end fits: growStep past its current size, capped at SegmentBytes,
+// and never short of end. The records that follow are written into
+// space the file already has, so their fsyncs commit no new file size;
+// one fsync per grow does.
+func (l *Log) growLocked(end int64) error {
+	size := max(min(l.curCap+growStep, l.opt.SegmentBytes), end)
+	if err := l.cur.Truncate(size); err != nil {
+		return fmt.Errorf("growing the segment to %d bytes: %w", size, err)
+	}
+	l.curCap = size
+	return nil
+}
+
+// trimLocked cuts the active segment's unwritten space, so the file
+// ends at its last record.
+func (l *Log) trimLocked() error {
+	if l.curCap == l.curSize {
+		return nil
+	}
+	if err := l.cur.Truncate(l.curSize); err != nil {
+		return l.stop(fmt.Errorf("wal: cutting the segment's unwritten space: %w", err))
+	}
+	l.curCap = l.curSize
 	return nil
 }
 
@@ -267,9 +314,9 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Close fsyncs and closes the active segment. Further appends fail.
-// A stopped log is closed without an fsync and returns its failure.
-// Idempotent.
+// Close cuts the active segment's unwritten space, fsyncs and closes
+// it. Further appends fail. A stopped log is closed without a cut or an
+// fsync and returns its failure. Idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -282,6 +329,9 @@ func (l *Log) Close() error {
 		return err
 	}
 	if err == nil {
+		err = l.trimLocked()
+	}
+	if err == nil {
 		err = l.syncLocked()
 	}
 	if cerr := l.closeCurNoCreate(); err == nil {
@@ -290,9 +340,14 @@ func (l *Log) Close() error {
 	return err
 }
 
-// closeCurLocked syncs and closes the active segment ahead of a
-// rotation.
+// closeCurLocked cuts, syncs and closes the active segment ahead of a
+// rotation. The cut comes first, so the fsync makes it durable before
+// the next segment exists: no segment but the last ever ends in
+// unwritten space.
 func (l *Log) closeCurLocked() error {
+	if err := l.trimLocked(); err != nil {
+		return err
+	}
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
@@ -301,7 +356,7 @@ func (l *Log) closeCurLocked() error {
 
 func (l *Log) closeCurNoCreate() error {
 	err := l.cur.Close()
-	l.cur, l.curSize = nil, 0
+	l.cur, l.curSize, l.curCap = nil, 0, 0
 	if err != nil {
 		return fmt.Errorf("wal: closing segment: %w", err)
 	}
@@ -322,7 +377,8 @@ func (l *Log) openSegmentLocked(base LSN) error {
 		f.Close()
 		return fmt.Errorf("wal: writing segment header: %w", err)
 	}
-	l.cur, l.curPath, l.curSize = f, path, int64(n)
+	l.cur, l.curPath = f, path
+	l.curSize, l.curCap = int64(n), int64(n)
 	l.appendedBytes.Add(int64(n))
 	l.segments.Add(1)
 	if err := l.opt.FS.SyncDir(l.dir); err != nil {

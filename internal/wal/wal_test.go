@@ -2,8 +2,10 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"afforest/internal/graph"
@@ -296,45 +298,57 @@ func TestWatermarkJumpRotates(t *testing.T) {
 }
 
 func TestMidLogCorruptionDiverges(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, 0, nil, Options{SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 12; k++ {
-		if _, err := l.Append(testBatch(k, 3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l.Close()
-	segs, _ := listSegments(OSFS, dir)
-	if len(segs) < 3 {
-		t.Fatalf("want >=3 segments, got %d", len(segs))
-	}
-	// Flip one payload bit in the middle segment.
-	mid := segs[len(segs)/2].path
-	b, err := os.ReadFile(mid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)-3] ^= 0x40
-	if err := os.WriteFile(mid, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, st := collectReplay(t, nil, dir, 0)
-	if !st.Diverged {
-		t.Fatal("mid-log corruption not flagged as divergence")
-	}
-	// Prefix guarantee: the applied set is an exact contiguous LSN prefix
-	// that stops strictly before the log's end.
-	r := LSN(len(got))
-	if r >= 12 {
-		t.Fatalf("%d records applied despite mid-log corruption", r)
-	}
-	for lsn := LSN(1); lsn <= r; lsn++ {
-		if _, ok := got[lsn]; !ok {
-			t.Fatalf("applied set has a hole at lsn %d (not a prefix)", lsn)
-		}
+	// A flipped payload bit, and zeros past the last record: rotation
+	// cuts a segment's unwritten space before the next segment exists,
+	// so in a non-final segment zeros are damage, not a crash tail.
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"bit flip", func(b []byte) []byte { b[len(b)-3] ^= 0x40; return b }},
+		{"unwritten space", func(b []byte) []byte { return append(b, make([]byte, 64)...) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := Open(dir, 0, nil, Options{SegmentBytes: 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 12; k++ {
+				if _, err := l.Append(testBatch(k, 3)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Close()
+			segs, _ := listSegments(OSFS, dir)
+			if len(segs) < 3 {
+				t.Fatalf("want >=3 segments, got %d", len(segs))
+			}
+			// Damage the middle segment.
+			mid := segs[len(segs)/2].path
+			b, err := os.ReadFile(mid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(mid, tc.damage(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, st := collectReplay(t, nil, dir, 0)
+			if !st.Diverged {
+				t.Fatal("mid-log corruption not flagged as divergence")
+			}
+			// Prefix guarantee: the applied set is an exact contiguous LSN
+			// prefix that stops strictly before the log's end.
+			r := LSN(len(got))
+			if r >= 12 {
+				t.Fatalf("%d records applied despite mid-log corruption", r)
+			}
+			for lsn := LSN(1); lsn <= r; lsn++ {
+				if _, ok := got[lsn]; !ok {
+					t.Fatalf("applied set has a hole at lsn %d (not a prefix)", lsn)
+				}
+			}
+		})
 	}
 }
 
@@ -522,4 +536,170 @@ func TestAppendFailStops(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sizeFS is the real filesystem with every segment write and resize
+// checked against the file's size on disk: changes counts the ones that
+// changed it.
+type sizeFS struct {
+	FS
+	changes int
+}
+
+func (fs *sizeFS) Create(name string) (File, error) {
+	f, err := fs.FS.Create(name)
+	return &sizeFile{File: f, fs: fs, name: name}, err
+}
+
+func (fs *sizeFS) OpenAppend(name string, size int64) (File, error) {
+	f, err := fs.FS.OpenAppend(name, size)
+	return &sizeFile{File: f, fs: fs, name: name, size: size}, err
+}
+
+type sizeFile struct {
+	File
+	fs   *sizeFS
+	name string
+	size int64
+}
+
+func (f *sizeFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.observe()
+	return n, err
+}
+
+func (f *sizeFile) Truncate(size int64) error {
+	err := f.File.Truncate(size)
+	f.observe()
+	return err
+}
+
+func (f *sizeFile) observe() {
+	if fi, err := os.Stat(f.name); err == nil && fi.Size() != f.size {
+		f.size = fi.Size()
+		f.fs.changes++
+	}
+}
+
+// TestSegmentGrowsAheadOfRecords pins the grow: appends change the
+// active segment's size once per growStep, not once per record, so
+// their fsyncs commit no new file size; Close cuts the unwritten space;
+// and a crash image taken before Close, which ends in that space,
+// recovers every record and appends the next LSN in place.
+func TestSegmentGrowsAheadOfRecords(t *testing.T) {
+	const appends, edges = 2000, 8
+	dir := t.TempDir()
+	fs := &sizeFS{FS: OSFS}
+	l, _, err := Open(dir, 0, nil, Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < appends; k++ {
+		if _, err := l.Append(testBatch(k, edges)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	written := int64(headerLen) + appends*recordSize(edges)
+	if limit := int((written+growStep-1)/growStep) + 1; fs.changes > limit {
+		t.Fatalf("%d appends changed the segment's size %d times, want at most %d", appends, fs.changes, limit)
+	}
+	segs, err := listSegments(OSFS, dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, err %v", segs, err)
+	}
+	crash := t.TempDir()
+	image, err := os.ReadFile(segs[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(image)) <= written {
+		t.Fatalf("segment is %d bytes before Close, want unwritten space past its %d", len(image), written)
+	}
+	if err := os.WriteFile(filepath.Join(crash, filepath.Base(segs[0].path)), image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(segs[0].path); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() != written {
+		t.Fatalf("after Close the segment is %d bytes, want header plus records, %d", fi.Size(), written)
+	}
+	if _, st := collectReplay(t, nil, dir, 0); st.Tail != "" || st.Records != appends {
+		t.Fatalf("clean close replayed %+v", st)
+	}
+
+	l2, st, err := Open(crash, 0, func(LSN, []graph.Edge) error { return nil }, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != appends || st.Diverged || st.TailValidBytes != written {
+		t.Fatalf("crash image replayed %+v, want %d records in %d bytes", st, appends, written)
+	}
+	if want := fmt.Sprintf("%v after lsn %d", errUnwritten, appends); st.Tail != want {
+		t.Fatalf("crash image tail %q, want %q", st.Tail, want)
+	}
+	lsn, err := l2.Append(testBatch(appends, edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn != appends+1 {
+		t.Fatalf("append after recovery got lsn %d, want %d", lsn, appends+1)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, st := collectReplay(t, nil, crash, 0); st.Tail != "" || st.Diverged || st.Records != appends+1 {
+		t.Fatalf("recovered log replayed %+v", st)
+	}
+}
+
+// BenchmarkAppend times one fsynced Append of an 8-edge batch on the
+// real filesystem under the test's temporary directory. The
+// sub-benchmark is named after that filesystem: on tmpfs an fsync costs
+// nothing, so the number means little without it.
+//
+//	go test -run '^$' -bench Append ./internal/wal
+func BenchmarkAppend(b *testing.B) {
+	b.Run(filesystem(b.TempDir()), func(b *testing.B) {
+		l, _, err := Open(b.TempDir(), 0, nil, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer l.Close()
+		batch := testBatch(1, 8)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := l.Append(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/append")
+	})
+}
+
+// filesystem names the type of the filesystem dir is on: the longest
+// mount point in /proc/self/mounts that holds it, or "unknown".
+func filesystem(dir string) string {
+	if d, err := filepath.EvalSymlinks(dir); err == nil {
+		dir = d
+	}
+	mounts, err := os.ReadFile("/proc/self/mounts")
+	if err != nil {
+		return "unknown"
+	}
+	fstype, longest := "unknown", -1
+	for _, line := range strings.Split(string(mounts), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || len(f[1]) <= longest {
+			continue
+		}
+		if dir == f[1] || strings.HasPrefix(dir, strings.TrimSuffix(f[1], "/")+"/") {
+			fstype, longest = f[2], len(f[1])
+		}
+	}
+	return fstype
 }
