@@ -117,22 +117,22 @@ provenance-smoke:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-# perfgate measures the trajectory grid under the committed history's
-# configurations — a GOMAXPROCS={1,8} matrix at scale 18, seed 42 — and
-# fails on any cell regressing beyond the noise tolerance. Baseline
-# entries for both matrix cells live in BENCH_afforest.json (history
-# entries only gate against same-GOMAXPROCS runs). Exercise the failure
-# path with:
+# NPROC is this machine's CPU count.
+NPROC := $(shell nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
+
+# perfgate measures the trajectory grid at scale 18, seed 42, at
+# GOMAXPROCS 1 and NPROC (one cell when they are equal), and fails on
+# any cell regressing beyond the noise tolerance. History entries only
+# gate against runs at the same GOMAXPROCS and, where both record one,
+# on the same CPU model; `ccbench -exp bench` at both settings appends
+# the baselines. Exercise the failure path with:
 #   go run ./cmd/ccbench -gate -scale 18 -runs 9 -p 1 -inject-slowdown afforest/kron=2
 perfgate:
-	@for p in 1 8; do \
+	@for p in $$(printf '%s\n' 1 $(NPROC) | sort -nu); do \
 		echo "== perfgate: GOMAXPROCS=$$p =="; \
 		GOMAXPROCS=$$p $(GO) run ./cmd/ccbench -gate -scale 18 -runs 9 -seed 42 -p $$p \
 			|| exit 1; \
 	done
-
-# NPROC is this machine's CPU count.
-NPROC := $(shell nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
 
 # perfgate-smoke is the short-mode gate check inside `make check`: a
 # fresh small-scale measurement appended to a throwaway history must

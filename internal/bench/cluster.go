@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -41,16 +40,7 @@ func ClusterTrajectory(cfg Config) *TrajectoryReport {
 	if cfg.Runs > clusterRunsCap {
 		cfg.Runs = clusterRunsCap
 	}
-	rep := &TrajectoryReport{
-		Date:        time.Now().UTC().Format("2006-01-02T15:04:05Z"),
-		Commit:      gitCommit(),
-		GoVersion:   runtime.Version(),
-		Scale:       cfg.Scale,
-		Runs:        cfg.Runs,
-		Seed:        cfg.Seed,
-		Parallelism: cfg.Parallelism,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-	}
+	rep := newReport(cfg)
 	for _, name := range []string{"urand", "kron"} {
 		sg, err := gen.ByName(name)
 		if err != nil {

@@ -53,13 +53,16 @@ func (h *History) WriteJSON(path string) error {
 }
 
 // Comparable reports whether b was measured under the same
-// configuration as r — same scale, seed, parallelism, and GOMAXPROCS —
-// i.e. whether b's ns/edge numbers are an apples-to-apples baseline for
-// r's. Commit and Go version may differ (that is the point of a
-// trajectory); the measurement grid may not.
+// configuration as r — same scale, seed, parallelism, and GOMAXPROCS,
+// on the same CPU model — i.e. whether b's ns/edge numbers are an
+// apples-to-apples baseline for r's. Commit and Go version may differ
+// (that is the point of a trajectory); the measurement grid may not.
+// An entry that records no CPU model predates the field and stays
+// comparable.
 func (r *TrajectoryReport) Comparable(b *TrajectoryReport) bool {
 	return r.Scale == b.Scale && r.Seed == b.Seed &&
-		r.Parallelism == b.Parallelism && r.GoMaxProcs == b.GoMaxProcs
+		r.Parallelism == b.Parallelism && r.GoMaxProcs == b.GoMaxProcs &&
+		(r.CPUModel == "" || b.CPUModel == "" || r.CPUModel == b.CPUModel)
 }
 
 // GateAgainst judges the new run r against the comparable entries of h.
@@ -90,7 +93,7 @@ func (h *History) GateAgainst(r *TrajectoryReport, cfg obs.GateConfig) *obs.Gate
 	rep := obs.GateCells(cells, baseline, cfg)
 	rep.BaselineRuns = comparable
 	if skipped > 0 {
-		rep.Note = fmt.Sprintf("%d history entries skipped (different scale/seed/parallelism/gomaxprocs)", skipped)
+		rep.Note = fmt.Sprintf("%d history entries skipped (different scale/seed/parallelism/gomaxprocs/cpu model)", skipped)
 	}
 	return rep
 }

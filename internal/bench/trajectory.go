@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"os"
 	"os/exec"
 	"runtime"
 	"strings"
@@ -39,7 +40,26 @@ type TrajectoryReport struct {
 	Seed        uint64            `json:"seed"`
 	Parallelism int               `json:"parallelism"`
 	GoMaxProcs  int               `json:"gomaxprocs"`
+	NProc       int               `json:"nproc,omitempty"`     // runtime.NumCPU() of the measuring box
+	CPUModel    string            `json:"cpu_model,omitempty"` // "" when the platform does not name it
 	Entries     []TrajectoryEntry `json:"entries"`
+}
+
+// newReport returns an empty report stamped with the configuration and
+// the box it is measured on.
+func newReport(cfg Config) *TrajectoryReport {
+	return &TrajectoryReport{
+		Date:        time.Now().UTC().Format("2006-01-02T15:04:05Z"),
+		Commit:      gitCommit(),
+		GoVersion:   runtime.Version(),
+		Scale:       cfg.Scale,
+		Runs:        cfg.Runs,
+		Seed:        cfg.Seed,
+		Parallelism: cfg.Parallelism,
+		GoMaxProcs:  runtime.GOMAXPROCS(0),
+		NProc:       runtime.NumCPU(),
+		CPUModel:    cpuModel(),
+	}
 }
 
 // trajectoryRoster is the fixed (algorithm, graph) grid of the
@@ -53,16 +73,7 @@ func trajectoryRoster() ([]baselines.Entry, []string) {
 // Trajectory measures the trajectory grid and returns the report.
 func Trajectory(cfg Config) *TrajectoryReport {
 	cfg = cfg.withDefaults()
-	rep := &TrajectoryReport{
-		Date:        time.Now().UTC().Format("2006-01-02T15:04:05Z"),
-		Commit:      gitCommit(),
-		GoVersion:   runtime.Version(),
-		Scale:       cfg.Scale,
-		Runs:        cfg.Runs,
-		Seed:        cfg.Seed,
-		Parallelism: cfg.Parallelism,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-	}
+	rep := newReport(cfg)
 	algos, graphs := trajectoryRoster()
 	for _, name := range graphs {
 		sg, err := gen.ByName(name)
@@ -100,6 +111,22 @@ func gitCommit() string {
 		return ""
 	}
 	return strings.TrimSpace(string(out))
+}
+
+// cpuModel returns the CPU model the kernel reports (Linux's first
+// "model name" line in /proc/cpuinfo), or "" where there is none.
+// Best-effort like gitCommit.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if key, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return ""
 }
 
 // Table renders the report for terminal output alongside the JSON.

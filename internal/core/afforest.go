@@ -134,7 +134,7 @@ func run[T tally](g *graph.CSR, opt Options, p Parent, after func(phase string, 
 			var t T
 			for u := lo; u < hi; u++ {
 				if k := offsets[u] + rr; k < offsets[u+1] {
-					_, loser, iters, casFails := link(p, graph.V(u), targets[k])
+					_, loser, iters, casFails := link[halving](p, graph.V(u), targets[k])
 					if len(t) == 1 {
 						per[w].addLink(loser, iters, casFails)
 					}
@@ -192,7 +192,7 @@ func run[T tally](g *graph.CSR, opt Options, p Parent, after func(phase string, 
 				}
 			}
 			for _, v := range targets[lo:hi] {
-				_, loser, iters, casFails := link(p, uu, v)
+				_, loser, iters, casFails := link[halving](p, uu, v)
 				if len(t) == 1 {
 					per[w].addLink(loser, iters, casFails)
 				}

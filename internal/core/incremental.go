@@ -135,7 +135,9 @@ type Merge struct {
 // only when nothing else links or compresses π during the call; the
 // serve layer's batcher holds its view lock for that. Concurrent
 // callers still get every merge, with a Winner that may be a later
-// root.
+// root. For the same reason the link pass takes Fig 3's read-only
+// climb: a halving step stored on the way up could skip a pre-batch
+// root hooked earlier in the batch.
 func (inc *Incremental) ApplyBatch(edges []graph.Edge, parallelism int) []Merge {
 	if len(edges) == 0 {
 		return nil
@@ -149,7 +151,7 @@ func (inc *Incremental) ApplyBatch(edges []graph.Edge, parallelism int) []Merge 
 			if e.U == e.V {
 				continue
 			}
-			if winner, loser, _, _ := link(p, e.U, e.V); loser != 0 {
+			if winner, loser, _, _ := link[readOnly](p, e.U, e.V); loser != 0 {
 				local = append(local, Merge{Edge: int32(i), Winner: winner, Loser: loser})
 			}
 		}

@@ -320,6 +320,24 @@ func TestApplyBatchResolvesWinners(t *testing.T) {
 	}
 }
 
+// TestApplyBatchKeepsPreBatchPaths pins why ApplyBatch links with the
+// read-only climb. Edge 0 hooks root 2 under 1, edge 1 climbs from 4
+// through 3 and 2 to hook 1 under 0, and edge 2 hooks root 5 under 3,
+// whose pre-batch root is 2. The halving climb would have stored
+// π(3) = 1 on edge 1's way up, so the winner walk from 3 would skip 2
+// and name 1, with the wrong pre-merge size (1, not 3).
+func TestApplyBatchKeepsPreBatchPaths(t *testing.T) {
+	inc, err := RestoreIncremental([]graph.V{0, 1, 2, 2, 3, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merges := inc.ApplyBatch([]graph.Edge{{U: 2, V: 1}, {U: 4, V: 0}, {U: 4, V: 5}}, 1)
+	want := []Merge{{Edge: 2, Winner: 2, Loser: 5}, {Edge: 0, Winner: 1, Loser: 2}, {Edge: 1, Winner: 0, Loser: 1}}
+	if !slices.Equal(merges, want) {
+		t.Fatalf("merges = %+v, want %+v", merges, want)
+	}
+}
+
 // TestApplyBatchFoldIsExact streams random batches through ApplyBatch
 // and replays each batch's merges, in the returned order, through a
 // serial union-find: every merge must join two distinct current roots,

@@ -61,7 +61,7 @@ func (s *LinkStats) PhaseStats() obs.PhaseStats {
 
 // LinkCounted is Link with its accounting folded into st.
 func LinkCounted(p Parent, u, v graph.V, st *LinkStats) {
-	_, loser, iters, casFails := link(p, u, v)
+	_, loser, iters, casFails := link[halving](p, u, v)
 	st.addLink(loser, iters, casFails)
 }
 

@@ -5,6 +5,16 @@ import (
 	"afforest/internal/graph"
 )
 
+// climb picks link's climb at compile time, the way tally picks what
+// run counts: each instantiation fixes len, so the compiler folds the
+// len(c) == 1 test and the read-only climb carries no store.
+type climb interface{ ~[0]struct{} | ~[1]struct{} }
+
+type (
+	readOnly = [0]struct{} // Fig 3's climb: only the hook CAS writes π
+	halving  = [1]struct{} // also stores each grandparent step it takes
+)
+
 // link is Fig 3, the one copy of its climb loop in the package. It
 // ensures u and v are in the same component tree of π, merging their
 // trees if needed. It is lock-free and safe to call from any number of
@@ -19,6 +29,15 @@ import (
 // unlike SV's hook, which would defer the edge to the next global
 // iteration.
 //
+// The halving climb also stores the grandparent step it takes,
+// π(h) ← π(π(h)) (path halving in the find), so later climbs through h
+// skip a level. The store is safe for the reason concurrent Compress is
+// (Theorem 2, Lemma 4): h is not a root and never becomes one again, gp
+// is an ancestor of h in its own tree, and no hook can target a
+// non-root. Every caller takes it except ApplyBatch, whose winner
+// resolution walks the pre-batch paths after the link pass: a stored
+// step could skip a pre-batch root hooked earlier in the same batch.
+//
 // link reports what it did. loser is the root it hooked and winner the
 // vertex l it was hooked under, an ancestor of one endpoint but not
 // necessarily a root. loser == 0 means no merge: a hooked root always
@@ -27,7 +46,8 @@ import (
 // trees already converged runs "a single local iteration of link for
 // validation" (Section V-A). casFails counts hook CASes lost to
 // another goroutine.
-func link(p Parent, u, v graph.V) (winner, loser graph.V, iters, casFails int64) {
+func link[C climb](p Parent, u, v graph.V) (winner, loser graph.V, iters, casFails int64) {
+	var c C
 	iters = 1
 	p1 := p.Get(u)
 	p2 := p.Get(v)
@@ -54,15 +74,20 @@ func link(p Parent, u, v graph.V) (winner, loser graph.V, iters, casFails int64)
 		// Climb: one grandparent step on the high side, one parent step
 		// on the low side (matching the GAP-style formulation the paper
 		// derives from).
-		p1 = p.Get(p.Get(h))
+		ph = p.Get(h)
+		gp := p.Get(ph)
+		if len(c) == 1 && gp != ph {
+			p.set(h, gp)
+		}
+		p1 = gp
 		p2 = p.Get(l)
 	}
 	return 0, 0, iters, casFails
 }
 
 // Link ensures u and v are in the same component tree of π, merging
-// their trees if needed (Fig 3): link without its report.
-func Link(p Parent, u, v graph.V) { link(p, u, v) }
+// their trees if needed (Fig 3): the halving link without its report.
+func Link(p Parent, u, v graph.V) { link[halving](p, u, v) }
 
 // LinkRecord is Link that additionally reports whether this call merged
 // two trees (performed the successful hook CAS). Under Invariant 1 a
@@ -70,7 +95,7 @@ func Link(p Parent, u, v graph.V) { link(p, u, v) }
 // different tree (roots are the minimum ids of their trees, and l < h),
 // so every true return corresponds to exactly one tree merge.
 func LinkRecord(p Parent, u, v graph.V) bool {
-	_, loser, _, _ := link(p, u, v)
+	_, loser, _, _ := link[halving](p, u, v)
 	return loser != 0
 }
 

@@ -186,8 +186,10 @@ func TestLinkAllEdgeOrderIrrelevant(t *testing.T) {
 }
 
 // TestLinkKernel pins link's report on hand-built π arrays whose
-// expected winner, loser and iteration count are written out, and
-// checks that the wrappers report the same calls.
+// expected winner, loser and iteration count are written out, for both
+// climbs, and checks that the wrappers report the same calls. The two
+// climbs make the same hook; only the halving one stores its
+// grandparent steps.
 func TestLinkKernel(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -195,30 +197,42 @@ func TestLinkKernel(t *testing.T) {
 		u, v          graph.V
 		winner, loser graph.V
 		iters         int64
+		halved        map[graph.V]graph.V // the grandparent steps the halving climb stores
 	}{
 		// 1 and 2 already share root 0: the entry comparison is the
 		// only iteration.
-		{"one tree", []graph.V{0, 0, 0}, 1, 2, 0, 0, 1},
+		{"one tree", []graph.V{0, 0, 0}, 1, 2, 0, 0, 1, nil},
 		// Root 3 goes under the smaller root 1.
-		{"two singletons", []graph.V{0, 1, 2, 3}, 3, 1, 1, 3, 2},
+		{"two singletons", []graph.V{0, 1, 2, 3}, 3, 1, 1, 3, 2, nil},
 		// 7→6→5→4 and root 3. The high side 6 is not a root, so the
-		// climb jumps to its grandparent 4, which goes under 3.
-		{"grandparent climb", []graph.V{0, 1, 2, 3, 4, 4, 5, 6}, 7, 3, 3, 4, 3},
+		// climb jumps to its grandparent 4, which goes under 3. The
+		// halving climb stores that step: π(6) = 4.
+		{"grandparent climb", []graph.V{0, 1, 2, 3, 4, 4, 5, 6}, 7, 3, 3, 4, 3, map[graph.V]graph.V{6: 4}},
 	}
 	var st LinkStats
 	for _, tc := range cases {
-		p := Parent(slices.Clone(tc.parent))
-		winner, loser, iters, casFails := link(p, tc.u, tc.v)
-		if winner != tc.winner || loser != tc.loser || iters != tc.iters || casFails != 0 {
-			t.Errorf("%s: link(%d, %d) = (%d, %d, %d, %d), want (%d, %d, %d, 0)",
-				tc.name, tc.u, tc.v, winner, loser, iters, casFails, tc.winner, tc.loser, tc.iters)
-		}
-		want := slices.Clone(tc.parent)
+		hooked := slices.Clone(tc.parent)
 		if tc.loser != 0 {
-			want[tc.loser] = tc.winner
+			hooked[tc.loser] = tc.winner
 		}
-		if !slices.Equal(p, want) {
-			t.Errorf("%s: π after link = %v, want %v", tc.name, p, want)
+		halved := slices.Clone(hooked)
+		for x, gp := range tc.halved {
+			halved[x] = gp
+		}
+		for _, cl := range []struct {
+			name string
+			link func(p Parent, u, v graph.V) (winner, loser graph.V, iters, casFails int64)
+			want []graph.V
+		}{{"halving", link[halving], halved}, {"read-only", link[readOnly], hooked}} {
+			p := Parent(slices.Clone(tc.parent))
+			winner, loser, iters, casFails := cl.link(p, tc.u, tc.v)
+			if winner != tc.winner || loser != tc.loser || iters != tc.iters || casFails != 0 {
+				t.Errorf("%s, %s: link(%d, %d) = (%d, %d, %d, %d), want (%d, %d, %d, 0)",
+					tc.name, cl.name, tc.u, tc.v, winner, loser, iters, casFails, tc.winner, tc.loser, tc.iters)
+			}
+			if !slices.Equal(p, cl.want) {
+				t.Errorf("%s, %s: π after link = %v, want %v", tc.name, cl.name, p, cl.want)
+			}
 		}
 		if got := LinkRecord(Parent(slices.Clone(tc.parent)), tc.u, tc.v); got != (tc.loser != 0) {
 			t.Errorf("%s: LinkRecord = %v", tc.name, got)
@@ -232,20 +246,34 @@ func TestLinkKernel(t *testing.T) {
 
 // TestLinkConcurrentStress hammers link from many goroutines over many
 // runs; any violation of Invariant 1 or wrong final partition fails.
-// Invariant 1 is checked on π as the link pass left it, before the
-// final compress.
+// Invariant 1 is checked on π as each link pass left it, before its
+// compress. The kron runs link every arc in the final pass; the urand
+// and web runs take the default rounds, whose second round climbs the
+// deep trees of first-round roots, so the halving stores race the hooks.
 func TestLinkConcurrentStress(t *testing.T) {
-	g := gen.Kronecker(11, 8, gen.Graph500, 9)
-	for trial := 0; trial < 20; trial++ {
-		p := RunAudited(g, Options{NeighborRounds: -1, Parallelism: 8}, func(p Parent, phase string) {
-			if phase != obs.PhaseFinal {
-				return
-			}
-			if bad := p.Validate(); bad >= 0 {
-				t.Fatalf("trial %d: invariant violated at %d", trial, bad)
-			}
-		})
-		checkAgainstOracle(t, g, "stress", p.Labels())
+	urand, _ := gen.ByName("urand")
+	web, _ := gen.ByName("web")
+	runs := []struct {
+		name string
+		g    *graph.CSR
+		opt  Options
+	}{
+		{"kron/all arcs", gen.Kronecker(11, 8, gen.Graph500, 9), Options{NeighborRounds: -1, Parallelism: 8}},
+		{"urand/default", urand.Build(12, 9), Options{SkipLargest: true, Parallelism: 8}},
+		{"web/default", web.Build(12, 9), Options{SkipLargest: true, Parallelism: 8}},
+	}
+	for _, r := range runs {
+		for trial := 0; trial < 20; trial++ {
+			p := RunAudited(r.g, r.opt, func(p Parent, phase string) {
+				if phase != obs.PhaseNeighborRound && phase != obs.PhaseFinal {
+					return
+				}
+				if bad := p.Validate(); bad >= 0 {
+					t.Fatalf("%s trial %d: invariant violated at %d after %s", r.name, trial, bad, phase)
+				}
+			})
+			checkAgainstOracle(t, r.g, "stress/"+r.name, p.Labels())
+		}
 	}
 }
 

@@ -4,12 +4,14 @@
 // combined with vertex-neighbor subgraph sampling and large-component
 // skipping (Section IV).
 //
-// The concurrency discipline follows the paper exactly: the only write
-// that can race is the hook π(h) ← l, performed with compare-and-swap on
-// roots only, preserving Invariant 1 (π(x) ≤ x) and hence acyclicity
-// (Lemmas 1–2). All shared reads and the compress writes go through
-// sync/atomic so the implementation is data-race-free under the Go
-// memory model (the C++ original relies on benign races instead).
+// The concurrency discipline follows the paper: the only write to a
+// root is the hook π(h) ← l, performed with compare-and-swap, preserving
+// Invariant 1 (π(x) ≤ x) and hence acyclicity (Lemmas 1–2). Every other
+// write, a compress step or a link climb's halving step, points a
+// non-root at an ancestor in its own tree. All shared reads and those
+// writes go through sync/atomic so the implementation is data-race-free
+// under the Go memory model (the C++ original relies on benign races
+// instead).
 package core
 
 import (

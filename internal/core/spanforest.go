@@ -20,7 +20,7 @@ func SpanningForest(g *graph.CSR, parallelism int) []graph.Edge {
 			if u == v {
 				continue // self loops never merge
 			}
-			if _, loser, _, _ := link(p, u, v); loser != 0 {
+			if _, loser, _, _ := link[halving](p, u, v); loser != 0 {
 				perWorker[w] = append(perWorker[w], graph.Edge{U: u, V: v})
 			}
 		}

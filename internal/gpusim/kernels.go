@@ -149,6 +149,8 @@ func Afforest(g *graph.CSR, neighborRounds int, skip bool, cfg Config) Result {
 	offsets := g.Offsets()
 	targets := g.Targets()
 
+	// Fig 3's read-only climb, as in the paper's GPU kernel; core's
+	// link also stores each grandparent step it takes.
 	link := func(u, v graph.V, t *Thread) {
 		p1 := pi[u]
 		t.Touch(arrPi, int64(u))

@@ -12,7 +12,8 @@ import (
 // traced Array. Equivalence with the production implementations is
 // pinned by tests comparing final labelings.
 
-// tracedLink is core.Link against a traced array.
+// tracedLink is core.Link against a traced array: the halving climb,
+// whose grandparent store is recorded as a write.
 func tracedLink(a *Array, w int, u, v graph.V) {
 	p1 := a.Get(w, u)
 	p2 := a.Get(w, v)
@@ -27,7 +28,12 @@ func tracedLink(a *Array, w int, u, v graph.V) {
 		if ph == l || (ph == h && a.CAS(w, h, h, l)) {
 			return
 		}
-		p1 = a.Get(w, a.Get(w, h))
+		ph = a.Get(w, h)
+		gp := a.Get(w, ph)
+		if gp != ph {
+			a.Set(w, h, gp)
+		}
+		p1 = gp
 		p2 = a.Get(w, l)
 	}
 }

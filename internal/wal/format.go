@@ -123,35 +123,8 @@ func appendRecord(b []byte, lsn LSN, edges []graph.Edge) []byte {
 // recordSize returns the encoded size of a record holding n edges.
 func recordSize(n int) int64 { return int64(frameLen + payloadMin + 8*n) }
 
-// decodeRecord parses one record from the front of b. It returns the
-// record's LSN, its edges (aliasing nothing — a fresh slice), and the
-// total bytes consumed. The error, when non-nil, wraps ErrTorn (b ends
-// mid-record) or ErrCorrupt (b is long enough but the bytes are wrong);
-// in both cases consumed is 0 and the caller must stop scanning — there
-// is no resynchronization point past a bad frame.
-func decodeRecord(b []byte) (lsn LSN, edges []graph.Edge, consumed int, err error) {
-	if len(b) < frameLen {
-		return 0, nil, 0, fmt.Errorf("%w: %d-byte frame prefix", ErrTorn, len(b))
-	}
-	payloadLen := int(binary.LittleEndian.Uint32(b))
-	sum := binary.LittleEndian.Uint32(b[4:])
-	if payloadLen < payloadMin || payloadLen > maxPayload {
-		return 0, nil, 0, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, payloadLen)
-	}
-	if len(b) < frameLen+payloadLen {
-		return 0, nil, 0, fmt.Errorf("%w: payload %d of %d bytes", ErrTorn, len(b)-frameLen, payloadLen)
-	}
-	payload := b[frameLen : frameLen+payloadLen]
-	lsn, edges, err = decodePayload(payload, sum)
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	return lsn, edges, frameLen + payloadLen, nil
-}
-
 // decodePayload validates a complete payload against its frame CRC and
-// decodes it. Shared by the slice decoder above and the streaming
-// segment scanner.
+// decodes it for the segment scanner.
 func decodePayload(payload []byte, sum uint32) (LSN, []graph.Edge, error) {
 	if got := crc32.Checksum(payload, castagnoli); got != sum {
 		return 0, nil, fmt.Errorf("%w: crc %08x, want %08x", ErrCorrupt, got, sum)

@@ -9,12 +9,11 @@ import (
 )
 
 // FuzzWALDecode feeds hostile bytes to every decode path a segment file
-// flows through on recovery: the slice record decoder, the header
-// parser, and the streaming segment scanner. The properties under test
-// mirror internal/cluster's frame fuzzing: no panic, no unbounded
-// allocation from a hostile length prefix, every failure is a
-// structured ErrTorn/ErrCorrupt, and anything the encoder produced
-// round-trips exactly.
+// flows through on recovery: the header parser and the streaming
+// segment scanner. The properties under test mirror internal/cluster's
+// frame fuzzing: no panic, no unbounded allocation from a hostile
+// length prefix, every failure is a structured ErrTorn/ErrCorrupt, and
+// every record the scanner accepts re-encodes to the bytes it read.
 func FuzzWALDecode(f *testing.F) {
 	// Well-formed seeds: a header, an empty record, a fat record, two
 	// records back to back inside a segment image.
@@ -42,29 +41,6 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Slice decoder: consumed bytes must stay within the input, the
-		// edge slice must agree with the payload (no over-alloc), and a
-		// successful decode must re-encode to the identical bytes.
-		lsn, edges, consumed, err := decodeRecord(data)
-		if err != nil {
-			if !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("decodeRecord: unstructured error %v", err)
-			}
-			if consumed != 0 {
-				t.Fatalf("decodeRecord consumed %d bytes on error", consumed)
-			}
-		} else {
-			if consumed <= 0 || consumed > len(data) {
-				t.Fatalf("decodeRecord consumed %d of %d bytes", consumed, len(data))
-			}
-			if len(edges) > maxRecordEdges {
-				t.Fatalf("decoded %d edges past the bound", len(edges))
-			}
-			if re := appendRecord(nil, lsn, edges); !bytes.Equal(re, data[:consumed]) {
-				t.Fatalf("round-trip mismatch: %x != %x", re, data[:consumed])
-			}
-		}
-
 		// Header parser.
 		if base, err := parseHeader(data); err != nil {
 			if !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) {
@@ -77,12 +53,19 @@ func FuzzWALDecode(f *testing.F) {
 		// Streaming scanner over the same bytes as a segment image. It
 		// must never return a decode problem as an error (only sc.stop),
 		// must visit records in contiguous LSN order from the header's
-		// base, and validBytes must never exceed the input.
+		// base, each re-encoding to the bytes it came from, and
+		// validBytes must never exceed the input.
 		var visited []LSN
+		off := headerLen
 		sc, err := scanSegment(bytes.NewReader(data), func(lsn LSN, edges []graph.Edge) error {
 			if len(edges) > maxRecordEdges {
 				t.Fatalf("scanner passed %d edges past the bound", len(edges))
 			}
+			re := appendRecord(nil, lsn, edges)
+			if off+len(re) > len(data) || !bytes.Equal(re, data[off:off+len(re)]) {
+				t.Fatalf("record %d round-trip mismatch at offset %d: %x", len(visited), off, re)
+			}
+			off += len(re)
 			visited = append(visited, lsn)
 			return nil
 		})
@@ -97,6 +80,9 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		if int64(len(visited)) != sc.records {
 			t.Fatalf("visited %d records, scan counted %d", len(visited), sc.records)
+		}
+		if len(visited) > 0 && int64(off) != sc.validBytes {
+			t.Fatalf("records end at %d, validBytes %d", off, sc.validBytes)
 		}
 		for i, lsn := range visited {
 			if lsn != sc.firstLSN+LSN(i) {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -380,22 +381,35 @@ func TestNoSyncLag(t *testing.T) {
 	l.Close()
 }
 
+// TestDecodeRecordErrors runs one record through scanSegment, as a
+// one-record segment image: cut short or bit-flipped, then clean.
 func TestDecodeRecordErrors(t *testing.T) {
-	rec := appendRecord(nil, 7, testBatch(0, 3))
-	if _, _, _, err := decodeRecord(rec[:len(rec)-1]); !errors.Is(err, ErrTorn) {
-		t.Fatalf("truncated payload: %v, want ErrTorn", err)
+	seg := appendRecord(appendHeader(nil, 7), 7, testBatch(0, 3))
+	scan := func(image []byte) (segScan, []graph.Edge) {
+		var edges []graph.Edge
+		sc, err := scanSegment(bytes.NewReader(image), func(_ LSN, e []graph.Edge) error {
+			edges = e
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("scanSegment: %v", err)
+		}
+		return sc, edges
 	}
-	if _, _, _, err := decodeRecord(rec[:5]); !errors.Is(err, ErrTorn) {
-		t.Fatalf("partial frame: %v, want ErrTorn", err)
+	if sc, _ := scan(seg[:len(seg)-1]); !errors.Is(sc.stop, ErrTorn) || sc.records != 0 {
+		t.Fatalf("truncated payload: %+v, want ErrTorn", sc)
 	}
-	flipped := append([]byte(nil), rec...)
-	flipped[10] ^= 1
-	if _, _, _, err := decodeRecord(flipped); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bit flip: %v, want ErrCorrupt", err)
+	if sc, _ := scan(seg[:headerLen+5]); !errors.Is(sc.stop, ErrTorn) || sc.records != 0 {
+		t.Fatalf("partial frame: %+v, want ErrTorn", sc)
 	}
-	lsn, edges, n, err := decodeRecord(rec)
-	if err != nil || lsn != 7 || len(edges) != 3 || n != len(rec) {
-		t.Fatalf("clean decode: lsn=%d edges=%d n=%d err=%v", lsn, len(edges), n, err)
+	flipped := append([]byte(nil), seg...)
+	flipped[headerLen+10] ^= 1
+	if sc, _ := scan(flipped); !errors.Is(sc.stop, ErrCorrupt) || sc.records != 0 {
+		t.Fatalf("bit flip: %+v, want ErrCorrupt", sc)
+	}
+	sc, edges := scan(seg)
+	if sc.stop != nil || sc.lastLSN != 7 || len(edges) != 3 || sc.validBytes != int64(len(seg)) {
+		t.Fatalf("clean decode: %+v edges=%d", sc, len(edges))
 	}
 }
 
