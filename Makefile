@@ -59,13 +59,15 @@ ccperf-test:
 # serve batcher goroutine and a bootstrap run at once. internal/graph and
 # internal/gen are in it because graph.Build's output rests on workers
 # writing disjoint ranges of shared arrays with plain stores.
+# internal/baselines is in it because SV, LP, BFS and DOBFS race on
+# shared arrays through atomics, and SV calls back between its phases.
 race-matrix:
 	@for p in 1 2 8; do \
 		echo "== race matrix: GOMAXPROCS=$$p =="; \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 \
 			./internal/concurrent ./internal/core ./internal/serve ./internal/testkit \
 			./internal/cluster ./internal/wal ./internal/provenance ./internal/obs \
-			./internal/graph ./internal/gen \
+			./internal/graph ./internal/gen ./internal/baselines \
 			|| exit 1; \
 	done
 

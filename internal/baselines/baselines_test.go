@@ -3,6 +3,7 @@ package baselines
 import (
 	"testing"
 
+	"afforest/internal/core"
 	"afforest/internal/gen"
 	"afforest/internal/graph"
 )
@@ -95,7 +96,7 @@ func TestParallelStressRepeats(t *testing.T) {
 func TestSVInstrumentedIterationCount(t *testing.T) {
 	// A single edge converges in 2 iterations (1 hooking + 1 verifying).
 	g := graph.Build([]graph.Edge{{U: 0, V: 1}}, graph.BuildOptions{})
-	_, iters := SVInstrumented(g, 1)
+	_, iters := SVInstrumented(g, 1, nil)
 	if iters < 1 || iters > 3 {
 		t.Fatalf("iterations = %d for a single edge", iters)
 	}
@@ -103,7 +104,10 @@ func TestSVInstrumentedIterationCount(t *testing.T) {
 	// outer iteration count small (the depth cost moves into the
 	// shortcut phase); the count must stay bounded and the result exact.
 	strip := gen.RoadGrid(256, 2, 1.0, 1)
-	labelsStrip, itersStrip, depth := SVMaxDepthPerIteration(strip, 0)
+	depth := 0
+	labelsStrip, itersStrip := SVInstrumented(strip, 0, func(pi []graph.V) {
+		depth = max(depth, core.Parent(pi).MaxDepth())
+	})
 	assertPartitionMatchesOracle(t, strip, "sv-strip", labelsStrip)
 	if itersStrip < 1 || itersStrip > 40 {
 		t.Fatalf("strip iterations = %d, implausible", itersStrip)
@@ -113,12 +117,23 @@ func TestSVInstrumentedIterationCount(t *testing.T) {
 	}
 }
 
+// TestSVMaxDepthPerIteration checks the hook Table II reads SV's tree
+// depth through: it runs once per outer iteration, after the hook phase
+// and before its shortcut, so it sees trees deeper than the shortcut
+// leaves (depth one).
 func TestSVMaxDepthPerIteration(t *testing.T) {
 	g := gen.URandDegree(2000, 8, 9)
-	labels, iters, depth := SVMaxDepthPerIteration(g, 0)
+	calls, depth := 0, 0
+	labels, iters := SVInstrumented(g, 1, func(pi []graph.V) {
+		calls++
+		depth = max(depth, core.Parent(pi).MaxDepth())
+	})
 	assertPartitionMatchesOracle(t, g, "sv-depth", labels)
-	if iters < 1 || depth < 1 {
-		t.Fatalf("iters=%d depth=%d", iters, depth)
+	if calls != iters {
+		t.Fatalf("afterHook ran %d times in %d iterations", calls, iters)
+	}
+	if depth < 2 {
+		t.Fatalf("max depth after hook = %d, want > 1: the hook ran after a shortcut", depth)
 	}
 }
 

@@ -25,13 +25,16 @@ import (
 // work is O(log(|V|)·|E|) — every edge is reprocessed each iteration,
 // the inefficiency Afforest removes.
 func SV(g *graph.CSR, parallelism int) []graph.V {
-	labels, _ := SVInstrumented(g, parallelism)
+	labels, _ := SVInstrumented(g, parallelism, nil)
 	return labels
 }
 
 // SVInstrumented runs SV and reports the number of outer iterations
-// (Table II's "iterations" column for SV).
-func SVInstrumented(g *graph.CSR, parallelism int) ([]graph.V, int) {
+// (Table II's "iterations" column for SV). afterHook, when non-nil,
+// runs on the calling goroutine after each hook phase, before its
+// shortcut, with π as the hook left it; no parallel work is in flight
+// then. Table II reads the tree depth there.
+func SVInstrumented(g *graph.CSR, parallelism int, afterHook func(pi []graph.V)) ([]graph.V, int) {
 	n := g.NumVertices()
 	pi := make([]uint32, n)
 	for v := range pi {
@@ -81,6 +84,9 @@ func SVInstrumented(g *graph.CSR, parallelism int) ([]graph.V, int) {
 				}
 			}
 		})
+		if afterHook != nil {
+			afterHook(pi)
+		}
 		// Shortcut phase (Fig 1 lines 13–16): full pointer jumping.
 		concurrent.ForGrain(n, parallelism, 512, func(i int) {
 			v := graph.V(i)
@@ -95,69 +101,6 @@ func SVInstrumented(g *graph.CSR, parallelism int) ([]graph.V, int) {
 		})
 	}
 	return pi, iterations
-}
-
-// SVMaxDepthPerIteration runs SV while recording, after each hook phase
-// (before its shortcut), the maximum tree depth in π — the Table II
-// depth column.
-func SVMaxDepthPerIteration(g *graph.CSR, parallelism int) (labels []graph.V, iterations, maxDepth int) {
-	n := g.NumVertices()
-	pi := make([]uint32, n)
-	for v := range pi {
-		pi[v] = uint32(v)
-	}
-	depthOf := func(v graph.V) int {
-		d := 0
-		for {
-			p := pi[v]
-			if p == v {
-				return d
-			}
-			v = p
-			d++
-		}
-	}
-	var change atomic.Bool
-	change.Store(true)
-	for change.Load() {
-		change.Store(false)
-		iterations++
-		concurrent.ForGrain(n, parallelism, 512, func(i int) {
-			u := graph.V(i)
-			for _, v := range g.Neighbors(u) {
-				pu := atomic.LoadUint32(&pi[u])
-				pv := atomic.LoadUint32(&pi[v])
-				if pu == pv {
-					continue
-				}
-				high, low := pu, pv
-				if high < low {
-					high, low = low, high
-				}
-				if atomic.LoadUint32(&pi[high]) == high {
-					atomic.StoreUint32(&pi[high], low)
-					change.Store(true)
-				}
-			}
-		})
-		for v := 0; v < n; v++ { // measurement: sequential, racy-free point
-			if d := depthOf(graph.V(v)); d > maxDepth {
-				maxDepth = d
-			}
-		}
-		concurrent.ForGrain(n, parallelism, 512, func(i int) {
-			v := graph.V(i)
-			for {
-				parent := atomic.LoadUint32(&pi[v])
-				grand := atomic.LoadUint32(&pi[parent])
-				if parent == grand {
-					break
-				}
-				atomic.StoreUint32(&pi[v], grand)
-			}
-		})
-	}
-	return pi, iterations, maxDepth
 }
 
 // SVEdgeList is the GPU-style SV of Soman et al. [15], the paper's GPU
@@ -209,49 +152,22 @@ func SVEdgeList(g *graph.CSR, parallelism int) []graph.V {
 }
 
 // SVWorkByWorker models SV's work distribution over `workers` logical
-// workers the same way core.WorkByWorker does for Afforest: the
-// algorithm executes deterministically while vertex chunks are
-// attributed round-robin to logical workers, and the per-worker arc
-// inspection counts bound achievable strong scaling (total / max).
+// workers the same way core.WorkByWorker does for Afforest: vertex
+// chunks of 512 are attributed round-robin to logical workers, and the
+// per-worker arc inspection counts bound achievable strong scaling
+// (total / max). Every outer iteration inspects every arc, so a worker
+// is charged the iteration count times its vertices' degrees. The count
+// comes from a run at parallelism 1, which visits the arcs in vertex
+// order, the serial order the model idealizes.
 func SVWorkByWorker(g *graph.CSR, workers int) []int64 {
 	if workers < 1 {
 		workers = 1
 	}
 	const grain = 512
-	n := g.NumVertices()
+	_, iterations := SVInstrumented(g, 1, nil)
 	counts := make([]int64, workers)
-	pi := make([]uint32, n)
-	for v := range pi {
-		pi[v] = uint32(v)
-	}
-	change := true
-	for change {
-		change = false
-		for i := 0; i < n; i++ {
-			u := graph.V(i)
-			w := (i / grain) % workers
-			for _, v := range g.Neighbors(u) {
-				counts[w]++
-				pu := pi[u]
-				pv := pi[v]
-				if pu == pv {
-					continue
-				}
-				high, low := pu, pv
-				if high < low {
-					high, low = low, high
-				}
-				if pi[high] == high {
-					pi[high] = low
-					change = true
-				}
-			}
-		}
-		for v := 0; v < n; v++ {
-			for pi[v] != pi[pi[v]] {
-				pi[v] = pi[pi[v]]
-			}
-		}
+	for u := 0; u < g.NumVertices(); u++ {
+		counts[(u/grain)%workers] += int64(iterations) * int64(g.Degree(graph.V(u)))
 	}
 	return counts
 }

@@ -128,7 +128,7 @@ func TestAlgorithmsOnPathConvergeReasonably(t *testing.T) {
 	// SV on a long path: iteration count must stay far below the
 	// diameter (the shortcut is full pointer-jumping).
 	g := topoPath(4096)
-	_, iters := SVInstrumented(g, 0)
+	_, iters := SVInstrumented(g, 0, nil)
 	if iters > 30 {
 		t.Fatalf("SV iterations on path = %d, runaway", iters)
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"afforest/internal/baselines"
+	"afforest/internal/core"
 	"afforest/internal/gen"
 	"afforest/internal/graph"
 )
@@ -134,6 +136,45 @@ func TestFig8bShape(t *testing.T) {
 	for i := 9; i < 12; i++ {
 		if sp := tb.Rows[1][i]; sp == "1.00x" {
 			t.Fatalf("thread-2 model speedup = %s — balance model broken", sp)
+		}
+	}
+}
+
+// TestSVOutputsPinned pins, at scale 12, seed 42 and parallelism 1,
+// the outputs Table II reads from SV's loop and the work counts Fig 8b's
+// model charges: how those loops are shared must not move a figure.
+func TestSVOutputsPinned(t *testing.T) {
+	wantTable := map[string][2]string{ // sv_iters, sv_max_depth
+		"road": {"2", "4"}, "twitter": {"2", "1"}, "web": {"2", "1"},
+		"kron": {"2", "2"}, "urand": {"2", "7"}, "osm-eur": {"2", "2"},
+	}
+	tb := Table2(Config{Scale: 12, Runs: 1, Seed: 42, Parallelism: 1, Validate: true})
+	if len(tb.Rows) != len(wantTable) {
+		t.Fatalf("Table II rows = %d, want %d", len(tb.Rows), len(wantTable))
+	}
+	for _, row := range tb.Rows {
+		if got := [2]string{row[1], row[2]}; got != wantTable[row[0]] {
+			t.Errorf("Table II %s: sv_iters, sv_max_depth = %v, want %v", row[0], got, wantTable[row[0]])
+		}
+	}
+
+	web, err := gen.ByName("web")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := web.Build(12, 42)
+	noSkip := core.DefaultOptions()
+	noSkip.SkipLargest = false
+	for _, tc := range []struct {
+		name      string
+		got, want []int64
+	}{
+		{"SVWorkByWorker", baselines.SVWorkByWorker(g, 4), []int64{40782, 41830, 41304, 38984}},
+		{"WorkByWorker", core.WorkByWorker(g, core.DefaultOptions(), 4), []int64{2047, 2048, 2048, 2048}},
+		{"WorkByWorker without skipping", core.WorkByWorker(g, noSkip, 4), []int64{20391, 20915, 20652, 19492}},
+	} {
+		if !slices.Equal(tc.got, tc.want) {
+			t.Errorf("%s on web-12 at 4 workers = %v, want %v", tc.name, tc.got, tc.want)
 		}
 	}
 }

@@ -2,6 +2,9 @@ package bench
 
 import (
 	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -42,5 +45,54 @@ func TestComparableSkipsOtherCPUModels(t *testing.T) {
 	}
 	if s := string(out); strings.Contains(s, "nproc") || strings.Contains(s, "cpu_model") {
 		t.Errorf("old entry re-encodes with the new fields: %s", s)
+	}
+}
+
+// TestGitCommitMarksDirtySource: a history entry names the bare hash
+// on a clean tree or when only a data file changed, and "-dirty" when a
+// Go file is edited or untracked.
+func TestGitCommitMarksDirtySource(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
+	}
+	dir := t.TempDir()
+	git := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{"-c", "user.name=bench", "-c", "user.email=bench@example.com",
+			"-c", "commit.gpgsign=false"}, args...)...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+		return strings.TrimSpace(string(out))
+	}
+	write := func(name, body string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("main.go", "package main\n")
+	write("BENCH.json", "{}\n")
+	git("init", "-q")
+	git("add", "-A")
+	git("commit", "-q", "-m", "init")
+	head := git("rev-parse", "--short", "HEAD")
+
+	for _, step := range []struct {
+		name string
+		edit func()
+		want string
+	}{
+		{"clean tree", func() {}, head},
+		{"edited .json", func() { write("BENCH.json", "{\"history\": []}\n") }, head},
+		{"edited .go", func() { write("main.go", "package main\n\nfunc main() {}\n") }, head + "-dirty"},
+		{"untracked .go", func() { git("checkout", "--", "main.go"); write("new.go", "package main\n") }, head + "-dirty"},
+	} {
+		step.edit()
+		if got := gitCommit(dir); got != step.want {
+			t.Errorf("%s: gitCommit = %q, want %q", step.name, got, step.want)
+		}
 	}
 }

@@ -22,7 +22,11 @@ func Table2(cfg Config) *stats.Table {
 		"graph", "sv_iters", "sv_max_depth", "aff_max_depth", "aff_mean_local_iters")
 	for _, sg := range gen.Suite() {
 		g := sg.Build(cfg.Scale, cfg.Seed)
-		svLabels, svIters, svDepth := baselines.SVMaxDepthPerIteration(g, cfg.Parallelism)
+		// SV's depth is read after each hook phase, before its shortcut.
+		svDepth := 0
+		svLabels, svIters := baselines.SVInstrumented(g, cfg.Parallelism, func(pi []graph.V) {
+			svDepth = max(svDepth, core.Parent(pi).MaxDepth())
+		})
 		checkLabeling(cfg, g, "sv", svLabels)
 
 		opt := core.DefaultOptions()

@@ -50,7 +50,7 @@ type TrajectoryReport struct {
 func newReport(cfg Config) *TrajectoryReport {
 	return &TrajectoryReport{
 		Date:        time.Now().UTC().Format("2006-01-02T15:04:05Z"),
-		Commit:      gitCommit(),
+		Commit:      gitCommit(""),
 		GoVersion:   runtime.Version(),
 		Scale:       cfg.Scale,
 		Runs:        cfg.Runs,
@@ -101,16 +101,28 @@ func Trajectory(cfg Config) *TrajectoryReport {
 	return rep
 }
 
-// gitCommit returns the short hash of HEAD, or "" when the binary runs
-// outside a git checkout (trajectory entries still record the date and
-// Go version). Best-effort on purpose: a perf record must never fail
-// because git is absent.
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+// gitCommit returns the short hash of HEAD in the checkout at dir (""
+// means the working directory), suffixed "-dirty" when a Go source file
+// or go.mod differs from HEAD or is untracked. Only code counts, so
+// appending to BENCH_afforest.json leaves the next entry clean (":/"
+// anchors each pattern at the top of the work tree). Best-effort on
+// purpose: outside a checkout or without git it returns "", because a
+// perf record must never fail for want of git.
+func gitCommit(dir string) string {
+	git := func(args ...string) (string, error) {
+		cmd := exec.Command("git", args...)
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		return strings.TrimSpace(string(out)), err
+	}
+	hash, err := git("rev-parse", "--short", "HEAD")
 	if err != nil {
 		return ""
 	}
-	return strings.TrimSpace(string(out))
+	if status, err := git("status", "--porcelain", "--", ":/*.go", ":/go.mod"); err == nil && status != "" {
+		hash += "-dirty"
+	}
+	return hash
 }
 
 // cpuModel returns the CPU model the kernel reports (Linux's first

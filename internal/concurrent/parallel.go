@@ -112,7 +112,8 @@ func forRangeSpawn(n, p, grain int, body func(lo, hi, worker int)) {
 // ForStatic splits [0, n) into exactly p contiguous blocks, one per
 // worker. Unlike ForRange there is no dynamic claiming; this matches
 // OpenMP's schedule(static) and gives deterministic index->worker
-// assignment, which the memory-trace experiments rely on.
+// assignment. ExclusiveScan runs both of its passes on it, one block
+// per worker.
 func ForStatic(n, p int, body func(lo, hi, worker int)) {
 	if n <= 0 {
 		return

@@ -59,12 +59,6 @@ func (s *LinkStats) PhaseStats() obs.PhaseStats {
 	}
 }
 
-// LinkCounted is Link with its accounting folded into st.
-func LinkCounted(p Parent, u, v graph.V, st *LinkStats) {
-	_, loser, iters, casFails := link[halving](p, u, v)
-	st.addLink(loser, iters, casFails)
-}
-
 // addLink folds one link call's report into s.
 func (s *LinkStats) addLink(loser graph.V, iters, casFails int64) {
 	s.Calls++

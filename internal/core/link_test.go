@@ -187,9 +187,9 @@ func TestLinkAllEdgeOrderIrrelevant(t *testing.T) {
 
 // TestLinkKernel pins link's report on hand-built π arrays whose
 // expected winner, loser and iteration count are written out, for both
-// climbs, and checks that the wrappers report the same calls. The two
-// climbs make the same hook; only the halving one stores its
-// grandparent steps.
+// climbs, and checks that LinkRecord reports the same merges and that
+// addLink folds the reports into LinkStats. The two climbs make the
+// same hook; only the halving one stores its grandparent steps.
 func TestLinkKernel(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -237,10 +237,11 @@ func TestLinkKernel(t *testing.T) {
 		if got := LinkRecord(Parent(slices.Clone(tc.parent)), tc.u, tc.v); got != (tc.loser != 0) {
 			t.Errorf("%s: LinkRecord = %v", tc.name, got)
 		}
-		LinkCounted(Parent(slices.Clone(tc.parent)), tc.u, tc.v, &st)
+		_, loser, iters, casFails := link[halving](Parent(slices.Clone(tc.parent)), tc.u, tc.v)
+		st.addLink(loser, iters, casFails)
 	}
 	if want := (LinkStats{Calls: 3, Iterations: 6, MaxIters: 3, Merges: 2}); st != want {
-		t.Errorf("LinkCounted stats = %+v, want %+v", st, want)
+		t.Errorf("addLink stats = %+v, want %+v", st, want)
 	}
 }
 

@@ -87,3 +87,17 @@ func TestAfforestBeatsSVOnHitRate(t *testing.T) {
 			affStats.Misses, svStats.Misses)
 	}
 }
+
+// TestTracedSVReplaysExactly: a traced run holds the pool under the
+// serial deterministic scheduler, so two SV traces of one graph replay
+// through the cache to identical counts and the Fig 7 cache table
+// repeats.
+func TestTracedSVReplaysExactly(t *testing.T) {
+	g := gen.URand(1<<10, 1<<14, 3)
+	cfg := CacheConfig{Sets: 8, Ways: 4, LineBytes: 64, EntrySize: 4}
+	a, _ := TracedSV(g, 8)
+	b, _ := TracedSV(g, 8)
+	if sa, sb := a.SimulateCache(cfg), b.SimulateCache(cfg); sa != sb {
+		t.Fatalf("two traced SV runs replay to %+v and %+v", sa, sb)
+	}
+}

@@ -12,6 +12,14 @@ import (
 // traced Array. Equivalence with the production implementations is
 // pinned by tests comparing final labelings.
 
+// traceSchedule is the scheduler every traced run holds the default
+// pool under: the serial deterministic mode, whose chunks run one at a
+// time on the caller in a seeded order with worker ids cycling, so a
+// run's access sequence, and every figure replayed from it, repeats
+// exactly. A traced run sets it on entry and clears it on return, so no
+// other pool job may run beside it.
+var traceSchedule = &concurrent.DetConfig{Seed: 42, Serial: true}
+
 // tracedLink is core.Link against a traced array: the halving climb,
 // whose grandparent store is recorded as a write.
 func tracedLink(a *Array, w int, u, v graph.V) {
@@ -52,9 +60,12 @@ func tracedCompress(a *Array, w int, v graph.V) {
 
 // TracedAfforest runs Afforest (Fig 5) with neighborRounds sampling
 // rounds and optional component skipping on the traced array, returning
-// the trace and the final labels. workers fixes the goroutine count so
-// the per-thread scatter of Fig 7 is well defined.
+// the trace and the final labels. workers fixes how many worker ids
+// the chunks cycle through under traceSchedule, so the per-thread
+// scatter of Fig 7 is well defined.
 func TracedAfforest(g *graph.CSR, neighborRounds int, skip bool, workers int) (*Trace, []graph.V) {
+	concurrent.SetDeterministic(traceSchedule)
+	defer concurrent.SetDeterministic(nil)
 	n := g.NumVertices()
 	a := NewArray(n, workers)
 	for r := 0; r < neighborRounds; r++ {
@@ -123,8 +134,11 @@ func tracedSampleFrequent(a *Array, samples int, seed uint64) graph.V {
 
 // TracedSV runs Shiloach–Vishkin (Fig 1) on the traced array — the
 // Fig 7a reference pattern, alternating Hook and Compress phases over
-// the whole edge set every iteration.
+// the whole edge set every iteration. It runs under traceSchedule like
+// TracedAfforest.
 func TracedSV(g *graph.CSR, workers int) (*Trace, []graph.V) {
+	concurrent.SetDeterministic(traceSchedule)
+	defer concurrent.SetDeterministic(nil)
 	n := g.NumVertices()
 	a := NewArray(n, workers)
 	var change atomic.Bool

@@ -5,10 +5,7 @@ import (
 	"sync"
 
 	"afforest/internal/baselines"
-	"afforest/internal/concurrent"
 	"afforest/internal/core"
-	"afforest/internal/graph"
-	"afforest/internal/obs"
 )
 
 // Algo is one registered connected-components implementation the
@@ -40,61 +37,6 @@ func LookupAlgo(name string) (Algo, error) {
 		return Algo{}, fmt.Errorf("testkit: unknown algorithm %q", name)
 	}
 	return a, nil
-}
-
-// StalledAfforest is a deliberately broken Afforest whose neighbor
-// rounds never advance: every round re-links each vertex's FIRST
-// neighbor instead of the r-th, so the per-round link count never
-// decays and convergence stalls by construction. It emits the real
-// phase spans (neighbor_round with link stats, compress, final
-// compress) on tr, whose sinks see exactly the event stream the anomaly
-// detector's convergence-stall rule watches (nil tr records them on a
-// throwaway tracer). It is NOT registered in the differential matrix —
-// its labels are wrong on purpose (only first-neighbor edges are ever
-// linked); tests construct it directly.
-func StalledAfforest(g *graph.CSR, workers, rounds int, tr *obs.Tracer) []graph.V {
-	n := g.NumVertices()
-	p := core.NewParent(n)
-	if n == 0 {
-		return p.Labels()
-	}
-	if tr == nil {
-		tr = obs.NewTracer()
-	}
-	offsets, targets := g.Adjacency(0, n)
-	w := concurrent.Procs(workers)
-	root := tr.BeginPhase(obs.PhaseRun)
-	for r := 0; r < rounds; r++ {
-		span := tr.BeginPhase(obs.PhaseNeighborRound)
-		per := make([]core.LinkStats, w)
-		concurrent.ForRange(n, workers, 512, func(lo, hi, worker int) {
-			st := &per[worker]
-			for u := lo; u < hi; u++ {
-				if offsets[u] < offsets[u+1] {
-					core.LinkCounted(p, graph.V(u), targets[offsets[u]], st)
-				}
-			}
-		})
-		var total core.LinkStats
-		for i := range per {
-			total.Calls += per[i].Calls
-			total.Iterations += per[i].Iterations
-			total.CASFails += per[i].CASFails
-			total.Merges += per[i].Merges
-			if per[i].MaxIters > total.MaxIters {
-				total.MaxIters = per[i].MaxIters
-			}
-		}
-		tr.EndPhase(span, total.PhaseStats())
-		span = tr.BeginPhase(obs.PhaseCompress)
-		core.CompressAll(p, workers)
-		tr.EndPhase(span, obs.PhaseStats{})
-	}
-	span := tr.BeginPhase(obs.PhaseFinalCompress)
-	core.CompressAll(p, workers)
-	tr.EndPhase(span, obs.PhaseStats{})
-	tr.EndPhase(root, obs.PhaseStats{})
-	return p.Labels()
 }
 
 // The registry starts as the roster plus Afforest with sampling off,

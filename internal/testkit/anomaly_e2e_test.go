@@ -7,22 +7,48 @@ import (
 
 	"afforest/internal/concurrent"
 	"afforest/internal/core"
-	"afforest/internal/gen"
 	"afforest/internal/graph"
 	"afforest/internal/obs"
 )
 
-// TestStalledAfforestTripsAnomalyDetector is the end-to-end injection
-// drill for the deep-observability layer: run the deliberately broken
-// StalledAfforest under a pinned deterministic schedule with the
-// anomaly detector and flight recorder wired exactly as the serve
-// layer wires them, and require that (a) the convergence-stall rule
-// fires, (b) the firing captures an automatic canonical flight
-// snapshot, and (c) both that snapshot and the final canonical dump
-// are byte-identical across two replays — so a dump attached to a bug
-// report can be reproduced exactly.
-func TestStalledAfforestTripsAnomalyDetector(t *testing.T) {
-	g := gen.Kronecker(10, 8, gen.Graph500, 3)
+// stallGraph is a graph on which Afforest's neighbor sampling stalls.
+// It is built with PreserveOrder, so every row keeps its input order,
+// and every row starts with one neighbor repeated 8 times: u's partner
+// u^1. The first neighbor round links each vertex to its partner and
+// merges the pairs; the next seven link every vertex to the same
+// partner again and merge nothing. That is the flat links-per-round
+// curve the convergence-stall rule watches for. A chain over the even
+// vertices follows in their rows, so the final pass still joins the
+// pairs into one component.
+func stallGraph(n int) *graph.CSR {
+	var edges []graph.Edge
+	for u := graph.V(0); int(u)+1 < n; u += 2 {
+		for range 8 {
+			edges = append(edges, graph.Edge{U: u, V: u + 1})
+		}
+	}
+	for u := graph.V(0); int(u)+2 < n; u += 2 {
+		edges = append(edges, graph.Edge{U: u, V: u + 2})
+	}
+	return graph.Build(edges, graph.BuildOptions{NumVertices: n, PreserveOrder: true})
+}
+
+// TestSamplingStallTripsAnomalyDetector is the end-to-end injection
+// drill for the deep-observability layer. It runs the production
+// Fig 5 loop, core.Run, with six neighbor rounds on stallGraph under a
+// pinned deterministic schedule, with the anomaly detector and flight
+// recorder wired exactly as the serve layer wires them, and requires
+// that (a) every round after the first links every vertex and merges
+// nothing, (b) the convergence-stall rule fires once from the spans Run
+// emits, (c) the firing captures an automatic canonical flight
+// snapshot, (d) the labels still match the oracle, and (e) both that
+// snapshot and the final canonical dump are byte-identical across two
+// replays, so a dump attached to a bug report can be reproduced
+// exactly.
+func TestSamplingStallTripsAnomalyDetector(t *testing.T) {
+	const n, rounds = 1024, 6
+	g := stallGraph(n)
+	oracle := Oracle(g)
 
 	type replay struct {
 		fired    int64
@@ -30,8 +56,11 @@ func TestStalledAfforestTripsAnomalyDetector(t *testing.T) {
 		sink     []byte
 		snapshot []byte // canonical flight dump captured at the firing
 		dump     []byte // canonical flight dump after the run
+		rounds   []obs.PhaseStats
 	}
 	run := func() replay {
+		schedMu.Lock()
+		defer schedMu.Unlock()
 		concurrent.SetDeterministic(&concurrent.DetConfig{Seed: 99, Serial: true})
 		defer concurrent.SetDeterministic(nil)
 		fr := obs.NewFlightRecorder(concurrent.DefaultPool().Size(), 0)
@@ -43,7 +72,11 @@ func TestStalledAfforestTripsAnomalyDetector(t *testing.T) {
 		var sink bytes.Buffer
 		det.SetSink(&sink)
 
-		StalledAfforest(g, 0, 6, obs.NewTracer(det, fr))
+		tr := obs.NewTracer(det, fr)
+		labels := core.Run(g, core.Options{NeighborRounds: rounds, Observer: tr})
+		if err := CheckLabeling(g, labels.Labels(), oracle); err != nil {
+			t.Fatalf("stalled run labels: %v", err)
+		}
 
 		out := replay{
 			fired:    det.Count(),
@@ -55,38 +88,40 @@ func TestStalledAfforestTripsAnomalyDetector(t *testing.T) {
 		for _, r := range det.Recent() {
 			out.rules[r.Rule]++
 		}
+		for _, sp := range tr.Spans() {
+			if sp.Name == obs.PhaseNeighborRound {
+				out.rounds = append(out.rounds, sp.Stats)
+			}
+		}
 		return out
 	}
 
 	a := run()
-	if a.fired == 0 {
-		t.Fatal("StalledAfforest fired no anomalies; convergence-stall rule is dead")
+	if len(a.rounds) != rounds {
+		t.Fatalf("Run emitted %d neighbor_round spans, want %d", len(a.rounds), rounds)
 	}
-	if a.rules[obs.RuleConvergenceStall] == 0 {
-		t.Fatalf("rules fired = %v, want %s among them", a.rules, obs.RuleConvergenceStall)
+	if a.rounds[0].Merges == 0 {
+		t.Fatal("round 1 merged nothing; the partner pairs never formed")
+	}
+	for r, st := range a.rounds[1:] {
+		if st.Links != n || st.Merges != 0 {
+			t.Errorf("round %d: %d links, %d merges; want %d links and no merges (a stall)", r+2, st.Links, st.Merges, n)
+		}
+	}
+	if a.fired != 1 || a.rules[obs.RuleConvergenceStall] != 1 {
+		t.Fatalf("fired %d anomalies, rules %v; want one %s", a.fired, a.rules, obs.RuleConvergenceStall)
 	}
 	if len(a.snapshot) == 0 {
 		t.Fatal("firing captured no flight snapshot despite AttachFlight")
 	}
 
-	// The sink got one well-formed JSONL record per firing, and at least
-	// one names the stall rule.
-	lines := bytes.Split(bytes.TrimSuffix(a.sink, []byte("\n")), []byte("\n"))
-	if int64(len(lines)) != a.fired {
-		t.Fatalf("sink has %d records, want %d (one per firing)", len(lines), a.fired)
+	// The sink got one well-formed JSONL record, naming the stall rule.
+	var rec obs.AnomalyRecord
+	if err := json.Unmarshal(bytes.TrimSuffix(a.sink, []byte("\n")), &rec); err != nil {
+		t.Fatalf("sink record %q: %v", a.sink, err)
 	}
-	var sawStall bool
-	for _, line := range lines {
-		var rec obs.AnomalyRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatalf("sink record %q: %v", line, err)
-		}
-		if rec.Rule == obs.RuleConvergenceStall {
-			sawStall = true
-		}
-	}
-	if !sawStall {
-		t.Fatal("no sink record names convergence_stall")
+	if rec.Rule != obs.RuleConvergenceStall {
+		t.Fatalf("sink record names %q, want %s", rec.Rule, obs.RuleConvergenceStall)
 	}
 	for _, line := range bytes.Split(bytes.TrimSuffix(a.snapshot, []byte("\n")), []byte("\n")) {
 		if !json.Valid(line) {
@@ -105,35 +140,5 @@ func TestStalledAfforestTripsAnomalyDetector(t *testing.T) {
 	}
 	if !bytes.Equal(a.dump, b.dump) {
 		t.Error("final canonical flight dumps differ across deterministic replays")
-	}
-}
-
-// TestStalledAfforestLabelsAreBroken pins that the injection vehicle is
-// genuinely broken — if StalledAfforest ever produced correct labels it
-// could silently stop exercising the stall path. The graph is built so
-// the bridge edge 4–5 is neither endpoint's first (smallest) neighbor:
-// both sides link internally every round, and the two halves never
-// join.
-func TestStalledAfforestLabelsAreBroken(t *testing.T) {
-	g := graph.FromAdjacency([][]graph.V{
-		{2, 4}, // 0
-		{3, 5}, // 1
-		{0},    // 2
-		{1},    // 3
-		{0, 5}, // 4: first neighbor 0, bridge 5 never linked
-		{1, 4}, // 5: first neighbor 1, bridge 4 never linked
-	})
-	afforest, err := LookupAlgo("afforest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := afforest.Run(g, core.Options{Parallelism: 1, Seed: 1})
-	got := StalledAfforest(g, 1, 6, nil)
-	if err := SamePartition(want, got); err == nil {
-		t.Fatal("StalledAfforest produced a correct partition; the injection vehicle no longer injects a fault")
-	}
-	// Specifically: the bridge stays uncrossed.
-	if got[4] == got[5] {
-		t.Errorf("bridge endpoints share label %d; first-neighbor linking should never cross 4-5", got[4])
 	}
 }

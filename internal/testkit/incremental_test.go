@@ -7,6 +7,7 @@ import (
 	"afforest/internal/concurrent"
 	"afforest/internal/core"
 	"afforest/internal/graph"
+	"afforest/internal/validate"
 )
 
 // TestIncrementalMixedAddQueryMatchesBatch is the streaming/batch
@@ -32,7 +33,7 @@ func TestIncrementalMixedAddQueryMatchesBatch(t *testing.T) {
 		n := g.NumVertices()
 		edges := g.Edges()
 		oracle := Oracle(g)
-		batchCensus := ComputeCensus(oracle)
+		batchCensus := validate.ComputeCensus(oracle)
 		for _, seed := range seeds {
 			workers := []int{1, 2, 8}[seed%3]
 			serial := seed%2 == 0
@@ -94,7 +95,7 @@ func TestIncrementalMixedAddQueryMatchesBatch(t *testing.T) {
 					name, seed, workers, serial, err)
 				continue
 			}
-			if got := ComputeCensus(final); !got.Equal(batchCensus) {
+			if got := validate.ComputeCensus(final); !got.Equal(batchCensus) {
 				t.Errorf("%s seed=%#x workers=%d serial=%v: streamed census %+v != batch census %+v",
 					name, seed, workers, serial, got, batchCensus)
 			}

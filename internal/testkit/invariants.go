@@ -54,13 +54,13 @@ func (a *Auditor) Phases() int { return a.phases }
 
 func (a *Auditor) audit(p core.Parent, phase string) error {
 	pi := p.Labels() // aliases π; the audit runs between phases, no writers
-	if err := ParentBound(pi); err != nil {
+	if err := validate.ParentBound(pi); err != nil {
 		return err
 	}
 	// Depth ≤ 1 must hold once a compress pass has closed. Link phases
 	// may legally leave deeper trees.
 	if phase == obs.PhaseCompress || phase == obs.PhaseFinalCompress {
-		if err := Idempotent(pi); err != nil {
+		if err := validate.Idempotent(pi); err != nil {
 			return err
 		}
 	}
@@ -80,12 +80,12 @@ func (a *Auditor) audit(p core.Parent, phase string) error {
 		}
 		roots[v] = r
 	}
-	if err := Refines(roots, a.oracle); err != nil {
+	if err := validate.Refines(roots, a.oracle); err != nil {
 		return err
 	}
 	// The run's closing boundary must deliver the exact partition.
 	if phase == obs.PhaseRun {
-		return SamePartition(a.oracle, roots)
+		return validate.SamePartition(a.oracle, roots)
 	}
 	return nil
 }

@@ -26,7 +26,7 @@ func TestAuditorCatchesParentBoundViolation(t *testing.T) {
 	if err == nil {
 		t.Fatal("π(0)=1 passed the audit")
 	}
-	v, _ := AsViolation(err)
+	v, _ := validate.AsViolation(err)
 	if v == nil || v.Invariant != validate.InvParentBound {
 		t.Fatalf("want %s violation, got %v", validate.InvParentBound, err)
 	}
@@ -41,7 +41,7 @@ func TestAuditorCatchesOverMerge(t *testing.T) {
 	// even mid-run, at any phase.
 	a := auditorFor(0, 0, 2, 2)
 	a.Hook()(core.Parent{0, 0, 0, 0}, obs.PhaseNeighborRound)
-	v, _ := AsViolation(a.Err())
+	v, _ := validate.AsViolation(a.Err())
 	if v == nil || v.Invariant != validate.InvRefinement {
 		t.Fatalf("want %s violation, got %v", validate.InvRefinement, a.Err())
 	}
@@ -56,7 +56,7 @@ func TestAuditorCatchesUnderMergeAtRunEnd(t *testing.T) {
 	}
 	// ...but the run's closing boundary must deliver the full partition.
 	a.Hook()(core.Parent{0, 1}, obs.PhaseRun)
-	v, _ := AsViolation(a.Err())
+	v, _ := validate.AsViolation(a.Err())
 	if v == nil || v.Invariant != validate.InvPartitionEqual {
 		t.Fatalf("want %s violation at run end, got %v", validate.InvPartitionEqual, a.Err())
 	}
@@ -75,7 +75,7 @@ func TestAuditorCatchesDeepTreeAfterCompress(t *testing.T) {
 		t.Fatalf("depth-2 tree after a link phase must be legal, got %v", err)
 	}
 	a.Hook()(deep, obs.PhaseCompress)
-	v, _ := AsViolation(a.Err())
+	v, _ := validate.AsViolation(a.Err())
 	if v == nil || v.Invariant != validate.InvIdempotent {
 		t.Fatalf("want %s violation after compress, got %v", validate.InvIdempotent, a.Err())
 	}

@@ -5,6 +5,7 @@ import (
 
 	"afforest/internal/core"
 	"afforest/internal/graph"
+	"afforest/internal/validate"
 )
 
 // Metamorphic relations: transformations of the input that provably
@@ -92,7 +93,7 @@ func TestMetamorphicEdgePermutation(t *testing.T) {
 			PreserveOrder: true,
 		})
 		got := afforestLabels(shuffled, seed)
-		if err := SamePartition(base, got); err != nil {
+		if err := validate.SamePartition(base, got); err != nil {
 			t.Errorf("%s seed=%#x: edge permutation changed the partition: %v", name, seed, err)
 		}
 	})
@@ -118,7 +119,7 @@ func TestMetamorphicVertexRelabeling(t *testing.T) {
 		for v := 0; v < n; v++ {
 			pulled[v] = got[sigma[v]]
 		}
-		if err := SamePartition(base, pulled); err != nil {
+		if err := validate.SamePartition(base, pulled); err != nil {
 			t.Errorf("%s seed=%#x: vertex relabeling changed the partition: %v", name, seed, err)
 		}
 	})
@@ -140,7 +141,7 @@ func TestMetamorphicSymmetrization(t *testing.T) {
 			KeepSelfLoops:  true,
 		})
 		got := afforestLabels(sym, seed)
-		if err := SamePartition(base, got); err != nil {
+		if err := validate.SamePartition(base, got); err != nil {
 			t.Errorf("%s seed=%#x: symmetrization changed the partition: %v", name, seed, err)
 		}
 	})

@@ -5,6 +5,7 @@ import (
 
 	"afforest/internal/baselines"
 	"afforest/internal/graph"
+	"afforest/internal/validate"
 )
 
 // Oracle computes ground-truth component labels for g with the
@@ -19,7 +20,7 @@ func Oracle(g *graph.CSR) []graph.V {
 	for v, l := range bfs {
 		bl[v] = graph.V(l)
 	}
-	if err := SamePartition(bl, labels); err != nil {
+	if err := validate.SamePartition(bl, labels); err != nil {
 		panic(fmt.Sprintf("testkit: union-find and BFS oracles disagree: %v", err))
 	}
 	return labels
@@ -28,10 +29,10 @@ func Oracle(g *graph.CSR) []graph.V {
 // CheckLabeling verifies labels completely against a precomputed
 // oracle: edge consistency plus partition equivalence (labels may
 // differ from the oracle's by any bijection). The error, when non-nil,
-// is a *Violation naming the invariant and its minimal witness.
+// is a *validate.Violation naming the invariant and its minimal witness.
 func CheckLabeling(g *graph.CSR, labels, oracle []graph.V) error {
-	if err := EdgeConsistent(g, labels); err != nil {
+	if err := validate.EdgeConsistent(g, labels); err != nil {
 		return err
 	}
-	return SamePartition(oracle, labels)
+	return validate.SamePartition(oracle, labels)
 }

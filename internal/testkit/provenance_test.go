@@ -8,6 +8,7 @@ import (
 	"afforest/internal/core"
 	"afforest/internal/graph"
 	"afforest/internal/provenance"
+	"afforest/internal/validate"
 )
 
 // TestProvenanceWitnessMatrix is the provenance acceptance matrix:
@@ -38,7 +39,7 @@ func TestProvenanceWitnessMatrix(t *testing.T) {
 		n := g.NumVertices()
 		edges := g.Edges()
 		oracle := Oracle(g)
-		components := ComputeCensus(oracle).Components
+		components := validate.ComputeCensus(oracle).Components
 		set := NewEdgeSet(edges)
 		for _, seed := range seeds {
 			workers := []int{1, 2, 8}[seed%3]

@@ -6,6 +6,7 @@ import (
 	"afforest/internal/concurrent"
 	"afforest/internal/core"
 	"afforest/internal/graph"
+	"afforest/internal/validate"
 )
 
 // naive-hook is a deliberately broken algorithm registered only by
@@ -73,8 +74,8 @@ func TestReplayReproducesFailure(t *testing.T) {
 		if err.Error() != first.Error() {
 			t.Fatalf("replay %d of %s produced a different failure:\n  first:  %v\n  replay: %v", i+1, id, first, err)
 		}
-		if _, ok := AsViolation(err); !ok {
-			t.Fatalf("replay failure is not a structured *Violation: %v", err)
+		if _, ok := validate.AsViolation(err); !ok {
+			t.Fatalf("replay failure is not a structured *validate.Violation: %v", err)
 		}
 	}
 

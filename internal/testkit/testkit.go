@@ -18,50 +18,10 @@
 //   - exact replay (replay.go): every failure prints a ScheduleID seed
 //     tuple, and Replay(id) re-runs the identical chunk interleaving.
 //
-// The package re-exports internal/validate's invariant checks so test
-// code has one API for both final-label validation and mid-run audits.
+// Final-label and mid-run invariant checks come from internal/validate.
 package testkit
 
-import (
-	"sync"
-
-	"afforest/internal/graph"
-	"afforest/internal/validate"
-)
-
-// Re-exported validation API: testkit is the single entry point tests
-// use, whether they check a finished labeling or a mid-run forest.
-type (
-	// Violation is a structured invariant failure with a minimal
-	// vertex/edge witness; see validate.Violation.
-	Violation = validate.Violation
-	// Census is a component count + size summary; see validate.Census.
-	Census = validate.Census
-)
-
-// EdgeConsistent checks that every edge joins equally labeled endpoints.
-func EdgeConsistent(g *graph.CSR, labels []graph.V) error {
-	return validate.EdgeConsistent(g, labels)
-}
-
-// SamePartition checks two labelings induce the same vertex partition.
-func SamePartition(a, b []graph.V) error { return validate.SamePartition(a, b) }
-
-// ParentBound checks Invariant 1: π(x) ≤ x for every vertex.
-func ParentBound(p []graph.V) error { return validate.ParentBound(p) }
-
-// Idempotent checks π(π(x)) = π(x): every tree flattened to depth ≤ 1.
-func Idempotent(p []graph.V) error { return validate.Idempotent(p) }
-
-// Refines checks that partition fine refines partition coarse.
-func Refines(fine, coarse []graph.V) error { return validate.Refines(fine, coarse) }
-
-// ComputeCensus summarizes a labeling into component count and sizes.
-func ComputeCensus(labels []graph.V) Census { return validate.ComputeCensus(labels) }
-
-// AsViolation unwraps an error produced by any check into its
-// *Violation witness.
-func AsViolation(err error) (*Violation, bool) { return validate.AsViolation(err) }
+import "sync"
 
 // schedMu serializes deterministic-scheduler sections. The mode lives
 // on the process-wide default pool, so two goroutines enabling it

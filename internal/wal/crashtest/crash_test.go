@@ -8,6 +8,7 @@ import (
 	"afforest/internal/core"
 	"afforest/internal/graph"
 	"afforest/internal/testkit"
+	"afforest/internal/validate"
 	"afforest/internal/wal"
 )
 
@@ -241,7 +242,7 @@ func TestCrashConsistency(t *testing.T) {
 			// min-canonical so this also pins the bit-level form).
 			full := c.canon[len(c.batches)]
 			if len(edges) == len(g.Edges()) {
-				if err := testkit.SamePartition(full, testkit.Oracle(g)); err != nil {
+				if err := validate.SamePartition(full, testkit.Oracle(g)); err != nil {
 					t.Fatalf("serial oracle disagrees with testkit oracle: %v", err)
 				}
 			}
